@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -16,15 +17,11 @@ import sys
 
 from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
-from .entanglement import (
-    EntanglementEstimate,
-    analytic_estimate,
-    exact_estimate_from_state,
-)
+from .entanglement import analytic_estimate, exact_entanglement
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
 from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
-from .statevector import DEFAULT_MAX_QUBITS, evolve_graph_exact, init_zero
+from .statevector import DEFAULT_MAX_QUBITS
 from .validation import run_validation
 
 ENV_MAX_QUBITS = "GRAPHENT_MAX_QUBITS"
@@ -62,20 +59,25 @@ _PI_RE = re.compile(
 
 
 def parse_phi(text: str) -> float:
-    """Decimal radians, or multiples and simple fractions of pi: 'pi', 'pi/2', '2pi/3', '-0.5pi'."""
+    """Decimal radians, or multiples and simple fractions of pi: 'pi', 'pi/2', '2pi/3', '-0.5pi'.
+
+    The angle must be finite: 'inf', 'nan' and overflowing values are rejected.
+    """
     try:
-        return float(text)
+        phi = float(text)
     except ValueError:
-        pass
-    m = _PI_RE.match(text)
-    if not m:
-        raise UsageError(f"cannot parse angle {text!r}")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    coefficient = float(m.group(2)) if m.group(2) else 1.0
-    denominator = float(m.group(3)) if m.group(3) else 1.0
-    if denominator == 0.0:
-        raise UsageError(f"zero denominator in angle {text!r}")
-    return sign * coefficient * math.pi / denominator
+        m = _PI_RE.match(text)
+        if not m:
+            raise UsageError(f"cannot parse angle {text!r}") from None
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coefficient = float(m.group(2)) if m.group(2) else 1.0
+        denominator = float(m.group(3)) if m.group(3) else 1.0
+        if denominator == 0.0:
+            raise UsageError(f"zero denominator in angle {text!r}") from None
+        phi = sign * coefficient * math.pi / denominator
+    if not math.isfinite(phi):
+        raise UsageError(f"angle must be finite, got {text!r}")
+    return phi
 
 
 def _phi_arg(text: str) -> float:
@@ -98,6 +100,8 @@ def _sweep_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"sweep needs at least 2 points, got {count}")
     if not start < stop:
         raise argparse.ArgumentTypeError(f"sweep start must be below stop, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError(f"sweep span overflows, got {text!r}")
     return start, stop, count
 
 
@@ -161,9 +165,7 @@ def cmd_entangle(args) -> int:
     if args.mode == "analytic":
         est = analytic_estimate(g, args.phi, args.spin)
     elif args.mode == "exact":
-        state = init_zero(g.n_vertices, cap)
-        evolve_graph_exact(state, g, args.phi)
-        est = exact_estimate_from_state(state, args.spin)
+        est = exact_entanglement(g, args.phi, args.spin, cap)
     else:
         est = estimate_entanglement_shots(
             g,
@@ -211,14 +213,10 @@ def cmd_sweep(args) -> int:
         writer.writerow(CSV_COLUMNS)
         row = 0
         for phi in phis:
-            exact_state = None
             for spin in spins:
                 for mode in modes:
                     if mode == "exact":
-                        if exact_state is None:
-                            exact_state = init_zero(g.n_vertices, cap)
-                            evolve_graph_exact(exact_state, g, phi)
-                        est = exact_estimate_from_state(exact_state, spin)
+                        est = exact_entanglement(g, phi, spin, cap)
                     elif mode == "analytic":
                         est = analytic_estimate(g, phi, spin)
                     else:
@@ -299,10 +297,12 @@ def _add_graph_args(p):
 def _add_common_args(p):
     p.add_argument("--calibration", help="calibration JSON file")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    p.add_argument("--max-qubits", type=int, default=None, help=f"qubit cap (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits: degree+1 for exact, n for shots (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser; built once per process, since parsing leaves it unchanged."""
     parser = _Parser(prog="graphent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

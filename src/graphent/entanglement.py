@@ -11,7 +11,7 @@ bit-exactly whenever the shifted argument itself is exactly representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ValidationError
 from .statevector import (
@@ -126,12 +126,19 @@ def exact_estimate_from_state(state: StateVector, l: int) -> EntanglementEstimat
 def exact_entanglement(
     g, phi: float, l: int, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> EntanglementEstimate:
-    """Evolve the graph state and measure spin ``l`` exactly."""
+    """Measure spin ``l`` exactly by simulating its light cone.
+
+    Only ``l`` and its neighbours are simulated (``degree(l) + 1`` qubits, see
+    :meth:`Graph.light_cone`), so ``max_qubits`` caps that size, not the graph's.
+    """
+    if not math.isfinite(phi):
+        raise ValidationError(f"angle must be finite, got {phi!r}")
     if not 0 <= l < g.n_vertices:
         raise ValidationError(f"spin {l} out of range for {g.n_vertices} vertices")
-    state = init_zero(g.n_vertices, max_qubits)
-    evolve_graph_exact(state, g, phi)
-    return exact_estimate_from_state(state, l)
+    cone = g.light_cone(l)
+    state = init_zero(cone.n_vertices, max_qubits)
+    evolve_graph_exact(state, cone, phi)
+    return replace(exact_estimate_from_state(state, 0), spin=l)
 
 
 def analytic_estimate(g, phi: float, l: int) -> EntanglementEstimate:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class Graph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...] = ()
+    # neighbours of each vertex in ascending order; derived, so not compared
+    _neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n_vertices)
@@ -50,8 +52,14 @@ class Graph:
                 raise ValidationError(f"duplicate edge {pair}")
             seen.add(pair)
             canon.append(pair)
+        edges = tuple(sorted(canon))
+        neighbours = [[] for _ in range(n)]
+        for i, j in edges:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
 
     @property
     def n_edges(self) -> int:
@@ -61,7 +69,18 @@ class Graph:
         """Number of edges incident to vertex ``l``."""
         if not 0 <= l < self.n_vertices:
             raise ValidationError(f"vertex {l} out of range for {self.n_vertices} vertices")
-        return sum(l in edge for edge in self.edges)
+        return len(self._neighbours[l])
+
+    def light_cone(self, l: int) -> "Graph":
+        """Star of ``l``: ``l`` becomes vertex 0, its neighbours 1..k in ascending order.
+
+        Edge terms not incident to ``l`` (edges between its neighbours included)
+        commute with every Pauli on ``l`` and with the edge terms at ``l``, so
+        ``<sigma_l>`` of the graph state equals ``<sigma_0>`` of the star's state
+        (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
+        """
+        k = self.degree(l)
+        return Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices), dtype=int)

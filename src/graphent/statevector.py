@@ -7,7 +7,7 @@ Conventions, fixed across the package:
 * bit value 0 is ``|0>``, identified with spin up;
 * operations mutate the passed :class:`StateVector` in place and return it;
 * norm drift is checked, never silently renormalized: any operation leaving
-  ``|sum |amp|^2 - 1| > 1e-9`` raises :class:`ConsistencyError`.
+  ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
 Single- and two-qubit gates are applied through stride-paired views over the
 amplitude array, one specialized kernel per gate kind. ``evolve_edge_exact``
@@ -127,7 +127,7 @@ def _check_qubit(state: StateVector, q: int):
 
 def _check_norm(amps: np.ndarray):
     drift = abs(float(np.vdot(amps, amps).real) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:
         raise ConsistencyError(f"state norm drifted by {drift:.3e}")
 
 

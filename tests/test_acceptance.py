@@ -20,6 +20,7 @@ from graphent import (
     entanglement_from_bloch,
     estimate_entanglement_shots,
     evolve_graph_exact,
+    exact_entanglement,
     expectation_pauli,
     init_zero,
     measurement_prelude,
@@ -250,6 +251,25 @@ def test_criterion_9_symmetry_suite():
         exact_analytic and worst_exact <= 1e-10,
         "E(phi)=E(-phi)=E(phi+pi)=E(pi-phi): bit-exact analytic, exact mode within 1e-10",
         f" (analytic bit-exact={exact_analytic}, exact-mode worst={worst_exact:.2e})",
+    )
+
+
+def test_criterion_11_light_cone_equals_full_register():
+    start = time.perf_counter()
+    worst = 0.0
+    for g, per_phi in _random_sample():
+        for phi, blochs in per_phi:
+            for l, full in enumerate(blochs):
+                cone = exact_entanglement(g, phi, l).bloch
+                worst = max(
+                    worst, *(abs(a - b) for a, b in zip(cone.as_tuple(), full.as_tuple()))
+                )
+    elapsed = time.perf_counter() - start
+    _report(
+        11,
+        worst <= 1e-14 and elapsed < 30.0,
+        "light-cone Bloch vectors vs full register on 200 random graphs x 25 angles",
+        f" (worst={worst:.2e}, {elapsed:.1f}s)",
     )
 
 

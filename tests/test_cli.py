@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
+from graphent.cli import CSV_COLUMNS, MODES, main, parse_phi, UsageError
 
 
 def run(capsys, *argv):
@@ -38,6 +38,11 @@ class TestPhiParsing:
 
     @pytest.mark.parametrize("text", ["tau", "pi/0", "pi//2", "two pi", ""])
     def test_rejected(self, text):
+        with pytest.raises(UsageError):
+            parse_phi(text)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "1" + "0" * 400 + "pi"])
+    def test_non_finite_rejected(self, text):
         with pytest.raises(UsageError):
             parse_phi(text)
 
@@ -94,6 +99,35 @@ class TestEntangle:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_exact_large_sparse_graph_under_default_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "entangle", "--preset", "ring(100000)", "--phi", "pi/4",
+            "--spin", "5", "--mode", "exact",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["entanglement"] == pytest.approx(0.25, abs=1e-15)
+        assert record["graph"]["n"] == 100000
+
+    def test_exact_dense_light_cone_over_default_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "entangle", "--preset", "complete(30)", "--phi", "pi/4",
+            "--spin", "0", "--mode", "exact",
+        )
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("phi", ["inf", "nan"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_angle_is_usage_error(self, capsys, phi, mode):
+        code, out, err = run(
+            capsys, "entangle", "--preset", "valencia", "--phi", phi, "--spin", "1",
+            "--mode", mode,
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_graph_file_and_spin_validation(self, capsys, tmp_path):
         p = tmp_path / "g.txt"
@@ -203,6 +237,14 @@ class TestSweep:
                 capsys, "sweep", "--preset", "path(2)", "--sweep", spec,
             )
             assert code == 1
+
+    @pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3"])
+    def test_non_finite_sweep_fails_before_output(self, capsys, spec):
+        code, out, _ = run(
+            capsys, "sweep", "--preset", "valencia", f"--sweep={spec}", "--mode", "exact",
+        )
+        assert code == 1
+        assert out == ""
 
 
 class TestSynthesize:
@@ -328,7 +370,7 @@ class TestGraphInput:
 class TestResourceCap:
     def test_flag(self, capsys):
         code, _, _ = run(
-            capsys, "entangle", "--preset", "valencia", "--phi", "0.5", "--spin", "0",
+            capsys, "entangle", "--preset", "valencia", "--phi", "0.5", "--spin", "1",
             "--max-qubits", "3",
         )
         assert code == 3
@@ -336,7 +378,7 @@ class TestResourceCap:
     def test_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "3")
         code, _, _ = run(
-            capsys, "entangle", "--preset", "valencia", "--phi", "0.5", "--spin", "0",
+            capsys, "entangle", "--preset", "valencia", "--phi", "0.5", "--spin", "1",
         )
         assert code == 3
 

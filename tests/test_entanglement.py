@@ -15,7 +15,10 @@ from graphent import (
     bloch_vector,
     complete,
     entanglement_from_bloch,
+    evolve_graph_exact,
     exact_entanglement,
+    init_zero,
+    ring,
     valencia,
 )
 from graphent.validation import random_graph
@@ -162,6 +165,54 @@ class TestExact:
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             exact_entanglement(complete(5), 0.3, 0, max_qubits=4)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, phi):
+        with pytest.raises(ValidationError):
+            exact_entanglement(valencia(), phi, 1)
+
+
+class TestLightCone:
+    """The exact route simulates spin l and its neighbours only; the full register is the oracle."""
+
+    @staticmethod
+    def full_register_bloch(g, phi, l):
+        state = init_zero(g.n_vertices)
+        evolve_graph_exact(state, g, phi)
+        return bloch_vector(state, l)
+
+    @given(seed=st.integers(0, 2**32 - 1), phi=st.floats(-2 * math.pi, 2 * math.pi))
+    def test_matches_full_register(self, seed, phi):
+        g = random_graph(np.random.default_rng(seed), 1, 9)
+        for l in range(g.n_vertices):
+            cone = exact_entanglement(g, phi, l).bloch.as_tuple()
+            full = self.full_register_bloch(g, phi, l).as_tuple()
+            assert max(abs(a - b) for a, b in zip(cone, full)) <= 1e-14
+
+    def test_isolated_vertex_one_qubit_cone(self):
+        g = Graph(3, ((0, 1),))
+        est = exact_entanglement(g, 1.1, 2, max_qubits=1)
+        assert est.spin == 2
+        assert est.bloch.as_tuple() == (0.0, 0.0, 1.0)
+        assert est.value == 0.0
+
+    def test_triangle(self):
+        g = complete(3)
+        for l in range(3):
+            cone = exact_entanglement(g, 0.7, l, max_qubits=3).bloch.as_tuple()
+            full = self.full_register_bloch(g, 0.7, l).as_tuple()
+            assert max(abs(a - b) for a, b in zip(cone, full)) <= 1e-14
+            assert abs(cone[2] - math.cos(0.7) ** 2) <= 1e-14
+
+    def test_large_ring(self):
+        est = exact_entanglement(ring(100_000), math.pi / 4, 5)
+        assert est.spin == 5
+        assert abs(est.value - analytic_entanglement(2, math.pi / 4)) <= 1e-15
+
+    def test_cap_applies_to_cone_size(self):
+        assert exact_entanglement(valencia(), 0.3, 1, max_qubits=4).spin == 1
+        with pytest.raises(ResourceCapError):
+            exact_entanglement(valencia(), 0.3, 1, max_qubits=3)
 
 
 class TestAnalyticEstimate:

@@ -164,6 +164,12 @@ class TestApplyGate:
         with pytest.raises(ConsistencyError):
             apply_gate(s, Gate.h(0))
 
+    def test_nan_norm_detected(self):
+        with pytest.raises(ConsistencyError):
+            apply_gate(init_zero(2), Gate.p(0, math.nan))
+        with pytest.raises(ConsistencyError):
+            evolve_edge_exact(init_zero(2), 0, 1, math.nan)
+
 
 class TestApplyPauli:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
