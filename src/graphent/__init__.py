@@ -34,7 +34,6 @@ from .entanglement import (
     bloch_vector,
     entanglement_from_bloch,
     exact_entanglement,
-    exact_estimate_from_state,
 )
 from .errors import ConsistencyError, GraphentError, ResourceCapError, ValidationError
 from .graphs import (
@@ -52,7 +51,6 @@ from .sampling import (
     DEFAULT_SHOTS,
     DepolarizingSampler,
     ShotResult,
-    apply_depolarizing_noise,
     corrupt_readout,
     derive_seeds,
     estimate_entanglement_shots,

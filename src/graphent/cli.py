@@ -17,7 +17,7 @@ import sys
 
 from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
-from .entanglement import analytic_estimate, exact_entanglement
+from .entanglement import EntanglementEstimate, analytic_estimate, exact_entanglement
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
 from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
@@ -105,23 +105,6 @@ def _sweep_arg(text: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def _detect_format(text: str) -> str:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return "json"
-    data = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if data:
-        head = data[0].split()
-        if len(head) == 1 and head[0].isdigit():
-            n = int(head[0])
-            rows = data[1:]
-            if len(rows) == n and all(
-                len(r.split()) == n and set(r.split()) <= {"0", "1"} for r in rows
-            ):
-                return "adjacency"
-    return "edge-list"
-
-
 def _load_graph(args) -> Graph:
     if args.preset is not None:
         try:
@@ -130,8 +113,7 @@ def _load_graph(args) -> Graph:
             raise UsageError(str(exc)) from None
     with open(args.graph, encoding="utf-8") as fh:
         text = fh.read()
-    fmt = args.format if args.format != "auto" else _detect_format(text)
-    return parse_graph(text, fmt)
+    return parse_graph(text, args.format)
 
 
 def _load_calibration(args) -> CalibrationData | None:
@@ -152,30 +134,18 @@ def _max_qubits(args) -> int:
     return DEFAULT_MAX_QUBITS
 
 
-def _check_spins(g: Graph, spins) -> None:
-    for spin in spins:
-        if not 0 <= spin < g.n_vertices:
-            raise ValidationError(f"spin {spin} out of range for {g.n_vertices} vertices")
+def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate:
+    if mode == "analytic":
+        return analytic_estimate(g, phi, spin)
+    if mode == "exact":
+        return exact_entanglement(g, phi, spin, cap)
+    return estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed, max_qubits=cap)
 
 
 def cmd_entangle(args) -> int:
     g = _load_graph(args)
-    _check_spins(g, [args.spin])
-    cap = _max_qubits(args)
-    if args.mode == "analytic":
-        est = analytic_estimate(g, args.phi, args.spin)
-    elif args.mode == "exact":
-        est = exact_entanglement(g, args.phi, args.spin, cap)
-    else:
-        est = estimate_entanglement_shots(
-            g,
-            args.phi,
-            args.spin,
-            args.shots,
-            _load_calibration(args),
-            seed=args.seed,
-            max_qubits=cap,
-        )
+    cal = _load_calibration(args) if args.mode == "shots" else None
+    est = _estimate(args.mode, g, args.phi, args.spin, args.shots, cal, args.seed, _max_qubits(args))
     record = {
         "phi": args.phi,
         "spin": args.spin,
@@ -198,53 +168,40 @@ def _open_out(path):
 
 
 def cmd_sweep(args) -> int:
+    """Compute every row first, so a failing sweep writes no header and no file."""
     g = _load_graph(args)
     spins = list(dict.fromkeys(args.spin)) if args.spin else list(range(g.n_vertices))
     modes = list(dict.fromkeys(args.mode)) if args.mode else ["analytic"]
-    _check_spins(g, spins)
     cap = _max_qubits(args)
     cal = _load_calibration(args)
     start, stop, count = args.sweep
     phis = [start + (stop - start) * i / (count - 1) for i in range(count)]
-    row_seeds = derive_seeds(args.seed, count * len(spins) * len(modes))
+    row_seeds = iter(derive_seeds(args.seed, count * len(spins) * len(modes)))
+    rows = []
+    for phi in phis:
+        for spin in spins:
+            for mode in modes:
+                est = _estimate(mode, g, phi, spin, args.shots, cal, next(row_seeds), cap)
+                rows.append(
+                    [
+                        repr(phi),
+                        spin,
+                        mode,
+                        repr(est.bloch.mx),
+                        repr(est.bloch.my),
+                        repr(est.bloch.mz),
+                        repr(est.bloch.norm()),
+                        repr(est.value),
+                        "" if est.std_error is None else repr(est.std_error),
+                        "" if est.shots is None else est.shots,
+                        args.seed,
+                    ]
+                )
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        row = 0
-        for phi in phis:
-            for spin in spins:
-                for mode in modes:
-                    if mode == "exact":
-                        est = exact_entanglement(g, phi, spin, cap)
-                    elif mode == "analytic":
-                        est = analytic_estimate(g, phi, spin)
-                    else:
-                        est = estimate_entanglement_shots(
-                            g,
-                            phi,
-                            spin,
-                            args.shots,
-                            cal,
-                            seed=row_seeds[row],
-                            max_qubits=cap,
-                        )
-                    writer.writerow(
-                        [
-                            repr(phi),
-                            spin,
-                            mode,
-                            repr(est.bloch.mx),
-                            repr(est.bloch.my),
-                            repr(est.bloch.mz),
-                            repr(est.bloch.norm()),
-                            repr(est.value),
-                            "" if est.std_error is None else repr(est.std_error),
-                            "" if est.shots is None else est.shots,
-                            args.seed,
-                        ]
-                    )
-                    row += 1
+        writer.writerows(rows)
     finally:
         if close:
             out.close()

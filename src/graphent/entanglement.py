@@ -11,7 +11,7 @@ bit-exactly whenever the shifted argument itself is exactly representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .statevector import (
@@ -115,14 +115,6 @@ def bloch_vector(state: StateVector, l: int) -> BlochVector:
     )
 
 
-def exact_estimate_from_state(state: StateVector, l: int) -> EntanglementEstimate:
-    """Entanglement of qubit ``l`` computed from an already-evolved state."""
-    b = bloch_vector(state, l)
-    return EntanglementEstimate(
-        spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"
-    )
-
-
 def exact_entanglement(
     g, phi: float, l: int, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> EntanglementEstimate:
@@ -133,12 +125,13 @@ def exact_entanglement(
     """
     if not math.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi!r}")
-    if not 0 <= l < g.n_vertices:
-        raise ValidationError(f"spin {l} out of range for {g.n_vertices} vertices")
     cone = g.light_cone(l)
     state = init_zero(cone.n_vertices, max_qubits)
     evolve_graph_exact(state, cone, phi)
-    return replace(exact_estimate_from_state(state, 0), spin=l)
+    b = bloch_vector(state, 0)
+    return EntanglementEstimate(
+        spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"
+    )
 
 
 def analytic_estimate(g, phi: float, l: int) -> EntanglementEstimate:

@@ -9,6 +9,10 @@ Three text formats are supported:
 * ``adjacency``: first line is ``n``, then ``n`` rows of ``n`` space-separated
   0/1 entries; the matrix must be symmetric with a zero diagonal.
 
+``parse_graph(text, "auto")`` picks the format from the text itself: a leading
+``{`` means JSON, a square 0/1 matrix under a vertex-count line means adjacency,
+anything else is read as an edge list.
+
 Couplings are unweighted: adjacency entries other than 0/1, self-loops, and
 duplicate edges are rejected rather than silently normalized away.
 """
@@ -66,9 +70,9 @@ class Graph:
         return len(self.edges)
 
     def degree(self, l: int) -> int:
-        """Number of edges incident to vertex ``l``."""
+        """Number of edges incident to vertex ``l``; the range check every route relies on."""
         if not 0 <= l < self.n_vertices:
-            raise ValidationError(f"vertex {l} out of range for {self.n_vertices} vertices")
+            raise ValidationError(f"spin {l} out of range for {self.n_vertices} vertices")
         return len(self._neighbours[l])
 
     def light_cone(self, l: int) -> "Graph":
@@ -182,8 +186,26 @@ _PARSERS = {
 }
 
 
+def _looks_like_adjacency(text: str) -> bool:
+    """A vertex-count line ``n`` followed by exactly ``n`` rows of ``n`` 0/1 entries."""
+    data = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    if not data or len(data[0]) != 1 or not data[0][0].isdecimal():
+        return False
+    rows = data[1:]
+    return len(rows) == int(data[0][0]) and all(
+        len(r) == len(rows) and set(r) <= {"0", "1"} for r in rows
+    )
+
+
 def parse_graph(text: str, fmt: str) -> Graph:
-    """Parse ``text`` in one of the formats listed in :data:`FORMATS`."""
+    """Parse ``text`` in one of the formats listed in :data:`FORMATS`, or ``"auto"`` to detect it."""
+    if fmt == "auto":
+        if text.lstrip().startswith("{"):
+            fmt = "json"
+        elif _looks_like_adjacency(text):
+            fmt = "adjacency"
+        else:
+            fmt = "edge-list"
     if fmt not in _PARSERS:
         raise ValidationError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
     return _PARSERS[fmt](text)

@@ -10,10 +10,11 @@ from ``numpy.random.SeedSequence`` spawning in a documented order; for
 x readout, y sample, y readout).
 
 Readout error is a symmetric per-qubit bit flip. Gate/CX noise, when enabled
-through :func:`apply_depolarizing_noise`, is a trajectory approximation: after
-each gate, with the calibrated probability, a uniformly random non-identity
-Pauli hits the gate's qubit(s). It is off by default and makes no claim to
-reproduce hardware data quantitatively.
+(``estimate_entanglement_shots(..., gate_noise=True)``), is executed by
+:class:`DepolarizingSampler`, a trajectory approximation: after each gate,
+with the calibrated probability, a uniformly random non-identity Pauli hits
+the gate's qubit(s). It is off by default and makes no claim to reproduce
+hardware data quantitatively.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .calibration import CalibrationData
 from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
 from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_gate, apply_pauli, init_zero
 
@@ -167,14 +168,19 @@ def estimate_entanglement_shots(
     One circuit execution per axis (z, x, y): graph circuit, measurement
     prelude, z sampling, then readout corruption when calibration is given.
     ``gate_noise=True`` additionally routes sampling through the depolarizing
-    trajectory model (requires calibration).
+    trajectory model (requires calibration). ``max_qubits`` caps the whole
+    register on both paths.
     """
     if not 0 <= l < g.n_vertices:
         raise ValidationError(f"spin {l} out of range for {g.n_vertices} vertices")
+    if not math.isfinite(phi):
+        raise ValidationError(f"angle must be finite, got {phi!r}")
     if shots < 1:
         raise ValidationError(f"shot count must be positive, got {shots}")
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
+    if g.n_vertices > max_qubits:
+        raise ResourceCapError(f"{g.n_vertices} qubits exceeds the cap of {max_qubits}")
     base = synthesize_graph_circuit(g, phi, cal)
     subseeds = derive_seeds(seed, 6)
     means: dict[str, float] = {}
@@ -183,7 +189,7 @@ def estimate_entanglement_shots(
         circuit = base.extended(measurement_prelude(axis, l))
         sample_seed, readout_seed = subseeds[2 * k], subseeds[2 * k + 1]
         if gate_noise:
-            result = apply_depolarizing_noise(circuit, cal, sample_seed)(shots)
+            result = DepolarizingSampler(circuit, cal, sample_seed)(shots)
         else:
             state = init_zero(g.n_vertices, max_qubits)
             apply_circuit(state, circuit)
@@ -284,10 +290,3 @@ class DepolarizingSampler:
             state = self._final_state(pattern)
             pieces.append(_draw_outcomes(state.amps, group_shots, rng))
         return ShotResult(shots, _tally(np.concatenate(pieces), n), self.seed)
-
-
-def apply_depolarizing_noise(
-    circuit: Circuit, cal: CalibrationData, seed: int
-) -> DepolarizingSampler:
-    """Build the trajectory executor; validates calibration coverage up front."""
-    return DepolarizingSampler(circuit, cal, seed)

@@ -9,10 +9,13 @@ Conventions, fixed across the package:
 * norm drift is checked, never silently renormalized: any operation leaving
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
-Single- and two-qubit gates are applied through stride-paired views over the
-amplitude array, one specialized kernel per gate kind. ``evolve_edge_exact``
-deliberately goes through a generic dense 4x4 product instead, so the two
-routes stay independent and can cross-check each other.
+Every single-qubit gate (h, p, rx, ry, and the bare Paulis of the noise
+model) goes through one kernel, ``_apply_1q``, which multiplies the paired
+qubit-0/1 halves of the amplitude array by the gate's 2x2 matrix; ``cx`` has
+its own stride kernel that swaps the target halves of the control-1 block.
+``evolve_edge_exact`` deliberately goes through a generic dense 4x4 product
+instead, so the gate route and the edge route stay independent and can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -131,38 +134,39 @@ def _check_norm(amps: np.ndarray):
         raise ConsistencyError(f"state norm drifted by {drift:.3e}")
 
 
-def _paired_views(amps: np.ndarray, n: int, q: int):
+def _paired_views(amps: np.ndarray, q: int):
     """Views (a0, a1) over the qubit-q = 0/1 halves of the amplitude array."""
-    v = np.moveaxis(amps.reshape((2,) * n), n - 1 - q, 0)
-    return v[0, ...], v[1, ...]
+    v = amps.reshape(-1, 2, 1 << q)
+    return v[:, 0, :], v[:, 1, :]
 
 
-def _apply_h(amps, n, q):
-    a0, a1 = _paired_views(amps, n, q)
-    old0 = a0.copy()
-    a0[...] = (old0 + a1) * _INV_SQRT2
-    a1[...] = (old0 - a1) * _INV_SQRT2
+def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
+    """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1)."""
+    v = amps.reshape(-1, 2, 1 << q).swapaxes(0, 1)
+    v[...] = (u @ v.reshape(2, -1)).reshape(v.shape)
 
 
-def _apply_p(amps, n, q, angle):
-    _, a1 = _paired_views(amps, n, q)
-    a1 *= cmath.exp(1j * angle)
+def _p_matrix(angle: float) -> np.ndarray:
+    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * angle)]], dtype=np.complex128)
 
 
-def _apply_rx(amps, n, q, angle):
+def _rx_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    a0, a1 = _paired_views(amps, n, q)
-    old0 = a0.copy()
-    a0[...] = c * old0 - 1j * s * a1
-    a1[...] = -1j * s * old0 + c * a1
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def _apply_ry(amps, n, q, angle):
+def _ry_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    a0, a1 = _paired_views(amps, n, q)
-    old0 = a0.copy()
-    a0[...] = c * old0 - s * a1
-    a1[...] = s * old0 + c * a1
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+_H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128)
+_PAULIS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+_ANGLE_GATES = {"p": _p_matrix, "rx": _rx_matrix, "ry": _ry_matrix}
 
 
 def _apply_cx(amps, n, control, target):
@@ -180,38 +184,22 @@ def _apply_cx(amps, n, control, target):
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one IR gate in place; returns the same state."""
     _check_qubit(state, gate.target)
-    amps, n = state.amps, state.n_qubits
-    if gate.kind == "h":
-        _apply_h(amps, n, gate.target)
-    elif gate.kind == "p":
-        _apply_p(amps, n, gate.target, gate.angle)
-    elif gate.kind == "rx":
-        _apply_rx(amps, n, gate.target, gate.angle)
-    elif gate.kind == "ry":
-        _apply_ry(amps, n, gate.target, gate.angle)
-    else:
+    if gate.kind == "cx":
         _check_qubit(state, gate.control)
-        _apply_cx(amps, n, gate.control, gate.target)
-    _check_norm(amps)
+        _apply_cx(state.amps, state.n_qubits, gate.control, gate.target)
+    else:
+        u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
+        _apply_1q(state.amps, gate.target, u)
+    _check_norm(state.amps)
     return state
 
 
 def apply_pauli(state: StateVector, axis: str, q: int) -> StateVector:
     """Apply a bare Pauli x/y/z on qubit ``q`` (used by noise trajectories)."""
     _check_qubit(state, q)
-    a0, a1 = _paired_views(state.amps, state.n_qubits, q)
-    if axis == "x":
-        tmp = a0.copy()
-        a0[...] = a1
-        a1[...] = tmp
-    elif axis == "y":
-        tmp = a0.copy()
-        a0[...] = -1j * a1
-        a1[...] = 1j * tmp
-    elif axis == "z":
-        a1 *= -1.0
-    else:
+    if axis not in _PAULIS:
         raise ValidationError(f"unknown Pauli axis {axis!r}")
+    _apply_1q(state.amps, q, _PAULIS[axis])
     _check_norm(state.amps)
     return state
 
@@ -266,7 +254,7 @@ def evolve_graph_exact(state: StateVector, g, phi: float) -> StateVector:
 def expectation_pauli(state: StateVector, axis: str, l: int) -> float:
     """Exact <sigma_l^axis>; raises ConsistencyError on a nonreal quadratic form."""
     _check_qubit(state, l)
-    a0, a1 = _paired_views(state.amps, state.n_qubits, l)
+    a0, a1 = _paired_views(state.amps, l)
     if axis == "z":
         p0 = float(np.vdot(a0, a0).real)
         p1 = float(np.vdot(a1, a1).real)
@@ -284,7 +272,7 @@ def expectation_pauli(state: StateVector, axis: str, l: int) -> float:
 def marginal_z_probs(state: StateVector, l: int) -> tuple[float, float]:
     """(p0, p1) marginal z-basis outcome probabilities for qubit ``l``."""
     _check_qubit(state, l)
-    a0, a1 = _paired_views(state.amps, state.n_qubits, l)
+    a0, a1 = _paired_views(state.amps, l)
     return float(np.vdot(a0, a0).real), float(np.vdot(a1, a1).real)
 
 

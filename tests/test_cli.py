@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,17 @@ def run(capsys, *argv):
 def rows_of(text):
     reader = csv.DictReader(io.StringIO(text))
     return list(reader)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_recipes():
+    """The ``graphent ...`` lines of the README's Recipes section, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Recipes\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [" ".join(ln.split()) for ln in lines if ln.strip().startswith("graphent ")]
 
 
 class TestPhiParsing:
@@ -238,6 +251,24 @@ class TestSweep:
             )
             assert code == 1
 
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (["--preset", "valencia", "--sweep", "0:1:2", "--mode", "shots", "--shots", "0"], 2),
+            (["--preset", "complete(30)", "--spin", "0", "--mode", "exact", "--sweep", "0:1:2"], 3),
+            (["--preset", "valencia", "--spin", "7", "--sweep", "0:1:2"], 2),
+        ],
+    )
+    def test_failing_sweep_writes_nothing(self, capsys, tmp_path, args, expected):
+        code, out, _ = run(capsys, "sweep", *args)
+        assert code == expected
+        assert out == ""
+        target = tmp_path / "out.csv"
+        code, out, _ = run(capsys, "sweep", *args, "--out", str(target))
+        assert code == expected
+        assert out == ""
+        assert not target.exists()
+
     @pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3"])
     def test_non_finite_sweep_fails_before_output(self, capsys, spec):
         code, out, _ = run(
@@ -408,3 +439,27 @@ class TestUsageErrors:
             "--mode", "magic",
         )
         assert code == 1
+
+
+class TestReadmeRecipes:
+    def test_section_lists_the_four_recipes(self):
+        assert len(readme_recipes()) == 4
+
+    @pytest.mark.parametrize("recipe", readme_recipes())
+    def test_recipe_runs(self, capsys, monkeypatch, recipe):
+        monkeypatch.chdir(ROOT)
+        argv = shlex.split(recipe)
+        assert argv[0] == "graphent"
+        code, out, _ = run(capsys, *argv[1:])
+        assert code == 0
+        rows = rows_of(out)
+        assert rows
+        by_point = {}
+        for row in rows:
+            by_point.setdefault((row["phi"], row["spin"]), {})[row["mode"]] = float(
+                row["entanglement"]
+            )
+        modes = {argv[i + 1] for i, arg in enumerate(argv) if arg == "--mode"}
+        if {"analytic", "exact"} <= modes:
+            worst = max(abs(v["analytic"] - v["exact"]) for v in by_point.values())
+            assert worst <= 1e-10

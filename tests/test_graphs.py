@@ -77,6 +77,7 @@ class TestParsing:
             ('{"edges": [[0, 1, 2]]}', "json"),
             ('{"edges": []}', "json"),  # no n and nothing to infer from
             ("not json", "json"),
+            ("\u00b2\n0 1\n", "auto"),  # non-ASCII digit as vertex count
         ],
     )
     def test_rejects_malformed(self, text, fmt):
@@ -195,3 +196,4 @@ class TestPresets:
 @given(g=graphs())
 def test_serialize_parse_roundtrip(fmt, g):
     assert parse_graph(serialize_graph(g, fmt), fmt) == g
+    assert parse_graph(serialize_graph(g, fmt), "auto") == g

@@ -6,10 +6,11 @@ import pytest
 from graphent import (
     CalibrationData,
     Circuit,
+    DepolarizingSampler,
     Gate,
+    ResourceCapError,
     ShotResult,
     ValidationError,
-    apply_depolarizing_noise,
     apply_gate,
     corrupt_readout,
     derive_seeds,
@@ -243,6 +244,19 @@ class TestEstimateEntanglementShots:
         with pytest.raises(ValidationError):
             estimate_entanglement_shots(valencia(), 0.1, 1, 10, seed=0, gate_noise=True)
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, phi):
+        with pytest.raises(ValidationError):
+            estimate_entanglement_shots(valencia(), phi, 1, 100)
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_qubit_cap_holds_on_both_paths(self, gate_noise):
+        with pytest.raises(ResourceCapError):
+            estimate_entanglement_shots(
+                valencia(), 0.5, 1, 100, valencia_calibration(),
+                gate_noise=gate_noise, max_qubits=3,
+            )
+
 
 class TestDepolarizingNoise:
     def test_zero_rates_identical_to_noiseless_sampling(self):
@@ -253,28 +267,28 @@ class TestDepolarizingNoise:
             (0.0,) * 5,
             {(i, j): 0.0 for i in range(5) for j in range(5) if i != j},
         )
-        sampler = apply_depolarizing_noise(circuit, cal, seed=33)
+        sampler = DepolarizingSampler(circuit, cal, seed=33)
         state = apply_circuit(init_zero(5), circuit)
         assert sampler(5000).counts == sample_z(state, 5000, seed=33).counts
 
     def test_rate_one_identity_circuit_depolarizes(self):
         circuit = Circuit(1, tuple(Gate.h(0) for _ in range(8)))
         cal = CalibrationData((0.0,), (1.0,), {})
-        mean, se = estimate_mean_z(apply_depolarizing_noise(circuit, cal, seed=3)(20_000), 0)
+        mean, se = estimate_mean_z(DepolarizingSampler(circuit, cal, seed=3)(20_000), 0)
         assert abs(mean) <= 4 * se
 
     def test_seed_determinism(self):
         circuit = synthesize_graph_circuit(path(3), 0.5)
         cal = CalibrationData((0.0,) * 3, (0.05,) * 3, {(i, j): 0.05 for i in range(3) for j in range(3) if i != j})
-        a = apply_depolarizing_noise(circuit, cal, seed=4)(4000)
-        b = apply_depolarizing_noise(circuit, cal, seed=4)(4000)
+        a = DepolarizingSampler(circuit, cal, seed=4)(4000)
+        b = DepolarizingSampler(circuit, cal, seed=4)(4000)
         assert a.counts == b.counts
 
     def test_missing_cx_entry_rejected(self):
         circuit = synthesize_graph_circuit(path(2), 0.5)
         cal = CalibrationData((0.0, 0.0), (0.0, 0.0), {})
         with pytest.raises(ValidationError):
-            apply_depolarizing_noise(circuit, cal, seed=0)
+            DepolarizingSampler(circuit, cal, seed=0)
 
     def test_enabling_gate_noise_increases_entanglement_at_phi_zero(self):
         cal = valencia_calibration()
