@@ -207,7 +207,9 @@ def parse_graph(text: str, fmt: str) -> Graph:
         else:
             fmt = "edge-list"
     if fmt not in _PARSERS:
-        raise ValidationError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
+        raise ValidationError(
+            f"unknown graph format {fmt!r}; expected one of {FORMATS + ('auto',)}"
+        )
     return _PARSERS[fmt](text)
 
 

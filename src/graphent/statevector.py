@@ -141,9 +141,28 @@ def _paired_views(amps: np.ndarray, q: int):
 
 
 def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
-    """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1)."""
-    v = amps.reshape(-1, 2, 1 << q).swapaxes(0, 1)
-    v[...] = (u @ v.reshape(2, -1)).reshape(v.shape)
+    """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1).
+
+    Works on the half views in place, so at most two half-size temporaries
+    exist at once; a diagonal ``u`` (p, z) only scales the halves and an
+    anti-diagonal one (x, y) swaps them with a scale.
+    """
+    a0, a1 = _paired_views(amps, q)
+    (u00, u01), (u10, u11) = u
+    if u01 == 0 and u10 == 0:
+        if u00 != 1:
+            a0 *= u00
+        a1 *= u11
+    elif u00 == 0 and u11 == 0:
+        t = u01 * a1
+        np.multiply(a0, u10, out=a1)
+        a0[...] = t
+    else:
+        t = u00 * a0
+        t += u01 * a1
+        a1 *= u11
+        a1 += u10 * a0
+        a0[...] = t
 
 
 def _p_matrix(angle: float) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestParsing:
             parse_graph(text, fmt)
 
     def test_unknown_format(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="'auto'"):
             parse_graph("1\n", "yaml")
 
 
