@@ -2,12 +2,14 @@
 
 Three text formats are supported:
 
-* ``edge-list``: first line is the vertex count, each following nonempty line
-  is ``"i j"``; lines starting with ``#`` are comments.
+* ``edge-list``: first line is the vertex count, each following line is
+  ``"i j"``.
 * ``json``: object with ``"n"`` (optional when edges are present) and
   ``"edges"``, an array of two-element integer arrays.
 * ``adjacency``: first line is ``n``, then ``n`` rows of ``n`` space-separated
   0/1 entries; the matrix must be symmetric with a zero diagonal.
+
+In the two line formats, blank lines and lines starting with ``#`` are skipped.
 
 ``parse_graph(text, "auto")`` picks the format from the text itself: a leading
 ``{`` means JSON, a square 0/1 matrix under a vertex-count line means adjacency,
@@ -101,9 +103,13 @@ def _as_int(token: str, what: str) -> int:
         raise ValidationError(f"expected integer {what}, got {token!r}") from None
 
 
+def _data_lines(text: str) -> list[str]:
+    """Stripped lines of ``text``, without blank lines and ``#`` comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def _parse_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    data = _data_lines(text)
     if not data:
         raise ValidationError("empty edge-list input")
     head = data[0].split()
@@ -149,7 +155,7 @@ def _parse_json(text: str) -> Graph:
 
 
 def _parse_adjacency(text: str) -> Graph:
-    data = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    data = _data_lines(text)
     if not data:
         raise ValidationError("empty adjacency input")
     head = data[0].split()
@@ -188,7 +194,7 @@ _PARSERS = {
 
 def _looks_like_adjacency(text: str) -> bool:
     """A vertex-count line ``n`` followed by exactly ``n`` rows of ``n`` 0/1 entries."""
-    data = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    data = [ln.split() for ln in _data_lines(text)]
     if not data or len(data[0]) != 1 or not data[0][0].isdecimal():
         return False
     rows = data[1:]

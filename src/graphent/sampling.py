@@ -1,7 +1,9 @@
 """Finite-shot emulation of the measurement pipeline.
 
-Outcome bitstrings follow the package bit convention: character ``i`` of a
-counts key is the measured bit of qubit ``i`` (qubit 0 first).
+A :class:`ShotResult` holds one basis-state integer per shot, in the package
+bit convention: bit ``l`` of an outcome is the measured bit of qubit ``l``.
+``ShotResult.counts`` renders them as bitstrings with qubit 0 first
+(character ``l`` is qubit ``l``), formatted only when asked for.
 
 Determinism: every sampling entry point takes an integer seed and is
 bit-reproducible for a fixed seed and numpy version. Derived substreams come
@@ -33,65 +35,38 @@ from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_gate, apply_paul
 
 DEFAULT_SHOTS = 8192
 
-_PAULI_AXES = ("x", "y", "z")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotResult:
-    """Measured z-basis outcomes: counts per bitstring plus the seed that produced them."""
+    """Measured z-basis outcomes, one basis-state integer per shot, and the seed that drew them."""
 
-    shots: int
-    counts: dict[str, int]
+    n_qubits: int
+    outcomes: np.ndarray
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValidationError(f"shot count must be positive, got {self.shots}")
-        if not self.counts:
-            raise ValidationError("counts may not be empty")
-        width = len(next(iter(self.counts)))
-        total = 0
-        for key, c in self.counts.items():
-            if len(key) != width or set(key) - {"0", "1"}:
-                raise ValidationError(f"malformed outcome key {key!r}")
-            if c < 0:
-                raise ValidationError(f"negative count for {key!r}")
-            total += c
-        if total != self.shots:
-            raise ValidationError(f"counts sum to {total}, expected {self.shots}")
+        if len(self.outcomes) == 0:
+            raise ValidationError("outcomes may not be empty")
+        if self.outcomes.min() < 0 or self.outcomes.max() >= 1 << self.n_qubits:
+            raise ValidationError(f"outcome out of range for {self.n_qubits} qubits")
 
     @property
-    def n_qubits(self) -> int:
-        return len(next(iter(self.counts)))
+    def shots(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Shots per outcome bitstring, qubit 0 first, in ascending outcome order."""
+        values, counts = np.unique(self.outcomes, return_counts=True)
+        width = f"0{self.n_qubits}b"
+        return {format(int(v), width)[::-1]: int(c) for v, c in zip(values, counts)}
 
 
-def _int_to_key(value: int, n: int) -> str:
-    return format(value, f"0{n}b")[::-1]
-
-
-def _key_to_int(key: str) -> int:
-    return int(key[::-1], 2)
-
-
-def _draw_outcomes(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    probs = amps.real**2 + amps.imag**2
-    cdf = np.cumsum(probs)
+def _draw_outcomes(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
+    cdf = np.cumsum(state.probabilities())
     cdf /= cdf[-1]
     idx = np.searchsorted(cdf, rng.random(shots), side="right")
     return np.minimum(idx, len(cdf) - 1)
-
-
-def _tally(ints: np.ndarray, n: int) -> dict[str, int]:
-    values, counts = np.unique(ints, return_counts=True)
-    return {_int_to_key(int(v), n): int(c) for v, c in zip(values, counts)}
-
-
-def _expand(result: ShotResult) -> np.ndarray:
-    """Per-shot outcome integers, expanded in sorted-key order."""
-    keys = sorted(result.counts)
-    values = np.array([_key_to_int(k) for k in keys], dtype=np.int64)
-    reps = np.array([result.counts[k] for k in keys])
-    return np.repeat(values, reps)
 
 
 def sample_z(state: StateVector, shots: int, seed: int) -> ShotResult:
@@ -99,15 +74,14 @@ def sample_z(state: StateVector, shots: int, seed: int) -> ShotResult:
     if shots < 1:
         raise ValidationError(f"shot count must be positive, got {shots}")
     rng = np.random.default_rng(seed)
-    ints = _draw_outcomes(state.amps, shots, rng)
-    return ShotResult(shots, _tally(ints, state.n_qubits), seed)
+    return ShotResult(state.n_qubits, _draw_outcomes(state, shots, rng), seed)
 
 
 def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> ShotResult:
     """Flip each bit of each shot independently with its qubit's readout error.
 
-    Flips are drawn qubit by qubit in ascending order over the sorted-key
-    expansion of the counts, so the operation is seed-deterministic.
+    Flips are drawn qubit by qubit in ascending order over the outcomes in
+    shot order, so the operation is seed-deterministic. The input is not modified.
     """
     n = result.n_qubits
     if cal.n_qubits < n:
@@ -115,18 +89,18 @@ def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> Shot
             f"calibration covers {cal.n_qubits} qubits, result has {n}"
         )
     rng = np.random.default_rng(seed)
-    ints = _expand(result)
+    outcomes = result.outcomes.copy()
     for l in range(n):
         flips = rng.random(result.shots) < cal.readout_error[l]
-        ints[flips] ^= 1 << l
-    return ShotResult(result.shots, _tally(ints, n), seed)
+        outcomes[flips] ^= 1 << l
+    return ShotResult(n, outcomes, seed)
 
 
 def estimate_mean_z(result: ShotResult, l: int) -> tuple[float, float]:
     """(mean, std_error) of the qubit-``l`` z outcome: (n0 - n1)/shots, sqrt((1 - mean^2)/shots)."""
     if not 0 <= l < result.n_qubits:
         raise ValidationError(f"qubit {l} out of range for {result.n_qubits}-bit outcomes")
-    n1 = sum(c for key, c in result.counts.items() if key[l] == "1")
+    n1 = int(np.count_nonzero((result.outcomes >> l) & 1))
     mean = (result.shots - 2 * n1) / result.shots
     std_error = math.sqrt(max(0.0, 1.0 - mean * mean) / result.shots)
     return mean, std_error
@@ -171,8 +145,7 @@ def estimate_entanglement_shots(
     trajectory model (requires calibration). ``max_qubits`` caps the whole
     register on both paths.
     """
-    if not 0 <= l < g.n_vertices:
-        raise ValidationError(f"spin {l} out of range for {g.n_vertices} vertices")
+    g.degree(l)  # spin-range check
     if not math.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi!r}")
     if shots < 1:
@@ -267,8 +240,7 @@ class DepolarizingSampler:
         n = self.circuit.n_qubits
         rng = np.random.default_rng(self.seed)
         if len(self.site_probs) == 0 or self.site_probs.max() == 0.0:
-            ints = _draw_outcomes(self._final_state(()).amps, shots, rng)
-            return ShotResult(shots, _tally(ints, n), self.seed)
+            return ShotResult(n, _draw_outcomes(self._final_state(()), shots, rng), self.seed)
         hits = rng.random((shots, len(self.site_probs))) < self.site_probs[None, :]
         rows, cols = np.nonzero(hits)
         codes = [
@@ -287,6 +259,5 @@ class DepolarizingSampler:
         for pattern, group_shots in patterns.items():
             if group_shots == 0:
                 continue
-            state = self._final_state(pattern)
-            pieces.append(_draw_outcomes(state.amps, group_shots, rng))
-        return ShotResult(shots, _tally(np.concatenate(pieces), n), self.seed)
+            pieces.append(_draw_outcomes(self._final_state(pattern), group_shots, rng))
+        return ShotResult(n, np.concatenate(pieces), self.seed)

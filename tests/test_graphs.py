@@ -26,6 +26,11 @@ def graphs(draw, max_n=7):
     return Graph(n, tuple(edges))
 
 
+# a comment above the vertex count, and a comment and a blank line among the rows
+TRIANGLE_COMMENT_ABOVE = "# triangle\n3\n0 1 1\n1 0 1\n1 1 0\n"
+TRIANGLE_COMMENT_BETWEEN = "3\n# rows follow\n0 1 1\n\n1 0 1\n1 1 0\n"
+
+
 class TestParsing:
     def test_edge_list_valencia(self):
         g = parse_graph(VALENCIA_EDGE_LIST, "edge-list")
@@ -37,9 +42,21 @@ class TestParsing:
         g = parse_graph("1\n", "edge-list")
         assert g == Graph(1, ())
 
-    def test_edge_list_comments_and_blanks(self):
-        text = "# interaction layout\n3\n\n0 1\n# middle comment\n1 2\n"
-        assert parse_graph(text, "edge-list") == path(3)
+    @pytest.mark.parametrize(
+        "text,fmt,expected",
+        [
+            pytest.param(
+                "# interaction layout\n3\n\n0 1\n# middle comment\n1 2\n", "edge-list", path(3),
+                id="edge-list",
+            ),
+            pytest.param(TRIANGLE_COMMENT_ABOVE, "adjacency", complete(3), id="adjacency-above"),
+            pytest.param(TRIANGLE_COMMENT_BETWEEN, "adjacency", complete(3), id="adjacency-between"),
+            pytest.param(TRIANGLE_COMMENT_ABOVE, "auto", complete(3), id="auto-above"),
+            pytest.param(TRIANGLE_COMMENT_BETWEEN, "auto", complete(3), id="auto-between"),
+        ],
+    )
+    def test_comments_and_blanks(self, text, fmt, expected):
+        assert parse_graph(text, fmt) == expected
 
     def test_adjacency_complete_5(self):
         rows = ["5"] + [" ".join("0" if i == j else "1" for j in range(5)) for i in range(5)]

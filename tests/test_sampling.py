@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphent import (
     CalibrationData,
@@ -70,19 +71,38 @@ class TestCalibration:
         assert DEFAULT_SHOTS == 8192
 
 
-class TestShotResult:
-    def test_counts_must_sum_to_shots(self):
-        with pytest.raises(ValidationError):
-            ShotResult(10, {"0": 4, "1": 4}, seed=0)
+def _outcomes(*values):
+    return np.array(values, dtype=np.int64)
 
-    def test_keys_must_be_uniform_bitstrings(self):
+
+class TestShotResult:
+    def test_outcomes_may_not_be_empty(self):
         with pytest.raises(ValidationError):
-            ShotResult(2, {"0": 1, "10": 1}, seed=0)
+            ShotResult(2, _outcomes(), seed=0)
+
+    def test_negative_outcome_rejected(self):
         with pytest.raises(ValidationError):
-            ShotResult(1, {"2": 1}, seed=0)
+            ShotResult(2, _outcomes(0, -1, 3), seed=0)
+
+    def test_outcome_beyond_register_rejected(self):
+        with pytest.raises(ValidationError):
+            ShotResult(2, _outcomes(0, 4, 3), seed=0)
 
     def test_n_qubits(self):
-        assert ShotResult(3, {"01": 2, "11": 1}, seed=0).n_qubits == 2
+        assert ShotResult(2, _outcomes(2, 3, 2), seed=0).n_qubits == 2
+
+    def test_shots_and_counts_derived_from_outcomes(self):
+        r = ShotResult(2, _outcomes(2, 3, 2), seed=0)
+        assert r.shots == 3
+        assert r.counts == {"01": 2, "11": 1}
+
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_mean_z_matches_counts_marginal(self, data, n):
+        values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50))
+        l = data.draw(st.integers(0, n - 1))
+        r = ShotResult(n, _outcomes(*values), seed=0)
+        n1 = sum(c for key, c in r.counts.items() if key[l] == "1")
+        assert estimate_mean_z(r, l)[0] == (len(values) - 2 * n1) / len(values)
 
 
 class TestSampleZ:
@@ -147,6 +167,14 @@ class TestCorruptReadout:
         band = 4 * math.sqrt(2 * composed * (1 - composed) / shots)
         assert abs(f_twice - f_once) <= band
 
+    def test_input_outcomes_unchanged(self):
+        cal = CalibrationData((0.5, 0.5), (0.0, 0.0), {})
+        r = sample_z(apply_gate(init_zero(2), Gate.h(0)), 2000, seed=3)
+        before = r.outcomes.copy()
+        corrupted = corrupt_readout(r, cal, seed=4)
+        assert np.array_equal(r.outcomes, before)
+        assert not np.array_equal(corrupted.outcomes, before)
+
     def test_calibration_size_mismatch(self):
         cal = CalibrationData((0.1,), (0.0,), {})
         r = sample_z(init_zero(2), 10, seed=0)
@@ -156,29 +184,29 @@ class TestCorruptReadout:
 
 class TestEstimateMeanZ:
     def test_all_zero_outcomes(self):
-        r = ShotResult(50, {"00": 50}, seed=0)
+        r = ShotResult(2, np.zeros(50, dtype=np.int64), seed=0)
         assert estimate_mean_z(r, 0) == (1.0, 0.0)
 
     def test_even_split(self):
-        r = ShotResult(100, {"0": 50, "1": 50}, seed=0)
+        r = ShotResult(1, np.repeat(_outcomes(0, 1), 50), seed=0)
         mean, se = estimate_mean_z(r, 0)
         assert mean == 0.0
         assert abs(se - 0.1) < 1e-15
 
     def test_three_to_one_split(self):
-        r = ShotResult(400, {"0": 300, "1": 100}, seed=0)
+        r = ShotResult(1, np.repeat(_outcomes(0, 1), [300, 100]), seed=0)
         mean, se = estimate_mean_z(r, 0)
         assert mean == 0.5
         assert abs(se - math.sqrt(0.75 / 400)) < 1e-15
 
     def test_marginal_over_selected_qubit(self):
-        r = ShotResult(10, {"01": 4, "11": 6}, seed=0)
+        r = ShotResult(2, np.repeat(_outcomes(2, 3), [4, 6]), seed=0)
         assert estimate_mean_z(r, 0)[0] == pytest.approx((4 - 6) / 10)
         assert estimate_mean_z(r, 1)[0] == -1.0
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            estimate_mean_z(ShotResult(1, {"0": 1}, seed=0), 1)
+            estimate_mean_z(ShotResult(1, _outcomes(0), seed=0), 1)
 
     def test_consistency_with_exact_expectation_over_seeds(self):
         g = path(2)
