@@ -49,12 +49,12 @@ from .graphs import (
 )
 from .sampling import (
     DEFAULT_SHOTS,
-    DepolarizingSampler,
     ShotResult,
     corrupt_readout,
     derive_seeds,
     estimate_entanglement_shots,
     estimate_mean_z,
+    sample_circuit,
     sample_z,
 )
 from .statevector import (
@@ -62,7 +62,6 @@ from .statevector import (
     Gate,
     StateVector,
     apply_gate,
-    apply_pauli,
     evolve_edge_exact,
     evolve_graph_exact,
     expectation_pauli,

@@ -139,8 +139,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def gate_text(gate: Gate) -> str:
     if gate.kind == "cx":
         return f"cx q[{gate.control}], q[{gate.target}]"
-    if gate.kind == "h":
-        return f"h q[{gate.target}]"
+    if gate.angle is None:
+        return f"{gate.kind} q[{gate.target}]"
     return f"{gate.kind}({gate.angle!r}) q[{gate.target}]"
 
 

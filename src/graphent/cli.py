@@ -1,7 +1,7 @@
 """Command-line surface: entangle, sweep, synthesize, validate.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation, 3 resource cap,
-4 internal consistency or failed validation property.
+Exit codes: 0 success, 1 usage, 2 parse/validation, 3 resource cap or
+out of memory, 4 internal consistency or failed validation property.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 
 from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
-from .entanglement import EntanglementEstimate, analytic_estimate, exact_entanglement
+from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
 from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
@@ -25,8 +26,6 @@ from .statevector import DEFAULT_MAX_QUBITS
 from .validation import run_validation
 
 ENV_MAX_QUBITS = "GRAPHENT_MAX_QUBITS"
-
-MODES = ("analytic", "exact", "shots")
 
 CSV_COLUMNS = (
     "phi",
@@ -161,10 +160,13 @@ def cmd_entangle(args) -> int:
     return 0
 
 
-def _open_out(path):
+def _write_out(path, text: str):
+    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def cmd_sweep(args) -> int:
@@ -197,26 +199,18 @@ def cmd_sweep(args) -> int:
                         args.seed,
                     ]
                 )
-    out, close = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    _write_out(args.out, out.getvalue())
     return 0
 
 
 def cmd_synthesize(args) -> int:
     g = _load_graph(args)
     circuit = synthesize_graph_circuit(g, args.phi, _load_calibration(args))
-    text = circuit_text(circuit)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_out(args.out, circuit_text(circuit))
     return 0
 
 
@@ -267,7 +261,7 @@ def _build_parser() -> _Parser:
     _add_graph_args(p)
     p.add_argument("--phi", type=_phi_arg, required=True, help="angle: radians or pi expressions")
     p.add_argument("--spin", type=int, required=True)
-    p.add_argument("--mode", choices=MODES, default="exact")
+    p.add_argument("--mode", choices=METHODS, default="exact")
     p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     _add_common_args(p)
     p.set_defaults(func=cmd_entangle)
@@ -276,7 +270,7 @@ def _build_parser() -> _Parser:
     _add_graph_args(p)
     p.add_argument("--sweep", type=_sweep_arg, required=True, metavar="START:STOP:COUNT")
     p.add_argument("--spin", type=int, action="append", help="repeatable; default: all spins")
-    p.add_argument("--mode", choices=MODES, action="append", help="repeatable; default: analytic")
+    p.add_argument("--mode", choices=METHODS, action="append", help="repeatable; default: analytic")
     p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     _add_common_args(p)
@@ -314,6 +308,10 @@ def main(argv=None) -> int:
         return 2
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -137,12 +137,10 @@ def exact_entanglement(
 def analytic_estimate(g, phi: float, l: int) -> EntanglementEstimate:
     """Closed-form estimate for spin ``l``; Bloch vector is (0, 0, cos(phi)**k)."""
     k = g.degree(l)
-    if not math.isfinite(phi):
-        raise ValidationError(f"angle must be finite, got {phi!r}")
-    mz = math.cos(phi) ** k
+    value = analytic_entanglement(k, phi)  # checks phi before math.cos can raise on inf
     return EntanglementEstimate(
         spin=l,
-        value=analytic_entanglement(k, phi),
-        bloch=BlochVector(0.0, 0.0, mz),
+        value=value,
+        bloch=BlochVector(0.0, 0.0, math.cos(phi) ** k),
         method="analytic",
     )

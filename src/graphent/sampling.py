@@ -11,18 +11,23 @@ from ``numpy.random.SeedSequence`` spawning in a documented order; for
 ``estimate_entanglement_shots`` that order is (z sample, z readout, x sample,
 x readout, y sample, y readout).
 
-Readout error is a symmetric per-qubit bit flip. Gate/CX noise, when enabled
-(``estimate_entanglement_shots(..., gate_noise=True)``), is executed by
-:class:`DepolarizingSampler`, a trajectory approximation: after each gate,
-with the calibrated probability, a uniformly random non-identity Pauli hits
-the gate's qubit(s). It is off by default and makes no claim to reproduce
-hardware data quantitatively.
+Every circuit's shots are drawn by :func:`sample_circuit`, which runs the
+circuit from |0...0> through ``apply_circuit`` and samples z outcomes.
+Readout error is a symmetric per-qubit bit flip (:func:`corrupt_readout`).
+Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
+is a trajectory approximation: after each gate, with the calibrated
+probability, a uniformly random non-identity Pauli hits the gate's qubit(s).
+Each distinct error pattern is the circuit with those Pauli gates inserted,
+simulated once for all the shots that share it; with every error rate zero
+this is noiseless sampling. It is off by default and makes no claim to
+reproduce hardware data quantitatively.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +36,11 @@ from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_gr
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
-from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_gate, apply_pauli, init_zero
+from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, init_zero
 
 DEFAULT_SHOTS = 8192
+# Shots per draw of the trajectory hit matrix, which bounds it to TRAJECTORY_CHUNK x gates.
+TRAJECTORY_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +148,12 @@ def estimate_entanglement_shots(
 
     One circuit execution per axis (z, x, y): graph circuit, measurement
     prelude, z sampling, then readout corruption when calibration is given.
-    ``gate_noise=True`` additionally routes sampling through the depolarizing
-    trajectory model (requires calibration). ``max_qubits`` caps the whole
-    register on both paths.
+    ``gate_noise=True`` also draws gate/CX error trajectories from the
+    calibration (required then). ``max_qubits`` caps the whole register.
     """
     g.degree(l)  # spin-range check
     if not math.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi!r}")
-    if shots < 1:
-        raise ValidationError(f"shot count must be positive, got {shots}")
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
     if g.n_vertices > max_qubits:
@@ -161,12 +165,9 @@ def estimate_entanglement_shots(
     for k, axis in enumerate(("z", "x", "y")):
         circuit = base.extended(measurement_prelude(axis, l))
         sample_seed, readout_seed = subseeds[2 * k], subseeds[2 * k + 1]
-        if gate_noise:
-            result = DepolarizingSampler(circuit, cal, sample_seed)(shots)
-        else:
-            state = init_zero(g.n_vertices, max_qubits)
-            apply_circuit(state, circuit)
-            result = sample_z(state, shots, sample_seed)
+        result = sample_circuit(
+            circuit, shots, sample_seed, cal if gate_noise else None, max_qubits=max_qubits
+        )
         if cal is not None:
             result = corrupt_readout(result, cal, readout_seed)
         means[axis], errors[axis] = estimate_mean_z(result, l)
@@ -192,72 +193,69 @@ def _site_error(gate, cal: CalibrationData) -> float:
     return cal.gate_error[gate.target]
 
 
-_AXIS_OF_CODE = {1: "x", 2: "y", 3: "z"}
+def _with_errors(circuit: Circuit, pattern: tuple[tuple[int, int], ...]) -> Circuit:
+    """``circuit`` with Pauli gates after the faulty gates of an error pattern.
 
-
-@dataclass
-class DepolarizingSampler:
-    """Stochastic executor: per-shot Pauli-error trajectories, grouped by pattern.
-
-    A trajectory's error pattern is a tuple of (gate index, pauli code)
-    events. Shots sharing a pattern share one state-vector simulation and
-    draw their outcomes from its distribution, which is identical in
-    distribution to simulating every shot separately. With all error rates
-    zero the sampler reduces bit-exactly to noiseless ``sample_z``.
+    A pattern is a tuple of (gate index, code) events. A single-qubit code
+    1/2/3 is x/y/z on the target; a cx code packs the control's Pauli in its
+    high two bits and the target's in its low two, 0 meaning identity.
     """
+    errors = dict(pattern)
+    gates: list[Gate] = []
+    for idx, gate in enumerate(circuit.gates):
+        gates.append(gate)
+        code = errors.get(idx)
+        if code is None:
+            continue
+        if gate.kind == "cx":
+            hits = ((code >> 2, gate.control), (code & 3, gate.target))
+        else:
+            hits = ((code, gate.target),)
+        gates.extend(Gate("_xyz"[c], q) for c, q in hits if c)
+    return Circuit(circuit.n_qubits, tuple(gates))
 
-    circuit: Circuit
-    cal: CalibrationData
-    seed: int
-    site_probs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.site_probs = np.array(
-            [_site_error(g, self.cal) for g in self.circuit.gates], dtype=float
-        )
+def sample_circuit(
+    circuit: Circuit,
+    shots: int,
+    seed: int,
+    cal: CalibrationData | None = None,
+    *,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> ShotResult:
+    """Run ``circuit`` from |0...0> and draw ``shots`` z-basis outcomes.
 
-    def _final_state(self, pattern: tuple[tuple[int, int], ...]) -> StateVector:
-        errors = dict(pattern)
-        state = init_zero(self.circuit.n_qubits)
-        for idx, gate in enumerate(self.circuit.gates):
-            apply_gate(state, gate)
-            code = errors.get(idx)
-            if code is None:
-                continue
-            if gate.kind == "cx":
-                hi, lo = code >> 2, code & 3
-                if hi:
-                    apply_pauli(state, _AXIS_OF_CODE[hi], gate.control)
-                if lo:
-                    apply_pauli(state, _AXIS_OF_CODE[lo], gate.target)
-            else:
-                apply_pauli(state, _AXIS_OF_CODE[code], gate.target)
-        return state
-
-    def __call__(self, shots: int) -> ShotResult:
-        if shots < 1:
-            raise ValidationError(f"shot count must be positive, got {shots}")
-        n = self.circuit.n_qubits
-        rng = np.random.default_rng(self.seed)
-        if len(self.site_probs) == 0 or self.site_probs.max() == 0.0:
-            return ShotResult(n, _draw_outcomes(self._final_state(()), shots, rng), self.seed)
-        hits = rng.random((shots, len(self.site_probs))) < self.site_probs[None, :]
-        rows, cols = np.nonzero(hits)
-        codes = [
-            int(rng.integers(1, 16 if self.circuit.gates[c].kind == "cx" else 4))
-            for c in cols
-        ]
-        patterns: dict[tuple[tuple[int, int], ...], int] = {(): 0}
-        shot_events: dict[int, list[tuple[int, int]]] = {}
-        for row, col, code in zip(rows, cols, codes):
-            shot_events.setdefault(int(row), []).append((int(col), code))
-        patterns[()] = shots - len(shot_events)
-        for events in shot_events.values():
-            key = tuple(events)
-            patterns[key] = patterns.get(key, 0) + 1
-        pieces = []
-        for pattern, group_shots in patterns.items():
-            if group_shots == 0:
-                continue
-            pieces.append(_draw_outcomes(self._final_state(pattern), group_shots, rng))
-        return ShotResult(n, np.concatenate(pieces), self.seed)
+    Without calibration, or with every gate/CX error zero, this is exactly
+    ``sample_z(apply_circuit(init_zero(n), circuit), shots, seed)``. Otherwise
+    each shot gets an error trajectory (see the module docstring); shots
+    sharing an error pattern share one simulation of the circuit with its
+    Pauli gates inserted and draw their outcomes from it, which is identical
+    in distribution to simulating every shot separately.
+    """
+    if shots < 1:
+        raise ValidationError(f"shot count must be positive, got {shots}")
+    n = circuit.n_qubits
+    probs = np.array([] if cal is None else [_site_error(g, cal) for g in circuit.gates])
+    if not probs.any():
+        return sample_z(apply_circuit(init_zero(n, max_qubits), circuit), shots, seed)
+    rng = np.random.default_rng(seed)
+    row_chunks, col_chunks = [], []
+    for start in range(0, shots, TRAJECTORY_CHUNK):
+        hits = rng.random((min(TRAJECTORY_CHUNK, shots - start), len(probs))) < probs
+        chunk_rows, chunk_cols = np.nonzero(hits)
+        row_chunks.append(chunk_rows + start)
+        col_chunks.append(chunk_cols)
+    rows = np.concatenate(row_chunks).tolist()
+    cols = np.concatenate(col_chunks).tolist()
+    codes = [int(rng.integers(1, 16 if circuit.gates[c].kind == "cx" else 4)) for c in cols]
+    shot_events: dict[int, list[tuple[int, int]]] = {}
+    for row, col, code in zip(rows, cols, codes):
+        shot_events.setdefault(row, []).append((col, code))
+    groups = [((), shots - len(shot_events))]
+    groups += Counter(tuple(events) for events in shot_events.values()).items()
+    pieces = []
+    for pattern, k in groups:
+        if k:
+            state = apply_circuit(init_zero(n, max_qubits), _with_errors(circuit, pattern))
+            pieces.append(_draw_outcomes(state, k, rng))
+    return ShotResult(n, np.concatenate(pieces), seed)

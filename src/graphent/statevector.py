@@ -9,8 +9,8 @@ Conventions, fixed across the package:
 * norm drift is checked, never silently renormalized: any operation leaving
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
-Every single-qubit gate (h, p, rx, ry, and the bare Paulis of the noise
-model) goes through one kernel, ``_apply_1q``, which multiplies the paired
+Every single-qubit gate (h, the Paulis x/y/z that noise trajectories insert,
+p, rx, ry) goes through one kernel, ``_apply_1q``, which multiplies the paired
 qubit-0/1 halves of the amplitude array by the gate's 2x2 matrix; ``cx`` has
 its own stride kernel that swaps the target halves of the control-1 block.
 ``evolve_edge_exact`` deliberately goes through a generic dense 4x4 product
@@ -31,13 +31,14 @@ from .errors import ConsistencyError, ResourceCapError, ValidationError
 DEFAULT_MAX_QUBITS = 24
 NORM_DRIFT_LIMIT = 1e-9
 
-GATE_KINDS = ("h", "p", "rx", "ry", "cx")
+GATE_KINDS = ("h", "x", "y", "z", "p", "rx", "ry", "cx")
+_ANGLED_KINDS = ("p", "rx", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate of the tiny circuit IR: h, p, rx, ry, or cx."""
+    """One gate of the tiny circuit IR: h, x, y, z, p, rx, ry, or cx."""
 
     kind: str
     target: int
@@ -59,10 +60,11 @@ class Gate:
         else:
             if self.control is not None:
                 raise ValidationError(f"{self.kind} takes no control qubit")
-            if self.kind == "h" and self.angle is not None:
-                raise ValidationError("h takes no angle")
-            if self.kind in ("p", "rx", "ry") and self.angle is None:
-                raise ValidationError(f"{self.kind} requires an angle")
+            if self.kind in _ANGLED_KINDS:
+                if self.angle is None:
+                    raise ValidationError(f"{self.kind} requires an angle")
+            elif self.angle is not None:
+                raise ValidationError(f"{self.kind} takes no angle")
 
     @staticmethod
     def h(target: int) -> "Gate":
@@ -185,6 +187,7 @@ _PAULIS = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+_FIXED_GATES = {"h": _H, **_PAULIS}
 _ANGLE_GATES = {"p": _p_matrix, "rx": _rx_matrix, "ry": _ry_matrix}
 
 
@@ -207,18 +210,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         _check_qubit(state, gate.control)
         _apply_cx(state.amps, state.n_qubits, gate.control, gate.target)
     else:
-        u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
+        if gate.angle is None:
+            u = _FIXED_GATES[gate.kind]
+        else:
+            u = _ANGLE_GATES[gate.kind](gate.angle)
         _apply_1q(state.amps, gate.target, u)
-    _check_norm(state.amps)
-    return state
-
-
-def apply_pauli(state: StateVector, axis: str, q: int) -> StateVector:
-    """Apply a bare Pauli x/y/z on qubit ``q`` (used by noise trajectories)."""
-    _check_qubit(state, q)
-    if axis not in _PAULIS:
-        raise ValidationError(f"unknown Pauli axis {axis!r}")
-    _apply_1q(state.amps, q, _PAULIS[axis])
     _check_norm(state.amps)
     return state
 

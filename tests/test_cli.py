@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from graphent.cli import CSV_COLUMNS, MODES, main, parse_phi, UsageError
+from graphent import entanglement, sampling
+from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
+from graphent.entanglement import METHODS
 
 
 def run(capsys, *argv):
@@ -132,7 +134,7 @@ class TestEntangle:
         assert out == ""
 
     @pytest.mark.parametrize("phi", ["inf", "nan"])
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", METHODS)
     def test_non_finite_angle_is_usage_error(self, capsys, phi, mode):
         code, out, err = run(
             capsys, "entangle", "--preset", "valencia", "--phi", phi, "--spin", "1",
@@ -420,6 +422,24 @@ class TestResourceCap:
             "--max-qubits", "8",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "module,args",
+        [
+            (entanglement, ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact"]),
+            (sampling, ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots"]),
+            (sampling, ["sweep", "--sweep", "0:1:2", "--mode", "shots"]),
+        ],
+    )
+    def test_out_of_memory_is_classified(self, capsys, monkeypatch, module, args):
+        def exhausted(*_):
+            raise MemoryError("Unable to allocate 256 MiB")
+
+        monkeypatch.setattr(module, "init_zero", exhausted)
+        code, out, err = run(capsys, *args, "--preset", "valencia")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 256 MiB\n"
 
 
 class TestUsageErrors:

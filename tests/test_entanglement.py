@@ -227,6 +227,11 @@ class TestAnalyticEstimate:
         assert est.bloch.mz < 0.0
         assert abs(est.value - 0.5 * (1 - abs(est.bloch.mz))) < 1e-12
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, phi):
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            analytic_estimate(valencia(), phi, 1)
+
 
 class TestEstimateType:
     def test_bad_method(self):

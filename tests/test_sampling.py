@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from graphent import (
     CalibrationData,
     Circuit,
-    DepolarizingSampler,
     Gate,
     ResourceCapError,
     ShotResult,
@@ -22,11 +21,13 @@ from graphent import (
     init_zero,
     parse_calibration,
     path,
+    sample_circuit,
     sample_z,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
+from graphent import sampling
 from graphent.circuits import apply_circuit
 from graphent.sampling import DEFAULT_SHOTS
 
@@ -278,6 +279,13 @@ class TestEstimateEntanglementShots:
             estimate_entanglement_shots(valencia(), phi, 1, 100)
 
     @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_zero_shots_rejected(self, gate_noise):
+        with pytest.raises(ValidationError, match="shot count must be positive"):
+            estimate_entanglement_shots(
+                valencia(), 0.5, 1, 0, valencia_calibration(), gate_noise=gate_noise
+            )
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
     def test_qubit_cap_holds_on_both_paths(self, gate_noise):
         with pytest.raises(ResourceCapError):
             estimate_entanglement_shots(
@@ -286,37 +294,92 @@ class TestEstimateEntanglementShots:
             )
 
 
+def _uniform_cal(n, gate, cx):
+    pairs = {(i, j): cx for i in range(n) for j in range(n) if i != j}
+    return CalibrationData((0.0,) * n, (gate,) * n, pairs)
+
+
 class TestDepolarizingNoise:
     def test_zero_rates_identical_to_noiseless_sampling(self):
         g = valencia()
         circuit = synthesize_graph_circuit(g, 0.8)
-        cal = CalibrationData(
-            (0.0,) * 5,
-            (0.0,) * 5,
-            {(i, j): 0.0 for i in range(5) for j in range(5) if i != j},
-        )
-        sampler = DepolarizingSampler(circuit, cal, seed=33)
+        cal = _uniform_cal(5, 0.0, 0.0)
         state = apply_circuit(init_zero(5), circuit)
-        assert sampler(5000).counts == sample_z(state, 5000, seed=33).counts
+        noiseless = sample_z(state, 5000, seed=33)
+        for c in (cal, None):
+            result = sample_circuit(circuit, 5000, 33, c)
+            assert result.counts == noiseless.counts
+            assert np.array_equal(result.outcomes, noiseless.outcomes)
 
     def test_rate_one_identity_circuit_depolarizes(self):
         circuit = Circuit(1, tuple(Gate.h(0) for _ in range(8)))
         cal = CalibrationData((0.0,), (1.0,), {})
-        mean, se = estimate_mean_z(DepolarizingSampler(circuit, cal, seed=3)(20_000), 0)
+        mean, se = estimate_mean_z(sample_circuit(circuit, 20_000, 3, cal), 0)
         assert abs(mean) <= 4 * se
+
+    def test_rate_one_single_qubit_error_is_a_uniform_pauli(self):
+        # p(0) leaves |0>; x and y flip it, z does not: P(1) = 2/3
+        circuit = Circuit(1, (Gate.p(0, 0.0),))
+        cal = CalibrationData((0.0,), (1.0,), {})
+        mean, se = estimate_mean_z(sample_circuit(circuit, 30_000, 8, cal), 0)
+        assert abs(mean - (-1.0 / 3.0)) <= 4 * se
+
+    def test_rate_one_cx_error_is_a_uniform_two_qubit_pauli(self):
+        # 15 non-identity Pauli pairs on |00>: a qubit flips under x or y
+        circuit = Circuit(2, (Gate.cx(0, 1),))
+        cal = _uniform_cal(2, 0.0, 1.0)
+        shots = 30_000
+        r = sample_circuit(circuit, shots, 9, cal)
+        expected = {0: 3 / 15, 1: 4 / 15, 2: 4 / 15, 3: 4 / 15}
+        for outcome, p in expected.items():
+            f = np.count_nonzero(r.outcomes == outcome) / shots
+            assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / shots)
 
     def test_seed_determinism(self):
         circuit = synthesize_graph_circuit(path(3), 0.5)
-        cal = CalibrationData((0.0,) * 3, (0.05,) * 3, {(i, j): 0.05 for i in range(3) for j in range(3) if i != j})
-        a = DepolarizingSampler(circuit, cal, seed=4)(4000)
-        b = DepolarizingSampler(circuit, cal, seed=4)(4000)
+        cal = _uniform_cal(3, 0.05, 0.05)
+        a = sample_circuit(circuit, 4000, 4, cal)
+        b = sample_circuit(circuit, 4000, 4, cal)
         assert a.counts == b.counts
+        assert np.array_equal(a.outcomes, b.outcomes)
+        assert not np.array_equal(a.outcomes, sample_circuit(circuit, 4000, 5, cal).outcomes)
 
     def test_missing_cx_entry_rejected(self):
         circuit = synthesize_graph_circuit(path(2), 0.5)
         cal = CalibrationData((0.0, 0.0), (0.0, 0.0), {})
         with pytest.raises(ValidationError):
-            DepolarizingSampler(circuit, cal, seed=0)
+            sample_circuit(circuit, 10, 0, cal)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_zero_shots_rejected(self, noisy):
+        circuit = synthesize_graph_circuit(path(3), 0.5)
+        cal = _uniform_cal(3, 0.05, 0.05) if noisy else None
+        with pytest.raises(ValidationError, match="shot count must be positive"):
+            sample_circuit(circuit, 0, 0, cal)
+
+    def test_chunked_hit_draws_match_one_draw(self, monkeypatch):
+        circuit = synthesize_graph_circuit(path(3), 0.5)
+        cal = _uniform_cal(3, 0.02, 0.05)
+        shots = sampling.TRAJECTORY_CHUNK + 904
+        default = sample_circuit(circuit, shots, 12, cal)
+        monkeypatch.setattr(sampling, "TRAJECTORY_CHUNK", 7)
+        assert np.array_equal(sample_circuit(circuit, shots, 12, cal).outcomes, default.outcomes)
+
+    @pytest.mark.parametrize(
+        "i,bloch,value",
+        [
+            (1, (-0.013, -0.013, 0.755), 0.12238809605628165),
+            (2, (-0.005, 0.011, 0.717), 0.14144909705873004),
+            (3, (-0.011, -0.017, 0.327), 0.33618684424015266),
+        ],
+    )
+    def test_pinned_valencia_estimates(self, i, bloch, value):
+        est = estimate_entanglement_shots(
+            valencia(), 0.3 * i, i % 5, 2000, valencia_calibration(), seed=100 + i,
+            gate_noise=True,
+        )
+        assert est.bloch.as_tuple() == bloch
+        assert est.value == value
 
     def test_enabling_gate_noise_increases_entanglement_at_phi_zero(self):
         cal = valencia_calibration()

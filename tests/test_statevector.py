@@ -12,7 +12,6 @@ from graphent import (
     StateVector,
     ValidationError,
     apply_gate,
-    apply_pauli,
     evolve_edge_exact,
     evolve_graph_exact,
     expectation_pauli,
@@ -69,6 +68,13 @@ class TestGateType:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             Gate("t", 0)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_pauli_takes_no_angle_or_control(self, axis):
+        with pytest.raises(ValidationError):
+            Gate(axis, 0, angle=0.3)
+        with pytest.raises(ValidationError):
+            Gate(axis, 0, control=1)
 
 
 class TestApplyGate:
@@ -176,12 +182,12 @@ class TestApplyPauli:
     def test_matches_matrix_oracle(self, axis):
         s = random_state(3, seed=9)
         expected = pauli_on(3, 1, axis) @ s.amps
-        apply_pauli(s, axis, 1)
+        apply_gate(s, Gate(axis, 1))
         assert_allclose(s.amps, expected, atol=1e-15)
 
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
-            apply_pauli(init_zero(1), "w", 0)
+            Gate("w", 0)
 
 
 class TestEvolveEdge:
