@@ -15,7 +15,6 @@ from .calibration import (
     valencia_calibration,
 )
 from .circuits import (
-    AXES,
     Circuit,
     EdgeOrientation,
     apply_circuit,
@@ -66,7 +65,6 @@ from .statevector import (
     evolve_graph_exact,
     expectation_pauli,
     init_zero,
-    marginal_z_probs,
     overlap_magnitude,
 )
 from .validation import ValidationReport, random_graph, run_validation

@@ -59,6 +59,13 @@ class CalibrationData:
             ) from None
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; strings, booleans and nulls are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_calibration(text: str) -> CalibrationData:
     try:
         obj = json.loads(text)
@@ -78,10 +85,10 @@ def parse_calibration(text: str) -> CalibrationData:
         m = _PAIR_RE.match(key)
         if not m:
             raise ValidationError(f"cx_error key {key!r} is not of the form 'c-t'")
-        cx[(int(m.group(1)), int(m.group(2)))] = float(value)
+        cx[(int(m.group(1)), int(m.group(2)))] = _number(value, f"cx_error[{key}]")
     return CalibrationData(
-        readout_error=tuple(float(p) for p in obj["readout_error"]),
-        gate_error=tuple(float(p) for p in obj["gate_error"]),
+        readout_error=tuple(_number(p, "readout_error entry") for p in obj["readout_error"]),
+        gate_error=tuple(_number(p, "gate_error entry") for p in obj["gate_error"]),
         cx_error=cx,
     )
 

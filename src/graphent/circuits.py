@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ValidationError
 from .statevector import Gate, StateVector, apply_gate
@@ -26,8 +26,6 @@ from .statevector import Gate, StateVector, apply_gate
 if TYPE_CHECKING:
     from .calibration import CalibrationData
     from .graphs import Graph
-
-AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -43,12 +41,6 @@ class Circuit:
         for g in self.gates:
             if g.target >= self.n_qubits or (g.control is not None and g.control >= self.n_qubits):
                 raise ValidationError(f"gate {g} out of range for {self.n_qubits} qubits")
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_qubits, self.gates + tuple(gates))

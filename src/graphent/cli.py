@@ -143,7 +143,7 @@ def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate
 
 def cmd_entangle(args) -> int:
     g = _load_graph(args)
-    cal = _load_calibration(args) if args.mode == "shots" else None
+    cal = _load_calibration(args)
     est = _estimate(args.mode, g, args.phi, args.spin, args.shots, cal, args.seed, _max_qubits(args))
     record = {
         "phi": args.phi,
@@ -243,10 +243,10 @@ def _add_graph_args(p):
         default="auto",
         help="graph file format (default: detect)",
     )
+    p.add_argument("--calibration", help="calibration JSON file, loaded and checked whenever given")
 
 
-def _add_common_args(p):
-    p.add_argument("--calibration", help="calibration JSON file")
+def _add_run_args(p):
     p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
     p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits: degree+1 for exact, n for shots (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
 
@@ -263,7 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spin", type=int, required=True)
     p.add_argument("--mode", choices=METHODS, default="exact")
     p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    _add_common_args(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("sweep", help="CSV of entanglement over an angle grid")
@@ -273,14 +273,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=METHODS, action="append", help="repeatable; default: analytic")
     p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    _add_common_args(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synthesize", help="gate listing for the graph circuit")
     _add_graph_args(p)
     p.add_argument("--phi", type=_phi_arg, required=True)
     p.add_argument("--out", help="output path (default: stdout)")
-    _add_common_args(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("validate", help="run the randomized self-check suites")

@@ -38,8 +38,9 @@ class Graph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...] = ()
-    # neighbours of each vertex in ascending order; derived, so not compared
-    _neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # neighbours in ascending order, keyed by non-isolated vertex only, so the
+    # memory is O(edges); derived, so not compared
+    _neighbours: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n_vertices)
@@ -59,13 +60,13 @@ class Graph:
             seen.add(pair)
             canon.append(pair)
         edges = tuple(sorted(canon))
-        neighbours = [[] for _ in range(n)]
+        neighbours: dict[int, list[int]] = {}
         for i, j in edges:
-            neighbours[i].append(j)
-            neighbours[j].append(i)
+            neighbours.setdefault(i, []).append(j)
+            neighbours.setdefault(j, []).append(i)
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
+        object.__setattr__(self, "_neighbours", {v: tuple(ns) for v, ns in neighbours.items()})
 
     @property
     def n_edges(self) -> int:
@@ -75,7 +76,7 @@ class Graph:
         """Number of edges incident to vertex ``l``; the range check every route relies on."""
         if not 0 <= l < self.n_vertices:
             raise ValidationError(f"spin {l} out of range for {self.n_vertices} vertices")
-        return len(self._neighbours[l])
+        return len(self._neighbours.get(l, ()))
 
     def light_cone(self, l: int) -> "Graph":
         """Star of ``l``: ``l`` becomes vertex 0, its neighbours 1..k in ascending order.

@@ -9,13 +9,14 @@ Conventions, fixed across the package:
 * norm drift is checked, never silently renormalized: any operation leaving
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
-Every single-qubit gate (h, the Paulis x/y/z that noise trajectories insert,
-p, rx, ry) goes through one kernel, ``_apply_1q``, which multiplies the paired
-qubit-0/1 halves of the amplitude array by the gate's 2x2 matrix; ``cx`` has
-its own stride kernel that swaps the target halves of the control-1 block.
-``evolve_edge_exact`` deliberately goes through a generic dense 4x4 product
-instead, so the gate route and the edge route stay independent and can
-cross-check each other.
+Both gate kernels address qubits through reshape views of the amplitude
+array and update it in place. Every single-qubit gate (h, the Paulis x/y/z
+that noise trajectories insert, p, rx, ry) goes through ``_apply_1q``, which
+multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the gate's
+2x2 matrix; ``_apply_cx`` views the array with one axis per bit of the qubit
+pair and swaps the target halves of the control-1 block. ``evolve_edge_exact``
+deliberately goes through a generic dense 4x4 product instead, so the gate
+route and the edge route stay independent and can cross-check each other.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ class StateVector:
             )
         self.n_qubits = n_qubits
         self.amps = amps
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
@@ -191,16 +188,21 @@ _FIXED_GATES = {"h": _H, **_PAULIS}
 _ANGLE_GATES = {"p": _p_matrix, "rx": _rx_matrix, "ry": _ry_matrix}
 
 
-def _apply_cx(amps, n, control, target):
-    v = amps.reshape((2,) * n)
-    sub = np.moveaxis(v, n - 1 - control, 0)[1]
-    t_ax = n - 1 - target
-    if n - 1 - control < t_ax:
-        t_ax -= 1
-    tv = np.moveaxis(sub, t_ax, 0)
-    tmp = tv[0].copy()
-    tv[0] = tv[1]
-    tv[1] = tmp
+def _apply_cx(amps: np.ndarray, control: int, target: int):
+    """Swap the target-0/1 halves of the control-1 block in place.
+
+    The view has one axis for each bit of the pair: ``v[:, b_hi, :, b_lo, :]``
+    holds the amplitudes whose higher and lower paired qubits read b_hi, b_lo.
+    """
+    lo, hi = sorted((control, target))
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if control == hi:
+        t0, t1 = v[:, 1, :, 0, :], v[:, 1, :, 1, :]
+    else:
+        t0, t1 = v[:, 0, :, 1, :], v[:, 1, :, 1, :]
+    tmp = t0.copy()
+    t0[...] = t1
+    t1[...] = tmp
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -208,7 +210,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     _check_qubit(state, gate.target)
     if gate.kind == "cx":
         _check_qubit(state, gate.control)
-        _apply_cx(state.amps, state.n_qubits, gate.control, gate.target)
+        _apply_cx(state.amps, gate.control, gate.target)
     else:
         if gate.angle is None:
             u = _FIXED_GATES[gate.kind]
@@ -282,13 +284,6 @@ def expectation_pauli(state: StateVector, axis: str, l: int) -> float:
     if abs(val.imag) > 1e-12:
         raise ConsistencyError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def marginal_z_probs(state: StateVector, l: int) -> tuple[float, float]:
-    """(p0, p1) marginal z-basis outcome probabilities for qubit ``l``."""
-    _check_qubit(state, l)
-    a0, a1 = _paired_views(state.amps, l)
-    return float(np.vdot(a0, a0).real), float(np.vdot(a1, a1).real)
 
 
 def overlap_magnitude(a: StateVector, b: StateVector) -> float:

@@ -44,7 +44,7 @@ class TestCircuitType:
 
     def test_extended(self):
         c = Circuit(2, (Gate.h(0),)).extended([Gate.cx(0, 1)])
-        assert len(c) == 2
+        assert c.gates == (Gate.h(0), Gate.cx(0, 1))
 
 
 class TestOrientation:
@@ -125,17 +125,17 @@ class TestEdgeSynthesis:
 class TestGraphSynthesis:
     def test_valencia_block_count(self):
         c = synthesize_graph_circuit(valencia(), 0.4)
-        assert len(c) == 20
+        assert len(c.gates) == 20
 
     def test_complete_5_block_count(self):
         c = synthesize_graph_circuit(complete(5), 0.4)
-        assert len(c) == 50
-        assert sum(g.kind == "p" for g in c) == 10
+        assert len(c.gates) == 50
+        assert sum(g.kind == "p" for g in c.gates) == 10
 
     def test_empty_graph_empty_circuit(self):
         from graphent import Graph
 
-        assert len(synthesize_graph_circuit(Graph(3, ()), 0.4)) == 0
+        assert synthesize_graph_circuit(Graph(3, ()), 0.4).gates == ()
 
     @pytest.mark.parametrize("graph", [valencia(), complete(5)])
     def test_matches_dense_evolution(self, graph):

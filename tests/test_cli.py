@@ -323,6 +323,15 @@ class TestSynthesize:
         assert out == ""
         assert len(target.read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--max-qubits", "3"]])
+    def test_takes_no_seed_or_cap(self, capsys, option):
+        code, out, err = run(
+            capsys, "synthesize", "--preset", "path(2)", "--phi", "0.3", *option,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+
 
 class TestValidate:
     def test_small_run_passes(self, capsys):
@@ -394,6 +403,20 @@ class TestGraphInput:
             "--mode", "shots", "--shots", "16", "--calibration", str(cal),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, "{}"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize("mode", ["analytic", "exact"])
+    def test_calibration_checked_in_every_mode(self, capsys, tmp_path, mode, content):
+        cal = tmp_path / "cal.json"
+        if content is not None:
+            cal.write_text(content)
+        code, out, err = run(
+            capsys, "entangle", "--preset", "path(2)", "--phi", "0", "--spin", "0",
+            "--mode", mode, "--calibration", str(cal),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_unknown_preset(self, capsys):
         code, _, _ = run(capsys, "entangle", "--preset", "torus", "--phi", "0", "--spin", "0")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +162,17 @@ class TestNeighbours:
     def test_degree_matches_edge_scan(self, g):
         for l in range(g.n_vertices):
             assert g.degree(l) == sum(l in edge for edge in g.edges)
+
+    def test_memory_grows_with_edges_not_vertices(self):
+        tracemalloc.start()
+        try:
+            g = Graph(10**6, ((0, 1),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert g.degree(10**6 - 1) == 0
+        assert g.degree(1) == 1
 
 
 class TestLightCone:

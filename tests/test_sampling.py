@@ -47,6 +47,10 @@ class TestCalibration:
         text = '{"readout_error": [0.1], "gate_error": [0.2], "cx_error": {}}'
         cal = parse_calibration(text)
         assert cal.readout_error == (0.1,)
+        integers = '{"readout_error": [0, 1], "gate_error": [0, 0], "cx_error": {"0-1": 1}}'
+        cal = parse_calibration(integers)
+        assert cal.readout_error == (0.0, 1.0)
+        assert cal.cx_error_for(0, 1) == 1.0
 
     @pytest.mark.parametrize(
         "text",
@@ -57,6 +61,12 @@ class TestCalibration:
             '{"readout_error": [0.1], "gate_error": [0.1], "cx_error": {"0-5": 0.1}}',
             '{"readout_error": [0.1], "gate_error": [0.1], "cx_error": {"ab": 0.1}}',
             "not json",
+            '{"readout_error": ["x"], "gate_error": [0.1], "cx_error": {}}',
+            '{"readout_error": [0.1], "gate_error": [null], "cx_error": {}}',
+            '{"readout_error": [[0.1]], "gate_error": [0.1], "cx_error": {}}',
+            '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"0-1": null}}',
+            '{"readout_error": ["0.1"], "gate_error": [0.1], "cx_error": {}}',
+            '{"readout_error": [0.1], "gate_error": [true], "cx_error": {}}',
         ],
     )
     def test_rejects_malformed(self, text):

@@ -16,7 +16,6 @@ from graphent import (
     evolve_graph_exact,
     expectation_pauli,
     init_zero,
-    marginal_z_probs,
     overlap_magnitude,
     valencia,
 )
@@ -38,7 +37,7 @@ class TestInitZero:
 
     def test_five_qubits(self):
         s = init_zero(5)
-        assert s.dim == 32
+        assert len(s.amps) == 32
         assert s.amps[0] == 1.0
         assert np.count_nonzero(s.amps) == 1
 
@@ -140,6 +139,17 @@ class TestApplyGate:
         expected = cx @ s.amps
         apply_gate(s, Gate.cx(0, 1))
         assert_allclose(s.amps, expected, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n,c,t", [(n, c, t) for n in range(2, 6) for c in range(n) for t in range(n) if c != t]
+    )
+    def test_cx_is_the_controlled_bit_flip_permutation(self, n, c, t):
+        s = random_state(n, seed=100 * n + 10 * c + t)
+        expected = np.empty_like(s.amps)
+        for b in range(1 << n):
+            expected[b ^ (1 << t) if (b >> c) & 1 else b] = s.amps[b]
+        apply_gate(s, Gate.cx(c, t))
+        assert np.array_equal(s.amps, expected)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -321,28 +331,6 @@ class TestExpectations:
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
             expectation_pauli(init_zero(1), "q", 0)
-
-
-class TestMarginals:
-    def test_zero_state(self):
-        assert marginal_z_probs(init_zero(4), 2) == (1.0, 0.0)
-
-    def test_h_state(self):
-        p0, p1 = marginal_z_probs(apply_gate(init_zero(1), Gate.h(0)), 0)
-        assert_allclose([p0, p1], [0.5, 0.5], atol=1e-12)
-
-    def test_edge_state_at_half_pi(self):
-        s = evolve_edge_exact(init_zero(2), 0, 1, math.pi / 2)
-        p0, p1 = marginal_z_probs(s, 0)
-        assert_allclose([p0, p1], [0.5, 0.5], atol=1e-12)
-
-    @given(seed=st.integers(0, 2**31), n=st.integers(1, 5))
-    def test_consistent_with_z_expectation(self, seed, n):
-        s = random_state(n, seed)
-        for l in range(n):
-            p0, p1 = marginal_z_probs(s, l)
-            assert abs(p0 + p1 - 1.0) < 1e-12
-            assert abs((p0 - p1) - expectation_pauli(s, "z", l)) < 1e-12
 
 
 class TestOverlap:
