@@ -63,7 +63,6 @@ from .statevector import (
     apply_gate,
     evolve_edge_exact,
     evolve_graph_exact,
-    expectation_pauli,
     init_zero,
     overlap_magnitude,
 )

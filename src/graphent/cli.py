@@ -122,15 +122,16 @@ def _load_calibration(args) -> CalibrationData | None:
 
 
 def _max_qubits(args) -> int:
-    if args.max_qubits is not None:
-        return args.max_qubits
-    env = os.environ.get(ENV_MAX_QUBITS)
-    if env is not None:
+    cap = args.max_qubits
+    if cap is None:
+        env = os.environ.get(ENV_MAX_QUBITS)
         try:
-            return int(env)
+            cap = DEFAULT_MAX_QUBITS if env is None else int(env)
         except ValueError:
             raise UsageError(f"{ENV_MAX_QUBITS}={env!r} is not an integer") from None
-    return DEFAULT_MAX_QUBITS
+    if cap < 1:
+        raise UsageError(f"qubit cap must be at least 1, got {cap}")
+    return cap
 
 
 def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate:
@@ -295,15 +296,17 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "shots", 1) < 1:  # entangle and sweep, whatever the mode
+            raise ValidationError(f"shot count must be positive, got {args.shots}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     evolve_graph_exact,
-    expectation_pauli,
     init_zero,
+    pauli_means,
 )
 
 METHODS = ("analytic", "exact", "shots")
@@ -108,11 +108,7 @@ def entanglement_from_bloch(
 
 def bloch_vector(state: StateVector, l: int) -> BlochVector:
     """All three exact Pauli means of qubit ``l``."""
-    return BlochVector(
-        expectation_pauli(state, "x", l),
-        expectation_pauli(state, "y", l),
-        expectation_pauli(state, "z", l),
-    )
+    return BlochVector(*pauli_means(state, l))
 
 
 def exact_entanglement(

@@ -17,6 +17,9 @@ multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the gate's
 pair and swaps the target halves of the control-1 block. ``evolve_edge_exact``
 deliberately goes through a generic dense 4x4 product instead, so the gate
 route and the edge route stay independent and can cross-check each other.
+
+The one read kernel, ``pauli_means``, takes a qubit's three Pauli means from
+the same half views: two squared norms and one cross inner product.
 """
 
 from __future__ import annotations
@@ -127,10 +130,15 @@ def _check_qubit(state: StateVector, q: int):
         raise ValidationError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
-def _check_norm(amps: np.ndarray):
-    drift = abs(float(np.vdot(amps, amps).real) - 1.0)
+def _check_norm_value(norm_sq: float):
+    """Raise unless the squared norm is within the drift limit of 1; NaN fails."""
+    drift = abs(norm_sq - 1.0)
     if not drift <= NORM_DRIFT_LIMIT:
         raise ConsistencyError(f"state norm drifted by {drift:.3e}")
+
+
+def _check_norm(amps: np.ndarray):
+    _check_norm_value(float(np.vdot(amps, amps).real))
 
 
 def _paired_views(amps: np.ndarray, q: int):
@@ -268,22 +276,18 @@ def evolve_graph_exact(state: StateVector, g, phi: float) -> StateVector:
     return state
 
 
-def expectation_pauli(state: StateVector, axis: str, l: int) -> float:
-    """Exact <sigma_l^axis>; raises ConsistencyError on a nonreal quadratic form."""
+def pauli_means(state: StateVector, l: int) -> tuple[float, float, float]:
+    """Exact (<X_l>, <Y_l>, <Z_l>) = (2 Re s, 2 Im s, p0 - p1) over the qubit-l halves.
+
+    s = <a0|a1>, p0 = <a0|a0>, p1 = <a1|a1>; p0 + p1 is the norm, checked as after a gate.
+    """
     _check_qubit(state, l)
     a0, a1 = _paired_views(state.amps, l)
-    if axis == "z":
-        p0 = float(np.vdot(a0, a0).real)
-        p1 = float(np.vdot(a1, a1).real)
-        return p0 - p1
-    if axis not in ("x", "y"):
-        raise ValidationError(f"unknown Pauli axis {axis!r}")
-    s01 = complex(np.vdot(a0, a1))
-    s10 = complex(np.vdot(a1, a0))
-    val = (s01 + s10) if axis == "x" else 1j * (s10 - s01)
-    if abs(val.imag) > 1e-12:
-        raise ConsistencyError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    p0 = float(np.vdot(a0, a0).real)
+    p1 = float(np.vdot(a1, a1).real)
+    _check_norm_value(p0 + p1)
+    s = complex(np.vdot(a0, a1))
+    return 2.0 * s.real, 2.0 * s.imag, p0 - p1
 
 
 def overlap_magnitude(a: StateVector, b: StateVector) -> float:

@@ -22,9 +22,9 @@ from .statevector import (
     apply_gate,
     evolve_edge_exact,
     evolve_graph_exact,
-    expectation_pauli,
     init_zero,
     overlap_magnitude,
+    pauli_means,
 )
 
 
@@ -121,25 +121,22 @@ def run_validation(
     worst_prelude = 0.0
     for _ in range(100):
         base = _random_single_qubit_state(rng)
-        for axis in ("x", "y", "z"):
-            target = expectation_pauli(base, axis, 0)
+        for axis, target in zip(("x", "y", "z"), pauli_means(base, 0)):
             rotated = base.copy()
             for gate in measurement_prelude(axis, 0):
                 apply_gate(rotated, gate)
-            worst_prelude = max(
-                worst_prelude, abs(expectation_pauli(rotated, "z", 0) - target)
-            )
+            worst_prelude = max(worst_prelude, abs(pauli_means(rotated, 0)[2] - target))
 
     worst_symmetry = 0.0
     for g in sub:
         for phi in rng.uniform(0.0, 2.0 * math.pi, 3):
             base = init_zero(g.n_vertices, max_qubits)
             evolve_graph_exact(base, g, phi)
+            base_e = [entanglement_from_bloch(bloch_vector(base, l)) for l in range(g.n_vertices)]
             for other_phi in (-phi, phi + math.pi, math.pi - phi):
                 other = init_zero(g.n_vertices, max_qubits)
                 evolve_graph_exact(other, g, other_phi)
-                for l in range(g.n_vertices):
-                    e1 = entanglement_from_bloch(bloch_vector(base, l))
+                for l, e1 in enumerate(base_e):
                     e2 = entanglement_from_bloch(bloch_vector(other, l))
                     worst_symmetry = max(worst_symmetry, abs(e1 - e2))
 

@@ -21,7 +21,6 @@ from graphent import (
     estimate_entanglement_shots,
     evolve_graph_exact,
     exact_entanglement,
-    expectation_pauli,
     init_zero,
     measurement_prelude,
     overlap_magnitude,
@@ -29,6 +28,7 @@ from graphent import (
     valencia,
     valencia_calibration,
 )
+from graphent.statevector import pauli_means
 from graphent.validation import random_graph
 
 from conftest import random_state
@@ -175,10 +175,10 @@ def test_criterion_6_measurement_protocol_correctness():
     for axis in ("x", "y", "z"):
         for seed in range(100):
             state = random_state(1, seed=7000 + seed)
-            target = expectation_pauli(state, axis, 0)
+            target = pauli_means(state, 0)["xyz".index(axis)]
             for gate in measurement_prelude(axis, 0):
                 apply_gate(state, gate)
-            worst = max(worst, abs(expectation_pauli(state, "z", 0) - target))
+            worst = max(worst, abs(pauli_means(state, 0)[2] - target))
     _report(
         6,
         worst <= 1e-12,

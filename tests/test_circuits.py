@@ -15,7 +15,6 @@ from graphent import (
     complete,
     evolve_edge_exact,
     evolve_graph_exact,
-    expectation_pauli,
     init_zero,
     measurement_prelude,
     overlap_magnitude,
@@ -24,7 +23,7 @@ from graphent import (
     valencia,
     valencia_calibration,
 )
-from graphent.statevector import apply_gate
+from graphent.statevector import apply_gate, pauli_means
 
 from conftest import random_state
 
@@ -160,20 +159,20 @@ class TestPreludes:
     def test_y_prelude_on_plus_i(self):
         s = apply_gate(init_zero(1), Gate.rx(0, -math.pi / 2))
         run_fragment(s, measurement_prelude("y", 0))
-        assert abs(expectation_pauli(s, "z", 0) - 1.0) < 1e-12
+        assert abs(pauli_means(s, 0)[2] - 1.0) < 1e-12
 
     def test_x_prelude_on_plus(self):
         s = apply_gate(init_zero(1), Gate.h(0))
         run_fragment(s, measurement_prelude("x", 0))
-        assert abs(expectation_pauli(s, "z", 0) - 1.0) < 1e-12
+        assert abs(pauli_means(s, 0)[2] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_random_states_sign_included(self, axis):
         for seed in range(100):
             s = random_state(1, seed=seed)
-            target = expectation_pauli(s, axis, 0)
+            target = pauli_means(s, 0)["xyz".index(axis)]
             run_fragment(s, measurement_prelude(axis, 0))
-            assert abs(expectation_pauli(s, "z", 0) - target) < 1e-12
+            assert abs(pauli_means(s, 0)[2] - target) < 1e-12
 
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):

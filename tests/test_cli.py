@@ -422,6 +422,27 @@ class TestGraphInput:
         code, _, _ = run(capsys, "entangle", "--preset", "torus", "--phi", "0", "--spin", "0")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entangle", "--phi", "1", "--spin", "0"],
+            ["sweep", "--sweep", "0:1:2"],
+            ["synthesize", "--phi", "1"],
+        ],
+        ids=["entangle", "sweep", "synthesize"],
+    )
+    @pytest.mark.parametrize("option", ["--graph", "--calibration"])
+    def test_undecodable_file(self, capsys, tmp_path, args, option):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xff\xfe3\n0 1\n")
+        source = ["--graph", str(p)] if option == "--graph" else ["--preset", "valencia"]
+        cal = ["--calibration", str(p)] if option == "--calibration" else []
+        code, out, err = run(capsys, *args, *source, *cal)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input file is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
 
 class TestResourceCap:
     def test_flag(self, capsys):
@@ -437,6 +458,24 @@ class TestResourceCap:
             capsys, "entangle", "--preset", "valencia", "--phi", "0.5", "--spin", "1",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entangle", "--preset", "valencia", "--phi", "1", "--spin", "0", "--mode", "exact"],
+            ["validate", "--trials", "1"],
+        ],
+        ids=["entangle", "validate"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_cap_below_one_is_usage_error(self, capsys, monkeypatch, cap, args, source):
+        if source == "env":
+            monkeypatch.setenv("GRAPHENT_MAX_QUBITS", cap)
+        code, out, err = run(capsys, *args, *(["--max-qubits", cap] if source == "flag" else []))
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: qubit cap must be at least 1, got {cap}\n"
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "3")
@@ -463,6 +502,23 @@ class TestResourceCap:
         assert code == 3
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 256 MiB\n"
+
+
+class TestShotCount:
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    @pytest.mark.parametrize("mode", METHODS)
+    @pytest.mark.parametrize(
+        "args",
+        [["entangle", "--phi", "1", "--spin", "0"], ["sweep", "--sweep", "0:1:2"]],
+        ids=["entangle", "sweep"],
+    )
+    def test_non_positive_is_rejected_in_every_mode(self, capsys, args, mode, shots):
+        code, out, err = run(
+            capsys, *args, "--preset", "valencia", "--mode", mode, "--shots", shots
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: shot count must be positive, got {shots}\n"
 
 
 class TestUsageErrors:

@@ -17,7 +17,6 @@ from graphent import (
     estimate_entanglement_shots,
     estimate_mean_z,
     exact_entanglement,
-    expectation_pauli,
     init_zero,
     parse_calibration,
     path,
@@ -30,6 +29,7 @@ from graphent import (
 from graphent import sampling
 from graphent.circuits import apply_circuit
 from graphent.sampling import DEFAULT_SHOTS
+from graphent.statevector import pauli_means
 
 
 class TestCalibration:
@@ -223,7 +223,7 @@ class TestEstimateMeanZ:
         g = path(2)
         state = init_zero(2)
         apply_circuit(state, synthesize_graph_circuit(g, 0.9))
-        exact = expectation_pauli(state, "z", 0)
+        exact = pauli_means(state, 0)[2]
         hits = 0
         trials = 1000
         for seed in range(trials):

@@ -14,11 +14,11 @@ from graphent import (
     apply_gate,
     evolve_edge_exact,
     evolve_graph_exact,
-    expectation_pauli,
     init_zero,
     overlap_magnitude,
     valencia,
 )
+from graphent.statevector import pauli_means
 from graphent.validation import random_graph
 
 from conftest import (
@@ -252,12 +252,7 @@ class TestEvolveGraph:
         g = valencia()
         s = evolve_graph_exact(init_zero(5), g, 2 * math.pi)
         assert overlap_magnitude(s, init_zero(5)) > 1 - 1e-12
-        for axis in ("x", "y", "z"):
-            assert_allclose(
-                expectation_pauli(s, axis, 1),
-                expectation_pauli(init_zero(5), axis, 1),
-                atol=1e-12,
-            )
+        assert_allclose(pauli_means(s, 1), pauli_means(init_zero(5), 1), atol=1e-12)
 
     def test_edge_order_independent(self, rng):
         for trial in range(10):
@@ -279,26 +274,27 @@ class TestEvolveGraph:
         from graphent import Graph
 
         s = evolve_graph_exact(init_zero(3), Graph(2, ((0, 1),)), 0.9)
-        assert abs(expectation_pauli(s, "z", 2) - 1.0) < 1e-12
+        assert abs(pauli_means(s, 2)[2] - 1.0) < 1e-12
 
 
 class TestExpectations:
     def test_zero_state(self):
-        s = init_zero(3)
-        assert expectation_pauli(s, "z", 1) == 1.0
-        assert expectation_pauli(s, "x", 1) == 0.0
-        assert expectation_pauli(s, "y", 1) == 0.0
+        mx, my, mz = pauli_means(init_zero(3), 1)
+        assert mz == 1.0
+        assert mx == 0.0
+        assert my == 0.0
 
     def test_transverse_vanish_on_valencia(self):
         s = evolve_graph_exact(init_zero(5), valencia(), 0.7)
         for l in range(5):
-            assert abs(expectation_pauli(s, "x", l)) <= 1e-12
-            assert abs(expectation_pauli(s, "y", l)) <= 1e-12
+            mx, my, _ = pauli_means(s, l)
+            assert abs(mx) <= 1e-12
+            assert abs(my) <= 1e-12
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, 2 * math.pi, 9))
     def test_valencia_hub_z_is_cos_cubed(self, phi):
         s = evolve_graph_exact(init_zero(5), valencia(), phi)
-        assert abs(expectation_pauli(s, "z", 1) - math.cos(phi) ** 3) < 1e-12
+        assert abs(pauli_means(s, 1)[2] - math.cos(phi) ** 3) < 1e-12
 
     def test_signed_longitudinal_closed_form_on_random_graphs(self, rng):
         for trial in range(20):
@@ -307,13 +303,13 @@ class TestExpectations:
                 s = evolve_graph_exact(init_zero(g.n_vertices), g, phi)
                 for l in range(g.n_vertices):
                     expected = math.cos(phi) ** g.degree(l)
-                    assert abs(expectation_pauli(s, "z", l) - expected) < 1e-10
+                    assert abs(pauli_means(s, l)[2] - expected) < 1e-10
 
     def test_plus_and_plus_i_states(self):
         s = apply_gate(init_zero(1), Gate.h(0))
-        assert abs(expectation_pauli(s, "x", 0) - 1.0) < 1e-12
+        assert abs(pauli_means(s, 0)[0] - 1.0) < 1e-12
         s = apply_gate(init_zero(1), Gate.rx(0, -math.pi / 2))
-        assert abs(expectation_pauli(s, "y", 0) - 1.0) < 1e-12
+        assert abs(pauli_means(s, 0)[1] - 1.0) < 1e-12
 
     def test_sign_of_coupling_irrelevant(self, rng):
         for trial in range(5):
@@ -322,15 +318,32 @@ class TestExpectations:
             plus = evolve_graph_exact(init_zero(g.n_vertices), g, phi)
             minus = evolve_graph_exact(init_zero(g.n_vertices), g, -phi)
             for l in range(g.n_vertices):
-                for axis in ("x", "y", "z"):
-                    assert abs(
-                        abs(expectation_pauli(plus, axis, l))
-                        - abs(expectation_pauli(minus, axis, l))
-                    ) < 1e-12
+                for m_plus, m_minus in zip(pauli_means(plus, l), pauli_means(minus, l)):
+                    assert abs(abs(m_plus) - abs(m_minus)) < 1e-12
 
-    def test_unknown_axis(self):
-        with pytest.raises(ValidationError):
-            expectation_pauli(init_zero(1), "q", 0)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_kron_oracle_on_random_states(self, n):
+        for seed in range(5):
+            s = random_state(n, seed=100 * n + seed)
+            for l in range(n):
+                expected = [np.vdot(s.amps, pauli_on(n, l, a) @ s.amps).real for a in "xyz"]
+                assert_allclose(pauli_means(s, l), expected, rtol=0, atol=1e-12)
+
+    def test_drifted_norm_raises(self):
+        s = init_zero(3)
+        s.amps[0] = 1.0 + 1e-6
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            pauli_means(s, 1)
+
+    def test_nan_amplitude_raises(self):
+        s = random_state(3, seed=4)
+        s.amps[5] = complex(math.nan, 0.0)
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            pauli_means(s, 0)
+
+    def test_qubit_out_of_range(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            pauli_means(init_zero(2), 2)
 
 
 class TestOverlap:
