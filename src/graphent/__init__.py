@@ -16,7 +16,6 @@ from .calibration import (
 )
 from .circuits import (
     Circuit,
-    EdgeOrientation,
     apply_circuit,
     choose_orientation,
     circuit_text,
@@ -66,6 +65,6 @@ from .statevector import (
     init_zero,
     overlap_magnitude,
 )
-from .validation import ValidationReport, random_graph, run_validation
+from .validation import random_graph, run_validation
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .statevector import Gate, StateVector, apply_gate
@@ -42,27 +42,9 @@ class Circuit:
             if g.target >= self.n_qubits or (g.control is not None and g.control >= self.n_qubits):
                 raise ValidationError(f"gate {g} out of range for {self.n_qubits} qubits")
 
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates))
 
-
-@dataclass(frozen=True)
-class EdgeOrientation:
-    """Which endpoint of an edge carries the h-p-h rotation sandwich."""
-
-    edge: tuple[int, int]
-    rotation_qubit: int
-    partner_qubit: int
-
-    def __post_init__(self):
-        if {self.rotation_qubit, self.partner_qubit} != set(self.edge) or len(set(self.edge)) != 2:
-            raise ValidationError(
-                f"orientation {self} does not cover edge {self.edge}"
-            )
-
-
-def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> EdgeOrientation:
-    """Pick a rotation qubit: lower gate error wins, ties and no-calibration go to the smaller index."""
+def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> tuple[int, int]:
+    """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
     i, j = int(edge[0]), int(edge[1])
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
@@ -78,12 +60,11 @@ def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = No
         ei, ej = cal.gate_error[i], cal.gate_error[j]
         rotation = i if ei < ej else j if ej < ei else min(i, j)
     partner = j if rotation == i else i
-    return EdgeOrientation((min(i, j), max(i, j)), rotation, partner)
+    return rotation, partner
 
 
-def synthesize_edge(orientation: EdgeOrientation, phi: float) -> tuple[Gate, ...]:
-    """Five-gate block equal to exp(-i*(phi/2)*XX) on the edge, up to global phase."""
-    r, p = orientation.rotation_qubit, orientation.partner_qubit
+def synthesize_edge(r: int, p: int, phi: float) -> tuple[Gate, ...]:
+    """Five-gate block equal to exp(-i*(phi/2)*XrXp), up to global phase, rotating on ``r``."""
     return (
         Gate.cx(r, p),
         Gate.h(r),
@@ -99,7 +80,7 @@ def synthesize_graph_circuit(
     """Concatenate one edge block per graph edge, edges in canonical sorted order."""
     gates: list[Gate] = []
     for edge in g.edges:
-        gates.extend(synthesize_edge(choose_orientation(edge, cal), phi))
+        gates.extend(synthesize_edge(*choose_orientation(edge, cal), phi))
     return Circuit(g.n_vertices, tuple(gates))
 
 

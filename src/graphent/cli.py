@@ -216,18 +216,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"trials must be positive, got {args.trials}")
     cap = _max_qubits(args)
-    if args.max_n > cap:
-        raise ResourceCapError(f"max_n {args.max_n} exceeds the qubit cap {cap}")
-    if args.max_n < 2:
-        raise UsageError(f"max_n must be at least 2, got {args.max_n}")
-    report = run_validation(max_n=args.max_n, trials=args.trials, seed=args.seed, max_qubits=cap)
+    results = run_validation(max_n=args.max_n, trials=args.trials, seed=args.seed, max_qubits=cap)
     print(f"validation: trials={args.trials} max_n={args.max_n} seed={args.seed}")
-    for line in report.lines():
-        print(line)
-    if not report.passed:
+    for r in results:
+        print(r.line())
+    if not all(r.passed for r in results):
         print("validation FAILED")
         return 4
     print("validation passed")
@@ -296,6 +290,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # entangle, sweep and validate, whatever the mode
+            raise UsageError(f"seed must be non-negative, got {args.seed}")
         if getattr(args, "shots", 1) < 1:  # entangle and sweep, whatever the mode
             raise ValidationError(f"shot count must be positive, got {args.shots}")
         return args.func(args)

@@ -68,10 +68,6 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_neighbours", {v: tuple(ns) for v, ns in neighbours.items()})
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def degree(self, l: int) -> int:
         """Number of edges incident to vertex ``l``; the range check every route relies on."""
         if not 0 <= l < self.n_vertices:

@@ -45,11 +45,10 @@ TRAJECTORY_CHUNK = 4096
 
 @dataclass(frozen=True, eq=False)
 class ShotResult:
-    """Measured z-basis outcomes, one basis-state integer per shot, and the seed that drew them."""
+    """Measured z-basis outcomes, one basis-state integer per shot."""
 
     n_qubits: int
     outcomes: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(self.outcomes) == 0:
@@ -81,7 +80,7 @@ def sample_z(state: StateVector, shots: int, seed: int) -> ShotResult:
     if shots < 1:
         raise ValidationError(f"shot count must be positive, got {shots}")
     rng = np.random.default_rng(seed)
-    return ShotResult(state.n_qubits, _draw_outcomes(state, shots, rng), seed)
+    return ShotResult(state.n_qubits, _draw_outcomes(state, shots, rng))
 
 
 def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> ShotResult:
@@ -100,7 +99,7 @@ def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> Shot
     for l in range(n):
         flips = rng.random(result.shots) < cal.readout_error[l]
         outcomes[flips] ^= 1 << l
-    return ShotResult(n, outcomes, seed)
+    return ShotResult(n, outcomes)
 
 
 def estimate_mean_z(result: ShotResult, l: int) -> tuple[float, float]:
@@ -163,7 +162,7 @@ def estimate_entanglement_shots(
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
     for k, axis in enumerate(("z", "x", "y")):
-        circuit = base.extended(measurement_prelude(axis, l))
+        circuit = Circuit(base.n_qubits, base.gates + measurement_prelude(axis, l))
         sample_seed, readout_seed = subseeds[2 * k], subseeds[2 * k + 1]
         result = sample_circuit(
             circuit, shots, sample_seed, cal if gate_noise else None, max_qubits=max_qubits
@@ -258,4 +257,4 @@ def sample_circuit(
         if k:
             state = apply_circuit(init_zero(n, max_qubits), _with_errors(circuit, pattern))
             pieces.append(_draw_outcomes(state, k, rng))
-    return ShotResult(n, np.concatenate(pieces), seed)
+    return ShotResult(n, np.concatenate(pieces))

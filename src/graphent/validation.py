@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import analytic_entanglement, bloch_vector, entanglement_from_bloch
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -43,18 +43,6 @@ class PropertyResult:
         return f"{status}  {self.name}: worst={self.worst:.3e}  threshold={self.threshold:.0e}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    results: tuple[PropertyResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
-
-
 def random_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 6) -> Graph:
     """Uniform vertex count in [n_min, n_max], each possible edge kept with p = 1/2."""
     n = int(rng.integers(n_min, n_max + 1))
@@ -75,12 +63,14 @@ def run_validation(
     trials: int = 200,
     seed: int = 7,
     max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> ValidationReport:
+) -> tuple[PropertyResult, ...]:
     """Run every property suite; ``trials`` is the number of random graphs."""
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
     if max_n < 2:
         raise ValidationError(f"max_n must be at least 2, got {max_n}")
+    if max_n > max_qubits:
+        raise ResourceCapError(f"max_n {max_n} exceeds the qubit cap {max_qubits}")
     rng = np.random.default_rng(seed)
     graphs = [random_graph(rng, 2, max_n) for _ in range(trials)]
     phis_per_graph = [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 25) for _ in graphs]
@@ -140,13 +130,11 @@ def run_validation(
                     e2 = entanglement_from_bloch(bloch_vector(other, l))
                     worst_symmetry = max(worst_symmetry, abs(e1 - e2))
 
-    return ValidationReport(
-        (
-            PropertyResult("closed form vs exact entanglement", worst_closed_form, 1e-10),
-            PropertyResult("transverse means vanish", worst_transverse, 1e-12),
-            PropertyResult("circuit vs dense evolution overlap deficit", worst_overlap, 1e-12),
-            PropertyResult("edge order independence overlap deficit", worst_order, 1e-12),
-            PropertyResult("measurement prelude round trip", worst_prelude, 1e-12),
-            PropertyResult("angle symmetry of exact entanglement", worst_symmetry, 1e-10),
-        )
+    return (
+        PropertyResult("closed form vs exact entanglement", worst_closed_form, 1e-10),
+        PropertyResult("transverse means vanish", worst_transverse, 1e-12),
+        PropertyResult("circuit vs dense evolution overlap deficit", worst_overlap, 1e-12),
+        PropertyResult("edge order independence overlap deficit", worst_order, 1e-12),
+        PropertyResult("measurement prelude round trip", worst_prelude, 1e-12),
+        PropertyResult("angle symmetry of exact entanglement", worst_symmetry, 1e-10),
     )

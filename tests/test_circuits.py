@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from graphent import (
     Circuit,
-    EdgeOrientation,
     Gate,
     ValidationError,
     apply_circuit,
@@ -41,21 +40,15 @@ class TestCircuitType:
         with pytest.raises(ValidationError):
             Circuit(2, (Gate.cx(2, 0),))
 
-    def test_extended(self):
-        c = Circuit(2, (Gate.h(0),)).extended([Gate.cx(0, 1)])
-        assert c.gates == (Gate.h(0), Gate.cx(0, 1))
-
 
 class TestOrientation:
     def test_table_prefers_lower_gate_error(self):
         cal = valencia_calibration()
-        assert choose_orientation((0, 1), cal).rotation_qubit == 1
-        assert choose_orientation((3, 4), cal).rotation_qubit == 3
+        assert choose_orientation((0, 1), cal) == (1, 0)
+        assert choose_orientation((3, 4), cal) == (3, 4)
 
     def test_without_calibration_smaller_index(self):
-        o = choose_orientation((2, 4))
-        assert o.rotation_qubit == 2
-        assert o.partner_qubit == 4
+        assert choose_orientation((2, 4)) == (2, 4)
 
     def test_order_of_endpoints_irrelevant(self):
         cal = valencia_calibration()
@@ -66,14 +59,14 @@ class TestOrientation:
         with pytest.raises(ValidationError):
             choose_orientation((0, 7), cal)
 
-    def test_orientation_invariant(self):
-        with pytest.raises(ValidationError):
-            EdgeOrientation((0, 1), 0, 2)
+    def test_coincident_pair_rejected(self):
+        with pytest.raises(ValidationError, match="cx control and target coincide"):
+            synthesize_edge(1, 1, 0.7)
 
 
 class TestEdgeSynthesis:
     def test_block_structure(self):
-        gates = synthesize_edge(EdgeOrientation((0, 1), 1, 0), 0.9)
+        gates = synthesize_edge(1, 0, 0.9)
         assert [g.kind for g in gates] == ["cx", "h", "p", "h", "cx"]
         assert gates[0] == Gate.cx(1, 0)
         assert gates[2] == Gate.p(1, 0.9)
@@ -82,22 +75,21 @@ class TestEdgeSynthesis:
     def test_phi_zero_acts_as_identity(self):
         s = random_state(2, seed=3)
         before = s.copy()
-        run_fragment(s, synthesize_edge(EdgeOrientation((0, 1), 0, 1), 0.0))
+        run_fragment(s, synthesize_edge(0, 1, 0.0))
         assert overlap_magnitude(s, before) > 1 - 1e-12
 
     @pytest.mark.parametrize("phi", [1.3, -0.4, 2 * math.pi / 3])
     @pytest.mark.parametrize("rotation", [0, 1])
     def test_fragment_equals_dense_edge_unitary(self, phi, rotation):
-        orientation = EdgeOrientation((0, 1), rotation, 1 - rotation)
         for seed in range(5):
             s = random_state(2, seed=seed)
             reference = s.copy()
-            run_fragment(s, synthesize_edge(orientation, phi))
+            run_fragment(s, synthesize_edge(rotation, 1 - rotation, phi))
             evolve_edge_exact(reference, 0, 1, phi)
             assert overlap_magnitude(s, reference) > 1 - 1e-12
 
     def test_fragment_on_zero_state_at_1_3(self):
-        s = run_fragment(init_zero(2), synthesize_edge(EdgeOrientation((0, 1), 0, 1), 1.3))
+        s = run_fragment(init_zero(2), synthesize_edge(0, 1, 1.3))
         reference = evolve_edge_exact(init_zero(2), 0, 1, 1.3)
         assert overlap_magnitude(s, reference) > 1 - 1e-12
 
@@ -106,8 +98,8 @@ class TestEdgeSynthesis:
             phi = rng.uniform(0, 2 * math.pi)
             a = random_state(3, seed=trial)
             b = a.copy()
-            run_fragment(a, synthesize_edge(EdgeOrientation((0, 2), 0, 2), phi))
-            run_fragment(b, synthesize_edge(EdgeOrientation((0, 2), 2, 0), phi))
+            run_fragment(a, synthesize_edge(0, 2, phi))
+            run_fragment(b, synthesize_edge(2, 0, phi))
             assert overlap_magnitude(a, b) > 1 - 1e-12
 
     def test_random_edges_in_four_qubit_systems(self, rng):
@@ -116,7 +108,7 @@ class TestEdgeSynthesis:
             phi = rng.uniform(0, 2 * math.pi)
             s = random_state(4, seed=300 + trial)
             reference = s.copy()
-            run_fragment(s, synthesize_edge(EdgeOrientation((min(i, j), max(i, j)), int(i), int(j)), phi))
+            run_fragment(s, synthesize_edge(int(i), int(j), phi))
             evolve_edge_exact(reference, int(i), int(j), phi)
             assert overlap_magnitude(s, reference) > 1 - 1e-12
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphent import entanglement, sampling
 from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
@@ -345,9 +347,17 @@ class TestValidate:
         assert code == 0
         assert "validation passed" in out
 
-    def test_zero_trials_usage_error(self, capsys):
-        code, _, err = run(capsys, "validate", "--trials", "0")
-        assert code == 1
+    @pytest.mark.parametrize(
+        "option,message",
+        [(["--trials", "0"], "trials must be positive, got 0"),
+         (["--max-n", "1"], "max_n must be at least 2, got 1")],
+        ids=["trials", "max-n"],
+    )
+    def test_bad_run_size_is_a_validation_error(self, capsys, option, message):
+        code, out, err = run(capsys, "validate", *option)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_max_n_above_cap(self, capsys):
         code, _, _ = run(capsys, "validate", "--max-n", "30")
@@ -519,6 +529,43 @@ class TestShotCount:
         assert code == 2
         assert out == ""
         assert err == f"error: shot count must be positive, got {shots}\n"
+
+
+ENTRY_POINTS = (
+    [["entangle", "--preset", "valencia", "--phi", "1", "--spin", "0", "--mode", m] for m in METHODS]
+    + [["sweep", "--preset", "valencia", "--sweep", "0:1:2", "--mode", m] for m in METHODS]
+    + [["validate"]]
+)
+ENTRY_IDS = [f"{args[0]}-{args[-1]}" for args in ENTRY_POINTS[:-1]] + ["validate"]
+
+
+class TestSeed:
+    @pytest.mark.parametrize("args", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_negative_is_usage_error(self, capsys, args):
+        code, out, err = run(capsys, *args, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: seed must be non-negative, got -1\n"
+
+
+@settings(max_examples=60)
+@given(
+    entry=st.sampled_from(ENTRY_POINTS),
+    seed=st.integers(-3, 5),
+    shots=st.integers(-2, 256),
+    cap=st.integers(-1, 8),
+    trials=st.integers(-1, 2),
+    max_n=st.integers(-1, 4),
+)
+def test_main_returns_a_classified_exit_code(entry, seed, shots, cap, trials, max_n):
+    argv = entry + ["--seed", str(seed), "--max-qubits", str(cap)]
+    if entry[0] == "validate":
+        argv += ["--trials", str(trials), "--max-n", str(max_n)]
+    else:
+        argv += ["--shots", str(shots)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
 
 
 class TestUsageErrors:

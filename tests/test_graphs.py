@@ -38,7 +38,7 @@ class TestParsing:
         g = parse_graph(VALENCIA_EDGE_LIST, "edge-list")
         assert g == valencia()
         assert g.n_vertices == 5
-        assert g.n_edges == 4
+        assert len(g.edges) == 4
 
     def test_edge_list_single_vertex(self):
         g = parse_graph("1\n", "edge-list")
@@ -64,7 +64,7 @@ class TestParsing:
         rows = ["5"] + [" ".join("0" if i == j else "1" for j in range(5)) for i in range(5)]
         g = parse_graph("\n".join(rows), "adjacency")
         assert g == complete(5)
-        assert g.n_edges == 10
+        assert len(g.edges) == 10
 
     def test_json_roundtrip_explicit_n(self):
         g = parse_graph('{"n": 4, "edges": [[0, 1], [2, 3]]}', "json")
@@ -140,7 +140,7 @@ class TestDegrees:
 
     @given(graphs())
     def test_degree_sum_is_twice_edges(self, g):
-        assert sum(g.degree(l) for l in range(g.n_vertices)) == 2 * g.n_edges
+        assert sum(g.degree(l) for l in range(g.n_vertices)) == 2 * len(g.edges)
 
     @given(graphs())
     def test_degree_matches_adjacency_row_sum(self, g):
@@ -214,7 +214,7 @@ class TestPresets:
         assert preset(name) == expected
 
     def test_complete_edge_count(self):
-        assert complete(5).n_edges == 10
+        assert len(complete(5).edges) == 10
 
     @pytest.mark.parametrize("name", ["ring(2)", "complete(0)", "path(0)", "star(3)", "complete"])
     def test_invalid(self, name):

@@ -89,21 +89,21 @@ def _outcomes(*values):
 class TestShotResult:
     def test_outcomes_may_not_be_empty(self):
         with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes(), seed=0)
+            ShotResult(2, _outcomes())
 
     def test_negative_outcome_rejected(self):
         with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes(0, -1, 3), seed=0)
+            ShotResult(2, _outcomes(0, -1, 3))
 
     def test_outcome_beyond_register_rejected(self):
         with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes(0, 4, 3), seed=0)
+            ShotResult(2, _outcomes(0, 4, 3))
 
     def test_n_qubits(self):
-        assert ShotResult(2, _outcomes(2, 3, 2), seed=0).n_qubits == 2
+        assert ShotResult(2, _outcomes(2, 3, 2)).n_qubits == 2
 
     def test_shots_and_counts_derived_from_outcomes(self):
-        r = ShotResult(2, _outcomes(2, 3, 2), seed=0)
+        r = ShotResult(2, _outcomes(2, 3, 2))
         assert r.shots == 3
         assert r.counts == {"01": 2, "11": 1}
 
@@ -111,7 +111,7 @@ class TestShotResult:
     def test_mean_z_matches_counts_marginal(self, data, n):
         values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50))
         l = data.draw(st.integers(0, n - 1))
-        r = ShotResult(n, _outcomes(*values), seed=0)
+        r = ShotResult(n, _outcomes(*values))
         n1 = sum(c for key, c in r.counts.items() if key[l] == "1")
         assert estimate_mean_z(r, l)[0] == (len(values) - 2 * n1) / len(values)
 
@@ -195,29 +195,29 @@ class TestCorruptReadout:
 
 class TestEstimateMeanZ:
     def test_all_zero_outcomes(self):
-        r = ShotResult(2, np.zeros(50, dtype=np.int64), seed=0)
+        r = ShotResult(2, np.zeros(50, dtype=np.int64))
         assert estimate_mean_z(r, 0) == (1.0, 0.0)
 
     def test_even_split(self):
-        r = ShotResult(1, np.repeat(_outcomes(0, 1), 50), seed=0)
+        r = ShotResult(1, np.repeat(_outcomes(0, 1), 50))
         mean, se = estimate_mean_z(r, 0)
         assert mean == 0.0
         assert abs(se - 0.1) < 1e-15
 
     def test_three_to_one_split(self):
-        r = ShotResult(1, np.repeat(_outcomes(0, 1), [300, 100]), seed=0)
+        r = ShotResult(1, np.repeat(_outcomes(0, 1), [300, 100]))
         mean, se = estimate_mean_z(r, 0)
         assert mean == 0.5
         assert abs(se - math.sqrt(0.75 / 400)) < 1e-15
 
     def test_marginal_over_selected_qubit(self):
-        r = ShotResult(2, np.repeat(_outcomes(2, 3), [4, 6]), seed=0)
+        r = ShotResult(2, np.repeat(_outcomes(2, 3), [4, 6]))
         assert estimate_mean_z(r, 0)[0] == pytest.approx((4 - 6) / 10)
         assert estimate_mean_z(r, 1)[0] == -1.0
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            estimate_mean_z(ShotResult(1, _outcomes(0), seed=0), 1)
+            estimate_mean_z(ShotResult(1, _outcomes(0)), 1)
 
     def test_consistency_with_exact_expectation_over_seeds(self):
         g = path(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphent import ValidationError
+from graphent import ResourceCapError, ValidationError
 from graphent.validation import random_graph, run_validation
 
 
@@ -13,10 +13,10 @@ def test_random_graph_respects_bounds(rng):
 
 
 def test_report_passes_and_lists_every_property():
-    report = run_validation(max_n=4, trials=8, seed=0)
-    assert report.passed
-    assert len(report.results) == 6
-    assert all(line.startswith("pass") for line in report.lines())
+    results = run_validation(max_n=4, trials=8, seed=0)
+    assert all(r.passed for r in results)
+    assert len(results) == 6
+    assert all(r.line().startswith("pass") for r in results)
 
 
 def test_rejects_bad_arguments():
@@ -24,3 +24,8 @@ def test_rejects_bad_arguments():
         run_validation(trials=0)
     with pytest.raises(ValidationError):
         run_validation(max_n=1)
+
+
+def test_max_n_above_the_cap_is_rejected_before_any_trial():
+    with pytest.raises(ResourceCapError, match="max_n 5 exceeds the qubit cap 4"):
+        run_validation(max_n=5, trials=1, seed=1, max_qubits=4)
