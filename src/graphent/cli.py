@@ -19,7 +19,7 @@ import sys
 from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
 from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
-from .errors import ConsistencyError, ResourceCapError, ValidationError
+from .errors import ConsistencyError, GraphentError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
 from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
 from .statevector import DEFAULT_MAX_QUBITS
@@ -42,8 +42,8 @@ CSV_COLUMNS = (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(GraphentError):
+    """Malformed command line; exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +171,12 @@ def _write_out(path, text: str):
 
 
 def cmd_sweep(args) -> int:
-    """Compute every row first, so a failing sweep writes no header and no file."""
+    """Compute every row first, so a failing sweep writes no header and no file.
+
+    Every spin of degree k has the same light cone, so exact rows are computed
+    once per (degree, phi) and shared; the shots route gets no such memo,
+    because its stars differ by calibration.
+    """
     g = _load_graph(args)
     spins = list(dict.fromkeys(args.spin)) if args.spin else list(range(g.n_vertices))
     modes = list(dict.fromkeys(args.mode)) if args.mode else ["analytic"]
@@ -180,11 +185,19 @@ def cmd_sweep(args) -> int:
     start, stop, count = args.sweep
     phis = [start + (stop - start) * i / (count - 1) for i in range(count)]
     row_seeds = iter(derive_seeds(args.seed, count * len(spins) * len(modes)))
+    exact: dict[tuple[int, float], EntanglementEstimate] = {}
     rows = []
     for phi in phis:
         for spin in spins:
             for mode in modes:
-                est = _estimate(mode, g, phi, spin, args.shots, cal, next(row_seeds), cap)
+                seed = next(row_seeds)
+                if mode == "exact":
+                    key = (g.degree(spin), phi)
+                    if key not in exact:
+                        exact[key] = exact_entanglement(g, phi, spin, cap)
+                    est = exact[key]
+                else:
+                    est = _estimate(mode, g, phi, spin, args.shots, cal, seed, cap)
                 rows.append(
                     [
                         repr(phi),
@@ -243,7 +256,7 @@ def _add_graph_args(p):
 
 def _add_run_args(p):
     p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits: degree+1 for exact, n for shots (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits: degree+1 for exact and shots (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
 
 
 @functools.cache

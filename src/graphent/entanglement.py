@@ -25,6 +25,8 @@ from .statevector import (
 METHODS = ("analytic", "exact", "shots")
 
 NORM_OVERSHOOT_LIMIT = 1e-9
+# fold error at the limit: 2**14 / pi * (pi - float pi) < 1e-12
+_FOLD_LIMIT = 2.0**14
 _COMPONENT_LIMIT = 1.0 + 1e-9
 
 
@@ -74,8 +76,12 @@ def _folded_cos(phi: float) -> float:
     fmod and fabs are exact, and the reflection pi - r is exact for
     r in [pi/2, pi] (Sterbenz), so arguments related by sign flip, shift by
     pi, or reflection about pi/2 fold to the same float whenever they are
-    themselves exact.
+    themselves exact. fmod reduces by the float pi, which drifts from the
+    true reduction by about |phi| * 4e-17; above ``_FOLD_LIMIT`` (where a
+    shift by pi is never exact anyway) libm's exact reduction is used instead.
     """
+    if math.fabs(phi) > _FOLD_LIMIT:
+        return math.fabs(math.cos(phi))
     r = math.fabs(math.fmod(phi, math.pi))
     if r > 0.5 * math.pi:
         r = math.pi - r

@@ -68,11 +68,15 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_neighbours", {v: tuple(ns) for v, ns in neighbours.items()})
 
-    def degree(self, l: int) -> int:
-        """Number of edges incident to vertex ``l``; the range check every route relies on."""
+    def neighbours(self, l: int) -> tuple[int, ...]:
+        """Vertices adjacent to ``l`` in ascending order; the range check every route relies on."""
         if not 0 <= l < self.n_vertices:
             raise ValidationError(f"spin {l} out of range for {self.n_vertices} vertices")
-        return len(self._neighbours.get(l, ()))
+        return self._neighbours.get(l, ())
+
+    def degree(self, l: int) -> int:
+        """Number of edges incident to vertex ``l``."""
+        return len(self.neighbours(l))
 
     def light_cone(self, l: int) -> "Graph":
         """Star of ``l``: ``l`` becomes vertex 0, its neighbours 1..k in ascending order.

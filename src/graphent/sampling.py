@@ -5,9 +5,9 @@ bit convention: bit ``l`` of an outcome is the measured bit of qubit ``l``.
 ``ShotResult.counts`` renders them as bitstrings with qubit 0 first
 (character ``l`` is qubit ``l``), formatted only when asked for.
 
-Determinism: every sampling entry point takes an integer seed and is
-bit-reproducible for a fixed seed and numpy version. Derived substreams come
-from ``numpy.random.SeedSequence`` spawning in a documented order; for
+Determinism: every sampling entry point takes a non-negative integer seed and
+is bit-reproducible for a fixed seed and numpy version. Derived substreams
+come from ``numpy.random.SeedSequence`` spawning in a documented order; for
 ``estimate_entanglement_shots`` that order is (z sample, z readout, x sample,
 x readout, y sample, y readout).
 
@@ -21,6 +21,17 @@ Each distinct error pattern is the circuit with those Pauli gates inserted,
 simulated once for all the shots that share it; with every error rate zero
 this is noiseless sampling. It is off by default and makes no claim to
 reproduce hardware data quantitatively.
+
+``estimate_entanglement_shots`` samples the star of spin ``l`` only: its
+``degree(l)`` edge blocks on ``degree(l) + 1`` qubits, with the calibration
+remapped onto them. An inserted Pauli pushed through the rest of its block
+leaves that block an XX rotation at -phi/2 or +phi/2 times a Pauli on the
+edge; pushed to the end of the circuit it can only flip the signs of the XX
+rotations it passes, and spin ``l``'s marginal of commuting XX rotations does
+not depend on their signs. So only the blocks at ``l``, the prelude and the
+errors drawn on their gates reach ``l``'s statistics, noise included. The
+full-register :func:`sample_circuit` of the whole graph circuit is the oracle
+the star route is tested against.
 """
 
 from __future__ import annotations
@@ -32,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationData
-from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_graph_circuit
+from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_star_circuit
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 from .graphs import Graph
 from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, init_zero
 
@@ -68,6 +79,13 @@ class ShotResult:
         return {format(int(v), width)[::-1]: int(c) for v, c in zip(values, counts)}
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed``, if numpy accepts it; numpy's own error for a negative seed is unclassified."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _draw_outcomes(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(state.probabilities())
     cdf /= cdf[-1]
@@ -79,7 +97,7 @@ def sample_z(state: StateVector, shots: int, seed: int) -> ShotResult:
     """Draw ``shots`` i.i.d. z-basis outcomes from |amplitude|^2."""
     if shots < 1:
         raise ValidationError(f"shot count must be positive, got {shots}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     return ShotResult(state.n_qubits, _draw_outcomes(state, shots, rng))
 
 
@@ -94,7 +112,7 @@ def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> Shot
         raise ValidationError(
             f"calibration covers {cal.n_qubits} qubits, result has {n}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     outcomes = result.outcomes.copy()
     for l in range(n):
         flips = rng.random(result.shots) < cal.readout_error[l]
@@ -114,7 +132,7 @@ def estimate_mean_z(result: ShotResult, l: int) -> tuple[float, float]:
 
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Independent substream seeds spawned from a root seed."""
-    children = np.random.SeedSequence(seed).spawn(count)
+    children = np.random.SeedSequence(_checked_seed(seed)).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
@@ -132,6 +150,19 @@ def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) ->
     ) / norm
 
 
+def _star_calibration(
+    cal: CalibrationData, star: tuple[int, ...], circuit: Circuit, gate_noise: bool
+) -> CalibrationData:
+    """``cal`` on star qubits: row ``s`` is vertex ``star[s]``'s, and with
+    ``gate_noise`` the cx entries of the circuit's directed pairs."""
+    pairs = {(g.control, g.target) for g in circuit.gates if g.kind == "cx"} if gate_noise else ()
+    return CalibrationData(
+        readout_error=tuple(cal.readout_error[v] for v in star),
+        gate_error=tuple(cal.gate_error[v] for v in star),
+        cx_error={(c, t): cal.cx_error_for(star[c], star[t]) for c, t in pairs},
+    )
+
+
 def estimate_entanglement_shots(
     g: Graph,
     phi: float,
@@ -145,31 +176,35 @@ def estimate_entanglement_shots(
 ) -> EntanglementEstimate:
     """Three-experiment shot estimate of spin ``l``'s entanglement.
 
-    One circuit execution per axis (z, x, y): graph circuit, measurement
-    prelude, z sampling, then readout corruption when calibration is given.
-    ``gate_noise=True`` also draws gate/CX error trajectories from the
-    calibration (required then). ``max_qubits`` caps the whole register.
+    One circuit execution per axis (z, x, y) on the star of ``l`` (see
+    :func:`synthesize_star_circuit`): ``l``'s edge blocks, the measurement
+    prelude, z sampling, then readout corruption of ``l``'s bit when
+    calibration is given. ``gate_noise=True`` also draws gate/CX error
+    trajectories over the star's gates from the calibration (required then).
+    ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
     """
     g.degree(l)  # spin-range check
     if not math.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi!r}")
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
-    if g.n_vertices > max_qubits:
-        raise ResourceCapError(f"{g.n_vertices} qubits exceeds the cap of {max_qubits}")
-    base = synthesize_graph_circuit(g, phi, cal)
+    if cal is not None and cal.n_qubits < g.n_vertices:
+        raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
+    base, star = synthesize_star_circuit(g, l, phi, cal)
+    star_cal = None if cal is None else _star_calibration(cal, star, base, gate_noise)
     subseeds = derive_seeds(seed, 6)
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
     for k, axis in enumerate(("z", "x", "y")):
-        circuit = Circuit(base.n_qubits, base.gates + measurement_prelude(axis, l))
+        circuit = Circuit(base.n_qubits, base.gates + measurement_prelude(axis, 0))
         sample_seed, readout_seed = subseeds[2 * k], subseeds[2 * k + 1]
         result = sample_circuit(
-            circuit, shots, sample_seed, cal if gate_noise else None, max_qubits=max_qubits
+            circuit, shots, sample_seed, star_cal if gate_noise else None, max_qubits=max_qubits
         )
-        if cal is not None:
-            result = corrupt_readout(result, cal, readout_seed)
-        means[axis], errors[axis] = estimate_mean_z(result, l)
+        if star_cal is not None:
+            # only spin l, the low bit of a star outcome, is read
+            result = corrupt_readout(ShotResult(1, result.outcomes & 1), star_cal, readout_seed)
+        means[axis], errors[axis] = estimate_mean_z(result, 0)
     bloch = BlochVector(means["x"], means["y"], means["z"])
     err3 = (errors["x"], errors["y"], errors["z"])
     return EntanglementEstimate(
@@ -237,7 +272,7 @@ def sample_circuit(
     probs = np.array([] if cal is None else [_site_error(g, cal) for g in circuit.gates])
     if not probs.any():
         return sample_z(apply_circuit(init_zero(n, max_qubits), circuit), shots, seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     row_chunks, col_chunks = [], []
     for start in range(0, shots, TRAJECTORY_CHUNK):
         hits = rng.random((min(TRAJECTORY_CHUNK, shots - start), len(probs))) < probs

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from graphent import StateVector
+from graphent import Circuit, StateVector, measurement_prelude, synthesize_graph_circuit
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -57,6 +57,86 @@ def random_state(n, seed):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
     return StateVector(n, amps.astype(np.complex128))
+
+
+def _one_qubit_matrix(gate):
+    if gate.kind in "xyz":
+        return PAULI[gate.kind]
+    if gate.kind == "h":
+        return (PAULI["x"] + PAULI["z"]) / np.sqrt(2.0)
+    if gate.kind == "p":
+        return np.diag([1.0, np.exp(1j * gate.angle)])
+    # rx, ry: exp(-i*angle*P/2) = cos(angle/2) - i sin(angle/2) P, which stays finite at any angle
+    half = 0.5 * gate.angle
+    return np.cos(half) * PAULI["i"] - 1j * np.sin(half) * PAULI[gate.kind[1]]
+
+
+def gate_unitary_oracle(n, gate):
+    """A circuit gate as a full-register matrix."""
+    if gate.kind != "cx":
+        ops = [PAULI["i"]] * n
+        ops[gate.target] = _one_qubit_matrix(gate)
+        return kron_chain(ops)
+    ops0, ops1 = [PAULI["i"]] * n, [PAULI["i"]] * n
+    ops0[gate.control] = np.diag([1.0, 0.0])
+    ops1[gate.control] = np.diag([0.0, 1.0])
+    ops1[gate.target] = PAULI["x"]
+    return kron_chain(ops0) + kron_chain(ops1)
+
+
+def _depolarize(rho, n, qubits, p):
+    """rho -> (1 - p) rho + p / (4**k - 1) * sum over non-identity Paulis P on ``qubits`` of P rho P."""
+    paulis = []
+    for names in np.ndindex(*(4,) * len(qubits)):
+        if any(names):
+            ops = [PAULI["i"]] * n
+            for q, name in zip(qubits, names):
+                ops[q] = PAULI["ixyz"[name]]
+            paulis.append(kron_chain(ops))
+    return (1.0 - p) * rho + p / len(paulis) * sum(m @ rho @ m.conj().T for m in paulis)
+
+
+def density_matrix_oracle(circuit, cal=None):
+    """The state ``sample_circuit(circuit, shots, seed, cal)`` samples, as a density matrix.
+
+    Starts from rho = |0><0|. With calibration, after each gate with error p
+    it applies rho -> (1 - p) rho + p/3 sum P rho P over the three Paulis on
+    the gate's qubit, or p/15 over the 15 non-identity two-qubit Paulis after
+    a cx. Kept to n <= 6, where rho has 4**6 entries.
+    """
+    n = circuit.n_qubits
+    assert n <= 6, "density matrix oracle is kept to n <= 6"
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = gate_unitary_oracle(n, gate)
+        rho = u @ rho @ u.conj().T
+        if cal is not None:
+            if gate.kind == "cx":
+                p, qubits = cal.cx_error[(gate.control, gate.target)], (gate.control, gate.target)
+            else:
+                p, qubits = cal.gate_error[gate.target], (gate.target,)
+            rho = _depolarize(rho, n, qubits, p)
+    return rho
+
+
+def noisy_bloch_oracle(g, phi, l, cal=None, gate_noise=False):
+    """Exact (<X_l>, <Y_l>, <Z_l>) as the shots route measures them.
+
+    Runs the whole graph circuit plus each axis's measurement prelude through
+    :func:`density_matrix_oracle`, with the gate channel when ``gate_noise``.
+    Readout error r_l scales each mean by 1 - 2 r_l.
+    """
+    n = g.n_vertices
+    base = synthesize_graph_circuit(g, phi, cal)
+    z_l = pauli_on(n, l, "z")
+    means = []
+    for axis in "xyz":
+        circuit = Circuit(n, base.gates + measurement_prelude(axis, l))
+        rho = density_matrix_oracle(circuit, cal if gate_noise else None)
+        mean = float(np.trace(rho @ z_l).real)
+        means.append(mean if cal is None else mean * (1.0 - 2.0 * cal.readout_error[l]))
+    return tuple(means)
 
 
 @pytest.fixture

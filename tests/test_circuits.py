@@ -40,6 +40,12 @@ class TestCircuitType:
         with pytest.raises(ValidationError):
             Circuit(2, (Gate.cx(2, 0),))
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("gate", [Gate.p, Gate.rx, Gate.ry])
+    def test_non_finite_angle_rejected(self, gate, angle):
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            Circuit(1, (gate(0, angle),))
+
 
 class TestOrientation:
     def test_table_prefers_lower_gate_error(self):

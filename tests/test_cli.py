@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent import entanglement, sampling
+from graphent import cli, entanglement, exact_entanglement, sampling, valencia
 from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
 from graphent.entanglement import METHODS
 
@@ -135,6 +135,40 @@ class TestEntangle:
         assert code == 3
         assert out == ""
 
+    def test_shots_large_sparse_graph_under_default_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "entangle", "--preset", "ring(30)", "--phi", "1", "--spin", "3",
+            "--mode", "shots",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert (record["spin"], record["shots"], record["graph"]["n"]) == (3, 8192, 30)
+
+    def test_shots_dense_star_over_default_cap(self, capsys):
+        code, out, err = run(
+            capsys, "entangle", "--preset", "complete(30)", "--phi", "pi/4",
+            "--spin", "0", "--mode", "shots",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: 30 qubits exceeds the cap of 24\n"
+
+    @pytest.mark.parametrize("spin", [3, 2, 0], ids=["spin", "neighbour", "far-vertex"])
+    def test_shots_calibration_must_cover_the_graph(self, capsys, tmp_path, spin):
+        # path(4) is 0-1-2-3 and the table covers qubits 0-2: spin 3 itself,
+        # spin 2's neighbour 3, and for spin 0 the far vertex 3 are uncovered
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(
+            {"readout_error": [0.01] * 3, "gate_error": [1e-3] * 3, "cx_error": {}}
+        ))
+        code, out, err = run(
+            capsys, "entangle", "--preset", "path(4)", "--phi", "1", "--spin", str(spin),
+            "--mode", "shots", "--shots", "64", "--calibration", str(cal),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: calibration covers 3 qubits, graph has 4\n"
+
     @pytest.mark.parametrize("phi", ["inf", "nan"])
     @pytest.mark.parametrize("mode", METHODS)
     def test_non_finite_angle_is_usage_error(self, capsys, phi, mode):
@@ -211,6 +245,25 @@ class TestSweep:
             )
         worst = max(abs(v["analytic"] - v["exact"]) for v in pairs.values())
         assert worst <= 1e-10
+
+    def test_exact_rows_computed_once_per_degree_and_angle(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(g, phi, spin, cap):
+            calls.append((g.degree(spin), phi))
+            return exact_entanglement(g, phi, spin, cap)
+
+        monkeypatch.setattr(cli, "exact_entanglement", counted)
+        code, out, _ = run(capsys, "sweep", "--preset", "valencia", "--sweep", "0:2pi:5", "--mode", "exact")
+        assert code == 0
+        assert len(set(calls)) == len(calls) == 5 * 3  # valencia's degrees are 1, 3, 1, 2, 1
+        rows = rows_of(out)
+        assert len(rows) == 5 * 5
+        for row in rows:
+            est = exact_entanglement(valencia(), float(row["phi"]), int(row["spin"]))
+            assert [row["mean_x"], row["mean_y"], row["mean_z"], row["entanglement"]] == [
+                repr(v) for v in (*est.bloch.as_tuple(), est.value)
+            ]
 
     def test_shots_rows_fill_error_columns(self, capsys):
         code, out, _ = run(

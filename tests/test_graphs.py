@@ -200,6 +200,16 @@ class TestLightCone:
             valencia().light_cone(5)
 
 
+class TestNeighbours:
+    def test_ascending_and_range_checked(self):
+        assert valencia().neighbours(1) == (0, 2, 3)
+        assert ring(6).neighbours(0) == (1, 5)
+        assert Graph(3, ((0, 1),)).neighbours(2) == ()
+        for l in (-1, 5):
+            with pytest.raises(ValidationError):
+                valencia().neighbours(l)
+
+
 class TestPresets:
     def test_valencia(self):
         assert preset("valencia") == valencia()

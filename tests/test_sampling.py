@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import noisy_bloch_oracle
+from hypothesis import given, settings, strategies as st
 
 from graphent import (
     CalibrationData,
     Circuit,
     Gate,
+    Graph,
     ResourceCapError,
     ShotResult,
     ValidationError,
@@ -20,6 +22,7 @@ from graphent import (
     init_zero,
     parse_calibration,
     path,
+    ring,
     sample_circuit,
     sample_z,
     synthesize_graph_circuit,
@@ -27,8 +30,9 @@ from graphent import (
     valencia_calibration,
 )
 from graphent import sampling
-from graphent.circuits import apply_circuit
-from graphent.sampling import DEFAULT_SHOTS
+from graphent.circuits import apply_circuit, measurement_prelude, synthesize_star_circuit
+from graphent.entanglement import bloch_vector
+from graphent.sampling import DEFAULT_SHOTS, _with_errors
 from graphent.statevector import pauli_means
 
 
@@ -303,6 +307,44 @@ class TestEstimateEntanglementShots:
                 gate_noise=gate_noise, max_qubits=3,
             )
 
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_qubit_cap_is_on_the_star(self, gate_noise):
+        # spin 4 has degree 1: a 2-qubit star in a 5-qubit graph
+        est = estimate_entanglement_shots(
+            valencia(), 0.5, 4, 100, valencia_calibration(), gate_noise=gate_noise, max_qubits=2
+        )
+        assert est.spin == 4
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_graph_beyond_the_cap_is_sampled_on_the_star(self, gate_noise):
+        n = 40
+        cx = {pair: 0.01 for i in range(n) for pair in ((i, (i + 1) % n), ((i + 1) % n, i))}
+        cal = CalibrationData((0.02,) * n, (1e-3,) * n, cx)
+        est = estimate_entanglement_shots(ring(n), 1.0, 7, 2000, cal, seed=4, gate_noise=gate_noise)
+        assert (est.spin, est.shots) == (7, 2000)
+
+    def test_missing_star_cx_entry_rejected_with_physical_pair(self):
+        cal = CalibrationData((0.0,) * 5, (0.0,) * 5, {})
+        with pytest.raises(ValidationError, match="directed pair 1-3"):
+            estimate_entanglement_shots(valencia(), 0.5, 3, 10, cal, gate_noise=True)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: sample_z(init_zero(1), 10, seed),
+            lambda seed: corrupt_readout(
+                sample_z(init_zero(1), 10, 0), CalibrationData((0.1,), (0.0,), {}), seed
+            ),
+            lambda seed: sample_circuit(Circuit(1, (Gate.h(0),)), 10, seed),
+            lambda seed: derive_seeds(seed, 3),
+            lambda seed: estimate_entanglement_shots(valencia(), 0.5, 1, 10, seed=seed),
+        ],
+        ids=["sample_z", "corrupt_readout", "sample_circuit", "derive_seeds", "estimate"],
+    )
+    def test_negative_seed_rejected(self, call):
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            call(-1)
+
 
 def _uniform_cal(n, gate, cx):
     pairs = {(i, j): cx for i in range(n) for j in range(n) if i != j}
@@ -378,9 +420,9 @@ class TestDepolarizingNoise:
     @pytest.mark.parametrize(
         "i,bloch,value",
         [
-            (1, (-0.013, -0.013, 0.755), 0.12238809605628165),
-            (2, (-0.005, 0.011, 0.717), 0.14144909705873004),
-            (3, (-0.011, -0.017, 0.327), 0.33618684424015266),
+            (1, (0.006, 0.021, 0.771), 0.11434536175484677),
+            (2, (-0.018, 0.008, 0.695), 0.15236045967122785),
+            (3, (0.021, 0.01, 0.328), 0.33558816952542614),
         ],
     )
     def test_pinned_valencia_estimates(self, i, bloch, value):
@@ -403,3 +445,132 @@ class TestDepolarizingNoise:
         assert noiseless.value == 0.0
         assert readout_only.value > noiseless.value
         assert noisy.value > readout_only.value + 3 * noisy.std_error
+
+
+def _relabel(gate, index):
+    if gate.kind == "cx":
+        return Gate.cx(index[gate.control], index[gate.target])
+    return Gate(gate.kind, index[gate.target], angle=gate.angle)
+
+
+ALL_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_star_circuit_reduces_the_full_register_under_any_error_pattern(data):
+    """Spin l's exact Bloch vector after an error pattern on the whole graph
+    circuit equals the star's after the same pattern restricted to l's blocks."""
+    n = data.draw(st.integers(2, 8), label="n")
+    pairs = [(i, j) for i, j in ALL_PAIRS if j < n]
+    g = Graph(n, tuple(data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")))
+    l = data.draw(st.integers(0, n - 1), label="l")
+    # few distinct rates, so that orientation ties are common
+    rates = data.draw(st.lists(st.sampled_from([1e-3, 2e-3, 4e-3]), min_size=n, max_size=n))
+    cal = CalibrationData((0.0,) * n, tuple(rates), {})
+    phi = data.draw(st.floats(-2 * math.pi, 2 * math.pi), label="phi")
+    full = synthesize_graph_circuit(g, phi, cal)
+    star_circuit, star = synthesize_star_circuit(g, l, phi, cal)
+    assert star == (l,) + tuple(sorted(m for e in g.edges if l in e for m in e if m != l))
+    blocks = [e for e, edge in enumerate(g.edges) if l in edge]
+    index = {v: s for s, v in enumerate(star)}
+    for b, e in enumerate(blocks):
+        assert [_relabel(gate, index) for gate in full.gates[5 * e : 5 * e + 5]] == list(
+            star_circuit.gates[5 * b : 5 * b + 5]
+        )
+    events = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, max(0, len(full.gates) - 1)), st.integers(1, 15)),
+            unique_by=lambda event: event[0],
+            max_size=8 if full.gates else 0,
+        ),
+        label="events",
+    )
+    pattern = tuple(
+        (idx, code if full.gates[idx].kind == "cx" else 1 + code % 3) for idx, code in sorted(events)
+    )
+    star_pattern = tuple(
+        (5 * blocks.index(idx // 5) + idx % 5, code) for idx, code in pattern if idx // 5 in blocks
+    )
+    full_state = apply_circuit(init_zero(n), _with_errors(full, pattern))
+    star_state = apply_circuit(init_zero(len(star)), _with_errors(star_circuit, star_pattern))
+    expected = bloch_vector(full_state, l).as_tuple()
+    got = bloch_vector(star_state, 0).as_tuple()
+    assert max(abs(a - b) for a, b in zip(expected, got)) <= 1e-9
+
+
+class TestStarOrientation:
+    @pytest.mark.parametrize("cal", [None, _uniform_cal(5, 1e-3, 0.0)], ids=["none", "tied"])
+    def test_ties_break_on_physical_indices(self, cal):
+        # spin 3's star is (3, 1, 4): the tie with 1 rotates on 1 (star qubit 1),
+        # the tie with 4 on 3 (star qubit 0); star indices would pick 0 for both
+        circuit, star = synthesize_star_circuit(valencia(), 3, 0.5, cal)
+        assert star == (3, 1, 4)
+        assert circuit.gates[0] == Gate.cx(1, 0)
+        assert circuit.gates[5] == Gate.cx(0, 2)
+
+    def test_calibration_orients_on_physical_rates(self):
+        # bundled rates: q1 < q0 < q3 < q4 < q2, so spin 1's blocks all rotate on 1
+        circuit, star = synthesize_star_circuit(valencia(), 1, 0.5, valencia_calibration())
+        assert star == (1, 0, 2, 3)
+        assert [circuit.gates[5 * b] for b in range(3)] == [Gate.cx(0, s) for s in (1, 2, 3)]
+        circuit, star = synthesize_star_circuit(valencia(), 4, 0.5, valencia_calibration())
+        assert star == (4, 3)
+        assert circuit.gates[0] == Gate.cx(1, 0)
+
+
+# gate errors chosen so that some blocks rotate on the spin and some on its
+# neighbour, whose errors then reach the spin
+HEAVY = CalibrationData(
+    (0.03, 0.05, 0.02, 0.04, 0.01),
+    (0.02, 0.04, 0.03, 0.08, 0.05),
+    {(i, j): 0.03 + 0.005 * (i + j) for i in range(5) for j in range(5) if i != j},
+)
+NOISE_CASES = {
+    "noiseless": (None, False),
+    "readout": (valencia_calibration(), False),
+    "gate-noise": (valencia_calibration(), True),
+    "heavy-gate-noise": (HEAVY, True),
+}
+
+
+class TestAgainstNoisyOracle:
+    """Star estimates sit within 5 sigma of the exact noisy means of the whole circuit."""
+
+    SHOTS = 20_000
+
+    @pytest.mark.parametrize("case", NOISE_CASES)
+    @pytest.mark.parametrize("spin,phi", [(1, 0.9), (3, 2.3), (4, -1.2)])
+    def test_valencia_within_five_sigma(self, case, spin, phi):
+        cal, gate_noise = NOISE_CASES[case]
+        expected = noisy_bloch_oracle(valencia(), phi, spin, cal, gate_noise)
+        est = estimate_entanglement_shots(
+            valencia(), phi, spin, self.SHOTS, cal, seed=31, gate_noise=gate_noise
+        )
+        for got, mean in zip(est.bloch.as_tuple(), expected):
+            assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / self.SHOTS)
+
+    def test_heavy_noise_moves_the_oracle_beyond_the_band(self):
+        # so the heavy case can tell gate noise from readout alone
+        noisy = noisy_bloch_oracle(valencia(), 0.9, 1, HEAVY, True)[2]
+        readout = noisy_bloch_oracle(valencia(), 0.9, 1, HEAVY, False)[2]
+        assert readout - noisy > 10 * math.sqrt(1 / self.SHOTS)
+
+
+class TestAgainstFullRegister:
+    """Star estimates agree with the full-register sampler of the whole graph circuit."""
+
+    SHOTS = 20_000
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    @pytest.mark.parametrize("spin,phi", [(1, 0.9), (3, 2.3)])
+    def test_valencia_within_five_sigma(self, gate_noise, spin, phi):
+        g, cal = valencia(), valencia_calibration()
+        base = synthesize_graph_circuit(g, phi, cal)
+        est = estimate_entanglement_shots(g, phi, spin, self.SHOTS, cal, seed=8, gate_noise=gate_noise)
+        for k, (axis, got) in enumerate(zip("xyz", est.bloch.as_tuple())):
+            circuit = Circuit(g.n_vertices, base.gates + measurement_prelude(axis, spin))
+            full = sample_circuit(circuit, self.SHOTS, 50 + k, cal if gate_noise else None)
+            mean, se = estimate_mean_z(corrupt_readout(full, cal, 60 + k), spin)
+            se_star = math.sqrt((1 - got * got) / self.SHOTS)
+            assert abs(got - mean) <= 5 * math.hypot(se, se_star)
