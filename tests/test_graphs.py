@@ -174,6 +174,14 @@ class TestNeighbours:
         assert g.degree(10**6 - 1) == 0
         assert g.degree(1) == 1
 
+    def test_ascending_and_range_checked(self):
+        assert valencia().neighbours(1) == (0, 2, 3)
+        assert ring(6).neighbours(0) == (1, 5)
+        assert Graph(3, ((0, 1),)).neighbours(2) == ()
+        for l in (-1, 5):
+            with pytest.raises(ValidationError):
+                valencia().neighbours(l)
+
 
 class TestLightCone:
     def test_valencia_hub_is_a_three_star(self):
@@ -198,16 +206,6 @@ class TestLightCone:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             valencia().light_cone(5)
-
-
-class TestNeighbours:
-    def test_ascending_and_range_checked(self):
-        assert valencia().neighbours(1) == (0, 2, 3)
-        assert ring(6).neighbours(0) == (1, 5)
-        assert Graph(3, ((0, 1),)).neighbours(2) == ()
-        for l in (-1, 5):
-            with pytest.raises(ValidationError):
-                valencia().neighbours(l)
 
 
 class TestPresets:
