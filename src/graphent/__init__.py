@@ -48,12 +48,10 @@ from .graphs import (
 from .sampling import (
     DEFAULT_SHOTS,
     ShotResult,
-    corrupt_readout,
     derive_seeds,
     estimate_entanglement_shots,
     estimate_mean_z,
     sample_circuit,
-    sample_z,
 )
 from .statevector import (
     DEFAULT_MAX_QUBITS,

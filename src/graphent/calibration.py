@@ -18,7 +18,7 @@ from importlib import resources
 
 from .errors import ValidationError
 
-_PAIR_RE = re.compile(r"^(\d+)-(\d+)$")
+_PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def parse_calibration(text: str) -> CalibrationData:
         raise ValidationError("cx_error must be an object keyed by 'control-target'")
     cx: dict[tuple[int, int], float] = {}
     for key, value in obj["cx_error"].items():
-        m = _PAIR_RE.match(key)
+        m = _PAIR_RE.fullmatch(key)
         if not m:
             raise ValidationError(f"cx_error key {key!r} is not of the form 'c-t'")
         cx[(int(m.group(1)), int(m.group(2)))] = _number(value, f"cx_error[{key}]")

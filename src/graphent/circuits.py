@@ -43,8 +43,6 @@ class Circuit:
         for g in self.gates:
             if g.target >= self.n_qubits or (g.control is not None and g.control >= self.n_qubits):
                 raise ValidationError(f"gate {g} out of range for {self.n_qubits} qubits")
-            if g.angle is not None and not math.isfinite(g.angle):
-                raise ValidationError(f"gate {g} has a non-finite angle")
 
 
 def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from .circuits import circuit_text, synthesize_graph_circuit
 from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
 from .errors import ConsistencyError, GraphentError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
-from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
+from .sampling import DEFAULT_SHOTS, _checked_shots, derive_seeds, estimate_entanglement_shots
 from .statevector import DEFAULT_MAX_QUBITS
 from .validation import run_validation
 
@@ -305,8 +305,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # entangle, sweep and validate, whatever the mode
             raise UsageError(f"seed must be non-negative, got {args.seed}")
-        if getattr(args, "shots", 1) < 1:  # entangle and sweep, whatever the mode
-            raise ValidationError(f"shot count must be positive, got {args.shots}")
+        if hasattr(args, "shots"):  # entangle and sweep, whatever the mode
+            _checked_shots(args.shots)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

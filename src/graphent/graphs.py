@@ -98,10 +98,13 @@ class Graph:
 
 
 def _as_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValidationError(f"expected integer {what}, got {token!r}") from None
+    """``token`` if ASCII decimal, ``-?[0-9]+``; ``int`` would also take ``1_1``, ``+3``, ``３``."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValidationError(f"expected integer {what}, got {token!r}")
 
 
 def _data_lines(text: str) -> list[str]:
@@ -199,7 +202,8 @@ def _looks_like_adjacency(text: str) -> bool:
     if not data or len(data[0]) != 1 or not data[0][0].isdecimal():
         return False
     rows = data[1:]
-    return len(rows) == int(data[0][0]) and all(
+    # compared as digit strings: int() refuses counts of more than 4300 digits
+    return data[0][0].lstrip("0") == str(len(rows)).lstrip("0") and all(
         len(r) == len(rows) and set(r) <= {"0", "1"} for r in rows
     )
 
@@ -268,7 +272,7 @@ def preset(name: str) -> Graph:
     spec = name.strip().lower()
     if spec == "valencia":
         return valencia()
-    m = re.fullmatch(r"([a-z]+)\((\d+)\)", spec) or re.fullmatch(r"([a-z]+):(\d+)", spec)
+    m = re.fullmatch(r"([a-z]+)\(([0-9]+)\)", spec) or re.fullmatch(r"([a-z]+):([0-9]+)", spec)
     if m and m.group(1) in _SIZED_PRESETS:
         return _SIZED_PRESETS[m.group(1)](int(m.group(2)))
     raise ValidationError(

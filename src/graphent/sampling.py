@@ -8,12 +8,9 @@ bit convention: bit ``l`` of an outcome is the measured bit of qubit ``l``.
 Determinism: every sampling entry point takes a non-negative integer seed and
 is bit-reproducible for a fixed seed and numpy version. Derived substreams
 come from ``numpy.random.SeedSequence`` spawning in a documented order; for
-``estimate_entanglement_shots`` that order is (z sample, z readout, x sample,
-x readout, y sample, y readout).
+``estimate_entanglement_shots`` that order is (z, x, y), one substream per
+axis, which draws the axis's error patterns and then its counts.
 
-Every circuit's shots are drawn by :func:`sample_circuit`, which runs the
-circuit from |0...0> through ``apply_circuit`` and samples z outcomes.
-Readout error is a symmetric per-qubit bit flip (:func:`corrupt_readout`).
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 is a trajectory approximation: after each gate, with the calibrated
 probability, a uniformly random non-identity Pauli hits the gate's qubit(s).
@@ -29,9 +26,14 @@ leaves that block an XX rotation at -phi/2 or +phi/2 times a Pauli on the
 edge; pushed to the end of the circuit it can only flip the signs of the XX
 rotations it passes, and spin ``l``'s marginal of commuting XX rotations does
 not depend on their signs. So only the blocks at ``l``, the prelude and the
-errors drawn on their gates reach ``l``'s statistics, noise included. The
-full-register :func:`sample_circuit` of the whole graph circuit is the oracle
-the star route is tested against.
+errors drawn on their gates reach ``l``'s statistics, noise included.
+
+The route keeps only the count of shots that read ``l`` as 1. Readout error
+is a symmetric per-shot flip of that bit with probability ``r``, so each shot
+of an error pattern whose state gives ``l`` the z probability ``p1`` reads 1
+with probability ``r + (1 - 2r) p1``, independently: the pattern's ``k`` shots
+add one binomial draw to the count. The full-register :func:`sample_circuit`,
+which draws every shot's outcome, is the oracle the route is tested against.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+def _checked_shots(shots: int) -> None:
+    """Raise unless ``shots`` is a positive count that numpy's int64 draws can hold."""
+    if shots < 1:
+        raise ValidationError(f"shot count must be positive, got {shots}")
+    if shots >= 1 << 63:
+        raise ValidationError(f"shot count must be below 2**63, got {shots}")
+
+
 def _draw_outcomes(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(state.probabilities())
     cdf /= cdf[-1]
@@ -93,41 +103,17 @@ def _draw_outcomes(state: StateVector, shots: int, rng: np.random.Generator) -> 
     return np.minimum(idx, len(cdf) - 1)
 
 
-def sample_z(state: StateVector, shots: int, seed: int) -> ShotResult:
-    """Draw ``shots`` i.i.d. z-basis outcomes from |amplitude|^2."""
-    if shots < 1:
-        raise ValidationError(f"shot count must be positive, got {shots}")
-    rng = np.random.default_rng(_checked_seed(seed))
-    return ShotResult(state.n_qubits, _draw_outcomes(state, shots, rng))
-
-
-def corrupt_readout(result: ShotResult, cal: CalibrationData, seed: int) -> ShotResult:
-    """Flip each bit of each shot independently with its qubit's readout error.
-
-    Flips are drawn qubit by qubit in ascending order over the outcomes in
-    shot order, so the operation is seed-deterministic. The input is not modified.
-    """
-    n = result.n_qubits
-    if cal.n_qubits < n:
-        raise ValidationError(
-            f"calibration covers {cal.n_qubits} qubits, result has {n}"
-        )
-    rng = np.random.default_rng(_checked_seed(seed))
-    outcomes = result.outcomes.copy()
-    for l in range(n):
-        flips = rng.random(result.shots) < cal.readout_error[l]
-        outcomes[flips] ^= 1 << l
-    return ShotResult(n, outcomes)
+def _z_mean(ones: int, shots: int) -> tuple[float, float]:
+    """(mean, std_error) of ``ones`` 1-reads in ``shots``: (n0 - n1)/shots, sqrt((1 - mean^2)/shots)."""
+    mean = (shots - 2 * ones) / shots
+    return mean, math.sqrt(max(0.0, 1.0 - mean * mean) / shots)
 
 
 def estimate_mean_z(result: ShotResult, l: int) -> tuple[float, float]:
-    """(mean, std_error) of the qubit-``l`` z outcome: (n0 - n1)/shots, sqrt((1 - mean^2)/shots)."""
+    """(mean, std_error) of the qubit-``l`` z outcome, as :func:`_z_mean` counts them."""
     if not 0 <= l < result.n_qubits:
         raise ValidationError(f"qubit {l} out of range for {result.n_qubits}-bit outcomes")
-    n1 = int(np.count_nonzero((result.outcomes >> l) & 1))
-    mean = (result.shots - 2 * n1) / result.shots
-    std_error = math.sqrt(max(0.0, 1.0 - mean * mean) / result.shots)
-    return mean, std_error
+    return _z_mean(int(np.count_nonzero((result.outcomes >> l) & 1)), result.shots)
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -145,17 +131,13 @@ def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) ->
     norm = b.norm()
     if norm == 0.0:
         return max(errors) / 2.0
-    return 0.5 * math.sqrt(
-        sum((m * s) ** 2 for m, s in zip(b.as_tuple(), errors))
-    ) / norm
+    return 0.5 * math.sqrt(sum((m * s) ** 2 for m, s in zip(b.as_tuple(), errors))) / norm
 
 
-def _star_calibration(
-    cal: CalibrationData, star: tuple[int, ...], circuit: Circuit, gate_noise: bool
-) -> CalibrationData:
-    """``cal`` on star qubits: row ``s`` is vertex ``star[s]``'s, and with
-    ``gate_noise`` the cx entries of the circuit's directed pairs."""
-    pairs = {(g.control, g.target) for g in circuit.gates if g.kind == "cx"} if gate_noise else ()
+def _star_calibration(cal: CalibrationData, star: tuple[int, ...], circuit: Circuit) -> CalibrationData:
+    """``cal`` on star qubits: row ``s`` is vertex ``star[s]``'s, with the
+    cx entries of the circuit's directed pairs."""
+    pairs = {(g.control, g.target) for g in circuit.gates if g.kind == "cx"}
     return CalibrationData(
         readout_error=tuple(cal.readout_error[v] for v in star),
         gate_error=tuple(cal.gate_error[v] for v in star),
@@ -177,34 +159,35 @@ def estimate_entanglement_shots(
     """Three-experiment shot estimate of spin ``l``'s entanglement.
 
     One circuit execution per axis (z, x, y) on the star of ``l`` (see
-    :func:`synthesize_star_circuit`): ``l``'s edge blocks, the measurement
-    prelude, z sampling, then readout corruption of ``l``'s bit when
-    calibration is given. ``gate_noise=True`` also draws gate/CX error
-    trajectories over the star's gates from the calibration (required then).
-    ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
+    :func:`synthesize_star_circuit`): ``l``'s edge blocks and the measurement
+    prelude, then one binomial count of the shots that read ``l`` as 1, with
+    ``l``'s readout error composed into its probability when calibration is
+    given. ``gate_noise=True`` also draws gate/CX error trajectories over the
+    star's gates from the calibration (required then), one count per
+    trajectory. ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
     """
     g.degree(l)  # spin-range check
     if not math.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi!r}")
+    _checked_shots(shots)
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
     base, star = synthesize_star_circuit(g, l, phi, cal)
-    star_cal = None if cal is None else _star_calibration(cal, star, base, gate_noise)
-    subseeds = derive_seeds(seed, 6)
+    star_cal = _star_calibration(cal, star, base) if gate_noise else None
+    r = 0.0 if cal is None else cal.readout_error[l]
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
-    for k, axis in enumerate(("z", "x", "y")):
+    for axis, axis_seed in zip(("z", "x", "y"), derive_seeds(seed, 3)):
         circuit = Circuit(base.n_qubits, base.gates + measurement_prelude(axis, 0))
-        sample_seed, readout_seed = subseeds[2 * k], subseeds[2 * k + 1]
-        result = sample_circuit(
-            circuit, shots, sample_seed, star_cal if gate_noise else None, max_qubits=max_qubits
-        )
-        if star_cal is not None:
-            # only spin l, the low bit of a star outcome, is read
-            result = corrupt_readout(ShotResult(1, result.outcomes & 1), star_cal, readout_seed)
-        means[axis], errors[axis] = estimate_mean_z(result, 0)
+        rng = np.random.default_rng(axis_seed)
+        ones = 0
+        for trajectory, k in _trajectories(circuit, shots, star_cal, rng):
+            probs = apply_circuit(init_zero(circuit.n_qubits, max_qubits), trajectory).probabilities()
+            p1 = probs[1::2].sum() / probs.sum()  # spin l is the star's qubit 0
+            ones += int(rng.binomial(k, r + (1 - 2 * r) * p1))
+        means[axis], errors[axis] = _z_mean(ones, shots)
     bloch = BlochVector(means["x"], means["y"], means["z"])
     err3 = (errors["x"], errors["y"], errors["z"])
     return EntanglementEstimate(
@@ -249,30 +232,18 @@ def _with_errors(circuit: Circuit, pattern: tuple[tuple[int, int], ...]) -> Circ
     return Circuit(circuit.n_qubits, tuple(gates))
 
 
-def sample_circuit(
-    circuit: Circuit,
-    shots: int,
-    seed: int,
-    cal: CalibrationData | None = None,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> ShotResult:
-    """Run ``circuit`` from |0...0> and draw ``shots`` z-basis outcomes.
+def _trajectories(
+    circuit: Circuit, shots: int, cal: CalibrationData | None, rng: np.random.Generator
+) -> list[tuple[Circuit, int]]:
+    """(circuit with an error pattern's Pauli gates inserted, shots) per drawn pattern.
 
-    Without calibration, or with every gate/CX error zero, this is exactly
-    ``sample_z(apply_circuit(init_zero(n), circuit), shots, seed)``. Otherwise
-    each shot gets an error trajectory (see the module docstring); shots
-    sharing an error pattern share one simulation of the circuit with its
-    Pauli gates inserted and draw their outcomes from it, which is identical
-    in distribution to simulating every shot separately.
+    Without calibration, or with every gate/CX error zero, the circuit takes
+    every shot and ``rng`` is not drawn from. Otherwise each shot draws its
+    errors (see the module docstring), TRAJECTORY_CHUNK shots at a time.
     """
-    if shots < 1:
-        raise ValidationError(f"shot count must be positive, got {shots}")
-    n = circuit.n_qubits
     probs = np.array([] if cal is None else [_site_error(g, cal) for g in circuit.gates])
     if not probs.any():
-        return sample_z(apply_circuit(init_zero(n, max_qubits), circuit), shots, seed)
-    rng = np.random.default_rng(_checked_seed(seed))
+        return [(circuit, shots)]
     row_chunks, col_chunks = [], []
     for start in range(0, shots, TRAJECTORY_CHUNK):
         hits = rng.random((min(TRAJECTORY_CHUNK, shots - start), len(probs))) < probs
@@ -287,9 +258,28 @@ def sample_circuit(
         shot_events.setdefault(row, []).append((col, code))
     groups = [((), shots - len(shot_events))]
     groups += Counter(tuple(events) for events in shot_events.values()).items()
-    pieces = []
-    for pattern, k in groups:
-        if k:
-            state = apply_circuit(init_zero(n, max_qubits), _with_errors(circuit, pattern))
-            pieces.append(_draw_outcomes(state, k, rng))
+    return [(_with_errors(circuit, pattern), k) for pattern, k in groups if k]
+
+
+def sample_circuit(
+    circuit: Circuit,
+    shots: int,
+    seed: int,
+    cal: CalibrationData | None = None,
+    *,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> ShotResult:
+    """Run ``circuit`` from |0...0> and draw ``shots`` z-basis outcomes.
+
+    The shots of each error pattern (:func:`_trajectories`) share one
+    simulation and draw their outcomes from it, which is identical in
+    distribution to simulating every shot separately.
+    """
+    _checked_shots(shots)
+    rng = np.random.default_rng(_checked_seed(seed))
+    n = circuit.n_qubits
+    pieces = [
+        _draw_outcomes(apply_circuit(init_zero(n, max_qubits), trajectory), k, rng)
+        for trajectory, k in _trajectories(circuit, shots, cal, rng)
+    ]
     return ShotResult(n, np.concatenate(pieces))

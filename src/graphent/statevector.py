@@ -67,6 +67,8 @@ class Gate:
             if self.kind in _ANGLED_KINDS:
                 if self.angle is None:
                     raise ValidationError(f"{self.kind} requires an angle")
+                if not math.isfinite(self.angle):
+                    raise ValidationError(f"gate {self} has a non-finite angle")
             elif self.angle is not None:
                 raise ValidationError(f"{self.kind} takes no angle")
 

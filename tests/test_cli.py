@@ -458,6 +458,29 @@ class TestGraphInput:
         code, _, _ = run(capsys, "entangle", "--graph", str(p), "--phi", "0", "--spin", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            ("1_1\n0 1\n", "edge-list"),
+            ("+3\n0 1\n", "edge-list"),
+            ("3\n0 ２\n", "edge-list"),
+            ("2\n0_0 1\n1 0\n", "adjacency"),
+            ("+2\n0 1\n1 0\n", "adjacency"),
+            ("2\n0 １\n１ 0\n", "adjacency"),
+        ],
+        ids=[f"{kind}-{bad}" for kind in ("edge", "adj") for bad in ("underscore", "plus", "fullwidth")],
+    )
+    def test_integers_are_ascii_decimal(self, capsys, tmp_path, text, fmt):
+        # Python's int() would read these as 11, 3, 2, 0, 2 and 1
+        p = tmp_path / "g.txt"
+        p.write_text(text, encoding="utf-8")
+        for f in (fmt, "auto"):
+            code, out, err = run(
+                capsys, "entangle", "--graph", str(p), "--phi", "0", "--spin", "0", "--format", f,
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: expected integer")
+
     def test_bad_calibration_file(self, capsys, tmp_path):
         cal = tmp_path / "cal.json"
         cal.write_text("{}")
@@ -583,6 +606,32 @@ class TestShotCount:
         assert out == ""
         assert err == f"error: shot count must be positive, got {shots}\n"
 
+    @pytest.mark.parametrize("mode", METHODS)
+    @pytest.mark.parametrize(
+        "args",
+        [["entangle", "--phi", "1", "--spin", "1"], ["sweep", "--sweep", "0:1:2"]],
+        ids=["entangle", "sweep"],
+    )
+    def test_beyond_int64_is_rejected_in_every_mode(self, capsys, args, mode):
+        code, out, err = run(
+            capsys, *args, "--preset", "valencia", "--mode", mode, "--shots", str(2**63)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: shot count must be below 2**63, got {2**63}\n"
+
+    def test_largest_count_is_estimated(self, capsys):
+        code, out, _ = run(
+            capsys, "entangle", "--preset", "valencia", "--phi", "1", "--spin", "1",
+            "--mode", "shots", "--shots", str(2**63 - 1),
+            "--calibration", str(ROOT / "src/graphent/data/valencia_calibration.json"),
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["shots"] == 2**63 - 1
+        # spin 1's readout error is 2.92e-2; sigma is about 1e-10 at this count
+        expected_z = math.cos(1.0) ** 3 * (1 - 2 * 2.92e-2)
+        assert abs(record["bloch"][2] - expected_z) < 1e-8
+
 
 ENTRY_POINTS = (
     [["entangle", "--preset", "valencia", "--phi", "1", "--spin", "0", "--mode", m] for m in METHODS]
@@ -605,7 +654,7 @@ class TestSeed:
 @given(
     entry=st.sampled_from(ENTRY_POINTS),
     seed=st.integers(-3, 5),
-    shots=st.integers(-2, 256),
+    shots=st.one_of(st.integers(-2, 256), st.integers(-2, 2**66)),
     cap=st.integers(-1, 8),
     trials=st.integers(-1, 2),
     max_n=st.integers(-1, 4),

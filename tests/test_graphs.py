@@ -97,6 +97,8 @@ class TestParsing:
             ('{"edges": []}', "json"),  # no n and nothing to infer from
             ("not json", "json"),
             ("\u00b2\n0 1\n", "auto"),  # non-ASCII digit as vertex count
+            ("1" * 5000 + "\n0 1\n", "auto"),  # beyond int()'s digit limit
+            ("1" * 5000 + "\n0 1\n", "edge-list"),
         ],
     )
     def test_rejects_malformed(self, text, fmt):

@@ -13,8 +13,6 @@ from graphent import (
     ResourceCapError,
     ShotResult,
     ValidationError,
-    apply_gate,
-    corrupt_readout,
     derive_seeds,
     estimate_entanglement_shots,
     estimate_mean_z,
@@ -24,7 +22,6 @@ from graphent import (
     path,
     ring,
     sample_circuit,
-    sample_z,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
@@ -71,6 +68,7 @@ class TestCalibration:
             '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"0-1": null}}',
             '{"readout_error": ["0.1"], "gate_error": [0.1], "cx_error": {}}',
             '{"readout_error": [0.1], "gate_error": [true], "cx_error": {}}',
+            '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"\uff10-1": 0.1}}',
         ],
     )
     def test_rejects_malformed(self, text):
@@ -121,80 +119,62 @@ class TestShotResult:
 
 
 class TestSampleZ:
+    """z-basis outcomes as :func:`sample_circuit` draws them."""
+
     def test_deterministic_state_all_one_outcome(self):
-        r = sample_z(init_zero(2), 500, seed=0)
+        r = sample_circuit(Circuit(2), 500, seed=0)
         assert r.counts == {"00": 500}
 
     def test_h_state_frequency_band(self):
-        s = apply_gate(init_zero(1), Gate.h(0))
-        r = sample_z(s, 100_000, seed=42)
+        r = sample_circuit(Circuit(1, (Gate.h(0),)), 100_000, seed=42)
         f = r.counts["0"] / r.shots
         assert abs(f - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
 
     def test_seed_replay_identical(self):
-        s = apply_gate(init_zero(3), Gate.h(1))
-        assert sample_z(s, 4096, seed=9).counts == sample_z(s, 4096, seed=9).counts
+        c = Circuit(3, (Gate.h(1),))
+        first, again = (sample_circuit(c, 4096, seed=9).outcomes for _ in range(2))
+        assert np.array_equal(first, again)
 
     def test_bit_convention_first_char_is_qubit_zero(self):
-        s = init_zero(2)
-        s.amps[:] = [0, 1, 0, 0]  # qubit 0 set, qubit 1 clear
-        r = sample_z(s, 10, seed=0)
+        r = sample_circuit(Circuit(2, (Gate("x", 0),)), 10, seed=0)  # qubit 0 set, qubit 1 clear
         assert r.counts == {"10": 10}
 
     def test_zero_shots_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_z(init_zero(1), 0, seed=0)
+        with pytest.raises(ValidationError, match="shot count must be positive"):
+            sample_circuit(Circuit(1), 0, seed=0)
+
+    def test_count_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError, match="shot count must be below 2\\*\\*63"):
+            sample_circuit(Circuit(1), 2**63, seed=0)
 
 
 class TestCorruptReadout:
+    """Readout error as the shots route composes it into spin l's count of ones."""
+
     def test_zero_error_leaves_counts_unchanged(self):
-        cal = CalibrationData((0.0, 0.0), (0.0, 0.0), {})
-        r = sample_z(apply_gate(init_zero(2), Gate.h(0)), 2000, seed=3)
-        assert corrupt_readout(r, cal, seed=4).counts == r.counts
+        cal = CalibrationData((0.0,) * 5, (0.0,) * 5, {})
+        assert estimate_entanglement_shots(valencia(), 0.7, 1, 2000, cal, seed=3) == (
+            estimate_entanglement_shots(valencia(), 0.7, 1, 2000, seed=3)
+        )
 
     def test_table_flip_rate_on_deterministic_input(self):
+        # at phi = 0 spin 0 reads 0 on every shot before its readout flips
         eps = 0.0433
-        cal = CalibrationData((eps,), (0.0,), {})
-        r = sample_z(init_zero(1), 100_000, seed=5)
-        corrupted = corrupt_readout(r, cal, seed=6)
-        f = corrupted.counts.get("1", 0) / corrupted.shots
+        cal = CalibrationData((eps, 0.0), (0.0, 0.0), {})
+        est = estimate_entanglement_shots(path(2), 0.0, 0, 100_000, cal, seed=5)
+        f = (1 - est.bloch.mz) / 2
         assert abs(f - eps) <= 3 * math.sqrt(eps * (1 - eps) / 100_000)
 
     def test_half_error_depolarizes_bit(self):
-        cal = CalibrationData((0.5,), (0.0,), {})
-        r = sample_z(init_zero(1), 40_000, seed=7)
-        mean, se = estimate_mean_z(corrupt_readout(r, cal, seed=8), 0)
-        assert abs(mean) <= 4 * se
-
-    def test_double_pass_matches_single_pass_at_composed_rate(self):
-        eps = 0.3
-        shots = 100_000
-        r = sample_z(init_zero(1), shots, seed=10)
-        twice = corrupt_readout(
-            corrupt_readout(r, CalibrationData((eps,), (0.0,), {}), seed=11),
-            CalibrationData((eps,), (0.0,), {}),
-            seed=12,
-        )
-        composed = 2 * eps * (1 - eps)
-        once = corrupt_readout(r, CalibrationData((composed,), (0.0,), {}), seed=13)
-        f_twice = twice.counts["1"] / shots
-        f_once = once.counts["1"] / shots
-        band = 4 * math.sqrt(2 * composed * (1 - composed) / shots)
-        assert abs(f_twice - f_once) <= band
-
-    def test_input_outcomes_unchanged(self):
-        cal = CalibrationData((0.5, 0.5), (0.0, 0.0), {})
-        r = sample_z(apply_gate(init_zero(2), Gate.h(0)), 2000, seed=3)
-        before = r.outcomes.copy()
-        corrupted = corrupt_readout(r, cal, seed=4)
-        assert np.array_equal(r.outcomes, before)
-        assert not np.array_equal(corrupted.outcomes, before)
+        cal = CalibrationData((0.5, 0.0), (0.0, 0.0), {})
+        est = estimate_entanglement_shots(path(2), 0.6, 0, 40_000, cal, seed=7)
+        for mean in est.bloch.as_tuple():
+            assert abs(mean) <= 4 * math.sqrt(1 / 40_000)
 
     def test_calibration_size_mismatch(self):
         cal = CalibrationData((0.1,), (0.0,), {})
-        r = sample_z(init_zero(2), 10, seed=0)
-        with pytest.raises(ValidationError):
-            corrupt_readout(r, cal, seed=0)
+        with pytest.raises(ValidationError, match="calibration covers 1 qubits, graph has 2"):
+            estimate_entanglement_shots(path(2), 0.6, 0, 10, cal)
 
 
 class TestEstimateMeanZ:
@@ -224,14 +204,13 @@ class TestEstimateMeanZ:
             estimate_mean_z(ShotResult(1, _outcomes(0)), 1)
 
     def test_consistency_with_exact_expectation_over_seeds(self):
-        g = path(2)
-        state = init_zero(2)
-        apply_circuit(state, synthesize_graph_circuit(g, 0.9))
+        circuit = synthesize_graph_circuit(path(2), 0.9)
+        state = apply_circuit(init_zero(2), circuit)
         exact = pauli_means(state, 0)[2]
         hits = 0
         trials = 1000
         for seed in range(trials):
-            mean, se = estimate_mean_z(sample_z(state, 1000, seed=seed), 0)
+            mean, se = estimate_mean_z(sample_circuit(circuit, 1000, seed=seed), 0)
             if abs(mean - exact) <= 3 * se:
                 hits += 1
         assert hits >= 990
@@ -328,18 +307,18 @@ class TestEstimateEntanglementShots:
         with pytest.raises(ValidationError, match="directed pair 1-3"):
             estimate_entanglement_shots(valencia(), 0.5, 3, 10, cal, gate_noise=True)
 
+    def test_count_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError, match="shot count must be below 2\\*\\*63"):
+            estimate_entanglement_shots(valencia(), 0.5, 1, 2**63)
+
     @pytest.mark.parametrize(
         "call",
         [
-            lambda seed: sample_z(init_zero(1), 10, seed),
-            lambda seed: corrupt_readout(
-                sample_z(init_zero(1), 10, 0), CalibrationData((0.1,), (0.0,), {}), seed
-            ),
             lambda seed: sample_circuit(Circuit(1, (Gate.h(0),)), 10, seed),
             lambda seed: derive_seeds(seed, 3),
             lambda seed: estimate_entanglement_shots(valencia(), 0.5, 1, 10, seed=seed),
         ],
-        ids=["sample_z", "corrupt_readout", "sample_circuit", "derive_seeds", "estimate"],
+        ids=["sample_circuit", "derive_seeds", "estimate"],
     )
     def test_negative_seed_rejected(self, call):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
@@ -357,11 +336,9 @@ class TestDepolarizingNoise:
         circuit = synthesize_graph_circuit(g, 0.8)
         cal = _uniform_cal(5, 0.0, 0.0)
         state = apply_circuit(init_zero(5), circuit)
-        noiseless = sample_z(state, 5000, seed=33)
+        noiseless = sampling._draw_outcomes(state, 5000, np.random.default_rng(33))
         for c in (cal, None):
-            result = sample_circuit(circuit, 5000, 33, c)
-            assert result.counts == noiseless.counts
-            assert np.array_equal(result.outcomes, noiseless.outcomes)
+            assert np.array_equal(sample_circuit(circuit, 5000, 33, c).outcomes, noiseless)
 
     def test_rate_one_identity_circuit_depolarizes(self):
         circuit = Circuit(1, tuple(Gate.h(0) for _ in range(8)))
@@ -409,6 +386,23 @@ class TestDepolarizingNoise:
         with pytest.raises(ValidationError, match="shot count must be positive"):
             sample_circuit(circuit, 0, 0, cal)
 
+    def test_trajectories_without_errors_draw_nothing(self):
+        circuit = synthesize_graph_circuit(path(3), 0.5)
+        rng = np.random.default_rng(1)
+        for cal in (None, _uniform_cal(3, 0.0, 0.0)):
+            assert sampling._trajectories(circuit, 10**15, cal, rng) == [(circuit, 10**15)]
+        assert rng.random() == np.random.default_rng(1).random()
+
+    def test_trajectories_split_the_shots_by_error_pattern(self):
+        circuit = synthesize_graph_circuit(path(3), 0.5)
+        cal = _uniform_cal(3, 0.02, 0.05)
+        groups = sampling._trajectories(circuit, 5000, cal, np.random.default_rng(2))
+        assert sum(k for _, k in groups) == 5000
+        assert all(k > 0 for _, k in groups)
+        assert groups[0][0].gates == circuit.gates  # the error-free pattern comes first
+        patterns = [tuple(g for g in c.gates if g.kind in "xyz") for c, _ in groups[1:]]
+        assert all(patterns) and len(set(c.gates for c, _ in groups)) == len(groups)
+
     def test_chunked_hit_draws_match_one_draw(self, monkeypatch):
         circuit = synthesize_graph_circuit(path(3), 0.5)
         cal = _uniform_cal(3, 0.02, 0.05)
@@ -420,9 +414,9 @@ class TestDepolarizingNoise:
     @pytest.mark.parametrize(
         "i,bloch,value",
         [
-            (1, (0.006, 0.021, 0.771), 0.11434536175484677),
-            (2, (-0.018, 0.008, 0.695), 0.15236045967122785),
-            (3, (0.021, 0.01, 0.328), 0.33558816952542614),
+            (1, (-0.031, 0.018, 0.782), 0.10858940995420163),
+            (2, (-0.004, -0.017, 0.682), 0.15888821480341664),
+            (3, (0.001, 0.014, 0.36), 0.31986324639319164),
         ],
     )
     def test_pinned_valencia_estimates(self, i, bloch, value):
@@ -550,6 +544,19 @@ class TestAgainstNoisyOracle:
         for got, mean in zip(est.bloch.as_tuple(), expected):
             assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / self.SHOTS)
 
+    @pytest.mark.parametrize("case", ["noiseless", "readout"])
+    @pytest.mark.parametrize("spin,phi", [(1, 0.9), (3, 2.3), (4, -1.2)])
+    def test_counts_are_exact_at_a_trillion_shots(self, case, spin, phi):
+        # one binomial per axis makes the count cost independent of the shot
+        # number; at 1e12 shots 5 sigma is 5e-6, so a readout composition off
+        # by about 1e-5 fails
+        shots = 10**12
+        cal, _ = NOISE_CASES[case]
+        expected = noisy_bloch_oracle(valencia(), phi, spin, cal)
+        est = estimate_entanglement_shots(valencia(), phi, spin, shots, cal, seed=32)
+        for got, mean in zip(est.bloch.as_tuple(), expected):
+            assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / shots)
+
     def test_heavy_noise_moves_the_oracle_beyond_the_band(self):
         # so the heavy case can tell gate noise from readout alone
         noisy = noisy_bloch_oracle(valencia(), 0.9, 1, HEAVY, True)[2]
@@ -571,6 +578,9 @@ class TestAgainstFullRegister:
         for k, (axis, got) in enumerate(zip("xyz", est.bloch.as_tuple())):
             circuit = Circuit(g.n_vertices, base.gates + measurement_prelude(axis, spin))
             full = sample_circuit(circuit, self.SHOTS, 50 + k, cal if gate_noise else None)
-            mean, se = estimate_mean_z(corrupt_readout(full, cal, 60 + k), spin)
+            # readout error r_l scales a mean by 1 - 2 r_l, as in noisy_bloch_oracle
+            mean, se = (
+                (1 - 2 * cal.readout_error[spin]) * m for m in estimate_mean_z(full, spin)
+            )
             se_star = math.sqrt((1 - got * got) / self.SHOTS)
             assert abs(got - mean) <= 5 * math.hypot(se, se_star)

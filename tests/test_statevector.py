@@ -75,6 +75,15 @@ class TestGateType:
         with pytest.raises(ValidationError):
             Gate(axis, 0, control=1)
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["p", "rx", "ry"])
+    def test_non_finite_angle_rejected(self, kind, angle):
+        # an input error (exit 2), not a math domain error or a drifted norm
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            getattr(Gate, kind)(0, angle)
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            Gate(kind, 0, angle=angle)
+
 
 class TestApplyGate:
     def test_h_on_zero(self):
@@ -181,8 +190,10 @@ class TestApplyGate:
             apply_gate(s, Gate.h(0))
 
     def test_nan_norm_detected(self):
+        s = init_zero(2)
+        s.amps[0] = complex(math.nan, 0.0)
         with pytest.raises(ConsistencyError):
-            apply_gate(init_zero(2), Gate.p(0, math.nan))
+            apply_gate(s, Gate.h(0))
         with pytest.raises(ConsistencyError):
             evolve_edge_exact(init_zero(2), 0, 1, math.nan)
 
