@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _finite_angle,
     evolve_graph_exact,
     init_zero,
     pauli_means,
@@ -92,8 +93,7 @@ def analytic_entanglement(k: int, phi: float) -> float:
     """Closed form (1 - |cos(phi)|**k) / 2 for a spin of degree ``k``."""
     if k < 0:
         raise ValidationError(f"degree must be non-negative, got {k}")
-    if not math.isfinite(phi):
-        raise ValidationError(f"angle must be finite, got {phi!r}")
+    phi = _finite_angle(phi)
     return 0.5 * (1.0 - _folded_cos(phi) ** k)
 
 
@@ -125,8 +125,7 @@ def exact_entanglement(
     Only ``l`` and its neighbours are simulated (``degree(l) + 1`` qubits, see
     :meth:`Graph.light_cone`), so ``max_qubits`` caps that size, not the graph's.
     """
-    if not math.isfinite(phi):
-        raise ValidationError(f"angle must be finite, got {phi!r}")
+    phi = _finite_angle(phi)
     cone = g.light_cone(l)
     state = init_zero(cone.n_vertices, max_qubits)
     evolve_graph_exact(state, cone, phi)

@@ -49,7 +49,7 @@ from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_st
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ValidationError
 from .graphs import Graph
-from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, init_zero
+from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, _finite_angle, init_zero
 
 DEFAULT_SHOTS = 8192
 # Shots per draw of the trajectory hit matrix, which bounds it to TRAJECTORY_CHUNK x gates.
@@ -167,8 +167,7 @@ def estimate_entanglement_shots(
     trajectory. ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
     """
     g.degree(l)  # spin-range check
-    if not math.isfinite(phi):
-        raise ValidationError(f"angle must be finite, got {phi!r}")
+    phi = _finite_angle(phi)
     _checked_shots(shots)
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")

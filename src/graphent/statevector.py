@@ -15,8 +15,9 @@ that noise trajectories insert, p, rx, ry) goes through ``_apply_1q``, which
 multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the gate's
 2x2 matrix; ``_apply_cx`` views the array with one axis per bit of the qubit
 pair and swaps the target halves of the control-1 block. ``evolve_edge_exact``
-deliberately goes through a generic dense 4x4 product instead, so the gate
-route and the edge route stay independent and can cross-check each other.
+deliberately multiplies a transposed view of the pair's four quarters by a
+generic dense 4x4 instead, sharing nothing with the stride kernels, so the
+gate route and the edge route stay independent and can cross-check each other.
 
 The one read kernel, ``pauli_means``, takes a qubit's three Pauli means from
 the same half views: two squared norms and one cross inner product.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,13 @@ NORM_DRIFT_LIMIT = 1e-9
 GATE_KINDS = ("h", "x", "y", "z", "p", "rx", "ry", "cx")
 _ANGLED_KINDS = ("p", "rx", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _finite_angle(angle) -> float:
+    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow."""
+    if not abs(angle) <= sys.float_info.max:
+        raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
+    return float(angle)
 
 
 @dataclass(frozen=True)
@@ -67,8 +76,7 @@ class Gate:
             if self.kind in _ANGLED_KINDS:
                 if self.angle is None:
                     raise ValidationError(f"{self.kind} requires an angle")
-                if not math.isfinite(self.angle):
-                    raise ValidationError(f"gate {self} has a non-finite angle")
+                object.__setattr__(self, "angle", _finite_angle(self.angle))
             elif self.angle is not None:
                 raise ValidationError(f"{self.kind} takes no angle")
 
@@ -78,15 +86,15 @@ class Gate:
 
     @staticmethod
     def p(target: int, angle: float) -> "Gate":
-        return Gate("p", target, angle=float(angle))
+        return Gate("p", target, angle=angle)
 
     @staticmethod
     def rx(target: int, angle: float) -> "Gate":
-        return Gate("rx", target, angle=float(angle))
+        return Gate("rx", target, angle=angle)
 
     @staticmethod
     def ry(target: int, angle: float) -> "Gate":
-        return Gate("ry", target, angle=float(angle))
+        return Gate("ry", target, angle=angle)
 
     @staticmethod
     def cx(control: int, target: int) -> "Gate":
@@ -231,14 +239,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def _apply_two_qubit_dense(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray):
-    """Apply a dense 4x4 unitary; basis index m = bit(qa) + 2*bit(qb)."""
-    v = amps.reshape((2,) * n)
-    blocks = np.moveaxis(v, (n - 1 - qb, n - 1 - qa), (0, 1))
-    quads = [blocks[0, 0, ...], blocks[0, 1, ...], blocks[1, 0, ...], blocks[1, 1, ...]]
-    out = u @ np.stack(quads).reshape(4, -1)
-    for quad, row in zip(quads, out):
-        quad[...] = row.reshape(quad.shape)
+def _apply_two_qubit_dense(amps: np.ndarray, qa: int, qb: int, u: np.ndarray):
+    """Apply a dense 4x4 unitary to the pair's quarters, transposed to m = bit(qa) + 2*bit(qb)."""
+    lo, hi = sorted((qa, qb))
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    quads = v.transpose((1, 3, 0, 2, 4) if qb == hi else (3, 1, 0, 2, 4))
+    quads[...] = (u @ quads.reshape(4, -1)).reshape(quads.shape)
 
 
 def evolve_edge_exact(state: StateVector, i: int, j: int, phi: float) -> StateVector:
@@ -251,18 +257,13 @@ def evolve_edge_exact(state: StateVector, i: int, j: int, phi: float) -> StateVe
     _check_qubit(state, j)
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
-    c = math.cos(phi / 2.0)
-    s = -1j * math.sin(phi / 2.0)
-    u = np.array(
-        [
-            [c, 0.0, 0.0, s],
-            [0.0, c, s, 0.0],
-            [0.0, s, c, 0.0],
-            [s, 0.0, 0.0, c],
-        ],
-        dtype=np.complex128,
-    )
-    _apply_two_qubit_dense(state.amps, state.n_qubits, i, j, u)
+    try:
+        c, s = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0)
+    except (OverflowError, ValueError):
+        _finite_angle(phi)  # classifies an angle beyond float range or infinite; NaN fails the norm check
+        raise
+    u = np.array([[c, 0.0, 0.0, s], [0.0, c, s, 0.0], [0.0, s, c, 0.0], [s, 0.0, 0.0, c]], dtype=np.complex128)
+    _apply_two_qubit_dense(state.amps, i, j, u)
     _check_norm(state.amps)
     return state
 

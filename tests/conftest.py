@@ -5,6 +5,8 @@ scipy/numpy kron products; they share no code with the package's stride
 kernels, so agreement between the two is a real cross-check.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,11 @@ from graphent import Circuit, StateVector, measurement_prelude, synthesize_graph
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+# Angles no entry may accept: NaN, both infinities, and integers beyond float range.
+NON_FINITE_ANGLES = [
+    math.inf, -math.inf, math.nan, pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")
+]
 
 PAULI = {
     "i": np.eye(2, dtype=complex),

@@ -24,7 +24,7 @@ from graphent import (
 )
 from graphent.statevector import apply_gate, pauli_means
 
-from conftest import random_state
+from conftest import NON_FINITE_ANGLES, random_state
 
 
 def run_fragment(state, gates):
@@ -40,7 +40,7 @@ class TestCircuitType:
         with pytest.raises(ValidationError):
             Circuit(2, (Gate.cx(2, 0),))
 
-    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("angle", NON_FINITE_ANGLES)
     @pytest.mark.parametrize("gate", [Gate.p, Gate.rx, Gate.ry])
     def test_non_finite_angle_rejected(self, gate, angle):
         with pytest.raises(ValidationError, match="non-finite angle"):

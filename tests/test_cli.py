@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -415,6 +416,27 @@ class TestValidate:
     def test_max_n_above_cap(self, capsys):
         code, _, _ = run(capsys, "validate", "--max-n", "30")
         assert code == 3
+
+
+# sha256 of stdout, computed with the moveaxis-and-stack edge kernel that the
+# transposed-view kernel replaced, under numpy 2.4.6 (Python 3.11.7). Exact
+# outputs must stay byte-identical across kernel rewrites; another numpy
+# version may move last bits, so recompute the pins when numpy changes.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("validate --trials 20 --seed 3", "7fd3f7384df166577a08b49f4ae977368d0ec9352caa8a811250ca5fea00c318"),
+        (
+            "sweep --preset valencia --sweep 0:2pi:17 --spin 0 --spin 1 --spin 3 --mode exact --mode analytic",
+            "472c8cc550b97e8cba9cb5e6909d22c7398f09831abdca2ad7926cae98f2bc99",
+        ),
+    ],
+    ids=["validate", "sweep"],
+)
+def test_exact_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGraphInput:

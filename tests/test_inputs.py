@@ -32,6 +32,8 @@ EXTREME_FLOATS = st.one_of(
     st.floats(),  # NaN and both infinities included
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, math.pi, 2.0**53]),
 )
+# Angles add integers beyond float range, which float() cannot convert.
+EXTREME_ANGLES = st.one_of(EXTREME_FLOATS, st.sampled_from([10**400, -(10**400)]))
 SPINS = st.one_of(st.integers(0, 3), st.integers(-2, 6))
 CAPS = st.one_of(st.integers(4, 8), st.integers(-1, 4))
 SEEDS = st.one_of(st.integers(0, 2**130), st.integers(-3, 3))
@@ -44,6 +46,13 @@ def small_graphs(draw, max_n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, tuple(edges))
+
+
+def _finite(angle):
+    try:
+        return math.isfinite(angle)
+    except OverflowError:
+        return False
 
 
 def _within(got, mean, shots):
@@ -81,14 +90,14 @@ def test_parse_phi_returns_a_finite_angle_or_raises(text):
 
 
 @settings(max_examples=200)
-@given(g=small_graphs(6), phi=EXTREME_FLOATS, l=SPINS, cap=CAPS)
+@given(g=small_graphs(6), phi=EXTREME_ANGLES, l=SPINS, cap=CAPS)
 def test_closed_form_and_exact_routes(g, phi, l, cap):
     in_range = 0 <= l < g.n_vertices
     for route, fits in (
         (lambda: analytic_estimate(g, phi, l), True),
         (lambda: exact_entanglement(g, phi, l, cap), in_range and g.degree(l) + 1 <= cap),
     ):
-        valid = math.isfinite(phi) and in_range and fits
+        valid = _finite(phi) and in_range and fits
         try:
             est = route()
         except GraphentError:
@@ -113,7 +122,7 @@ def _calibration(n):
 @settings(max_examples=100)
 @given(
     g=small_graphs(4),
-    phi=EXTREME_FLOATS,
+    phi=EXTREME_ANGLES,
     l=SPINS,
     shots=SHOTS,
     seed=SEEDS,
@@ -126,7 +135,7 @@ def test_shots_route(g, phi, l, shots, seed, cap, noise):
     gate_noise = noise == "gate"
     in_range = 0 <= l < n
     valid = (
-        math.isfinite(phi)
+        _finite(phi)
         and in_range
         and shots >= 1
         and seed >= 0
@@ -147,7 +156,7 @@ def test_shots_route(g, phi, l, shots, seed, cap, noise):
 @settings(max_examples=100)
 @given(
     kind=st.sampled_from(["p", "rx", "ry"]),
-    angle=EXTREME_FLOATS,
+    angle=EXTREME_ANGLES,
     shots=SHOTS,
     seed=SEEDS,
     cap=CAPS,
@@ -155,7 +164,7 @@ def test_shots_route(g, phi, l, shots, seed, cap, noise):
 )
 def test_sample_circuit(kind, angle, shots, seed, cap, noisy):
     cal = _calibration(2) if noisy else None
-    valid = math.isfinite(angle) and shots >= 1 and seed >= 0 and cap >= 2
+    valid = _finite(angle) and shots >= 1 and seed >= 0 and cap >= 2
     try:
         circuit = Circuit(2, (Gate.h(0), Gate(kind, 1, angle=angle), Gate.cx(0, 1)))
         result = sample_circuit(circuit, shots, seed, cal, max_qubits=cap)

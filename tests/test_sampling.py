@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import noisy_bloch_oracle
+from conftest import NON_FINITE_ANGLES, noisy_bloch_oracle
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
@@ -266,7 +266,7 @@ class TestEstimateEntanglementShots:
         with pytest.raises(ValidationError):
             estimate_entanglement_shots(valencia(), 0.1, 1, 10, seed=0, gate_noise=True)
 
-    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
     def test_non_finite_angle_rejected(self, phi):
         with pytest.raises(ValidationError):
             estimate_entanglement_shots(valencia(), phi, 1, 100)

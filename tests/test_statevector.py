@@ -18,10 +18,11 @@ from graphent import (
     overlap_magnitude,
     valencia,
 )
-from graphent.statevector import pauli_means
+from graphent.statevector import _apply_two_qubit_dense, pauli_means
 from graphent.validation import random_graph
 
 from conftest import (
+    NON_FINITE_ANGLES,
     edge_unitary_oracle,
     graph_unitary_oracle,
     kron_chain,
@@ -75,7 +76,7 @@ class TestGateType:
         with pytest.raises(ValidationError):
             Gate(axis, 0, control=1)
 
-    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("angle", NON_FINITE_ANGLES)
     @pytest.mark.parametrize("kind", ["p", "rx", "ry"])
     def test_non_finite_angle_rejected(self, kind, angle):
         # an input error (exit 2), not a math domain error or a drifted norm
@@ -241,6 +242,36 @@ class TestEvolveEdge:
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
             evolve_edge_exact(init_zero(2), 1, 1, 0.5)
+
+    # a NaN angle is left to the norm check, see test_nan_norm_detected
+    @pytest.mark.parametrize("phi", [a for a in NON_FINITE_ANGLES if a is not math.nan])
+    def test_unrepresentable_angle_rejected(self, phi):
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            evolve_edge_exact(init_zero(2), 0, 1, phi)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dense_kernel_bit_order_matches_kron(self, n):
+        # basis index m = bit(qa) + 2*bit(qb); a u without swap symmetry tells qa from qb
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        assert not np.allclose(swap @ u @ swap, u)
+        units = np.eye(2)
+        for qa in range(n):
+            for qb in range(n):
+                if qa == qb:
+                    continue
+                full = np.zeros((1 << n, 1 << n), dtype=complex)
+                for m in range(4):
+                    for k in range(4):
+                        ops = [np.eye(2)] * n
+                        ops[qa] = np.outer(units[m & 1], units[k & 1])
+                        ops[qb] = np.outer(units[m >> 1], units[k >> 1])
+                        full += u[m, k] * kron_chain(ops)
+                s = random_state(n, seed=10 * qa + qb)
+                expected = full @ s.amps
+                _apply_two_qubit_dense(s.amps, qa, qb, u)
+                assert_allclose(s.amps, expected, rtol=0, atol=1e-13, err_msg=f"qa={qa} qb={qb}")
 
 
 class TestEvolveGraph:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphent import ResourceCapError, ValidationError
+from graphent import ResourceCapError, ValidationError, statevector
 from graphent.validation import random_graph, run_validation
 
 
@@ -29,3 +29,18 @@ def test_rejects_bad_arguments():
 def test_max_n_above_the_cap_is_rejected_before_any_trial():
     with pytest.raises(ResourceCapError, match="max_n 5 exceeds the qubit cap 4"):
         run_validation(max_n=5, trials=1, seed=1, max_qubits=4)
+
+
+def test_perturbed_edge_kernel_fails_the_overlap_property(monkeypatch):
+    dense = statevector._apply_two_qubit_dense
+
+    def perturbed(amps, qa, qb, u):
+        dense(amps, qa, qb, u)
+        amps += 1e-6
+        amps /= np.linalg.norm(amps)  # the norm check passes, so the overlap must catch it
+
+    monkeypatch.setattr(statevector, "_apply_two_qubit_dense", perturbed)
+    results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
+    overlap = results["circuit vs dense evolution overlap deficit"]
+    assert not overlap.passed
+    assert overlap.line().startswith("FAIL")
