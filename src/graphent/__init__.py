@@ -45,14 +45,7 @@ from .graphs import (
     serialize_graph,
     valencia,
 )
-from .sampling import (
-    DEFAULT_SHOTS,
-    ShotResult,
-    derive_seeds,
-    estimate_entanglement_shots,
-    estimate_mean_z,
-    sample_circuit,
-)
+from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     Gate,

@@ -257,11 +257,8 @@ def evolve_edge_exact(state: StateVector, i: int, j: int, phi: float) -> StateVe
     _check_qubit(state, j)
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
-    try:
-        c, s = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0)
-    except (OverflowError, ValueError):
-        _finite_angle(phi)  # classifies an angle beyond float range or infinite; NaN fails the norm check
-        raise
+    phi = _finite_angle(phi)
+    c, s = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0)
     u = np.array([[c, 0.0, 0.0, s], [0.0, c, s, 0.0], [0.0, s, c, 0.0], [s, 0.0, 0.0, c]], dtype=np.complex128)
     _apply_two_qubit_dense(state.amps, i, j, u)
     _check_norm(state.amps)

@@ -104,7 +104,7 @@ def _depolarize(rho, n, qubits, p):
 
 
 def density_matrix_oracle(circuit, cal=None):
-    """The state ``sample_circuit(circuit, shots, seed, cal)`` samples, as a density matrix.
+    """``circuit`` run under the gate noise model of ``graphent.sampling``, as a density matrix.
 
     Starts from rho = |0><0|. With calibration, after each gate with error p
     it applies rho -> (1 - p) rho + p/3 sum P rho P over the three Paulis on

@@ -418,10 +418,12 @@ class TestValidate:
         assert code == 3
 
 
-# sha256 of stdout, computed with the moveaxis-and-stack edge kernel that the
-# transposed-view kernel replaced, under numpy 2.4.6 (Python 3.11.7). Exact
-# outputs must stay byte-identical across kernel rewrites; another numpy
-# version may move last bits, so recompute the pins when numpy changes.
+# sha256 of stdout under numpy 2.4.6 (Python 3.11.7). The exact pins were
+# computed with the moveaxis-and-stack edge kernel that the transposed-view
+# kernel replaced, the shots pins with the trajectory sampler that the
+# one-draw-per-axis route replaced: these outputs must stay byte-identical
+# across such rewrites. Another numpy version may move last bits or draws,
+# so recompute the pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -430,11 +432,20 @@ class TestValidate:
             "sweep --preset valencia --sweep 0:2pi:17 --spin 0 --spin 1 --spin 3 --mode exact --mode analytic",
             "472c8cc550b97e8cba9cb5e6909d22c7398f09831abdca2ad7926cae98f2bc99",
         ),
+        (
+            "sweep --preset valencia --calibration {cal} --sweep 0:2pi:9 --mode shots --seed 5",
+            "f81e30ee63ec6275593ca4187644e854f720d08c4881a4ea0a8ae5e853cf6055",
+        ),
+        (
+            "entangle --preset valencia --phi pi/3 --spin 1 --mode shots --seed 5",
+            "64ce1a56c4e277d8e5fdcf191562a64df77138ef353fd54c23455138a4b29a71",
+        ),
     ],
-    ids=["validate", "sweep"],
+    ids=["validate", "sweep", "shots-readout-sweep", "shots-entangle"],
 )
 def test_exact_output_bytes_are_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv.split())
+    cal = str(ROOT / "src/graphent/data/valencia_calibration.json")
+    code, out, _ = run(capsys, *(arg.replace("{cal}", cal) for arg in argv.split()))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

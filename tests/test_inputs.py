@@ -6,22 +6,17 @@ subclass; a valid input must return, and an invalid one must raise.
 
 import math
 
-import numpy as np
-from conftest import density_matrix_oracle, noisy_bloch_oracle, pauli_on
+from conftest import noisy_bloch_oracle
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
     CalibrationData,
-    Circuit,
-    Gate,
     GraphentError,
     Graph,
     analytic_entanglement,
     analytic_estimate,
     estimate_entanglement_shots,
-    estimate_mean_z,
     exact_entanglement,
-    sample_circuit,
 )
 from graphent.cli import parse_phi
 
@@ -151,28 +146,3 @@ def test_shots_route(g, phi, l, shots, seed, cap, noise):
     assert (est.spin, est.shots) == (l, shots)
     expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
     assert all(_within(got, mean, shots) for got, mean in zip(est.bloch.as_tuple(), expected))
-
-
-@settings(max_examples=100)
-@given(
-    kind=st.sampled_from(["p", "rx", "ry"]),
-    angle=EXTREME_ANGLES,
-    shots=SHOTS,
-    seed=SEEDS,
-    cap=CAPS,
-    noisy=st.booleans(),
-)
-def test_sample_circuit(kind, angle, shots, seed, cap, noisy):
-    cal = _calibration(2) if noisy else None
-    valid = _finite(angle) and shots >= 1 and seed >= 0 and cap >= 2
-    try:
-        circuit = Circuit(2, (Gate.h(0), Gate(kind, 1, angle=angle), Gate.cx(0, 1)))
-        result = sample_circuit(circuit, shots, seed, cal, max_qubits=cap)
-    except GraphentError:
-        assert not valid
-        return
-    assert valid
-    rho = density_matrix_oracle(circuit, cal)
-    for q in range(2):
-        mean = float(np.trace(rho @ pauli_on(2, q, "z")).real)
-        assert _within(estimate_mean_z(result, q)[0], mean, shots)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import NON_FINITE_ANGLES, noisy_bloch_oracle
+from conftest import NON_FINITE_ANGLES, density_matrix_oracle, noisy_bloch_oracle, pauli_on
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
@@ -11,26 +11,22 @@ from graphent import (
     Gate,
     Graph,
     ResourceCapError,
-    ShotResult,
     ValidationError,
     derive_seeds,
     estimate_entanglement_shots,
-    estimate_mean_z,
     exact_entanglement,
     init_zero,
     parse_calibration,
     path,
     ring,
-    sample_circuit,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
 from graphent import sampling
-from graphent.circuits import apply_circuit, measurement_prelude, synthesize_star_circuit
+from graphent.circuits import apply_circuit, synthesize_star_circuit
 from graphent.entanglement import bloch_vector
-from graphent.sampling import DEFAULT_SHOTS, _with_errors
-from graphent.statevector import pauli_means
+from graphent.sampling import DEFAULT_SHOTS
 
 
 class TestCalibration:
@@ -84,70 +80,6 @@ class TestCalibration:
         assert DEFAULT_SHOTS == 8192
 
 
-def _outcomes(*values):
-    return np.array(values, dtype=np.int64)
-
-
-class TestShotResult:
-    def test_outcomes_may_not_be_empty(self):
-        with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes())
-
-    def test_negative_outcome_rejected(self):
-        with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes(0, -1, 3))
-
-    def test_outcome_beyond_register_rejected(self):
-        with pytest.raises(ValidationError):
-            ShotResult(2, _outcomes(0, 4, 3))
-
-    def test_n_qubits(self):
-        assert ShotResult(2, _outcomes(2, 3, 2)).n_qubits == 2
-
-    def test_shots_and_counts_derived_from_outcomes(self):
-        r = ShotResult(2, _outcomes(2, 3, 2))
-        assert r.shots == 3
-        assert r.counts == {"01": 2, "11": 1}
-
-    @given(data=st.data(), n=st.integers(1, 6))
-    def test_mean_z_matches_counts_marginal(self, data, n):
-        values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50))
-        l = data.draw(st.integers(0, n - 1))
-        r = ShotResult(n, _outcomes(*values))
-        n1 = sum(c for key, c in r.counts.items() if key[l] == "1")
-        assert estimate_mean_z(r, l)[0] == (len(values) - 2 * n1) / len(values)
-
-
-class TestSampleZ:
-    """z-basis outcomes as :func:`sample_circuit` draws them."""
-
-    def test_deterministic_state_all_one_outcome(self):
-        r = sample_circuit(Circuit(2), 500, seed=0)
-        assert r.counts == {"00": 500}
-
-    def test_h_state_frequency_band(self):
-        r = sample_circuit(Circuit(1, (Gate.h(0),)), 100_000, seed=42)
-        f = r.counts["0"] / r.shots
-        assert abs(f - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
-
-    def test_seed_replay_identical(self):
-        c = Circuit(3, (Gate.h(1),))
-        first, again = (sample_circuit(c, 4096, seed=9).outcomes for _ in range(2))
-        assert np.array_equal(first, again)
-
-    def test_bit_convention_first_char_is_qubit_zero(self):
-        r = sample_circuit(Circuit(2, (Gate("x", 0),)), 10, seed=0)  # qubit 0 set, qubit 1 clear
-        assert r.counts == {"10": 10}
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValidationError, match="shot count must be positive"):
-            sample_circuit(Circuit(1), 0, seed=0)
-
-    def test_count_beyond_int64_rejected(self):
-        with pytest.raises(ValidationError, match="shot count must be below 2\\*\\*63"):
-            sample_circuit(Circuit(1), 2**63, seed=0)
-
-
 class TestCorruptReadout:
     """Readout error as the shots route composes it into spin l's count of ones."""
 
@@ -175,45 +107,6 @@ class TestCorruptReadout:
         cal = CalibrationData((0.1,), (0.0,), {})
         with pytest.raises(ValidationError, match="calibration covers 1 qubits, graph has 2"):
             estimate_entanglement_shots(path(2), 0.6, 0, 10, cal)
-
-
-class TestEstimateMeanZ:
-    def test_all_zero_outcomes(self):
-        r = ShotResult(2, np.zeros(50, dtype=np.int64))
-        assert estimate_mean_z(r, 0) == (1.0, 0.0)
-
-    def test_even_split(self):
-        r = ShotResult(1, np.repeat(_outcomes(0, 1), 50))
-        mean, se = estimate_mean_z(r, 0)
-        assert mean == 0.0
-        assert abs(se - 0.1) < 1e-15
-
-    def test_three_to_one_split(self):
-        r = ShotResult(1, np.repeat(_outcomes(0, 1), [300, 100]))
-        mean, se = estimate_mean_z(r, 0)
-        assert mean == 0.5
-        assert abs(se - math.sqrt(0.75 / 400)) < 1e-15
-
-    def test_marginal_over_selected_qubit(self):
-        r = ShotResult(2, np.repeat(_outcomes(2, 3), [4, 6]))
-        assert estimate_mean_z(r, 0)[0] == pytest.approx((4 - 6) / 10)
-        assert estimate_mean_z(r, 1)[0] == -1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            estimate_mean_z(ShotResult(1, _outcomes(0)), 1)
-
-    def test_consistency_with_exact_expectation_over_seeds(self):
-        circuit = synthesize_graph_circuit(path(2), 0.9)
-        state = apply_circuit(init_zero(2), circuit)
-        exact = pauli_means(state, 0)[2]
-        hits = 0
-        trials = 1000
-        for seed in range(trials):
-            mean, se = estimate_mean_z(sample_circuit(circuit, 1000, seed=seed), 0)
-            if abs(mean - exact) <= 3 * se:
-                hits += 1
-        assert hits >= 990
 
 
 class TestDeriveSeeds:
@@ -314,11 +207,10 @@ class TestEstimateEntanglementShots:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda seed: sample_circuit(Circuit(1, (Gate.h(0),)), 10, seed),
             lambda seed: derive_seeds(seed, 3),
             lambda seed: estimate_entanglement_shots(valencia(), 0.5, 1, 10, seed=seed),
         ],
-        ids=["sample_circuit", "derive_seeds", "estimate"],
+        ids=["derive_seeds", "estimate"],
     )
     def test_negative_seed_rejected(self, call):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
@@ -332,94 +224,37 @@ def _uniform_cal(n, gate, cx):
 
 class TestDepolarizingNoise:
     def test_zero_rates_identical_to_noiseless_sampling(self):
-        g = valencia()
-        circuit = synthesize_graph_circuit(g, 0.8)
-        cal = _uniform_cal(5, 0.0, 0.0)
-        state = apply_circuit(init_zero(5), circuit)
-        noiseless = sampling._draw_outcomes(state, 5000, np.random.default_rng(33))
-        for c in (cal, None):
-            assert np.array_equal(sample_circuit(circuit, 5000, 33, c).outcomes, noiseless)
-
-    def test_rate_one_identity_circuit_depolarizes(self):
-        circuit = Circuit(1, tuple(Gate.h(0) for _ in range(8)))
-        cal = CalibrationData((0.0,), (1.0,), {})
-        mean, se = estimate_mean_z(sample_circuit(circuit, 20_000, 3, cal), 0)
-        assert abs(mean) <= 4 * se
-
-    def test_rate_one_single_qubit_error_is_a_uniform_pauli(self):
-        # p(0) leaves |0>; x and y flip it, z does not: P(1) = 2/3
-        circuit = Circuit(1, (Gate.p(0, 0.0),))
-        cal = CalibrationData((0.0,), (1.0,), {})
-        mean, se = estimate_mean_z(sample_circuit(circuit, 30_000, 8, cal), 0)
-        assert abs(mean - (-1.0 / 3.0)) <= 4 * se
-
-    def test_rate_one_cx_error_is_a_uniform_two_qubit_pauli(self):
-        # 15 non-identity Pauli pairs on |00>: a qubit flips under x or y
-        circuit = Circuit(2, (Gate.cx(0, 1),))
-        cal = _uniform_cal(2, 0.0, 1.0)
-        shots = 30_000
-        r = sample_circuit(circuit, shots, 9, cal)
-        expected = {0: 3 / 15, 1: 4 / 15, 2: 4 / 15, 3: 4 / 15}
-        for outcome, p in expected.items():
-            f = np.count_nonzero(r.outcomes == outcome) / shots
-            assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / shots)
+        bundled = valencia_calibration()
+        zero_rates = {pair: 0.0 for pair in bundled.cx_error}
+        for r in ((0.0,) * 5, bundled.readout_error):
+            cal = CalibrationData(r, (0.0,) * 5, zero_rates)
+            for spin in range(5):
+                for phi, shots, seed in [(0.8, 5000, 33), (math.pi / 2, 10**12, 4)]:
+                    noisy = estimate_entanglement_shots(
+                        valencia(), phi, spin, shots, cal, seed, gate_noise=True
+                    )
+                    assert noisy == estimate_entanglement_shots(valencia(), phi, spin, shots, cal, seed)
 
     def test_seed_determinism(self):
-        circuit = synthesize_graph_circuit(path(3), 0.5)
         cal = _uniform_cal(3, 0.05, 0.05)
-        a = sample_circuit(circuit, 4000, 4, cal)
-        b = sample_circuit(circuit, 4000, 4, cal)
-        assert a.counts == b.counts
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert not np.array_equal(a.outcomes, sample_circuit(circuit, 4000, 5, cal).outcomes)
-
-    def test_missing_cx_entry_rejected(self):
-        circuit = synthesize_graph_circuit(path(2), 0.5)
-        cal = CalibrationData((0.0, 0.0), (0.0, 0.0), {})
-        with pytest.raises(ValidationError):
-            sample_circuit(circuit, 10, 0, cal)
-
-    @pytest.mark.parametrize("noisy", [False, True])
-    def test_zero_shots_rejected(self, noisy):
-        circuit = synthesize_graph_circuit(path(3), 0.5)
-        cal = _uniform_cal(3, 0.05, 0.05) if noisy else None
-        with pytest.raises(ValidationError, match="shot count must be positive"):
-            sample_circuit(circuit, 0, 0, cal)
-
-    def test_trajectories_without_errors_draw_nothing(self):
-        circuit = synthesize_graph_circuit(path(3), 0.5)
-        rng = np.random.default_rng(1)
-        for cal in (None, _uniform_cal(3, 0.0, 0.0)):
-            assert sampling._trajectories(circuit, 10**15, cal, rng) == [(circuit, 10**15)]
-        assert rng.random() == np.random.default_rng(1).random()
-
-    def test_trajectories_split_the_shots_by_error_pattern(self):
-        circuit = synthesize_graph_circuit(path(3), 0.5)
-        cal = _uniform_cal(3, 0.02, 0.05)
-        groups = sampling._trajectories(circuit, 5000, cal, np.random.default_rng(2))
-        assert sum(k for _, k in groups) == 5000
-        assert all(k > 0 for _, k in groups)
-        assert groups[0][0].gates == circuit.gates  # the error-free pattern comes first
-        patterns = [tuple(g for g in c.gates if g.kind in "xyz") for c, _ in groups[1:]]
-        assert all(patterns) and len(set(c.gates for c, _ in groups)) == len(groups)
-
-    def test_chunked_hit_draws_match_one_draw(self, monkeypatch):
-        circuit = synthesize_graph_circuit(path(3), 0.5)
-        cal = _uniform_cal(3, 0.02, 0.05)
-        shots = sampling.TRAJECTORY_CHUNK + 904
-        default = sample_circuit(circuit, shots, 12, cal)
-        monkeypatch.setattr(sampling, "TRAJECTORY_CHUNK", 7)
-        assert np.array_equal(sample_circuit(circuit, shots, 12, cal).outcomes, default.outcomes)
+        a, b, c = (
+            estimate_entanglement_shots(path(3), 0.5, 1, 4000, cal, seed, gate_noise=True)
+            for seed in (4, 4, 5)
+        )
+        assert a == b
+        assert a != c
 
     @pytest.mark.parametrize(
         "i,bloch,value",
         [
-            (1, (-0.031, 0.018, 0.782), 0.10858940995420163),
-            (2, (-0.004, -0.017, 0.682), 0.15888821480341664),
-            (3, (0.001, 0.014, 0.36), 0.31986324639319164),
+            (1, (0.017, -0.019, 0.734), 0.1327786770896875),
+            (2, (0.013, 0.031, 0.707), 0.14610064990169874),
+            (3, (0.024, -0.016, 0.339), 0.32988753719965136),
         ],
+        ids=["1", "2", "3"],
     )
     def test_pinned_valencia_estimates(self, i, bloch, value):
+        # every pinned mean sits within 2 sigma of noisy_bloch_oracle
         est = estimate_entanglement_shots(
             valencia(), 0.3 * i, i % 5, 2000, valencia_calibration(), seed=100 + i,
             gate_noise=True,
@@ -445,6 +280,26 @@ def _relabel(gate, index):
     if gate.kind == "cx":
         return Gate.cx(index[gate.control], index[gate.target])
     return Gate(gate.kind, index[gate.target], angle=gate.angle)
+
+
+def _with_errors(circuit, pattern):
+    """``circuit`` with Pauli gates after the faulty gates of an error pattern.
+
+    A pattern is a tuple of (gate index, code) events. A single-qubit code
+    1/2/3 is x/y/z on the target; a cx code packs the control's Pauli in its
+    high two bits and the target's in its low two, 0 meaning identity.
+    """
+    errors = dict(pattern)
+    gates = []
+    for idx, gate in enumerate(circuit.gates):
+        gates.append(gate)
+        code = errors.get(idx, 0)
+        if gate.kind == "cx":
+            hits = ((code >> 2, gate.control), (code & 3, gate.target))
+        else:
+            hits = ((code, gate.target),)
+        gates.extend(Gate("_xyz"[c], q) for c, q in hits if c)
+    return Circuit(circuit.n_qubits, tuple(gates))
 
 
 ALL_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -528,6 +383,21 @@ NOISE_CASES = {
 }
 
 
+RATES_ONE = CalibrationData((1.0,) * 5, (1.0,) * 5, {pair: 1.0 for pair in HEAVY.cx_error})
+EXACT_CASES = {**NOISE_CASES, "rates-one": (RATES_ONE, True)}
+
+
+def _read_one_deviation(g, phi, l, cal, gate_noise):
+    """Worst gap over the axes between the route's read-1 probability and
+    the density-matrix oracle's, (1 - mean) / 2 of the whole graph circuit."""
+    base, star = synthesize_star_circuit(g, l, phi, cal)
+    expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
+    return max(
+        abs(sampling._read_one_probability(base, star, axis, cal, gate_noise) - (1 - mean) / 2)
+        for axis, mean in zip("xyz", expected)
+    )
+
+
 class TestAgainstNoisyOracle:
     """Star estimates sit within 5 sigma of the exact noisy means of the whole circuit."""
 
@@ -544,16 +414,18 @@ class TestAgainstNoisyOracle:
         for got, mean in zip(est.bloch.as_tuple(), expected):
             assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / self.SHOTS)
 
-    @pytest.mark.parametrize("case", ["noiseless", "readout"])
+    @pytest.mark.parametrize("case", NOISE_CASES)
     @pytest.mark.parametrize("spin,phi", [(1, 0.9), (3, 2.3), (4, -1.2)])
     def test_counts_are_exact_at_a_trillion_shots(self, case, spin, phi):
         # one binomial per axis makes the count cost independent of the shot
-        # number; at 1e12 shots 5 sigma is 5e-6, so a readout composition off
+        # number; at 1e12 shots 5 sigma is 5e-6, so a noise composition off
         # by about 1e-5 fails
         shots = 10**12
-        cal, _ = NOISE_CASES[case]
-        expected = noisy_bloch_oracle(valencia(), phi, spin, cal)
-        est = estimate_entanglement_shots(valencia(), phi, spin, shots, cal, seed=32)
+        cal, gate_noise = NOISE_CASES[case]
+        expected = noisy_bloch_oracle(valencia(), phi, spin, cal, gate_noise)
+        est = estimate_entanglement_shots(
+            valencia(), phi, spin, shots, cal, seed=32, gate_noise=gate_noise
+        )
         for got, mean in zip(est.bloch.as_tuple(), expected):
             assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / shots)
 
@@ -563,24 +435,52 @@ class TestAgainstNoisyOracle:
         readout = noisy_bloch_oracle(valencia(), 0.9, 1, HEAVY, False)[2]
         assert readout - noisy > 10 * math.sqrt(1 / self.SHOTS)
 
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 2, 2.3, -1.2])
+    def test_read_one_probability_is_exact_on_valencia(self, case, phi):
+        cal, gate_noise = EXACT_CASES[case]
+        for spin in range(5):
+            assert _read_one_deviation(valencia(), phi, spin, cal, gate_noise) <= 1e-12
 
-class TestAgainstFullRegister:
-    """Star estimates agree with the full-register sampler of the whole graph circuit."""
+    @pytest.mark.parametrize("seed", range(24))
+    def test_read_one_probability_is_exact_on_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5)
+        cal = CalibrationData(
+            tuple(rng.random(n).tolist()),
+            tuple(rng.random(n).tolist()),
+            {(i, j): float(rng.random()) for i in range(n) for j in range(n) if i != j},
+        )
+        phi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        spin = int(rng.integers(n))
+        assert _read_one_deviation(Graph(n, edges), phi, spin, cal, True) <= 1e-12
 
-    SHOTS = 20_000
-
-    @pytest.mark.parametrize("gate_noise", [False, True])
-    @pytest.mark.parametrize("spin,phi", [(1, 0.9), (3, 2.3)])
-    def test_valencia_within_five_sigma(self, gate_noise, spin, phi):
-        g, cal = valencia(), valencia_calibration()
-        base = synthesize_graph_circuit(g, phi, cal)
-        est = estimate_entanglement_shots(g, phi, spin, self.SHOTS, cal, seed=8, gate_noise=gate_noise)
-        for k, (axis, got) in enumerate(zip("xyz", est.bloch.as_tuple())):
-            circuit = Circuit(g.n_vertices, base.gates + measurement_prelude(axis, spin))
-            full = sample_circuit(circuit, self.SHOTS, 50 + k, cal if gate_noise else None)
-            # readout error r_l scales a mean by 1 - 2 r_l, as in noisy_bloch_oracle
-            mean, se = (
-                (1 - 2 * cal.readout_error[spin]) * m for m in estimate_mean_z(full, spin)
+    def test_gate_flip_probability_is_exact_on_clifford_circuits(self):
+        # a graph state reads 1 with probability 1/2 on the x and y axes,
+        # whatever the flip, so only circuits with deterministic outcomes
+        # show the frame maps of rx, ry and the x bits through a cx
+        one_qubit = [
+            Gate.h, *(lambda q, k=k: Gate(k, q) for k in "xyz"),
+            lambda q: Gate.rx(q, math.pi / 2), lambda q: Gate.ry(q, -math.pi / 2),
+        ]
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 4))
+            gates = []
+            for _ in range(int(rng.integers(1, 17))):
+                a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+                k = int(rng.integers(len(one_qubit) + 2))
+                gates.append(Gate.cx(a, b) if k >= len(one_qubit) else one_qubit[k](a))
+            circuit = Circuit(n, tuple(gates))
+            cal = CalibrationData(
+                (0.0,) * n,
+                tuple((0.2 * rng.random(n)).tolist()),
+                {(i, j): 0.2 * float(rng.random()) for i in range(n) for j in range(n) if i != j},
             )
-            se_star = math.sqrt((1 - got * got) / self.SHOTS)
-            assert abs(got - mean) <= 5 * math.hypot(se, se_star)
+            z0 = pauli_on(n, 0, "z")
+            p1, noisy = (
+                (1 - np.trace(density_matrix_oracle(circuit, c) @ z0).real) / 2 for c in (None, cal)
+            )
+            q = sampling._gate_flip_probability(circuit, tuple(range(n)), cal)
+            assert abs(q + (1 - 2 * q) * p1 - noisy) <= 1e-12
