@@ -45,7 +45,7 @@ from .graphs import (
     serialize_graph,
     valencia,
 )
-from .sampling import DEFAULT_SHOTS, derive_seeds, estimate_entanglement_shots
+from .sampling import DEFAULT_SHOTS, derive_seed, estimate_entanglement_shots
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     Gate,

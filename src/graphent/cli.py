@@ -21,7 +21,7 @@ from .circuits import circuit_text, synthesize_graph_circuit
 from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
 from .errors import ConsistencyError, GraphentError, ResourceCapError, ValidationError
 from .graphs import FORMATS, Graph, parse_graph, preset
-from .sampling import DEFAULT_SHOTS, _checked_shots, derive_seeds, estimate_entanglement_shots
+from .sampling import DEFAULT_SHOTS, _checked_shots, derive_seed, estimate_entanglement_shots
 from .statevector import DEFAULT_MAX_QUBITS
 from .validation import run_validation
 
@@ -184,19 +184,19 @@ def cmd_sweep(args) -> int:
     cal = _load_calibration(args)
     start, stop, count = args.sweep
     phis = [start + (stop - start) * i / (count - 1) for i in range(count)]
-    row_seeds = iter(derive_seeds(args.seed, count * len(spins) * len(modes)))
     exact: dict[tuple[int, float], EntanglementEstimate] = {}
     rows = []
     for phi in phis:
         for spin in spins:
             for mode in modes:
-                seed = next(row_seeds)
                 if mode == "exact":
                     key = (g.degree(spin), phi)
                     if key not in exact:
                         exact[key] = exact_entanglement(g, phi, spin, cap)
                     est = exact[key]
                 else:
+                    # data row i draws from substream i of the root seed
+                    seed = derive_seed(args.seed, len(rows)) if mode == "shots" else None
                     est = _estimate(mode, g, phi, spin, args.shots, cal, seed, cap)
                 rows.append(
                     [

@@ -18,7 +18,7 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _finite_angle,
-    evolve_graph_exact,
+    evolve_edge_exact,
     init_zero,
     pauli_means,
 )
@@ -122,13 +122,18 @@ def exact_entanglement(
 ) -> EntanglementEstimate:
     """Measure spin ``l`` exactly by simulating its light cone.
 
-    Only ``l`` and its neighbours are simulated (``degree(l) + 1`` qubits, see
-    :meth:`Graph.light_cone`), so ``max_qubits`` caps that size, not the graph's.
+    Edge terms not incident to ``l`` (edges between its neighbours included)
+    commute with every Pauli on ``l`` and with the edge terms at ``l``, so
+    ``<sigma_l>`` of the graph state equals ``<sigma_0>`` of the star state
+    that ``l``'s ``k = degree(l)`` edge terms make from qubit 0 to qubits
+    1..k (Hein, Eisert & Briegel, PRA 69, 062311 (2004)). Only that star is
+    simulated, so ``max_qubits`` caps ``k + 1``, not the graph's size.
     """
     phi = _finite_angle(phi)
-    cone = g.light_cone(l)
-    state = init_zero(cone.n_vertices, max_qubits)
-    evolve_graph_exact(state, cone, phi)
+    k = g.degree(l)
+    state = init_zero(k + 1, max_qubits)
+    for m in range(1, k + 1):
+        evolve_edge_exact(state, 0, m, phi)
     b = bloch_vector(state, 0)
     return EntanglementEstimate(
         spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"

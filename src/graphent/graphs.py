@@ -78,17 +78,6 @@ class Graph:
         """Number of edges incident to vertex ``l``."""
         return len(self.neighbours(l))
 
-    def light_cone(self, l: int) -> "Graph":
-        """Star of ``l``: ``l`` becomes vertex 0, its neighbours 1..k in ascending order.
-
-        Edge terms not incident to ``l`` (edges between its neighbours included)
-        commute with every Pauli on ``l`` and with the edge terms at ``l``, so
-        ``<sigma_l>`` of the graph state equals ``<sigma_0>`` of the star's state
-        (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
-        """
-        k = self.degree(l)
-        return Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices), dtype=int)
         for i, j in self.edges:

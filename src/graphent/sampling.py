@@ -4,10 +4,10 @@
 experiment per axis, and keeps only the count of shots that read ``l`` as 1.
 
 Determinism: every sampling entry point takes a non-negative integer seed and
-is bit-reproducible for a fixed seed and numpy version. Derived substreams
-come from ``numpy.random.SeedSequence`` spawning in a documented order; for
-``estimate_entanglement_shots`` that order is (z, x, y), one substream per
-axis, which makes the axis's single binomial draw.
+is bit-reproducible for a fixed seed and numpy version. Substream ``i`` of a
+root seed is the ``i``-th child that ``numpy.random.SeedSequence(seed).spawn``
+makes (:func:`derive_seed`); ``estimate_entanglement_shots`` gives the z, x
+and y axes substreams 0, 1 and 2, each making its axis's single binomial draw.
 
 Each axis runs the star of spin ``l`` only: its ``degree(l)`` edge blocks on
 ``degree(l) + 1`` qubits (:func:`synthesize_star_circuit`) and the axis's
@@ -76,10 +76,10 @@ def _z_mean(ones: int, shots: int) -> tuple[float, float]:
     return mean, math.sqrt(max(0.0, 1.0 - mean * mean) / shots)
 
 
-def derive_seeds(seed: int, count: int) -> list[int]:
-    """Independent substream seeds spawned from a root seed."""
-    children = np.random.SeedSequence(_checked_seed(seed)).spawn(count)
-    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+def derive_seed(seed: int, index: int) -> int:
+    """Seed of substream ``index``: the ``index``-th child that ``SeedSequence(seed).spawn`` makes."""
+    child = np.random.SeedSequence(_checked_seed(seed), spawn_key=(index,))
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) -> float:
@@ -101,10 +101,10 @@ def _gate_flip_probability(circuit: Circuit, star: tuple[int, ...], cal: Calibra
     anticommutes with Z_0 pulled back to it, since conjugation keeps
     commutation. One backward pass holds that pullback as x/z bitmasks,
     signs dropped; the maps of cx, h and the preludes' quarter-turn rx and
-    ry are their own inverses, and p and Pauli gates keep the frame. Where
-    the pullback acts on a site, 2 of its 3 (or 8 of its 15) Paulis
-    anticommute with it. Rates are looked up in circuit order first, so the
-    first missing cx entry is the one that raises.
+    ry are their own inverses, and p keeps the frame. Where the pullback
+    acts on a site, 2 of its 3 (or 8 of its 15) Paulis anticommute with it.
+    Rates are looked up in circuit order first, so the first missing cx
+    entry is the one that raises.
     """
     rates = [
         cal.cx_error_for(star[g.control], star[g.target])
@@ -184,9 +184,9 @@ def estimate_entanglement_shots(
     base, star = synthesize_star_circuit(g, l, phi, cal)
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
-    for axis, axis_seed in zip(("z", "x", "y"), derive_seeds(seed, 3)):
+    for index, axis in enumerate(("z", "x", "y")):
         p = _read_one_probability(base, star, axis, cal, gate_noise, max_qubits)
-        ones = int(np.random.default_rng(axis_seed).binomial(shots, p))
+        ones = int(np.random.default_rng(derive_seed(seed, index)).binomial(shots, p))
         means[axis], errors[axis] = _z_mean(ones, shots)
     bloch = BlochVector(means["x"], means["y"], means["z"])
     err3 = (errors["x"], errors["y"], errors["z"])

@@ -10,14 +10,14 @@ Conventions, fixed across the package:
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
 Both gate kernels address qubits through reshape views of the amplitude
-array and update it in place. Every single-qubit gate (h, the Paulis x/y/z
-that noise trajectories insert, p, rx, ry) goes through ``_apply_1q``, which
-multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the gate's
-2x2 matrix; ``_apply_cx`` views the array with one axis per bit of the qubit
-pair and swaps the target halves of the control-1 block. ``evolve_edge_exact``
-deliberately multiplies a transposed view of the pair's four quarters by a
-generic dense 4x4 instead, sharing nothing with the stride kernels, so the
-gate route and the edge route stay independent and can cross-check each other.
+array and update it in place. Every single-qubit gate (h, p, rx, ry) goes
+through ``_apply_1q``, which multiplies the qubit-0/1 halves of the
+``(-1, 2, 2**q)`` view by the gate's 2x2 matrix; ``_apply_cx`` views the
+array with one axis per bit of the qubit pair and swaps the target halves of
+the control-1 block. ``evolve_edge_exact`` deliberately multiplies a
+transposed view of the pair's four quarters by a generic dense 4x4 instead,
+sharing nothing with the stride kernels, so the gate route and the edge
+route stay independent and can cross-check each other.
 
 The one read kernel, ``pauli_means``, takes a qubit's three Pauli means from
 the same half views: two squared norms and one cross inner product.
@@ -37,8 +37,7 @@ from .errors import ConsistencyError, ResourceCapError, ValidationError
 DEFAULT_MAX_QUBITS = 24
 NORM_DRIFT_LIMIT = 1e-9
 
-GATE_KINDS = ("h", "x", "y", "z", "p", "rx", "ry", "cx")
-_ANGLED_KINDS = ("p", "rx", "ry")
+GATE_KINDS = ("h", "p", "rx", "ry", "cx")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -51,7 +50,7 @@ def _finite_angle(angle) -> float:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate of the tiny circuit IR: h, x, y, z, p, rx, ry, or cx."""
+    """One gate of the tiny circuit IR: h, p, rx, ry, or cx."""
 
     kind: str
     target: int
@@ -73,12 +72,13 @@ class Gate:
         else:
             if self.control is not None:
                 raise ValidationError(f"{self.kind} takes no control qubit")
-            if self.kind in _ANGLED_KINDS:
-                if self.angle is None:
-                    raise ValidationError(f"{self.kind} requires an angle")
+            if self.kind == "h":
+                if self.angle is not None:
+                    raise ValidationError("h takes no angle")
+            elif self.angle is None:
+                raise ValidationError(f"{self.kind} requires an angle")
+            else:
                 object.__setattr__(self, "angle", _finite_angle(self.angle))
-            elif self.angle is not None:
-                raise ValidationError(f"{self.kind} takes no angle")
 
     @staticmethod
     def h(target: int) -> "Gate":
@@ -161,8 +161,7 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
     """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1).
 
     Works on the half views in place, so at most two half-size temporaries
-    exist at once; a diagonal ``u`` (p, z) only scales the halves and an
-    anti-diagonal one (x, y) swaps them with a scale.
+    exist at once; a diagonal ``u`` (p) only scales the halves.
     """
     a0, a1 = _paired_views(amps, q)
     (u00, u01), (u10, u11) = u
@@ -170,10 +169,6 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
         if u00 != 1:
             a0 *= u00
         a1 *= u11
-    elif u00 == 0 and u11 == 0:
-        t = u01 * a1
-        np.multiply(a0, u10, out=a1)
-        a0[...] = t
     else:
         t = u00 * a0
         t += u01 * a1
@@ -197,12 +192,6 @@ def _ry_matrix(angle: float) -> np.ndarray:
 
 
 _H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128)
-_PAULIS = {
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-_FIXED_GATES = {"h": _H, **_PAULIS}
 _ANGLE_GATES = {"p": _p_matrix, "rx": _rx_matrix, "ry": _ry_matrix}
 
 
@@ -230,10 +219,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         _check_qubit(state, gate.control)
         _apply_cx(state.amps, gate.control, gate.target)
     else:
-        if gate.angle is None:
-            u = _FIXED_GATES[gate.kind]
-        else:
-            u = _ANGLE_GATES[gate.kind](gate.angle)
+        u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
         _apply_1q(state.amps, gate.target, u)
     _check_norm(state.amps)
     return state

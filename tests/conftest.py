@@ -67,8 +67,6 @@ def random_state(n, seed):
 
 
 def _one_qubit_matrix(gate):
-    if gate.kind in "xyz":
-        return PAULI[gate.kind]
     if gate.kind == "h":
         return (PAULI["x"] + PAULI["z"]) / np.sqrt(2.0)
     if gate.kind == "p":

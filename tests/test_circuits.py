@@ -197,10 +197,6 @@ class TestTextExport:
             "cx q[1], q[0]",
         ]
 
-    def test_pauli_gates_print_bare(self):
-        c = Circuit(3, (Gate("x", 0), Gate("y", 2), Gate("z", 1)))
-        assert circuit_text(c) == "x q[0]\ny q[2]\nz q[1]\n"
-
     def test_empty(self):
         assert circuit_text(Circuit(1, ())) == ""
 

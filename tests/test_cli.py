@@ -422,8 +422,10 @@ class TestValidate:
 # computed with the moveaxis-and-stack edge kernel that the transposed-view
 # kernel replaced, the shots pins with the trajectory sampler that the
 # one-draw-per-axis route replaced: these outputs must stay byte-identical
-# across such rewrites. Another numpy version may move last bits or draws,
-# so recompute the pins when numpy changes.
+# across such rewrites. The mixed-mode sweep puts analytic and exact rows
+# between its shots rows, so it fixes which substream each shots row draws
+# from. Another numpy version may move last bits or draws, so recompute the
+# pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -440,8 +442,13 @@ class TestValidate:
             "entangle --preset valencia --phi pi/3 --spin 1 --mode shots --seed 5",
             "64ce1a56c4e277d8e5fdcf191562a64df77138ef353fd54c23455138a4b29a71",
         ),
+        (
+            "sweep --preset valencia --calibration {cal} --sweep 0:pi:5 --spin 1 --spin 4"
+            " --mode analytic --mode shots --mode exact --seed 9",
+            "4122963f08f8aa29aca3b25da6c1e2b365af7adebac708c7989db75cfd4a5bae",
+        ),
     ],
-    ids=["validate", "sweep", "shots-readout-sweep", "shots-entangle"],
+    ids=["validate", "sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep"],
 )
 def test_exact_output_bytes_are_pinned(capsys, argv, digest):
     cal = str(ROOT / "src/graphent/data/valencia_calibration.json")

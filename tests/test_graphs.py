@@ -185,31 +185,6 @@ class TestNeighbours:
                 valencia().neighbours(l)
 
 
-class TestLightCone:
-    def test_valencia_hub_is_a_three_star(self):
-        assert valencia().light_cone(1) == Graph(4, ((0, 1), (0, 2), (0, 3)))
-
-    def test_isolated_vertex_is_one_qubit(self):
-        assert Graph(3, ((0, 1),)).light_cone(2) == Graph(1, ())
-
-    def test_triangle_drops_edge_between_neighbours(self):
-        assert complete(3).light_cone(0) == Graph(3, ((0, 1), (0, 2)))
-
-    def test_large_sparse_graph(self):
-        assert ring(100_000).light_cone(5) == Graph(3, ((0, 1), (0, 2)))
-
-    @given(graphs())
-    def test_star_of_degree(self, g):
-        for l in range(g.n_vertices):
-            cone = g.light_cone(l)
-            assert cone.n_vertices == g.degree(l) + 1
-            assert cone.degree(0) == g.degree(l)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            valencia().light_cone(5)
-
-
 class TestPresets:
     def test_valencia(self):
         assert preset("valencia") == valencia()

@@ -12,7 +12,7 @@ from graphent import (
     Graph,
     ResourceCapError,
     ValidationError,
-    derive_seeds,
+    derive_seed,
     estimate_entanglement_shots,
     exact_entanglement,
     init_zero,
@@ -111,10 +111,12 @@ class TestCorruptReadout:
 
 class TestDeriveSeeds:
     def test_deterministic_and_distinct(self):
-        a = derive_seeds(123, 6)
-        assert a == derive_seeds(123, 6)
-        assert len(set(a)) == 6
-        assert a != derive_seeds(124, 6)
+        for seed in (0, 123, 2**70):
+            children = np.random.SeedSequence(seed).spawn(40)
+            expected = [int(c.generate_state(1, np.uint64)[0]) for c in children]
+            assert [derive_seed(seed, i) for i in range(40)] == expected
+            assert len(set(expected)) == 40
+        assert derive_seed(123, 5) != derive_seed(124, 5)
 
 
 class TestEstimateEntanglementShots:
@@ -207,10 +209,10 @@ class TestEstimateEntanglementShots:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda seed: derive_seeds(seed, 3),
+            lambda seed: derive_seed(seed, 0),
             lambda seed: estimate_entanglement_shots(valencia(), 0.5, 1, 10, seed=seed),
         ],
-        ids=["derive_seeds", "estimate"],
+        ids=["derive_seed", "estimate"],
     )
     def test_negative_seed_rejected(self, call):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
@@ -282,8 +284,17 @@ def _relabel(gate, index):
     return Gate(gate.kind, index[gate.target], angle=gate.angle)
 
 
+# rx(pi), ry(pi) and p(pi) are X, Y and Z up to a global phase, which Bloch vectors ignore
+_PAULI_GATES = (
+    None,
+    lambda q: Gate.rx(q, math.pi),
+    lambda q: Gate.ry(q, math.pi),
+    lambda q: Gate.p(q, math.pi),
+)
+
+
 def _with_errors(circuit, pattern):
-    """``circuit`` with Pauli gates after the faulty gates of an error pattern.
+    """``circuit`` with Paulis after the faulty gates of an error pattern.
 
     A pattern is a tuple of (gate index, code) events. A single-qubit code
     1/2/3 is x/y/z on the target; a cx code packs the control's Pauli in its
@@ -298,7 +309,7 @@ def _with_errors(circuit, pattern):
             hits = ((code >> 2, gate.control), (code & 3, gate.target))
         else:
             hits = ((code, gate.target),)
-        gates.extend(Gate("_xyz"[c], q) for c, q in hits if c)
+        gates.extend(_PAULI_GATES[c](q) for c, q in hits if c)
     return Circuit(circuit.n_qubits, tuple(gates))
 
 
@@ -461,7 +472,7 @@ class TestAgainstNoisyOracle:
         # whatever the flip, so only circuits with deterministic outcomes
         # show the frame maps of rx, ry and the x bits through a cx
         one_qubit = [
-            Gate.h, *(lambda q, k=k: Gate(k, q) for k in "xyz"),
+            Gate.h, lambda q: Gate.p(q, math.pi),
             lambda q: Gate.rx(q, math.pi / 2), lambda q: Gate.ry(q, -math.pi / 2),
         ]
         for seed in range(200):
