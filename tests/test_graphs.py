@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from graphent import (
     FORMATS,
     Graph,
+    ResourceCapError,
     ValidationError,
     complete,
+    exact_entanglement,
     parse_graph,
     path,
     preset,
@@ -183,6 +185,52 @@ class TestNeighbours:
         for l in (-1, 5):
             with pytest.raises(ValidationError):
                 valencia().neighbours(l)
+
+
+class TestLightCone:
+    """Spin l's light cone is the star on l and its degree(l) neighbours.
+
+    ``exact_entanglement`` simulates only that star, so a spin and the
+    centre of the star of its degree give bit-identical Bloch vectors
+    within a cap of degree(l) + 1 qubits.
+    """
+
+    @staticmethod
+    def star(k):
+        return Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
+
+    @staticmethod
+    def cone_bloch(g, l, phi=0.9, max_qubits=None):
+        cap = g.degree(l) + 1 if max_qubits is None else max_qubits
+        return exact_entanglement(g, phi, l, max_qubits=cap).bloch.as_tuple()
+
+    def test_valencia_hub_is_a_three_star(self):
+        assert valencia().neighbours(1) == (0, 2, 3)
+        assert self.cone_bloch(valencia(), 1) == self.cone_bloch(self.star(3), 0)
+
+    def test_isolated_vertex_is_one_qubit(self):
+        g = Graph(3, ((0, 1),))
+        assert self.cone_bloch(g, 2, max_qubits=1) == self.cone_bloch(Graph(1, ()), 0)
+
+    def test_triangle_drops_edge_between_neighbours(self):
+        assert self.cone_bloch(complete(3), 0) == self.cone_bloch(self.star(2), 0)
+
+    def test_large_sparse_graph(self):
+        g = ring(100_000)
+        assert self.cone_bloch(g, 5, max_qubits=3) == self.cone_bloch(self.star(2), 0)
+
+    @given(graphs())
+    def test_star_of_degree(self, g):
+        for l in range(g.n_vertices):
+            k = g.degree(l)
+            assert self.cone_bloch(g, l) == self.cone_bloch(self.star(k), 0)
+            if k:
+                with pytest.raises(ResourceCapError):
+                    self.cone_bloch(g, l, max_qubits=k)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValidationError):
+            exact_entanglement(valencia(), 0.9, 5)
 
 
 class TestPresets:

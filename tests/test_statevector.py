@@ -70,6 +70,14 @@ class TestGateType:
             with pytest.raises(ValidationError, match="unknown gate kind"):
                 Gate(kind, 0)
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_pauli_takes_no_angle_or_control(self, axis):
+        # x/y/z are no gate kinds: the kind check comes first, whatever else is given
+        with pytest.raises(ValidationError, match="unknown gate kind"):
+            Gate(axis, 0, angle=0.3)
+        with pytest.raises(ValidationError, match="unknown gate kind"):
+            Gate(axis, 0, control=1)
+
     @pytest.mark.parametrize("angle", NON_FINITE_ANGLES)
     @pytest.mark.parametrize("kind", ["p", "rx", "ry"])
     def test_non_finite_angle_rejected(self, kind, angle):
@@ -189,6 +197,29 @@ class TestApplyGate:
         s.amps[0] = complex(math.nan, 0.0)
         with pytest.raises(ConsistencyError):
             apply_gate(s, Gate.h(0))
+
+
+class TestApplyPauli:
+    """A Pauli is applied as a pi rotation: rx(pi) = -iX, ry(pi) = -iY, p(pi) = Z."""
+
+    @pytest.mark.parametrize(
+        "axis,gate,phase",
+        [
+            ("x", Gate.rx(1, math.pi), -1j),
+            ("y", Gate.ry(1, math.pi), -1j),
+            ("z", Gate.p(1, math.pi), 1.0),
+        ],
+        ids=["x", "y", "z"],
+    )
+    def test_matches_matrix_oracle(self, axis, gate, phase):
+        s = random_state(3, seed=9)
+        expected = phase * (pauli_on(3, 1, axis) @ s.amps)
+        apply_gate(s, gate)
+        assert_allclose(s.amps, expected, atol=1e-15)
+
+    def test_unknown_axis(self):
+        with pytest.raises(ValidationError):
+            Gate("w", 0)
 
 
 class TestEvolveEdge:
