@@ -99,7 +99,7 @@ def _sweep_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"sweep needs at least 2 points, got {count}")
     if not start < stop:
         raise argparse.ArgumentTypeError(f"sweep start must be below stop, got {text!r}")
-    if not math.isfinite(stop - start):
+    if not math.isfinite((stop - start) * (count - 1)):
         raise argparse.ArgumentTypeError(f"sweep span overflows, got {text!r}")
     return start, stop, count
 
@@ -173,9 +173,10 @@ def _write_out(path, text: str):
 def cmd_sweep(args) -> int:
     """Compute every row first, so a failing sweep writes no header and no file.
 
-    Every spin of degree k has the same light cone, so exact rows are computed
-    once per (degree, phi) and shared; the shots route gets no such memo,
-    because its stars differ by calibration.
+    An analytic or exact row depends only on (mode, degree(spin), phi), so
+    its estimate cells are computed and formatted once per such key and
+    shared by every spin of that degree. Shots rows are never shared: stars
+    differ by calibration, and each data row draws its own substream.
     """
     g = _load_graph(args)
     spins = list(dict.fromkeys(args.spin)) if args.spin else list(range(g.n_vertices))
@@ -184,25 +185,19 @@ def cmd_sweep(args) -> int:
     cal = _load_calibration(args)
     start, stop, count = args.sweep
     phis = [start + (stop - start) * i / (count - 1) for i in range(count)]
-    exact: dict[tuple[int, float], EntanglementEstimate] = {}
+    cells: dict[tuple[str, int, float], list] = {}
     rows = []
     for phi in phis:
+        phi_text = repr(phi)
         for spin in spins:
+            k = g.degree(spin)
             for mode in modes:
-                if mode == "exact":
-                    key = (g.degree(spin), phi)
-                    if key not in exact:
-                        exact[key] = exact_entanglement(g, phi, spin, cap)
-                    est = exact[key]
-                else:
+                key = (mode, k, phi)
+                if mode == "shots" or key not in cells:
                     # data row i draws from substream i of the root seed
                     seed = derive_seed(args.seed, len(rows)) if mode == "shots" else None
                     est = _estimate(mode, g, phi, spin, args.shots, cal, seed, cap)
-                rows.append(
-                    [
-                        repr(phi),
-                        spin,
-                        mode,
+                    cells[key] = [
                         repr(est.bloch.mx),
                         repr(est.bloch.my),
                         repr(est.bloch.mz),
@@ -210,9 +205,8 @@ def cmd_sweep(args) -> int:
                         repr(est.value),
                         "" if est.std_error is None else repr(est.std_error),
                         "" if est.shots is None else est.shots,
-                        args.seed,
                     ]
-                )
+                rows.append([phi_text, spin, mode, *cells[key], args.seed])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

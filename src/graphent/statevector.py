@@ -19,8 +19,12 @@ transposed view of the pair's four quarters by a generic dense 4x4 instead,
 sharing nothing with the stride kernels, so the gate route and the edge
 route stay independent and can cross-check each other.
 
-The one read kernel, ``pauli_means``, takes a qubit's three Pauli means from
-the same half views: two squared norms and one cross inner product.
+The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
+means from the same half views: two squared norms and one cross inner
+product. The shots route reads ``p1`` another way: it sums the read-1
+entries of ``StateVector.probabilities()`` and divides by the sum of all. Its
+seeded outputs are pinned to that arithmetic, which ``pauli_means`` does not
+reproduce bit for bit.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent import cli, entanglement, exact_entanglement, sampling, valencia
+from graphent import cli, entanglement, sampling, valencia
 from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
 from graphent.entanglement import METHODS
 
@@ -247,24 +247,47 @@ class TestSweep:
         worst = max(abs(v["analytic"] - v["exact"]) for v in pairs.values())
         assert worst <= 1e-10
 
-    def test_exact_rows_computed_once_per_degree_and_angle(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode,route",
+        [("analytic", "analytic_estimate"), ("exact", "exact_entanglement")],
+        ids=["analytic", "exact"],
+    )
+    def test_rows_computed_once_per_mode_degree_and_angle(self, capsys, monkeypatch, mode, route):
         calls = []
+        compute = getattr(cli, route)
 
-        def counted(g, phi, spin, cap):
+        def counted(g, phi, spin, *rest):
             calls.append((g.degree(spin), phi))
-            return exact_entanglement(g, phi, spin, cap)
+            return compute(g, phi, spin, *rest)
 
-        monkeypatch.setattr(cli, "exact_entanglement", counted)
-        code, out, _ = run(capsys, "sweep", "--preset", "valencia", "--sweep", "0:2pi:5", "--mode", "exact")
+        monkeypatch.setattr(cli, route, counted)
+        code, out, _ = run(capsys, "sweep", "--preset", "valencia", "--sweep", "0:2pi:5", "--mode", mode)
         assert code == 0
         assert len(set(calls)) == len(calls) == 5 * 3  # valencia's degrees are 1, 3, 1, 2, 1
         rows = rows_of(out)
         assert len(rows) == 5 * 5
         for row in rows:
-            est = exact_entanglement(valencia(), float(row["phi"]), int(row["spin"]))
+            est = compute(valencia(), float(row["phi"]), int(row["spin"]))
             assert [row["mean_x"], row["mean_y"], row["mean_z"], row["entanglement"]] == [
                 repr(v) for v in (*est.bloch.as_tuple(), est.value)
             ]
+
+    def test_shots_rows_are_never_shared(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--preset", "valencia", "--sweep", "0.5:1:2", "--spin", "0", "--spin", "2",
+            "--mode", "shots", "--shots", "1000", "--seed", "3",
+        )
+        assert code == 0
+        assert valencia().degree(0) == valencia().degree(2)
+        rows = rows_of(out)
+        assert len(rows) == 4
+        for i, row in enumerate(rows):
+            est = sampling.estimate_entanglement_shots(
+                valencia(), float(row["phi"]), int(row["spin"]), 1000, seed=sampling.derive_seed(3, i)
+            )
+            assert row["mean_z"] == repr(est.bloch.mz)
+        assert rows[0]["mean_z"] != rows[1]["mean_z"]
+        assert rows[2]["mean_z"] != rows[3]["mean_z"]
 
     def test_shots_rows_fill_error_columns(self, capsys):
         code, out, _ = run(
@@ -327,7 +350,8 @@ class TestSweep:
         assert out == ""
         assert not target.exists()
 
-    @pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3"])
+    # 0:1.7e308:10 has a finite span, but the last grid point's (stop - start) * 9 overflows
+    @pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3", "0:1.7e308:10"])
     def test_non_finite_sweep_fails_before_output(self, capsys, spec):
         code, out, _ = run(
             capsys, "sweep", "--preset", "valencia", f"--sweep={spec}", "--mode", "exact",
@@ -424,8 +448,9 @@ class TestValidate:
 # one-draw-per-axis route replaced: these outputs must stay byte-identical
 # across such rewrites. The mixed-mode sweep puts analytic and exact rows
 # between its shots rows, so it fixes which substream each shots row draws
-# from. Another numpy version may move last bits or draws, so recompute the
-# pins when numpy changes.
+# from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
+# rows of spins 2 and 4 come from the (mode, degree, phi) memo. Another numpy
+# version may move last bits or draws, so recompute the pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -433,6 +458,10 @@ class TestValidate:
         (
             "sweep --preset valencia --sweep 0:2pi:17 --spin 0 --spin 1 --spin 3 --mode exact --mode analytic",
             "472c8cc550b97e8cba9cb5e6909d22c7398f09831abdca2ad7926cae98f2bc99",
+        ),
+        (
+            "sweep --preset valencia --sweep 0:2pi:9 --mode analytic --mode exact",
+            "4c238ad1732b92eaac16236c78bd657112e463022dea596f48fac68272611b31",
         ),
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:2pi:9 --mode shots --seed 5",
@@ -448,7 +477,7 @@ class TestValidate:
             "4122963f08f8aa29aca3b25da6c1e2b365af7adebac708c7989db75cfd4a5bae",
         ),
     ],
-    ids=["validate", "sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep"],
+    ids=["validate", "sweep", "shared-degree-sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep"],
 )
 def test_exact_output_bytes_are_pinned(capsys, argv, digest):
     cal = str(ROOT / "src/graphent/data/valencia_calibration.json")
