@@ -15,7 +15,6 @@ from .calibration import (
     valencia_calibration,
 )
 from .circuits import (
-    Circuit,
     apply_circuit,
     choose_orientation,
     circuit_text,

@@ -5,8 +5,9 @@ JSON shape:
     {"readout_error": [...], "gate_error": [...], "cx_error": {"c-t": value, ...}}
 
 ``readout_error`` and ``gate_error`` are indexed by qubit; ``cx_error`` keys
-are directed pairs written ``"control-target"``. A fixture reproducing the
-IBM Q Valencia table (19 Jan 2021) ships with the package.
+are directed pairs written ``"control-target"``. No key and no pair may be
+given twice. A fixture reproducing the IBM Q Valencia table (19 Jan 2021)
+ships with the package.
 """
 
 from __future__ import annotations
@@ -66,9 +67,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a repeated key raises, where ``json`` keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"calibration repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_calibration(text: str) -> CalibrationData:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid calibration JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -85,7 +96,10 @@ def parse_calibration(text: str) -> CalibrationData:
         m = _PAIR_RE.fullmatch(key)
         if not m:
             raise ValidationError(f"cx_error key {key!r} is not of the form 'c-t'")
-        cx[(int(m.group(1)), int(m.group(2)))] = _number(value, f"cx_error[{key}]")
+        pair = (int(m.group(1)), int(m.group(2)))
+        if pair in cx:
+            raise ValidationError(f"cx_error gives pair {pair[0]}-{pair[1]} twice")
+        cx[pair] = _number(value, f"cx_error[{key}]")
     return CalibrationData(
         readout_error=tuple(_number(p, "readout_error entry") for p in obj["readout_error"]),
         gate_error=tuple(_number(p, "gate_error entry") for p in obj["gate_error"]),

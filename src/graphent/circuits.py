@@ -8,7 +8,8 @@ which equals exp(-i*(phi/2)*XrXp) up to a global phase. The rotation qubit
 ``r`` is the endpoint with the smaller single-qubit gate error when
 calibration data is supplied, otherwise the smaller index.
 ``synthesize_star_circuit`` keeps only the blocks at one spin, relabelled
-onto that spin's star, for the shots route.
+onto that spin's star, for the shots route. A circuit is a plain
+``tuple[Gate, ...]``; the register is the state it runs on.
 
 Measurement preludes rotate a target axis onto z so that z-basis statistics
 estimate the requested Pauli mean, sign included: with ry(theta) =
@@ -19,7 +20,6 @@ uses ry(-pi/2); the y prelude uses rx(+pi/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -28,21 +28,6 @@ from .statevector import Gate, StateVector, apply_gate
 if TYPE_CHECKING:
     from .calibration import CalibrationData
     from .graphs import Graph
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate sequence over a fixed qubit register."""
-
-    n_qubits: int
-    gates: tuple[Gate, ...] = ()
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValidationError(f"qubit count must be positive, got {self.n_qubits}")
-        for g in self.gates:
-            if g.target >= self.n_qubits or (g.control is not None and g.control >= self.n_qubits):
-                raise ValidationError(f"gate {g} out of range for {self.n_qubits} qubits")
 
 
 def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> tuple[int, int]:
@@ -78,17 +63,17 @@ def synthesize_edge(r: int, p: int, phi: float) -> tuple[Gate, ...]:
 
 def synthesize_graph_circuit(
     g: "Graph", phi: float, cal: "CalibrationData | None" = None
-) -> Circuit:
+) -> tuple[Gate, ...]:
     """Concatenate one edge block per graph edge, edges in canonical sorted order."""
     gates: list[Gate] = []
     for edge in g.edges:
         gates.extend(synthesize_edge(*choose_orientation(edge, cal), phi))
-    return Circuit(g.n_vertices, tuple(gates))
+    return tuple(gates)
 
 
 def synthesize_star_circuit(
     g: "Graph", l: int, phi: float, cal: "CalibrationData | None" = None
-) -> tuple[Circuit, tuple[int, ...]]:
+) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
     """Spin ``l``'s edge blocks on its star, and the star's physical labels.
 
     Star qubit 0 is ``l`` and qubit ``s`` is its ``s``-th neighbour in
@@ -102,7 +87,7 @@ def synthesize_star_circuit(
     for m in star[1:]:
         r, p = choose_orientation((l, m), cal)
         gates.extend(synthesize_edge(index[r], index[p], phi))
-    return Circuit(len(star), tuple(gates)), star
+    return tuple(gates), star
 
 
 def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
@@ -119,13 +104,13 @@ def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
     raise ValidationError(f"unknown measurement axis {axis!r}")
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Run every gate of ``circuit`` on ``state`` in place."""
-    if circuit.n_qubits > state.n_qubits:
-        raise ValidationError(
-            f"circuit needs {circuit.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    for gate in circuit.gates:
+def apply_circuit(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
+    """Run ``gates`` on ``state`` in place, in order.
+
+    :func:`apply_gate` range-checks each gate, so a gate outside the register
+    raises ``ValidationError`` after the gates before it have run.
+    """
+    for gate in gates:
         apply_gate(state, gate)
     return state
 
@@ -138,8 +123,8 @@ def gate_text(gate: Gate) -> str:
     return f"{gate.kind}({gate.angle!r}) q[{gate.target}]"
 
 
-def circuit_text(circuit: Circuit) -> str:
+def circuit_text(gates: tuple[Gate, ...]) -> str:
     """One gate per line; empty circuits give an empty listing."""
-    if not circuit.gates:
+    if not gates:
         return ""
-    return "\n".join(gate_text(g) for g in circuit.gates) + "\n"
+    return "\n".join(gate_text(g) for g in gates) + "\n"

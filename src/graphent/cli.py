@@ -285,10 +285,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("validate", help="run the randomized self-check suites")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-qubits", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=6, help="most vertices of a random graph, at least 2 (default 6)")
+    p.add_argument("--trials", type=int, default=200, help="number of random graphs, at least 1 (default 200)")
+    p.add_argument("--seed", type=int, default=7, help="RNG seed of the graphs and angles (default 7)")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits; --max-n above it exits 3 (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
     p.set_defaults(func=cmd_validate)
 
     return parser

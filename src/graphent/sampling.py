@@ -9,11 +9,12 @@ root seed is the ``i``-th child that ``numpy.random.SeedSequence(seed).spawn``
 makes (:func:`derive_seed`); ``estimate_entanglement_shots`` gives the z, x
 and y axes substreams 0, 1 and 2, each making its axis's single binomial draw.
 
-Each axis runs the star of spin ``l`` only: its ``degree(l)`` edge blocks on
-``degree(l) + 1`` qubits (:func:`synthesize_star_circuit`) and the axis's
-measurement prelude, simulated once without noise for the probability ``p1``
-that ``l`` reads 1. The other blocks commute with ``l``'s and act on other
-qubits, so they leave ``l``'s marginal alone.
+One preparation per estimate simulates the star of spin ``l`` only, without
+noise: its ``degree(l)`` edge blocks on ``degree(l) + 1`` qubits
+(:func:`synthesize_star_circuit`). Each axis runs its measurement prelude on a
+copy of that state for the probability ``p1`` that ``l`` reads 1. The other
+blocks commute with ``l``'s and act on other qubits, so they leave ``l``'s
+marginal alone.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 puts after each gate, with the calibrated probability, a uniformly random
@@ -46,11 +47,11 @@ import math
 import numpy as np
 
 from .calibration import CalibrationData
-from .circuits import Circuit, apply_circuit, measurement_prelude, synthesize_star_circuit
+from .circuits import apply_circuit, measurement_prelude, synthesize_star_circuit
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ValidationError
 from .graphs import Graph
-from .statevector import DEFAULT_MAX_QUBITS, _finite_angle, init_zero
+from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, _finite_angle, init_zero
 
 DEFAULT_SHOTS = 8192
 
@@ -94,7 +95,7 @@ def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) ->
     return 0.5 * math.sqrt(sum((m * s) ** 2 for m, s in zip(b.as_tuple(), errors))) / norm
 
 
-def _gate_flip_probability(circuit: Circuit, star: tuple[int, ...], cal: CalibrationData) -> float:
+def _gate_flip_probability(gates: tuple[Gate, ...], star: tuple[int, ...], cal: CalibrationData) -> float:
     """``q``, the chance that gate/CX errors flip star qubit 0's measured bit.
 
     An error's image has an x bit on qubit 0 exactly when the error
@@ -110,11 +111,11 @@ def _gate_flip_probability(circuit: Circuit, star: tuple[int, ...], cal: Calibra
         cal.cx_error_for(star[g.control], star[g.target])
         if g.kind == "cx"
         else cal.gate_error[star[g.target]]
-        for g in circuit.gates
+        for g in gates
     ]
     x, z = 0, 1
     keep = 1.0
-    for gate, p in zip(reversed(circuit.gates), reversed(rates)):
+    for gate, p in zip(reversed(gates), reversed(rates)):
         t = 1 << gate.target
         c = 1 << gate.control if gate.kind == "cx" else 0
         if (x | z) & (c | t):
@@ -132,22 +133,23 @@ def _gate_flip_probability(circuit: Circuit, star: tuple[int, ...], cal: Calibra
 
 
 def _read_one_probability(
-    base: Circuit,
+    prepared: StateVector,
+    base: tuple[Gate, ...],
     star: tuple[int, ...],
     axis: str,
     cal: CalibrationData | None,
     gate_noise: bool,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> float:
     """Chance that one shot of the ``axis`` experiment on a star reads its qubit 0 as 1.
 
-    ``base`` and ``star`` are :func:`synthesize_star_circuit`'s; the result
+    ``base`` and ``star`` are :func:`synthesize_star_circuit`'s and
+    ``prepared`` is ``base`` run from ``|0...0>``, left unchanged; the result
     is ``f + (1 - 2f) p1`` of the module docstring.
     """
-    circuit = Circuit(base.n_qubits, base.gates + measurement_prelude(axis, 0))
-    q = _gate_flip_probability(circuit, star, cal) if gate_noise else 0.0
-    probs = apply_circuit(init_zero(circuit.n_qubits, max_qubits), circuit).probabilities()
+    prelude = measurement_prelude(axis, 0)
+    probs = apply_circuit(prepared.copy(), prelude).probabilities()
     p1 = probs[1::2].sum() / probs.sum()
+    q = _gate_flip_probability(base + prelude, star, cal) if gate_noise else 0.0
     r = 0.0 if cal is None else cal.readout_error[star[0]]
     f = r + q - 2 * r * q
     return f + (1 - 2 * f) * p1
@@ -166,13 +168,13 @@ def estimate_entanglement_shots(
 ) -> EntanglementEstimate:
     """Three-experiment shot estimate of spin ``l``'s entanglement.
 
-    One circuit execution per axis (z, x, y) on the star of ``l`` (see
-    :func:`synthesize_star_circuit`): ``l``'s edge blocks and the measurement
-    prelude, then one binomial count of the shots that read ``l`` as 1, with
-    ``l``'s readout error composed into its probability when calibration is
-    given. ``gate_noise=True`` also composes the flip that the star's gate/CX
-    errors cause, from the calibration (required then). ``max_qubits`` caps
-    the star, ``degree(l) + 1`` qubits.
+    One preparation of the star of ``l`` (``l``'s edge blocks, see
+    :func:`synthesize_star_circuit`), then per axis (z, x, y) the measurement
+    prelude on a copy of it and one binomial count of the shots that read
+    ``l`` as 1, with ``l``'s readout error composed into its probability when
+    calibration is given. ``gate_noise=True`` also composes the flip that the
+    star's gate/CX errors cause, from the calibration (required then).
+    ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
     """
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
@@ -182,10 +184,11 @@ def estimate_entanglement_shots(
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
     base, star = synthesize_star_circuit(g, l, phi, cal)
+    prepared = apply_circuit(init_zero(len(star), max_qubits), base)
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
     for index, axis in enumerate(("z", "x", "y")):
-        p = _read_one_probability(base, star, axis, cal, gate_noise, max_qubits)
+        p = _read_one_probability(prepared, base, star, axis, cal, gate_noise)
         ones = int(np.random.default_rng(derive_seed(seed, index)).binomial(shots, p))
         means[axis], errors[axis] = _z_mean(ones, shots)
     bloch = BlochVector(means["x"], means["y"], means["z"])

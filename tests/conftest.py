@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from graphent import Circuit, StateVector, measurement_prelude, synthesize_graph_circuit
+from graphent import StateVector, measurement_prelude, synthesize_graph_circuit
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -101,19 +101,18 @@ def _depolarize(rho, n, qubits, p):
     return (1.0 - p) * rho + p / len(paulis) * sum(m @ rho @ m.conj().T for m in paulis)
 
 
-def density_matrix_oracle(circuit, cal=None):
-    """``circuit`` run under the gate noise model of ``graphent.sampling``, as a density matrix.
+def density_matrix_oracle(n, gates, cal=None):
+    """``gates`` run on ``n`` qubits under the gate noise model of ``graphent.sampling``, as a density matrix.
 
     Starts from rho = |0><0|. With calibration, after each gate with error p
     it applies rho -> (1 - p) rho + p/3 sum P rho P over the three Paulis on
     the gate's qubit, or p/15 over the 15 non-identity two-qubit Paulis after
     a cx. Kept to n <= 6, where rho has 4**6 entries.
     """
-    n = circuit.n_qubits
     assert n <= 6, "density matrix oracle is kept to n <= 6"
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
-    for gate in circuit.gates:
+    for gate in gates:
         u = gate_unitary_oracle(n, gate)
         rho = u @ rho @ u.conj().T
         if cal is not None:
@@ -137,8 +136,7 @@ def noisy_bloch_oracle(g, phi, l, cal=None, gate_noise=False):
     z_l = pauli_on(n, l, "z")
     means = []
     for axis in "xyz":
-        circuit = Circuit(n, base.gates + measurement_prelude(axis, l))
-        rho = density_matrix_oracle(circuit, cal if gate_noise else None)
+        rho = density_matrix_oracle(n, base + measurement_prelude(axis, l), cal if gate_noise else None)
         mean = float(np.trace(rho @ z_l).real)
         means.append(mean if cal is None else mean * (1.0 - 2.0 * cal.readout_error[l]))
     return tuple(means)

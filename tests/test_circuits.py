@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from graphent import (
-    Circuit,
     Gate,
     ValidationError,
     apply_circuit,
@@ -34,17 +33,14 @@ def run_fragment(state, gates):
 
 
 class TestCircuitType:
-    def test_gate_range_checked(self):
-        with pytest.raises(ValidationError):
-            Circuit(2, (Gate.h(2),))
-        with pytest.raises(ValidationError):
-            Circuit(2, (Gate.cx(2, 0),))
+    """A circuit is a tuple of gates; each gate checks its own form, and
+    ``apply_gate`` checks it against the register it runs on."""
 
     @pytest.mark.parametrize("angle", NON_FINITE_ANGLES)
     @pytest.mark.parametrize("gate", [Gate.p, Gate.rx, Gate.ry])
     def test_non_finite_angle_rejected(self, gate, angle):
         with pytest.raises(ValidationError, match="non-finite angle"):
-            Circuit(1, (gate(0, angle),))
+            gate(0, angle)
 
 
 class TestOrientation:
@@ -122,17 +118,17 @@ class TestEdgeSynthesis:
 class TestGraphSynthesis:
     def test_valencia_block_count(self):
         c = synthesize_graph_circuit(valencia(), 0.4)
-        assert len(c.gates) == 20
+        assert len(c) == 20
 
     def test_complete_5_block_count(self):
         c = synthesize_graph_circuit(complete(5), 0.4)
-        assert len(c.gates) == 50
-        assert sum(g.kind == "p" for g in c.gates) == 10
+        assert len(c) == 50
+        assert sum(g.kind == "p" for g in c) == 10
 
     def test_empty_graph_empty_circuit(self):
         from graphent import Graph
 
-        assert synthesize_graph_circuit(Graph(3, ()), 0.4).gates == ()
+        assert synthesize_graph_circuit(Graph(3, ()), 0.4) == ()
 
     @pytest.mark.parametrize("graph", [valencia(), complete(5)])
     def test_matches_dense_evolution(self, graph):
@@ -145,9 +141,9 @@ class TestGraphSynthesis:
 
     def test_calibrated_valencia_first_block(self):
         c = synthesize_graph_circuit(valencia(), 0.5, valencia_calibration())
-        assert c.gates[0] == Gate.cx(1, 0)
-        assert c.gates[1] == Gate.h(1)
-        assert c.gates[2] == Gate.p(1, 0.5)
+        assert c[0] == Gate.cx(1, 0)
+        assert c[1] == Gate.h(1)
+        assert c[2] == Gate.p(1, 0.5)
 
 
 class TestPreludes:
@@ -179,15 +175,12 @@ class TestPreludes:
 
 class TestTextExport:
     def test_gate_lines(self):
-        c = Circuit(
-            2,
-            (
-                Gate.h(0),
-                Gate.p(1, math.pi / 4),
-                Gate.rx(0, 0.5),
-                Gate.ry(1, -0.5),
-                Gate.cx(1, 0),
-            ),
+        c = (
+            Gate.h(0),
+            Gate.p(1, math.pi / 4),
+            Gate.rx(0, 0.5),
+            Gate.ry(1, -0.5),
+            Gate.cx(1, 0),
         )
         assert circuit_text(c).splitlines() == [
             "h q[0]",
@@ -198,7 +191,7 @@ class TestTextExport:
         ]
 
     def test_empty(self):
-        assert circuit_text(Circuit(1, ())) == ""
+        assert circuit_text(()) == ""
 
     def test_calibrated_valencia_listing_head(self):
         c = synthesize_graph_circuit(valencia(), math.pi / 4, valencia_calibration())
@@ -214,9 +207,12 @@ class TestTextExport:
 
 class TestApplyCircuit:
     def test_too_small_state(self):
+        # the gates before the out-of-range one have run
+        s = init_zero(2)
         with pytest.raises(ValidationError):
-            apply_circuit(init_zero(2), Circuit(3, (Gate.h(2),)))
+            apply_circuit(s, (Gate.h(0), Gate.h(2)))
+        assert_allclose(np.abs(s.amps) ** 2, [0.5, 0.5, 0, 0], atol=1e-12)
 
     def test_runs_in_order(self):
-        s = apply_circuit(init_zero(2), Circuit(2, (Gate.h(0), Gate.cx(0, 1))))
+        s = apply_circuit(init_zero(2), (Gate.h(0), Gate.cx(0, 1)))
         assert_allclose(np.abs(s.amps) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)

@@ -559,7 +559,16 @@ class TestGraphInput:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("content", [None, "{}"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{}",
+            '{"readout_error": [0, 0], "gate_error": [0, 0], "cx_error": {"0-1": 0.02, "00-1": 0.9}}',
+            '{"readout_error": [0, 0], "gate_error": [0, 0], "cx_error": {"0-1": 0.02, "0-1": 0.9}}',
+        ],
+        ids=["missing", "malformed", "same-pair", "same-key"],
+    )
     @pytest.mark.parametrize("mode", ["analytic", "exact"])
     def test_calibration_checked_in_every_mode(self, capsys, tmp_path, mode, content):
         cal = tmp_path / "cal.json"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphent import (
     CalibrationData,
-    Circuit,
     Gate,
     Graph,
     ResourceCapError,
@@ -23,7 +22,7 @@ from graphent import (
     valencia,
     valencia_calibration,
 )
-from graphent import sampling
+from graphent import circuits, sampling
 from graphent.circuits import apply_circuit, synthesize_star_circuit
 from graphent.entanglement import bloch_vector
 from graphent.sampling import DEFAULT_SHOTS
@@ -65,6 +64,9 @@ class TestCalibration:
             '{"readout_error": ["0.1"], "gate_error": [0.1], "cx_error": {}}',
             '{"readout_error": [0.1], "gate_error": [true], "cx_error": {}}',
             '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"\uff10-1": 0.1}}',
+            # one pair given twice, which json.loads alone would resolve to the last value
+            '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"0-1": 0.02, "00-1": 0.9}}',
+            '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": {"0-1": 0.02, "0-1": 0.9}}',
         ],
     )
     def test_rejects_malformed(self, text):
@@ -197,6 +199,20 @@ class TestEstimateEntanglementShots:
         est = estimate_entanglement_shots(ring(n), 1.0, 7, 2000, cal, seed=4, gate_noise=gate_noise)
         assert (est.spin, est.shots) == (7, 2000)
 
+    @pytest.mark.parametrize("l", range(5))
+    def test_star_is_prepared_once_per_estimate(self, l, monkeypatch):
+        # the 5 * degree base gates run once; only the x and y preludes add a gate
+        calls = []
+        kernel = circuits.apply_gate
+
+        def counted(state, gate):
+            calls.append(gate)
+            return kernel(state, gate)
+
+        monkeypatch.setattr(circuits, "apply_gate", counted)
+        estimate_entanglement_shots(valencia(), 0.7, l, 8192, valencia_calibration(), seed=1, gate_noise=True)
+        assert len(calls) == 5 * valencia().degree(l) + 2
+
     def test_missing_star_cx_entry_rejected_with_physical_pair(self):
         cal = CalibrationData((0.0,) * 5, (0.0,) * 5, {})
         with pytest.raises(ValidationError, match="directed pair 1-3"):
@@ -293,24 +309,24 @@ _PAULI_GATES = (
 )
 
 
-def _with_errors(circuit, pattern):
-    """``circuit`` with Paulis after the faulty gates of an error pattern.
+def _with_errors(gates, pattern):
+    """``gates`` with Paulis after the faulty gates of an error pattern.
 
     A pattern is a tuple of (gate index, code) events. A single-qubit code
     1/2/3 is x/y/z on the target; a cx code packs the control's Pauli in its
     high two bits and the target's in its low two, 0 meaning identity.
     """
     errors = dict(pattern)
-    gates = []
-    for idx, gate in enumerate(circuit.gates):
-        gates.append(gate)
+    out = []
+    for idx, gate in enumerate(gates):
+        out.append(gate)
         code = errors.get(idx, 0)
         if gate.kind == "cx":
             hits = ((code >> 2, gate.control), (code & 3, gate.target))
         else:
             hits = ((code, gate.target),)
-        gates.extend(_PAULI_GATES[c](q) for c, q in hits if c)
-    return Circuit(circuit.n_qubits, tuple(gates))
+        out.extend(_PAULI_GATES[c](q) for c, q in hits if c)
+    return tuple(out)
 
 
 ALL_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -335,19 +351,19 @@ def test_star_circuit_reduces_the_full_register_under_any_error_pattern(data):
     blocks = [e for e, edge in enumerate(g.edges) if l in edge]
     index = {v: s for s, v in enumerate(star)}
     for b, e in enumerate(blocks):
-        assert [_relabel(gate, index) for gate in full.gates[5 * e : 5 * e + 5]] == list(
-            star_circuit.gates[5 * b : 5 * b + 5]
+        assert [_relabel(gate, index) for gate in full[5 * e : 5 * e + 5]] == list(
+            star_circuit[5 * b : 5 * b + 5]
         )
     events = data.draw(
         st.lists(
-            st.tuples(st.integers(0, max(0, len(full.gates) - 1)), st.integers(1, 15)),
+            st.tuples(st.integers(0, max(0, len(full) - 1)), st.integers(1, 15)),
             unique_by=lambda event: event[0],
-            max_size=8 if full.gates else 0,
+            max_size=8 if full else 0,
         ),
         label="events",
     )
     pattern = tuple(
-        (idx, code if full.gates[idx].kind == "cx" else 1 + code % 3) for idx, code in sorted(events)
+        (idx, code if full[idx].kind == "cx" else 1 + code % 3) for idx, code in sorted(events)
     )
     star_pattern = tuple(
         (5 * blocks.index(idx // 5) + idx % 5, code) for idx, code in pattern if idx // 5 in blocks
@@ -366,17 +382,17 @@ class TestStarOrientation:
         # the tie with 4 on 3 (star qubit 0); star indices would pick 0 for both
         circuit, star = synthesize_star_circuit(valencia(), 3, 0.5, cal)
         assert star == (3, 1, 4)
-        assert circuit.gates[0] == Gate.cx(1, 0)
-        assert circuit.gates[5] == Gate.cx(0, 2)
+        assert circuit[0] == Gate.cx(1, 0)
+        assert circuit[5] == Gate.cx(0, 2)
 
     def test_calibration_orients_on_physical_rates(self):
         # bundled rates: q1 < q0 < q3 < q4 < q2, so spin 1's blocks all rotate on 1
         circuit, star = synthesize_star_circuit(valencia(), 1, 0.5, valencia_calibration())
         assert star == (1, 0, 2, 3)
-        assert [circuit.gates[5 * b] for b in range(3)] == [Gate.cx(0, s) for s in (1, 2, 3)]
+        assert [circuit[5 * b] for b in range(3)] == [Gate.cx(0, s) for s in (1, 2, 3)]
         circuit, star = synthesize_star_circuit(valencia(), 4, 0.5, valencia_calibration())
         assert star == (4, 3)
-        assert circuit.gates[0] == Gate.cx(1, 0)
+        assert circuit[0] == Gate.cx(1, 0)
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its
@@ -402,9 +418,10 @@ def _read_one_deviation(g, phi, l, cal, gate_noise):
     """Worst gap over the axes between the route's read-1 probability and
     the density-matrix oracle's, (1 - mean) / 2 of the whole graph circuit."""
     base, star = synthesize_star_circuit(g, l, phi, cal)
+    prepared = apply_circuit(init_zero(len(star)), base)
     expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
     return max(
-        abs(sampling._read_one_probability(base, star, axis, cal, gate_noise) - (1 - mean) / 2)
+        abs(sampling._read_one_probability(prepared, base, star, axis, cal, gate_noise) - (1 - mean) / 2)
         for axis, mean in zip("xyz", expected)
     )
 
@@ -483,7 +500,7 @@ class TestAgainstNoisyOracle:
                 a, b = (int(q) for q in rng.choice(n, 2, replace=False))
                 k = int(rng.integers(len(one_qubit) + 2))
                 gates.append(Gate.cx(a, b) if k >= len(one_qubit) else one_qubit[k](a))
-            circuit = Circuit(n, tuple(gates))
+            circuit = tuple(gates)
             cal = CalibrationData(
                 (0.0,) * n,
                 tuple((0.2 * rng.random(n)).tolist()),
@@ -491,7 +508,7 @@ class TestAgainstNoisyOracle:
             )
             z0 = pauli_on(n, 0, "z")
             p1, noisy = (
-                (1 - np.trace(density_matrix_oracle(circuit, c) @ z0).real) / 2 for c in (None, cal)
+                (1 - np.trace(density_matrix_oracle(n, circuit, c) @ z0).real) / 2 for c in (None, cal)
             )
             q = sampling._gate_flip_probability(circuit, tuple(range(n)), cal)
             assert abs(q + (1 - 2 * q) * p1 - noisy) <= 1e-12
