@@ -41,7 +41,6 @@ from .graphs import (
     path,
     preset,
     ring,
-    serialize_graph,
     valencia,
 )
 from .sampling import DEFAULT_SHOTS, derive_seed, estimate_entanglement_shots

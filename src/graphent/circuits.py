@@ -6,10 +6,8 @@ Each graph edge compiles to the five-gate block
 
 which equals exp(-i*(phi/2)*XrXp) up to a global phase. The rotation qubit
 ``r`` is the endpoint with the smaller single-qubit gate error when
-calibration data is supplied, otherwise the smaller index.
-``synthesize_star_circuit`` keeps only the blocks at one spin, relabelled
-onto that spin's star, for the shots route. A circuit is a plain
-``tuple[Gate, ...]``; the register is the state it runs on.
+calibration data is supplied, otherwise the smaller index. A circuit is a
+plain ``tuple[Gate, ...]``; the register is the state it runs on.
 
 Measurement preludes rotate a target axis onto z so that z-basis statistics
 estimate the requested Pauli mean, sign included: with ry(theta) =
@@ -69,25 +67,6 @@ def synthesize_graph_circuit(
     for edge in g.edges:
         gates.extend(synthesize_edge(*choose_orientation(edge, cal), phi))
     return tuple(gates)
-
-
-def synthesize_star_circuit(
-    g: "Graph", l: int, phi: float, cal: "CalibrationData | None" = None
-) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
-    """Spin ``l``'s edge blocks on its star, and the star's physical labels.
-
-    Star qubit 0 is ``l`` and qubit ``s`` is its ``s``-th neighbour in
-    ascending order, the order its edges take in the graph circuit. Each
-    block is oriented on the physical pair with the physical calibration, so
-    ties break on physical indices, and then relabelled onto star qubits.
-    """
-    star = (l,) + g.neighbours(l)
-    index = {v: s for s, v in enumerate(star)}
-    gates: list[Gate] = []
-    for m in star[1:]:
-        r, p = choose_orientation((l, m), cal)
-        gates.extend(synthesize_edge(index[r], index[p], phi))
-    return tuple(gates), star
 
 
 def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:

@@ -139,7 +139,7 @@ def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate
         return analytic_estimate(g, phi, spin)
     if mode == "exact":
         return exact_entanglement(g, phi, spin, cap)
-    return estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed, max_qubits=cap)
+    return estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed)
 
 
 def cmd_entangle(args) -> int:
@@ -175,8 +175,8 @@ def cmd_sweep(args) -> int:
 
     An analytic or exact row depends only on (mode, degree(spin), phi), so
     its estimate cells are computed and formatted once per such key and
-    shared by every spin of that degree. Shots rows are never shared: stars
-    differ by calibration, and each data row draws its own substream.
+    shared by every spin of that degree. Shots rows are never shared: their
+    rates differ by calibration, and each data row draws its own substream.
     """
     g = _load_graph(args)
     spins = list(dict.fromkeys(args.spin)) if args.spin else list(range(g.n_vertices))
@@ -250,7 +250,7 @@ def _add_graph_args(p):
 
 def _add_run_args(p):
     p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits: degree+1 for exact and shots (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"largest state vector, in qubits: caps k+1 in exact mode, k the spin's degree; shots mode allocates no state vector (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
 
 
 @functools.cache
@@ -288,7 +288,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=6, help="most vertices of a random graph, at least 2 (default 6)")
     p.add_argument("--trials", type=int, default=200, help="number of random graphs, at least 1 (default 200)")
     p.add_argument("--seed", type=int, default=7, help="RNG seed of the graphs and angles (default 7)")
-    p.add_argument("--max-qubits", type=int, default=None, help=f"cap on simulated qubits; --max-n above it exits 3 (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"largest state vector, in qubits; --max-n above it exits 3 (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -25,8 +25,6 @@ import json
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
 
 FORMATS = ("edge-list", "json", "adjacency")
@@ -77,13 +75,6 @@ class Graph:
     def degree(self, l: int) -> int:
         """Number of edges incident to vertex ``l``."""
         return len(self.neighbours(l))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_vertices, self.n_vertices), dtype=int)
-        for i, j in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
-        return a
 
 
 def _as_int(token: str, what: str) -> int:
@@ -211,20 +202,6 @@ def parse_graph(text: str, fmt: str) -> Graph:
             f"unknown graph format {fmt!r}; expected one of {FORMATS + ('auto',)}"
         )
     return _PARSERS[fmt](text)
-
-
-def serialize_graph(g: Graph, fmt: str) -> str:
-    """Inverse of :func:`parse_graph`: ``parse_graph(serialize_graph(g, f), f) == g``."""
-    if fmt == "edge-list":
-        lines = [str(g.n_vertices)] + [f"{i} {j}" for i, j in g.edges]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps({"n": g.n_vertices, "edges": [list(e) for e in g.edges]})
-    if fmt == "adjacency":
-        a = g.adjacency_matrix()
-        lines = [str(g.n_vertices)] + [" ".join(str(v) for v in row) for row in a]
-        return "\n".join(lines) + "\n"
-    raise ValidationError(f"unknown graph format {fmt!r}; expected one of {FORMATS}")
 
 
 def valencia() -> Graph:

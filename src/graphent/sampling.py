@@ -9,12 +9,15 @@ root seed is the ``i``-th child that ``numpy.random.SeedSequence(seed).spawn``
 makes (:func:`derive_seed`); ``estimate_entanglement_shots`` gives the z, x
 and y axes substreams 0, 1 and 2, each making its axis's single binomial draw.
 
-One preparation per estimate simulates the star of spin ``l`` only, without
-noise: its ``degree(l)`` edge blocks on ``degree(l) + 1`` qubits
-(:func:`synthesize_star_circuit`). Each axis runs its measurement prelude on a
-copy of that state for the probability ``p1`` that ``l`` reads 1. The other
-blocks commute with ``l``'s and act on other qubits, so they leave ``l``'s
-marginal alone.
+Spin ``l``'s marginal needs only its own ``degree(l)`` edge blocks: the
+others commute with them and act on other qubits. Neighbour ``m`` starts in
+``|0>`` and meets only its block with ``l``, so it is traced out right after
+that block, ``rho <- Tr_m[U_b (rho (x) |0><0|_m) U_b^dagger]``, on ``l``'s 2x2
+density matrix ``rho`` (:func:`_spin_state`). ``U_b`` comes from the compiled
+block run through the gate kernels on 3 qubits (:func:`_isometry`), and each
+axis applies its measurement prelude to ``rho`` the same way before reading
+the probability ``p1`` that ``l`` reads 1. No state has more than 8
+amplitudes, whatever the degree, so the route has no qubit cap.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 puts after each gate, with the calibrated probability, a uniformly random
@@ -26,10 +29,10 @@ Spin ``l``'s marginal of commuting XX rotations does not depend on their
 signs, so an error flips ``l``'s measured bit exactly when its image has an
 x bit on ``l``, whatever phi is: a Pauli frame (Knill, Nature 434, 39
 (2005); Gidney, Quantum 5, 497 (2021)). Errors outside ``l``'s blocks end
-as Paulis on their own edge and never flip it, so the star holds under
-noise too. Site ``s`` with error ``p_s`` flips the bit with probability
-``p_s a_s / N_s``, where ``a_s`` of its ``N_s`` Paulis do, and independent
-flips add mod 2: gate noise flips the bit with probability
+as Paulis on their own edge and never flip it, so the pass walks only
+``l``'s blocks and prelude. Site ``s`` with error ``p_s`` flips the bit with
+probability ``p_s a_s / N_s``, where ``a_s`` of its ``N_s`` Paulis do, and
+independent flips add mod 2: gate noise flips the bit with probability
 ``q = (1 - prod_s (1 - 2 p_s a_s / N_s)) / 2``. The model makes no claim to
 reproduce hardware data quantitatively.
 
@@ -47,11 +50,11 @@ import math
 import numpy as np
 
 from .calibration import CalibrationData
-from .circuits import apply_circuit, measurement_prelude, synthesize_star_circuit
+from .circuits import apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ValidationError
 from .graphs import Graph
-from .statevector import DEFAULT_MAX_QUBITS, Gate, StateVector, _finite_angle, init_zero
+from .statevector import Gate, StateVector, _finite_angle
 
 DEFAULT_SHOTS = 8192
 
@@ -95,25 +98,23 @@ def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) ->
     return 0.5 * math.sqrt(sum((m * s) ** 2 for m, s in zip(b.as_tuple(), errors))) / norm
 
 
-def _gate_flip_probability(gates: tuple[Gate, ...], star: tuple[int, ...], cal: CalibrationData) -> float:
-    """``q``, the chance that gate/CX errors flip star qubit 0's measured bit.
+def _gate_flip_probability(gates: tuple[Gate, ...], l: int, cal: CalibrationData) -> float:
+    """``q``, the chance that gate/CX errors flip spin ``l``'s measured bit.
 
-    An error's image has an x bit on qubit 0 exactly when the error
-    anticommutes with Z_0 pulled back to it, since conjugation keeps
-    commutation. One backward pass holds that pullback as x/z bitmasks,
-    signs dropped; the maps of cx, h and the preludes' quarter-turn rx and
-    ry are their own inverses, and p keeps the frame. Where the pullback
-    acts on a site, 2 of its 3 (or 8 of its 15) Paulis anticommute with it.
-    Rates are looked up in circuit order first, so the first missing cx
-    entry is the one that raises.
+    An error's image has an x bit on ``l`` exactly when the error
+    anticommutes with Z_l pulled back to it, since conjugation keeps
+    commutation. One backward pass holds that pullback as x/z bitmasks over
+    physical qubits, signs dropped; the maps of cx, h and the preludes'
+    quarter-turn rx and ry are their own inverses, and p keeps the frame.
+    Where the pullback acts on a site, 2 of its 3 (or 8 of its 15) Paulis
+    anticommute with it. Rates are looked up in circuit order first, so the
+    first missing cx entry is the one that raises.
     """
     rates = [
-        cal.cx_error_for(star[g.control], star[g.target])
-        if g.kind == "cx"
-        else cal.gate_error[star[g.target]]
+        cal.cx_error_for(g.control, g.target) if g.kind == "cx" else cal.gate_error[g.target]
         for g in gates
     ]
-    x, z = 0, 1
+    x, z = 0, 1 << l
     keep = 1.0
     for gate, p in zip(reversed(gates), reversed(rates)):
         t = 1 << gate.target
@@ -132,27 +133,63 @@ def _gate_flip_probability(gates: tuple[Gate, ...], star: tuple[int, ...], cal: 
     return (1.0 - keep) / 2.0
 
 
-def _read_one_probability(
-    prepared: StateVector,
-    base: tuple[Gate, ...],
-    star: tuple[int, ...],
-    axis: str,
-    cal: CalibrationData | None,
-    gate_noise: bool,
-) -> float:
-    """Chance that one shot of the ``axis`` experiment on a star reads its qubit 0 as 1.
+def _isometry(gates: tuple[Gate, ...]) -> np.ndarray:
+    """``U |0>_m / sqrt(2)`` as a 4x2 matrix ``V``: ``V[2j + i, a] = <i|_l <j|_m U |a>_l |0>_m / sqrt(2)``.
 
-    ``base`` and ``star`` are :func:`synthesize_star_circuit`'s and
-    ``prepared`` is ``base`` run from ``|0...0>``, left unchanged; the result
-    is ``f + (1 - 2f) p1`` of the module docstring.
+    ``gates`` act on ``l`` = qubit 0 and ``m`` = qubit 1. They run once on
+    those two and a reference qubit 2 maximally entangled with ``l``, so the
+    8 amplitudes of the result are ``U``'s columns at ``m = 0``.
     """
-    prelude = measurement_prelude(axis, 0)
-    probs = apply_circuit(prepared.copy(), prelude).probabilities()
-    p1 = probs[1::2].sum() / probs.sum()
-    q = _gate_flip_probability(base + prelude, star, cal) if gate_noise else 0.0
-    r = 0.0 if cal is None else cal.readout_error[star[0]]
-    f = r + q - 2 * r * q
-    return f + (1 - 2 * f) * p1
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0b000] = amps[0b101] = math.sqrt(0.5)
+    return apply_circuit(StateVector(3, amps), gates).amps.reshape(2, 4).T
+
+
+def _trace_out(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Tr_m[U (rho (x) |0><0|_m) U^dagger]`` from ``v`` of :func:`_isometry`; the factor 2 is exact."""
+    w = v @ rho @ v.conj().T
+    return 2.0 * (w[:2, :2] + w[2:, 2:])
+
+
+def _spin_state(blocks: list[tuple[int, int]], l: int, phi: float) -> np.ndarray:
+    """Spin ``l``'s 2x2 density matrix after its edge blocks, oriented as ``blocks``.
+
+    Neighbour ``m`` starts in ``|0>`` and meets only its own block, so it is
+    traced out right after it. A block has two orientations, rotating on
+    ``l`` or on ``m``, so at most two isometries are built.
+    """
+    isometries: dict[bool, np.ndarray] = {}
+    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    for r, _ in blocks:
+        on_l = r == l
+        if on_l not in isometries:
+            isometries[on_l] = _isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
+        rho = _trace_out(rho, isometries[on_l])
+    return rho
+
+
+def _read_one_probabilities(
+    g: Graph, phi: float, l: int, cal: CalibrationData | None, gate_noise: bool
+) -> list[float]:
+    """Chances that one shot of the z, x and y experiments reads spin ``l`` as 1.
+
+    Each is ``f + (1 - 2f) p1`` of the module docstring. The blocks are
+    oriented on the physical pairs with the physical calibration, so ties
+    break on physical indices, and gate noise walks them on physical qubits.
+    """
+    blocks = [choose_orientation((l, m), cal) for m in g.neighbours(l)]
+    rho = _spin_state(blocks, l, phi)
+    gates = tuple(gate for r, p in blocks for gate in synthesize_edge(r, p, phi)) if gate_noise else ()
+    r = 0.0 if cal is None else cal.readout_error[l]
+    probabilities = []
+    for axis in ("z", "x", "y"):
+        prelude = measurement_prelude(axis, 0)
+        measured = _trace_out(rho, _isometry(prelude)) if prelude else rho
+        p1 = measured[1, 1].real / (measured[0, 0].real + measured[1, 1].real)
+        q = _gate_flip_probability(gates + measurement_prelude(axis, l), l, cal) if gate_noise else 0.0
+        f = r + q - 2 * r * q
+        probabilities.append(f + (1 - 2 * f) * p1)
+    return probabilities
 
 
 def estimate_entanglement_shots(
@@ -164,17 +201,15 @@ def estimate_entanglement_shots(
     seed: int = 0,
     *,
     gate_noise: bool = False,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> EntanglementEstimate:
     """Three-experiment shot estimate of spin ``l``'s entanglement.
 
-    One preparation of the star of ``l`` (``l``'s edge blocks, see
-    :func:`synthesize_star_circuit`), then per axis (z, x, y) the measurement
-    prelude on a copy of it and one binomial count of the shots that read
-    ``l`` as 1, with ``l``'s readout error composed into its probability when
-    calibration is given. ``gate_noise=True`` also composes the flip that the
-    star's gate/CX errors cause, from the calibration (required then).
-    ``max_qubits`` caps the star, ``degree(l) + 1`` qubits.
+    Spin ``l``'s density matrix after its edge blocks, then per axis (z, x,
+    y) the measurement prelude on it and one binomial count of the shots that
+    read ``l`` as 1, with ``l``'s readout error composed into its probability
+    when calibration is given. ``gate_noise=True`` also composes the flip
+    that the gate/CX errors of ``l``'s blocks cause, from the calibration
+    (required then).
     """
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
@@ -183,12 +218,10 @@ def estimate_entanglement_shots(
         raise ValidationError("gate_noise requires calibration data")
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
-    base, star = synthesize_star_circuit(g, l, phi, cal)
-    prepared = apply_circuit(init_zero(len(star), max_qubits), base)
     means: dict[str, float] = {}
     errors: dict[str, float] = {}
-    for index, axis in enumerate(("z", "x", "y")):
-        p = _read_one_probability(prepared, base, star, axis, cal, gate_noise)
+    probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
+    for index, (axis, p) in enumerate(zip(("z", "x", "y"), probabilities)):
         ones = int(np.random.default_rng(derive_seed(seed, index)).binomial(shots, p))
         means[axis], errors[axis] = _z_mean(ones, shots)
     bloch = BlochVector(means["x"], means["y"], means["z"])

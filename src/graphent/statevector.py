@@ -21,10 +21,7 @@ route stay independent and can cross-check each other.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
-product. The shots route reads ``p1`` another way: it sums the read-1
-entries of ``StateVector.probabilities()`` and divides by the sum of all. Its
-seeded outputs are pinned to that arithmetic, which ``pauli_means`` does not
-reproduce bit for bit.
+product.
 """
 
 from __future__ import annotations
@@ -120,9 +117,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
-
-    def probabilities(self) -> np.ndarray:
-        return self.amps.real**2 + self.amps.imag**2
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"

@@ -58,6 +58,12 @@ def _random_single_qubit_state(rng: np.random.Generator) -> StateVector:
     return StateVector(1, amps.astype(np.complex128))
 
 
+def _phase_aligned_distance(a: StateVector, b: StateVector) -> float:
+    """``||a - e^{i theta} b||`` with ``e^{i theta} = <b|a> / |<b|a>|``, 1 if that is 0: linear in an amplitude error."""
+    s = complex(np.vdot(b.amps, a.amps))
+    return float(np.linalg.norm(a.amps - (s / abs(s) if s else 1.0) * b.amps))
+
+
 def run_validation(
     max_n: int = 6,
     trials: int = 200,
@@ -90,6 +96,7 @@ def run_validation(
 
     sub = graphs[: min(len(graphs), 30)]
     worst_overlap = 0.0
+    distances = []
     worst_order = 0.0
     for g in sub:
         for phi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5):
@@ -100,6 +107,7 @@ def run_validation(
             worst_overlap = max(
                 worst_overlap, 1.0 - overlap_magnitude(circ_state, reference)
             )
+            distances.append(_phase_aligned_distance(circ_state, reference))
             if g.edges:
                 shuffled = list(g.edges)
                 rng.shuffle(shuffled)
@@ -134,6 +142,8 @@ def run_validation(
         PropertyResult("closed form vs exact entanglement", worst_closed_form, 1e-10),
         PropertyResult("transverse means vanish", worst_transverse, 1e-12),
         PropertyResult("circuit vs dense evolution overlap deficit", worst_overlap, 1e-12),
+        # np.max, unlike max(), keeps a NaN distance, which then fails
+        PropertyResult("circuit vs dense evolution distance", float(np.max(distances)), 1e-12),
         PropertyResult("edge order independence overlap deficit", worst_order, 1e-12),
         PropertyResult("measurement prelude round trip", worst_prelude, 1e-12),
         PropertyResult("angle symmetry of exact entanglement", worst_symmetry, 1e-10),

@@ -146,10 +146,13 @@ class TestEntangle:
         assert (record["spin"], record["shots"], record["graph"]["n"]) == (3, 8192, 30)
 
     def test_shots_dense_star_over_default_cap(self, capsys):
-        code, out, err = run(
-            capsys, "entangle", "--preset", "complete(30)", "--phi", "pi/4",
-            "--spin", "0", "--mode", "shots",
-        )
+        argv = ("entangle", "--preset", "complete(30)", "--phi", "pi/4", "--spin", "0")
+        code, out, _ = run(capsys, *argv, "--mode", "shots")
+        assert code == 0
+        record = json.loads(out)
+        assert (record["spin"], record["shots"], record["graph"]["n"]) == (0, 8192, 30)
+        # the same spin in exact mode still needs a 30-qubit state
+        code, out, err = run(capsys, *argv, "--mode", "exact")
         assert code == 3
         assert out == ""
         assert err == "error: 30 qubits exceeds the cap of 24\n"
@@ -444,17 +447,21 @@ class TestValidate:
 
 # sha256 of stdout under numpy 2.4.6 (Python 3.11.7). The exact pins were
 # computed with the moveaxis-and-stack edge kernel that the transposed-view
-# kernel replaced, the shots pins with the trajectory sampler that the
+# kernel replaced, the shots-entangle pin with the trajectory sampler that the
 # one-draw-per-axis route replaced: these outputs must stay byte-identical
-# across such rewrites. The mixed-mode sweep puts analytic and exact rows
-# between its shots rows, so it fixes which substream each shots row draws
-# from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
+# across such rewrites. The two calibrated shots pins were recomputed when the
+# per-neighbour trace replaced the star state vector: the last bits of a
+# read-1 probability near 1/2 moved, and numpy's binomial draw reflects at
+# p = 1/2, so a few rows changed under the seed contract. The validate pin
+# was recomputed for its added distance line. The mixed-mode sweep puts
+# analytic and exact rows between its shots rows, so it fixes which substream
+# each shots row draws from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
 # rows of spins 2 and 4 come from the (mode, degree, phi) memo. Another numpy
 # version may move last bits or draws, so recompute the pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        ("validate --trials 20 --seed 3", "7fd3f7384df166577a08b49f4ae977368d0ec9352caa8a811250ca5fea00c318"),
+        ("validate --trials 20 --seed 3", "8304cec04b2ae1070260d914fa17a8830b2c606152f6e01b13aed58a46c6684a"),
         (
             "sweep --preset valencia --sweep 0:2pi:17 --spin 0 --spin 1 --spin 3 --mode exact --mode analytic",
             "472c8cc550b97e8cba9cb5e6909d22c7398f09831abdca2ad7926cae98f2bc99",
@@ -465,7 +472,7 @@ class TestValidate:
         ),
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:2pi:9 --mode shots --seed 5",
-            "f81e30ee63ec6275593ca4187644e854f720d08c4881a4ea0a8ae5e853cf6055",
+            "e130ca82d002e21b469379049ff32e562e4d70581a6726d956fb3b9d954d5f38",
         ),
         (
             "entangle --preset valencia --phi pi/3 --spin 1 --mode shots --seed 5",
@@ -474,7 +481,7 @@ class TestValidate:
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:pi:5 --spin 1 --spin 4"
             " --mode analytic --mode shots --mode exact --seed 9",
-            "4122963f08f8aa29aca3b25da6c1e2b365af7adebac708c7989db75cfd4a5bae",
+            "dc42163fa24053ab1ed700a7d2f56fdf95e626f4b8601e76628f903e0e6a9550",
         ),
     ],
     ids=["validate", "sweep", "shared-degree-sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep"],
@@ -649,19 +656,22 @@ class TestResourceCap:
         )
         assert code == 0
 
+    # each route's one allocation of amplitudes: the exact light cone's
+    # init_zero, and the shots route's 3-qubit StateVector per isometry
     @pytest.mark.parametrize(
-        "module,args",
+        "module,allocator,args",
         [
-            (entanglement, ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact"]),
-            (sampling, ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots"]),
-            (sampling, ["sweep", "--sweep", "0:1:2", "--mode", "shots"]),
+            (entanglement, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact"]),
+            (sampling, "StateVector", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots"]),
+            (sampling, "StateVector", ["sweep", "--sweep", "0:1:2", "--mode", "shots"]),
         ],
+        ids=["entanglement-entangle", "sampling-entangle", "sampling-sweep"],
     )
-    def test_out_of_memory_is_classified(self, capsys, monkeypatch, module, args):
+    def test_out_of_memory_is_classified(self, capsys, monkeypatch, module, allocator, args):
         def exhausted(*_):
             raise MemoryError("Unable to allocate 256 MiB")
 
-        monkeypatch.setattr(module, "init_zero", exhausted)
+        monkeypatch.setattr(module, allocator, exhausted)
         code, out, err = run(capsys, *args, "--preset", "valencia")
         assert code == 3
         assert out == ""

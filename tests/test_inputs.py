@@ -121,10 +121,9 @@ def _calibration(n):
     l=SPINS,
     shots=SHOTS,
     seed=SEEDS,
-    cap=CAPS,
     noise=st.sampled_from(["none", "readout", "gate", "short-table"]),
 )
-def test_shots_route(g, phi, l, shots, seed, cap, noise):
+def test_shots_route(g, phi, l, shots, seed, noise):
     n = g.n_vertices
     cal = {"none": None, "short-table": _calibration(max(1, n - 1))}.get(noise, _calibration(n))
     gate_noise = noise == "gate"
@@ -134,11 +133,10 @@ def test_shots_route(g, phi, l, shots, seed, cap, noise):
         and in_range
         and shots >= 1
         and seed >= 0
-        and g.degree(l) + 1 <= cap
         and (cal is None or cal.n_qubits >= n)
     )
     try:
-        est = estimate_entanglement_shots(g, phi, l, shots, cal, seed, gate_noise=gate_noise, max_qubits=cap)
+        est = estimate_entanglement_shots(g, phi, l, shots, cal, seed, gate_noise=gate_noise)
     except GraphentError:
         assert not valid
         return

@@ -6,11 +6,14 @@ from conftest import NON_FINITE_ANGLES, density_matrix_oracle, noisy_bloch_oracl
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
+    DEFAULT_MAX_QUBITS,
     CalibrationData,
     Gate,
     Graph,
-    ResourceCapError,
+    StateVector,
     ValidationError,
+    choose_orientation,
+    complete,
     derive_seed,
     estimate_entanglement_shots,
     exact_entanglement,
@@ -18,12 +21,13 @@ from graphent import (
     parse_calibration,
     path,
     ring,
+    synthesize_edge,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
 from graphent import circuits, sampling
-from graphent.circuits import apply_circuit, synthesize_star_circuit
+from graphent.circuits import apply_circuit
 from graphent.entanglement import bloch_vector
 from graphent.sampling import DEFAULT_SHOTS
 
@@ -121,6 +125,16 @@ class TestDeriveSeeds:
         assert derive_seed(123, 5) != derive_seed(124, 5)
 
 
+def _uniform_cal(n, gate, cx):
+    pairs = {(i, j): cx for i in range(n) for j in range(n) if i != j}
+    return CalibrationData((0.0,) * n, (gate,) * n, pairs)
+
+
+def _star(k):
+    """Spin 0 joined to each of k others."""
+    return Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
+
+
 class TestEstimateEntanglementShots:
     def test_phi_zero_noiseless_is_exactly_zero(self):
         est = estimate_entanglement_shots(valencia(), 0.0, 1, 2000, seed=0)
@@ -176,20 +190,13 @@ class TestEstimateEntanglementShots:
             )
 
     @pytest.mark.parametrize("gate_noise", [False, True])
-    def test_qubit_cap_holds_on_both_paths(self, gate_noise):
-        with pytest.raises(ResourceCapError):
-            estimate_entanglement_shots(
-                valencia(), 0.5, 1, 100, valencia_calibration(),
-                gate_noise=gate_noise, max_qubits=3,
-            )
-
-    @pytest.mark.parametrize("gate_noise", [False, True])
-    def test_qubit_cap_is_on_the_star(self, gate_noise):
-        # spin 4 has degree 1: a 2-qubit star in a 5-qubit graph
+    def test_answers_beyond_any_cap(self, gate_noise):
+        # spin 0 of complete(n) has degree n - 1, above the default cap of exact mode
+        n = DEFAULT_MAX_QUBITS + 6
         est = estimate_entanglement_shots(
-            valencia(), 0.5, 4, 100, valencia_calibration(), gate_noise=gate_noise, max_qubits=2
+            complete(n), 0.5, 0, 100, _uniform_cal(n, 1e-3, 1e-2), gate_noise=gate_noise
         )
-        assert est.spin == 4
+        assert (est.spin, est.shots) == (0, 100)
 
     @pytest.mark.parametrize("gate_noise", [False, True])
     def test_graph_beyond_the_cap_is_sampled_on_the_star(self, gate_noise):
@@ -199,9 +206,14 @@ class TestEstimateEntanglementShots:
         est = estimate_entanglement_shots(ring(n), 1.0, 7, 2000, cal, seed=4, gate_noise=gate_noise)
         assert (est.spin, est.shots) == (7, 2000)
 
-    @pytest.mark.parametrize("l", range(5))
-    def test_star_is_prepared_once_per_estimate(self, l, monkeypatch):
-        # the 5 * degree base gates run once; only the x and y preludes add a gate
+    @pytest.mark.parametrize(
+        "g,l,cal",
+        [(valencia(), l, valencia_calibration()) for l in range(5)]
+        + [(complete(30), 0, _uniform_cal(30, 1e-3, 1e-2))],
+        ids=[f"valencia-{l}" for l in range(5)] + ["complete(30)-0"],
+    )
+    def test_at_most_twelve_gates_per_estimate(self, g, l, cal, monkeypatch):
+        # one 5-gate block per orientation and one gate each for the x and y preludes
         calls = []
         kernel = circuits.apply_gate
 
@@ -210,8 +222,33 @@ class TestEstimateEntanglementShots:
             return kernel(state, gate)
 
         monkeypatch.setattr(circuits, "apply_gate", counted)
-        estimate_entanglement_shots(valencia(), 0.7, l, 8192, valencia_calibration(), seed=1, gate_noise=True)
-        assert len(calls) == 5 * valencia().degree(l) + 2
+        estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
+        assert 7 <= len(calls) <= 12
+
+    def test_no_state_holds_more_than_eight_amplitudes(self, monkeypatch):
+        sizes = []
+        init = StateVector.__init__
+
+        def recorded(self, n_qubits, amps):
+            sizes.append(len(amps))
+            init(self, n_qubits, amps)
+
+        monkeypatch.setattr(StateVector, "__init__", recorded)
+        for l in range(5):
+            estimate_entanglement_shots(valencia(), 0.7, l, 100, valencia_calibration(), gate_noise=True)
+        estimate_entanglement_shots(complete(30), 0.7, 0, 100, _uniform_cal(30, 1e-3, 1e-2), gate_noise=True)
+        estimate_entanglement_shots(_star(200), 0.7, 0, 100)
+        assert sizes and max(sizes) <= 8
+
+    @pytest.mark.parametrize("r", [0.0, 0.03])
+    @pytest.mark.parametrize("g", [complete(30), _star(200)], ids=["complete(30)", "star(200)"])
+    def test_high_degree_within_five_sigma(self, g, r):
+        n, k, phi, shots = g.n_vertices, g.degree(0), 0.05, 200_000
+        cal = CalibrationData((r,) * n, (0.0,) * n, {})
+        expected = (0.0, 0.0, math.cos(phi) ** k * (1 - 2 * r))
+        est = estimate_entanglement_shots(g, phi, 0, shots, cal, seed=8)
+        for got, mean in zip(est.bloch.as_tuple(), expected):
+            assert abs(got - mean) <= 5 * math.sqrt((1 - mean * mean) / shots)
 
     def test_missing_star_cx_entry_rejected_with_physical_pair(self):
         cal = CalibrationData((0.0,) * 5, (0.0,) * 5, {})
@@ -233,11 +270,6 @@ class TestEstimateEntanglementShots:
     def test_negative_seed_rejected(self, call):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
             call(-1)
-
-
-def _uniform_cal(n, gate, cx):
-    pairs = {(i, j): cx for i in range(n) for j in range(n) if i != j}
-    return CalibrationData((0.0,) * n, (gate,) * n, pairs)
 
 
 class TestDepolarizingNoise:
@@ -332,11 +364,25 @@ def _with_errors(gates, pattern):
 ALL_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 
 
+def _traced_bloch(blocks, l):
+    """Spin l's Bloch vector from the shots route's per-neighbour trace.
+
+    ``blocks`` holds (neighbour, gates on physical qubits) in graph order;
+    each block is relabelled onto l = 0, m = 1 and traced out through its
+    own isometry.
+    """
+    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    for m, gates in blocks:
+        local = tuple(_relabel(gate, {l: 0, m: 1}) for gate in gates)
+        rho = sampling._trace_out(rho, sampling._isometry(local))
+    return 2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real
+
+
 @settings(max_examples=80)
 @given(data=st.data())
-def test_star_circuit_reduces_the_full_register_under_any_error_pattern(data):
+def test_per_neighbour_trace_reduces_the_full_register_under_any_error_pattern(data):
     """Spin l's exact Bloch vector after an error pattern on the whole graph
-    circuit equals the star's after the same pattern restricted to l's blocks."""
+    circuit equals the per-neighbour trace of l's blocks with the same errors."""
     n = data.draw(st.integers(2, 8), label="n")
     pairs = [(i, j) for i, j in ALL_PAIRS if j < n]
     g = Graph(n, tuple(data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")))
@@ -346,14 +392,6 @@ def test_star_circuit_reduces_the_full_register_under_any_error_pattern(data):
     cal = CalibrationData((0.0,) * n, tuple(rates), {})
     phi = data.draw(st.floats(-2 * math.pi, 2 * math.pi), label="phi")
     full = synthesize_graph_circuit(g, phi, cal)
-    star_circuit, star = synthesize_star_circuit(g, l, phi, cal)
-    assert star == (l,) + tuple(sorted(m for e in g.edges if l in e for m in e if m != l))
-    blocks = [e for e, edge in enumerate(g.edges) if l in edge]
-    index = {v: s for s, v in enumerate(star)}
-    for b, e in enumerate(blocks):
-        assert [_relabel(gate, index) for gate in full[5 * e : 5 * e + 5]] == list(
-            star_circuit[5 * b : 5 * b + 5]
-        )
     events = data.draw(
         st.lists(
             st.tuples(st.integers(0, max(0, len(full) - 1)), st.integers(1, 15)),
@@ -365,34 +403,62 @@ def test_star_circuit_reduces_the_full_register_under_any_error_pattern(data):
     pattern = tuple(
         (idx, code if full[idx].kind == "cx" else 1 + code % 3) for idx, code in sorted(events)
     )
-    star_pattern = tuple(
-        (5 * blocks.index(idx // 5) + idx % 5, code) for idx, code in pattern if idx // 5 in blocks
-    )
+    blocks = []
+    for e, edge in enumerate(g.edges):
+        if l in edge:
+            m = edge[0] + edge[1] - l
+            # the route orients (l, m) as the graph circuit orients the edge
+            assert full[5 * e : 5 * e + 5] == synthesize_edge(*choose_orientation((l, m), cal), phi)
+            block_pattern = tuple((idx - 5 * e, code) for idx, code in pattern if idx // 5 == e)
+            blocks.append((m, _with_errors(full[5 * e : 5 * e + 5], block_pattern)))
+    assert [m for m, _ in blocks] == list(g.neighbours(l))
     full_state = apply_circuit(init_zero(n), _with_errors(full, pattern))
-    star_state = apply_circuit(init_zero(len(star)), _with_errors(star_circuit, star_pattern))
     expected = bloch_vector(full_state, l).as_tuple()
-    got = bloch_vector(star_state, 0).as_tuple()
+    got = _traced_bloch(blocks, l)
     assert max(abs(a - b) for a, b in zip(expected, got)) <= 1e-9
+
+
+def _isometry_circuits(monkeypatch, g, l, cal, gate_noise=False):
+    """The gate tuples the route runs through ``_isometry`` for one estimate, and
+    the gates its gate-noise pass walks for the z axis."""
+    runs, walked = [], []
+    isometry, flip = sampling._isometry, sampling._gate_flip_probability
+
+    def recorded_isometry(gates):
+        runs.append(gates)
+        return isometry(gates)
+
+    def recorded_flip(gates, spin, c):
+        walked.append(gates)
+        return flip(gates, spin, c)
+
+    monkeypatch.setattr(sampling, "_isometry", recorded_isometry)
+    monkeypatch.setattr(sampling, "_gate_flip_probability", recorded_flip)
+    estimate_entanglement_shots(g, 0.5, l, 10, cal, gate_noise=gate_noise)
+    x_prelude, y_prelude = runs[-2:]
+    assert (x_prelude, y_prelude) == (
+        circuits.measurement_prelude("x", 0), circuits.measurement_prelude("y", 0)
+    )
+    return runs[:-2], walked[0] if walked else None
 
 
 class TestStarOrientation:
     @pytest.mark.parametrize("cal", [None, _uniform_cal(5, 1e-3, 0.0)], ids=["none", "tied"])
-    def test_ties_break_on_physical_indices(self, cal):
-        # spin 3's star is (3, 1, 4): the tie with 1 rotates on 1 (star qubit 1),
-        # the tie with 4 on 3 (star qubit 0); star indices would pick 0 for both
-        circuit, star = synthesize_star_circuit(valencia(), 3, 0.5, cal)
-        assert star == (3, 1, 4)
-        assert circuit[0] == Gate.cx(1, 0)
-        assert circuit[5] == Gate.cx(0, 2)
+    def test_ties_break_on_physical_indices(self, cal, monkeypatch):
+        # spin 3's neighbours are 1 and 4: the tie with 1 rotates on 1 (the
+        # neighbour, m = 1), the tie with 4 on 3 (the spin, l = 0); local
+        # labels would put both rotations on l
+        runs, _ = _isometry_circuits(monkeypatch, valencia(), 3, cal)
+        assert runs == [synthesize_edge(1, 0, 0.5), synthesize_edge(0, 1, 0.5)]
 
-    def test_calibration_orients_on_physical_rates(self):
+    def test_calibration_orients_on_physical_rates(self, monkeypatch):
         # bundled rates: q1 < q0 < q3 < q4 < q2, so spin 1's blocks all rotate on 1
-        circuit, star = synthesize_star_circuit(valencia(), 1, 0.5, valencia_calibration())
-        assert star == (1, 0, 2, 3)
-        assert [circuit[5 * b] for b in range(3)] == [Gate.cx(0, s) for s in (1, 2, 3)]
-        circuit, star = synthesize_star_circuit(valencia(), 4, 0.5, valencia_calibration())
-        assert star == (4, 3)
-        assert circuit[0] == Gate.cx(1, 0)
+        runs, walked = _isometry_circuits(monkeypatch, valencia(), 1, valencia_calibration(), True)
+        assert runs == [synthesize_edge(0, 1, 0.5)]
+        assert walked == sum((synthesize_edge(1, m, 0.5) for m in (0, 2, 3)), ())
+        runs, walked = _isometry_circuits(monkeypatch, valencia(), 4, valencia_calibration(), True)
+        assert runs == [synthesize_edge(1, 0, 0.5)]
+        assert walked == synthesize_edge(3, 4, 0.5)
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its
@@ -417,17 +483,15 @@ EXACT_CASES = {**NOISE_CASES, "rates-one": (RATES_ONE, True)}
 def _read_one_deviation(g, phi, l, cal, gate_noise):
     """Worst gap over the axes between the route's read-1 probability and
     the density-matrix oracle's, (1 - mean) / 2 of the whole graph circuit."""
-    base, star = synthesize_star_circuit(g, l, phi, cal)
-    prepared = apply_circuit(init_zero(len(star)), base)
-    expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
+    x, y, z = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
     return max(
-        abs(sampling._read_one_probability(prepared, base, star, axis, cal, gate_noise) - (1 - mean) / 2)
-        for axis, mean in zip("xyz", expected)
+        abs(p - (1 - mean) / 2)
+        for p, mean in zip(sampling._read_one_probabilities(g, phi, l, cal, gate_noise), (z, x, y))
     )
 
 
 class TestAgainstNoisyOracle:
-    """Star estimates sit within 5 sigma of the exact noisy means of the whole circuit."""
+    """Shot estimates sit within 5 sigma of the exact noisy means of the whole circuit."""
 
     SHOTS = 20_000
 
@@ -510,5 +574,5 @@ class TestAgainstNoisyOracle:
             p1, noisy = (
                 (1 - np.trace(density_matrix_oracle(n, circuit, c) @ z0).real) / 2 for c in (None, cal)
             )
-            q = sampling._gate_flip_probability(circuit, tuple(range(n)), cal)
+            q = sampling._gate_flip_probability(circuit, 0, cal)
             assert abs(q + (1 - 2 * q) * p1 - noisy) <= 1e-12

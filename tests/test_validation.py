@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from graphent import ResourceCapError, ValidationError, statevector
+from graphent import ResourceCapError, ValidationError, statevector, validation
 from graphent.validation import random_graph, run_validation
 
 
@@ -15,7 +17,7 @@ def test_random_graph_respects_bounds(rng):
 def test_report_passes_and_lists_every_property():
     results = run_validation(max_n=4, trials=8, seed=0)
     assert all(r.passed for r in results)
-    assert len(results) == 6
+    assert len(results) == 7
     assert all(r.line().startswith("pass") for r in results)
 
 
@@ -44,3 +46,33 @@ def test_perturbed_edge_kernel_fails_the_overlap_property(monkeypatch):
     overlap = results["circuit vs dense evolution overlap deficit"]
     assert not overlap.passed
     assert overlap.line().startswith("FAIL")
+
+
+def test_phase_error_in_edge_kernel_fails_the_distance_property(monkeypatch):
+    # a 1e-6 phase on one quarter moves the overlap deficit only quadratically,
+    # about 1e-13, while the phase-aligned distance moves linearly
+    dense = statevector._apply_two_qubit_dense
+    phase = np.diag([1, 1, 1, np.exp(1e-6j)])
+
+    def perturbed(amps, qa, qb, u):
+        dense(amps, qa, qb, phase @ u)
+
+    monkeypatch.setattr(statevector, "_apply_two_qubit_dense", perturbed)
+    results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
+    assert results["circuit vs dense evolution overlap deficit"].passed
+    assert not results["circuit vs dense evolution distance"].passed
+
+
+def test_nan_distance_fails_the_distance_property(monkeypatch):
+    # max() would drop a NaN met after a finite value
+    distance = validation._phase_aligned_distance
+    calls = []
+
+    def nan_second(a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else distance(a, b)
+
+    monkeypatch.setattr(validation, "_phase_aligned_distance", nan_second)
+    results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
+    assert math.isnan(results["circuit vs dense evolution distance"].worst)
+    assert not results["circuit vs dense evolution distance"].passed
