@@ -288,7 +288,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=6, help="most vertices of a random graph, at least 2 (default 6)")
     p.add_argument("--trials", type=int, default=200, help="number of random graphs, at least 1 (default 200)")
     p.add_argument("--seed", type=int, default=7, help="RNG seed of the graphs and angles (default 7)")
-    p.add_argument("--max-qubits", type=int, default=None, help=f"largest state vector, in qubits; --max-n above it exits 3 (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
+    p.add_argument("--max-qubits", type=int, default=None, help=f"largest state vector, in qubits: caps --max-n (above it exits 3), and a batch of angles never holds more than 2**cap amplitudes (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
     p.set_defaults(func=cmd_validate)
 
     return parser

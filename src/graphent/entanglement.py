@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _check_single,
     _finite_angle,
     evolve_edge_exact,
     init_zero,
@@ -113,7 +114,8 @@ def entanglement_from_bloch(
 
 
 def bloch_vector(state: StateVector, l: int) -> BlochVector:
-    """All three exact Pauli means of qubit ``l``."""
+    """All three exact Pauli means of qubit ``l`` of a single state."""
+    _check_single(state)
     return BlochVector(*pauli_means(state, l))
 
 

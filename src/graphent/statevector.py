@@ -9,19 +9,35 @@ Conventions, fixed across the package:
 * norm drift is checked, never silently renormalized: any operation leaving
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
+A state may hold a batch of independent rows: ``amps`` of shape
+``(rows, 2**n)``, allocated by ``init_zero(n, max_qubits, rows=...)``, and a
+batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
+applies one gate to every row, ``evolve_edge_exact`` and
+``evolve_graph_exact`` take one angle per row, and ``pauli_means`` returns
+one array of means per axis. The norm rule holds for each row: the worst
+drift over the rows is checked, and a NaN in any row fails. Every row has
+exactly the bits its single-state run has. A single state is the case with
+no rows: the same kernels, which pick only their views and their
+inner-product call by the row count, so a single state keeps the calls it
+always made. ``overlap_magnitude`` and ``bloch_vector`` take single states
+only.
+
 Both gate kernels address qubits through reshape views of the amplitude
-array and update it in place. Every single-qubit gate (h, p, rx, ry) goes
-through ``_apply_1q``, which multiplies the qubit-0/1 halves of the
-``(-1, 2, 2**q)`` view by the gate's 2x2 matrix; ``_apply_cx`` views the
-array with one axis per bit of the qubit pair and swaps the target halves of
-the control-1 block. ``evolve_edge_exact`` deliberately multiplies a
-transposed view of the pair's four quarters by a generic dense 4x4 instead,
-sharing nothing with the stride kernels, so the gate route and the edge
-route stay independent and can cross-check each other.
+array and update it in place; on a batch the row index becomes extra high
+bits. Every single-qubit gate (h, p, rx, ry) goes through ``_apply_1q``,
+which multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the
+gate's 2x2 matrix; ``_apply_cx`` views the array with one axis per bit of
+the qubit pair and swaps the target halves of the control-1 block.
+``evolve_edge_exact`` deliberately multiplies a transposed view of the
+pair's four quarters by a generic dense 4x4 instead (a stack of them on a
+batch, which numpy multiplies one gemm per row), sharing nothing with the
+stride kernels, so the gate route and the edge route stay independent and
+can cross-check each other.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
-product.
+product. A batch takes each row's inner products as a stacked ``(1,K) @
+(K,1)`` product, which sums in the order of the single state's ``np.vdot``.
 """
 
 from __future__ import annotations
@@ -103,12 +119,20 @@ class Gate:
 
 
 class StateVector:
-    """2**n complex amplitudes; owns its buffer, mutated in place by the kernels."""
+    """2**n complex amplitudes, or a batch of rows of them; owns its buffer, mutated in place by the kernels."""
 
-    __slots__ = ("n_qubits", "amps")
+    __slots__ = ("n_qubits", "amps", "rows")
 
     def __init__(self, n_qubits: int, amps: np.ndarray):
-        if amps.shape != (1 << n_qubits,):
+        if amps.shape == (1 << n_qubits,):
+            self.rows = None
+        elif amps.ndim == 2 and amps.shape[1] == 1 << n_qubits and len(amps):
+            if not amps.flags.c_contiguous:
+                # the kernels write through reshape views, and merging a strided
+                # batch's row axis into its amplitudes would copy
+                raise ValidationError("batch amplitude array is not C-contiguous")
+            self.rows = len(amps)
+        else:
             raise ValidationError(
                 f"amplitude array of shape {amps.shape} does not match {n_qubits} qubits"
             )
@@ -122,14 +146,28 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """All-spins-up initial state |00...0> on ``n`` qubits."""
+def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = None) -> StateVector:
+    """All-spins-up initial state |00...0> on ``n`` qubits, or ``rows`` copies of it as one batch.
+
+    A batch may hold at most ``2**max_qubits`` amplitudes, the size of the
+    largest single state the cap allows.
+    """
     if n < 1:
         raise ValidationError(f"qubit count must be positive, got {n}")
+    if rows is not None and rows < 1:
+        raise ValidationError(f"row count must be positive, got {rows}")
     if n > max_qubits:
         raise ResourceCapError(f"{n} qubits exceeds the cap of {max_qubits}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
+    if rows is None:
+        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps[0] = 1.0
+        return StateVector(n, amps)
+    if (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits
+        raise ResourceCapError(
+            f"{rows} rows of {n} qubits exceed the cap of 2**{max_qubits} amplitudes"
+        )
+    amps = np.zeros((rows, 1 << n), dtype=np.complex128)
+    amps[:, 0] = 1.0
     return StateVector(n, amps)
 
 
@@ -138,19 +176,34 @@ def _check_qubit(state: StateVector, q: int):
         raise ValidationError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
-def _check_norm_value(norm_sq: float):
-    """Raise unless the squared norm is within the drift limit of 1; NaN fails."""
+def _check_norm_value(norm_sq):
+    """Raise unless the squared norm, or every row's, is within the drift limit of 1; NaN fails."""
     drift = abs(norm_sq - 1.0)
+    if not isinstance(drift, float):
+        drift = float(drift.max())  # the worst row; max keeps a NaN
     if not drift <= NORM_DRIFT_LIMIT:
         raise ConsistencyError(f"state norm drifted by {drift:.3e}")
 
 
-def _check_norm(amps: np.ndarray):
-    _check_norm_value(float(np.vdot(amps, amps).real))
+def _row_inner(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """``np.vdot`` of each of ``rows`` equal parts of ``a`` and ``b`` (in C order), bit for bit.
+
+    One stacked (1,K) @ (K,1) product per row sums in np.vdot's order;
+    einsum and sum() do not.
+    """
+    return (a.conj().reshape(rows, 1, -1) @ b.reshape(rows, -1, 1))[:, 0, 0]
+
+
+def _check_norm(state: StateVector):
+    amps = state.amps
+    if state.rows is None:
+        _check_norm_value(float(np.vdot(amps, amps).real))
+    else:
+        _check_norm_value(_row_inner(amps, amps, state.rows).real)
 
 
 def _paired_views(amps: np.ndarray, q: int):
-    """Views (a0, a1) over the qubit-q = 0/1 halves of the amplitude array."""
+    """Views (a0, a1) over the qubit-q = 0/1 halves of the amplitude array; a batch's rows come one after another."""
     v = amps.reshape(-1, 2, 1 << q)
     return v[:, 0, :], v[:, 1, :]
 
@@ -164,6 +217,13 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
     a0, a1 = _paired_views(amps, q)
     (u00, u01), (u10, u11) = u
     if u01 == 0 and u10 == 0:
+        if amps.ndim == 2 and amps.shape[1] == 2:
+            # numpy scales a one-amplitude array with its plain loop but longer
+            # runs with a fused multiply-add loop, so one-qubit rows are scaled
+            # one by one, as single states
+            for row in amps:
+                _apply_1q(row, q, u)
+            return
         if u00 != 1:
             a0 *= u00
         a1 *= u11
@@ -219,20 +279,39 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     else:
         u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
         _apply_1q(state.amps, gate.target, u)
-    _check_norm(state.amps)
+    _check_norm(state)
     return state
 
 
 def _apply_two_qubit_dense(amps: np.ndarray, qa: int, qb: int, u: np.ndarray):
-    """Apply a dense 4x4 unitary to the pair's quarters, transposed to m = bit(qa) + 2*bit(qb)."""
+    """Apply a dense 4x4 unitary to the pair's quarters, transposed to m = bit(qa) + 2*bit(qb).
+
+    On a batch ``u`` stacks one 4x4 per row, and row r's quarters meet only ``u[r]``.
+    """
     lo, hi = sorted((qa, qb))
-    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    quads = v.transpose((1, 3, 0, 2, 4) if qb == hi else (3, 1, 0, 2, 4))
-    quads[...] = (u @ quads.reshape(4, -1)).reshape(quads.shape)
+    if u.ndim == 2:
+        v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        quads = v.transpose((1, 3, 0, 2, 4) if qb == hi else (3, 1, 0, 2, 4))
+        flat = (4, -1)
+    else:  # the row axis stays first
+        v = amps.reshape(len(u), -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        quads = v.transpose((0, 2, 4, 1, 3, 5) if qb == hi else (0, 4, 2, 1, 3, 5))
+        flat = (len(u), 4, -1)
+    quads[...] = (u @ quads.reshape(flat)).reshape(quads.shape)
 
 
-def evolve_edge_exact(state: StateVector, i: int, j: int, phi: float) -> StateVector:
-    """Apply exp(-i*(phi/2)*XiXj) as one dense two-qubit unitary.
+def _row_cos_sin(phi, rows: int):
+    """cos(phi/2), -i*sin(phi/2) and 0 as arrays over a batch's angles, each entry computed as for one angle."""
+    if np.ndim(phi) != 1 or len(phi) != rows:
+        raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
+    angles = [_finite_angle(p) for p in phi]
+    c = np.array([math.cos(p / 2.0) for p in angles])
+    s = np.array([-1j * math.sin(p / 2.0) for p in angles])
+    return c, s, np.zeros(rows)
+
+
+def evolve_edge_exact(state: StateVector, i: int, j: int, phi) -> StateVector:
+    """Apply exp(-i*(phi/2)*XiXj) as one dense two-qubit unitary; a batch takes one angle per row.
 
     Expands to cos(phi/2)*I - i*sin(phi/2)*XiXj; this is the oracle route the
     synthesized circuits are checked against.
@@ -241,16 +320,20 @@ def evolve_edge_exact(state: StateVector, i: int, j: int, phi: float) -> StateVe
     _check_qubit(state, j)
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
-    phi = _finite_angle(phi)
-    c, s = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0)
-    u = np.array([[c, 0.0, 0.0, s], [0.0, c, s, 0.0], [0.0, s, c, 0.0], [s, 0.0, 0.0, c]], dtype=np.complex128)
-    _apply_two_qubit_dense(state.amps, i, j, u)
-    _check_norm(state.amps)
+    rows = state.rows
+    if rows is None:
+        phi = _finite_angle(phi)
+        c, s, z = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0), 0.0
+    else:
+        c, s, z = _row_cos_sin(phi, rows)
+    u = np.array([[c, z, z, s], [z, c, s, z], [z, s, c, z], [s, z, z, c]], dtype=np.complex128)
+    _apply_two_qubit_dense(state.amps, i, j, u if rows is None else u.transpose(2, 0, 1))
+    _check_norm(state)
     return state
 
 
-def evolve_graph_exact(state: StateVector, g, phi: float) -> StateVector:
-    """One edge unitary per graph edge; edge order is irrelevant (all commute)."""
+def evolve_graph_exact(state: StateVector, g, phi) -> StateVector:
+    """One edge unitary per graph edge, at ``phi`` (one angle per row on a batch); edge order is irrelevant (all commute)."""
     if state.n_qubits < g.n_vertices:
         raise ValidationError(
             f"state has {state.n_qubits} qubits but graph has {g.n_vertices} vertices"
@@ -260,22 +343,34 @@ def evolve_graph_exact(state: StateVector, g, phi: float) -> StateVector:
     return state
 
 
-def pauli_means(state: StateVector, l: int) -> tuple[float, float, float]:
+def pauli_means(state: StateVector, l: int):
     """Exact (<X_l>, <Y_l>, <Z_l>) = (2 Re s, 2 Im s, p0 - p1) over the qubit-l halves.
 
     s = <a0|a1>, p0 = <a0|a0>, p1 = <a1|a1>; p0 + p1 is the norm, checked as after a gate.
+    Three floats for a single state, three arrays of one mean per row for a batch.
     """
     _check_qubit(state, l)
+    rows = state.rows
     a0, a1 = _paired_views(state.amps, l)
-    p0 = float(np.vdot(a0, a0).real)
-    p1 = float(np.vdot(a1, a1).real)
+    if rows is None:
+        p0, p1 = float(np.vdot(a0, a0).real), float(np.vdot(a1, a1).real)
+        s = complex(np.vdot(a0, a1))
+    else:
+        p0, p1 = _row_inner(a0, a0, rows).real, _row_inner(a1, a1, rows).real
+        s = _row_inner(a0, a1, rows)
     _check_norm_value(p0 + p1)
-    s = complex(np.vdot(a0, a1))
     return 2.0 * s.real, 2.0 * s.imag, p0 - p1
 
 
+def _check_single(state: StateVector):
+    if state.rows is not None:
+        raise ValidationError(f"expected a single state, got a batch of {state.rows} rows")
+
+
 def overlap_magnitude(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|; equals 1 iff the states agree up to a global phase."""
+    """|<a|b>| of two single states; equals 1 iff they agree up to a global phase."""
+    _check_single(a)
+    _check_single(b)
     if a.n_qubits != b.n_qubits:
         raise ValidationError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"

@@ -3,6 +3,16 @@
 Each property pits one computation route against an independent one (closed
 form vs state evolution, stride kernels vs dense edge unitaries, preludes vs
 direct expectations) over seeded random graphs and angles.
+
+Where a property evolves one graph at many angles, the angles run as one
+batch of state rows (see :mod:`graphent.statevector`): the closed-form and
+transverse properties take a graph's 25 angles, the symmetry property its
+3 angles with their 3 partners each, and the prelude round trip its 100
+one-qubit states. A batch that would exceed ``2**max_qubits`` amplitudes is
+split into chunks that fit. Rows have their single-state bits, so neither the
+batching nor the chunking moves a reported value. The overlap, distance and
+edge-order properties build one circuit and one shuffled edge order per
+angle, and run one state at a time.
 """
 
 from __future__ import annotations
@@ -13,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
-from .entanglement import analytic_entanglement, bloch_vector, entanglement_from_bloch
+from .entanglement import BlochVector, analytic_entanglement, entanglement_from_bloch
 from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _row_inner,
     apply_gate,
     evolve_edge_exact,
     evolve_graph_exact,
@@ -52,10 +63,23 @@ def random_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 6) -> Gr
     return Graph(n, edges)
 
 
-def _random_single_qubit_state(rng: np.random.Generator) -> StateVector:
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    amps /= np.sqrt(np.vdot(amps, amps).real)
-    return StateVector(1, amps.astype(np.complex128))
+def _chunks(angles, n: int, max_qubits: int) -> list:
+    """Consecutive slices of ``angles`` (or of states), each few enough that its rows of ``n`` qubits fit the cap."""
+    size = 1 << min(max_qubits - n, len(angles).bit_length())
+    return [angles[k : k + size] for k in range(0, len(angles), size)]
+
+
+def _entanglement_rows(g: Graph, angles, max_qubits: int) -> list[list[tuple[BlochVector, float]]]:
+    """For each angle, each spin's exact Bloch vector and entanglement, from batches of rows."""
+    out = []
+    for chunk in _chunks(angles, g.n_vertices, max_qubits):
+        state = init_zero(g.n_vertices, max_qubits, rows=len(chunk))
+        evolve_graph_exact(state, g, chunk)
+        means = [[m.tolist() for m in pauli_means(state, l)] for l in range(g.n_vertices)]
+        for row in range(len(chunk)):
+            blochs = [BlochVector(mx[row], my[row], mz[row]) for mx, my, mz in means]
+            out.append([(b, entanglement_from_bloch(b)) for b in blochs])
+    return out
 
 
 def _phase_aligned_distance(a: StateVector, b: StateVector) -> float:
@@ -84,12 +108,8 @@ def run_validation(
     worst_closed_form = 0.0
     worst_transverse = 0.0
     for g, phis in zip(graphs, phis_per_graph):
-        for phi in phis:
-            state = init_zero(g.n_vertices, max_qubits)
-            evolve_graph_exact(state, g, phi)
-            for l in range(g.n_vertices):
-                b = bloch_vector(state, l)
-                exact = entanglement_from_bloch(b)
+        for phi, spins in zip(phis, _entanglement_rows(g, phis, max_qubits)):
+            for l, (b, exact) in enumerate(spins):
                 analytic = analytic_entanglement(g.degree(l), phi)
                 worst_closed_form = max(worst_closed_form, abs(exact - analytic))
                 worst_transverse = max(worst_transverse, abs(b.mx), abs(b.my))
@@ -116,26 +136,30 @@ def run_validation(
                     evolve_edge_exact(other, int(i), int(j), phi)
                 worst_order = max(worst_order, 1.0 - overlap_magnitude(other, reference))
 
+    # 100 random one-qubit states, drawn as the real then the imaginary parts
+    # of one state after another
+    z = rng.standard_normal((100, 2, 2))
     worst_prelude = 0.0
-    for _ in range(100):
-        base = _random_single_qubit_state(rng)
+    for amps in _chunks(z[:, 0] + 1j * z[:, 1], 1, max_qubits):
+        amps /= np.sqrt(_row_inner(amps, amps, len(amps)).real)[:, None]
+        base = StateVector(1, amps)
         for axis, target in zip(("x", "y", "z"), pauli_means(base, 0)):
             rotated = base.copy()
             for gate in measurement_prelude(axis, 0):
                 apply_gate(rotated, gate)
-            worst_prelude = max(worst_prelude, abs(pauli_means(rotated, 0)[2] - target))
+            deviation = np.abs(pauli_means(rotated, 0)[2] - target)
+            worst_prelude = max(worst_prelude, float(np.max(deviation)))
 
     worst_symmetry = 0.0
     for g in sub:
-        for phi in rng.uniform(0.0, 2.0 * math.pi, 3):
-            base = init_zero(g.n_vertices, max_qubits)
-            evolve_graph_exact(base, g, phi)
-            base_e = [entanglement_from_bloch(bloch_vector(base, l)) for l in range(g.n_vertices)]
-            for other_phi in (-phi, phi + math.pi, math.pi - phi):
-                other = init_zero(g.n_vertices, max_qubits)
-                evolve_graph_exact(other, g, other_phi)
-                for l, e1 in enumerate(base_e):
-                    e2 = entanglement_from_bloch(bloch_vector(other, l))
+        angles = [
+            a for phi in rng.uniform(0.0, 2.0 * math.pi, 3) for a in (phi, -phi, phi + math.pi, math.pi - phi)
+        ]
+        rows = _entanglement_rows(g, angles, max_qubits)
+        for k in range(0, len(rows), 4):
+            base_e = [e for _, e in rows[k]]
+            for other in rows[k + 1 : k + 4]:
+                for e1, (_, e2) in zip(base_e, other):
                     worst_symmetry = max(worst_symmetry, abs(e1 - e2))
 
     return (

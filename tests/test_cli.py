@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent import cli, entanglement, sampling, valencia
+from graphent import cli, entanglement, sampling, valencia, validation
 from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
 from graphent.entanglement import METHODS
 
@@ -657,22 +657,24 @@ class TestResourceCap:
         assert code == 0
 
     # each route's one allocation of amplitudes: the exact light cone's
-    # init_zero, and the shots route's 3-qubit StateVector per isometry
+    # init_zero, the shots route's 3-qubit StateVector per isometry, and
+    # validate's init_zero of each batch of rows
     @pytest.mark.parametrize(
         "module,allocator,args",
         [
-            (entanglement, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact"]),
-            (sampling, "StateVector", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots"]),
-            (sampling, "StateVector", ["sweep", "--sweep", "0:1:2", "--mode", "shots"]),
+            (entanglement, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact", "--preset", "valencia"]),
+            (sampling, "StateVector", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots", "--preset", "valencia"]),
+            (sampling, "StateVector", ["sweep", "--sweep", "0:1:2", "--mode", "shots", "--preset", "valencia"]),
+            (validation, "init_zero", ["validate", "--trials", "2"]),
         ],
-        ids=["entanglement-entangle", "sampling-entangle", "sampling-sweep"],
+        ids=["entanglement-entangle", "sampling-entangle", "sampling-sweep", "validation-validate"],
     )
     def test_out_of_memory_is_classified(self, capsys, monkeypatch, module, allocator, args):
-        def exhausted(*_):
+        def exhausted(*_, **__):
             raise MemoryError("Unable to allocate 256 MiB")
 
         monkeypatch.setattr(module, allocator, exhausted)
-        code, out, err = run(capsys, *args, "--preset", "valencia")
+        code, out, err = run(capsys, *args)
         assert code == 3
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 256 MiB\n"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from graphent import (
     ConsistencyError,
     Gate,
+    Graph,
     ResourceCapError,
     StateVector,
     ValidationError,
@@ -18,6 +19,8 @@ from graphent import (
     overlap_magnitude,
     valencia,
 )
+from graphent import statevector
+from graphent.entanglement import bloch_vector
 from graphent.statevector import _apply_two_qubit_dense, pauli_means
 from graphent.validation import random_graph
 
@@ -50,6 +53,42 @@ class TestInitZero:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValidationError):
             init_zero(0)
+
+    def test_rows_of_zero_states(self):
+        s = init_zero(3, rows=4)
+        assert s.rows == 4 and init_zero(3).rows is None
+        expected = np.zeros((4, 8))
+        expected[:, 0] = 1.0
+        assert np.array_equal(s.amps, expected)
+
+    def test_batch_holds_at_most_the_cap_in_amplitudes(self):
+        # 5 rows of 16 amplitudes exceed 2**6, 4 rows fill it
+        with pytest.raises(ResourceCapError, match="5 rows of 4 qubits exceed the cap of 2\\*\\*6 amplitudes"):
+            init_zero(4, 6, rows=5)
+        assert init_zero(4, 6, rows=4).amps.shape == (4, 16)
+        with pytest.raises(ResourceCapError, match="7 qubits exceeds the cap of 6"):
+            init_zero(7, 6, rows=1)
+
+    def test_cap_check_needs_no_power_of_the_cap(self):
+        # a cap far above any allocation is compared by bit length, not by 2**cap
+        assert init_zero(2, 10**12, rows=3).amps.shape == (3, 4)
+
+    @pytest.mark.parametrize("rows", [0, -2])
+    def test_non_positive_rows_rejected(self, rows):
+        with pytest.raises(ValidationError, match="row count must be positive"):
+            init_zero(2, rows=rows)
+
+
+class TestStateVectorShape:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 4), (0, 4), ()])
+    def test_shape_must_match_the_qubit_count(self, shape):
+        with pytest.raises(ValidationError, match="does not match"):
+            StateVector(2, np.zeros(shape, dtype=complex))
+
+    def test_strided_batch_rejected(self):
+        # the kernels merge a batch's rows into reshape views, a copy for a strided array
+        with pytest.raises(ValidationError, match="batch amplitude array is not C-contiguous"):
+            StateVector(2, np.zeros((4, 3), dtype=complex).T)
 
 
 class TestGateType:
@@ -416,3 +455,115 @@ class TestOverlap:
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             overlap_magnitude(init_zero(1), init_zero(2))
+
+
+def _random_rows(rng, n, rows):
+    amps = rng.standard_normal((rows, 1 << n)) + 1j * rng.standard_normal((rows, 1 << n))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    return StateVector(n, amps)
+
+
+def _row_states(batch):
+    return [StateVector(batch.n_qubits, row.copy()) for row in batch.amps]
+
+
+def _assert_rows_equal_singles(batch, singles):
+    # bytes, not values: -0.0 and 0.0 differ, and NaNs compare equal
+    assert batch.amps.tobytes() == np.stack([s.amps for s in singles]).tobytes()
+
+
+class TestBatchedRows:
+    """Each row of a batch ends with the exact bits of its own single-state run."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), rows=st.integers(1, 8))
+    def test_edge_kernel_rows_equal_single_runs(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        batch = _random_rows(rng, n, rows)
+        singles = _row_states(batch)
+        qa, qb = sorted(int(q) for q in rng.choice(n, 2, replace=False))
+        for i, j in ((qa, qb), (qb, qa)):  # both pair orders of the dense kernel
+            phis = rng.uniform(-8.0, 8.0, rows)
+            evolve_edge_exact(batch, i, j, phis)
+            for s, phi in zip(singles, phis):
+                evolve_edge_exact(s, i, j, phi)
+            _assert_rows_equal_singles(batch, singles)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 8))
+    def test_every_gate_kind_rows_equal_single_runs(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        batch = _random_rows(rng, n, rows)
+        singles = _row_states(batch)
+        q = int(rng.integers(n))
+        gates = [Gate.h(q), Gate.p(q, rng.uniform(-7, 7)), Gate.rx(q, rng.uniform(-7, 7)), Gate.ry(q, rng.uniform(-7, 7))]
+        if n > 1:
+            c, t = (int(x) for x in rng.choice(n, 2, replace=False))
+            gates.append(Gate.cx(c, t))
+        assert {g.kind for g in gates} == set(statevector.GATE_KINDS) or n == 1
+        for gate in gates:
+            apply_gate(batch, gate)
+            for s in singles:
+                apply_gate(s, gate)
+            _assert_rows_equal_singles(batch, singles)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 8))
+    def test_pauli_means_rows_equal_single_runs(self, seed, n, rows):
+        batch = _random_rows(np.random.default_rng(seed), n, rows)
+        singles = _row_states(batch)
+        for l in range(n):
+            means = pauli_means(batch, l)
+            expected = np.array([pauli_means(s, l) for s in singles]).T
+            assert all(m.shape == (rows,) for m in means)
+            assert np.array(means).tobytes() == expected.tobytes()
+
+    def test_graph_rows_equal_single_runs(self):
+        g = valencia()
+        phis = np.linspace(-7.0, 7.0, 9)
+        batch = evolve_graph_exact(init_zero(5, rows=9), g, phis)
+        _assert_rows_equal_singles(batch, [evolve_graph_exact(init_zero(5), g, phi) for phi in phis])
+
+    def test_drift_in_one_row_fails(self):
+        s = _random_rows(np.random.default_rng(1), 3, 4)
+        s.amps[2] *= 1.0 + 1e-6
+        with pytest.raises(ConsistencyError, match="norm drifted by 2.000e-06"):
+            apply_gate(s, Gate.h(0))
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            evolve_edge_exact(s, 0, 1, np.zeros(4))
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            pauli_means(s, 1)
+
+    def test_nan_in_one_row_fails(self):
+        s = _random_rows(np.random.default_rng(2), 3, 4)
+        s.amps[3, 5] = complex(math.nan, 0.0)
+        with pytest.raises(ConsistencyError, match="norm drifted by nan"):
+            apply_gate(s, Gate.cx(0, 2))
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            evolve_edge_exact(s, 0, 1, np.zeros(4))
+        with pytest.raises(ConsistencyError, match="norm drifted"):
+            pauli_means(s, 0)
+
+    @pytest.mark.parametrize("phi", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], 0.5, [[0.1, 0.2, 0.3]]])
+    def test_angle_count_must_match_the_rows(self, phi):
+        with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
+            evolve_edge_exact(init_zero(2, rows=3), 0, 1, phi)
+        with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
+            evolve_graph_exact(init_zero(5, rows=3), valencia(), phi)
+
+    @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
+    def test_non_finite_angle_in_one_row_rejected(self, phi):
+        s = init_zero(2, rows=3)
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            evolve_edge_exact(s, 0, 1, [0.1, phi, 0.3])
+        assert np.array_equal(s.amps, init_zero(2, rows=3).amps)  # rejected before any row moved
+
+    def test_single_state_readers_reject_a_batch(self):
+        batch, single = init_zero(2, rows=2), init_zero(2)
+        with pytest.raises(ValidationError, match="batch of 2 rows"):
+            overlap_magnitude(batch, single)
+        with pytest.raises(ValidationError, match="batch of 2 rows"):
+            overlap_magnitude(single, batch)
+        with pytest.raises(ValidationError, match="batch of 2 rows"):
+            bloch_vector(batch, 0)
+
+    def test_empty_graph_leaves_a_batch_unchanged(self):
+        s = evolve_graph_exact(init_zero(3, rows=2), Graph(3, ()), [0.4, 0.5])
+        assert np.array_equal(s.amps, init_zero(3, rows=2).amps)

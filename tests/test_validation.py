@@ -39,7 +39,8 @@ def test_perturbed_edge_kernel_fails_the_overlap_property(monkeypatch):
     def perturbed(amps, qa, qb, u):
         dense(amps, qa, qb, u)
         amps += 1e-6
-        amps /= np.linalg.norm(amps)  # the norm check passes, so the overlap must catch it
+        # per row, so the norm check passes on a batch too and the overlap must catch it
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
 
     monkeypatch.setattr(statevector, "_apply_two_qubit_dense", perturbed)
     results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
@@ -76,3 +77,30 @@ def test_nan_distance_fails_the_distance_property(monkeypatch):
     results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
     assert math.isnan(results["circuit vs dense evolution distance"].worst)
     assert not results["circuit vs dense evolution distance"].passed
+
+
+def test_small_cap_splits_batches_without_moving_a_result(monkeypatch):
+    # under a cap of 4 qubits the 4-vertex graphs run one angle per batch
+    allocations = []
+    init_zero = validation.init_zero
+
+    def recording(n, max_qubits, rows=None):
+        allocations.append((n, rows))
+        return init_zero(n, max_qubits, rows)
+
+    monkeypatch.setattr(validation, "init_zero", recording)
+    capped = run_validation(max_n=4, trials=8, seed=0, max_qubits=4)
+    batches = [(n, rows) for n, rows in allocations if rows is not None]
+    assert all(rows << n <= 1 << 4 for n, rows in batches)
+    assert (4, 1) in batches
+    allocations.clear()
+    assert run_validation(max_n=4, trials=8, seed=0) == capped
+    assert (4, 25) in allocations and (4, 12) in allocations
+
+
+def test_chunks_fit_the_cap_and_keep_the_order():
+    angles = list(range(25))
+    for n, cap, size in [(6, 24, 25), (6, 10, 16), (6, 6, 1), (3, 5, 4)]:
+        chunks = validation._chunks(angles, n, cap)
+        assert [a for c in chunks for a in c] == angles
+        assert max(len(c) for c in chunks) == size
