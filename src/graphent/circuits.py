@@ -7,7 +7,9 @@ Each graph edge compiles to the five-gate block
 which equals exp(-i*(phi/2)*XrXp) up to a global phase. The rotation qubit
 ``r`` is the endpoint with the smaller single-qubit gate error when
 calibration data is supplied, otherwise the smaller index. A circuit is a
-plain ``tuple[Gate, ...]``; the register is the state it runs on.
+plain ``tuple[Gate, ...]``; the register is the state it runs on. A 1-D
+``phi`` gives each ``p`` gate one angle per row, so one circuit runs a batch
+of rows at their own angles; such a circuit has no text form.
 
 Measurement preludes rotate a target axis onto z so that z-basis statistics
 estimate the requested Pauli mean, sign included: with ry(theta) =
@@ -48,8 +50,11 @@ def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = No
     return rotation, partner
 
 
-def synthesize_edge(r: int, p: int, phi: float) -> tuple[Gate, ...]:
-    """Five-gate block equal to exp(-i*(phi/2)*XrXp), up to global phase, rotating on ``r``."""
+def synthesize_edge(r: int, p: int, phi) -> tuple[Gate, ...]:
+    """Five-gate block equal to exp(-i*(phi/2)*XrXp), up to global phase, rotating on ``r``.
+
+    ``phi`` is one angle, or a 1-D sequence of one angle per row of a batch.
+    """
     return (
         Gate.cx(r, p),
         Gate.h(r),
@@ -60,9 +65,9 @@ def synthesize_edge(r: int, p: int, phi: float) -> tuple[Gate, ...]:
 
 
 def synthesize_graph_circuit(
-    g: "Graph", phi: float, cal: "CalibrationData | None" = None
+    g: "Graph", phi, cal: "CalibrationData | None" = None
 ) -> tuple[Gate, ...]:
-    """Concatenate one edge block per graph edge, edges in canonical sorted order."""
+    """Concatenate one edge block per graph edge, edges in canonical sorted order; ``phi`` as in :func:`synthesize_edge`."""
     gates: list[Gate] = []
     for edge in g.edges:
         gates.extend(synthesize_edge(*choose_orientation(edge, cal), phi))
@@ -95,6 +100,8 @@ def apply_circuit(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
 
 
 def gate_text(gate: Gate) -> str:
+    if type(gate.angle) is tuple:
+        raise ValidationError(f"{gate.kind} gate with one angle per row has no text form")
     if gate.kind == "cx":
         return f"cx q[{gate.control}], q[{gate.target}]"
     if gate.angle is None:

@@ -12,23 +12,26 @@ Conventions, fixed across the package:
 A state may hold a batch of independent rows: ``amps`` of shape
 ``(rows, 2**n)``, allocated by ``init_zero(n, max_qubits, rows=...)``, and a
 batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
-applies one gate to every row, ``evolve_edge_exact`` and
-``evolve_graph_exact`` take one angle per row, and ``pauli_means`` returns
-one array of means per axis. The norm rule holds for each row: the worst
-drift over the rows is checked, and a NaN in any row fails. Every row has
-exactly the bits its single-state run has. A single state is the case with
-no rows: the same kernels, which pick only their views and their
-inner-product call by the row count, so a single state keeps the calls it
-always made. ``overlap_magnitude`` and ``bloch_vector`` take single states
-only.
+applies one gate to every row; a ``p`` gate may instead carry one angle per
+row (``Gate.p(q, phis)``), which only a batch of as many rows accepts.
+``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row, and
+``pauli_means`` returns one array of means per axis. The norm rule holds for
+each row: the worst drift over the rows is checked, and a NaN in any row
+fails. Every row has exactly the bits its single-state run has. A single
+state is the case with no rows: the same kernels, which pick only their
+views and their inner-product call by the row count, so a single state
+keeps the calls it always made. ``overlap_magnitude`` and ``bloch_vector``
+take single states only.
 
 Both gate kernels address qubits through reshape views of the amplitude
 array and update it in place; on a batch the row index becomes extra high
 bits. Every single-qubit gate (h, p, rx, ry) goes through ``_apply_1q``,
 which multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the
-gate's 2x2 matrix; ``_apply_cx`` views the array with one axis per bit of
-the qubit pair and swaps the target halves of the control-1 block.
-``evolve_edge_exact`` deliberately multiplies a transposed view of the
+gate's 2x2 matrix; a ``p`` with one angle per row scales the qubit-1 halves
+of the ``(rows, -1, 2, 2**q)`` view by a column of phases, the same inner
+loop a single state's ``p`` runs. ``_apply_cx`` views the array with one
+axis per bit of the qubit pair and swaps the target halves of the control-1
+block. ``evolve_edge_exact`` deliberately multiplies a transposed view of the
 pair's four quarters by a generic dense 4x4 instead (a stack of them on a
 batch, which numpy multiplies one gemm per row), sharing nothing with the
 stride kernels, so the gate route and the edge route stay independent and
@@ -67,12 +70,16 @@ def _finite_angle(angle) -> float:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate of the tiny circuit IR: h, p, rx, ry, or cx."""
+    """One gate of the tiny circuit IR: h, p, rx, ry, or cx.
+
+    A ``p`` gate may carry a 1-D sequence of angles, one per row of the batch
+    it runs on, stored as a tuple of floats.
+    """
 
     kind: str
     target: int
     control: int | None = None
-    angle: float | None = None
+    angle: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -94,6 +101,11 @@ class Gate:
                     raise ValidationError("h takes no angle")
             elif self.angle is None:
                 raise ValidationError(f"{self.kind} requires an angle")
+            elif isinstance(self.angle, (tuple, list, np.ndarray)) and np.ndim(self.angle) == 1:
+                if self.kind != "p":
+                    raise ValidationError(f"{self.kind} takes one angle, not one per row")
+                # one angle per row of a batch; apply_gate checks their count
+                object.__setattr__(self, "angle", tuple(_finite_angle(a) for a in self.angle))
             else:
                 object.__setattr__(self, "angle", _finite_angle(self.angle))
 
@@ -102,7 +114,7 @@ class Gate:
         return Gate("h", target)
 
     @staticmethod
-    def p(target: int, angle: float) -> "Gate":
+    def p(target: int, angle) -> "Gate":
         return Gate("p", target, angle=angle)
 
     @staticmethod
@@ -270,12 +282,33 @@ def _apply_cx(amps: np.ndarray, control: int, target: int):
     t1[...] = tmp
 
 
+def _apply_row_phases(state: StateVector, q: int, angles: tuple[float, ...]):
+    """A ``p`` gate with one angle per row: row r's qubit-q = 1 half is scaled by e^{i angles[r]}.
+
+    The broadcast multiply runs the same inner loop, over the same run of
+    amplitudes with the same scalar, as a single state's ``p``.
+    """
+    rows = state.rows
+    if rows is None or len(angles) != rows:
+        where = "a single state" if rows is None else f"a batch of {rows} rows"
+        raise ValidationError(f"{len(angles)} angles for {where}")
+    amps = state.amps
+    if amps.shape[1] == 2:  # one-amplitude halves, scaled row by row as in _apply_1q
+        for row, angle in zip(amps, angles):
+            _apply_1q(row, q, _p_matrix(angle))
+        return
+    a1 = amps.reshape(rows, -1, 2, 1 << q)[:, :, 1, :]
+    a1 *= np.array([cmath.exp(1j * a) for a in angles])[:, None, None]
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one IR gate in place; returns the same state."""
     _check_qubit(state, gate.target)
     if gate.kind == "cx":
         _check_qubit(state, gate.control)
         _apply_cx(state.amps, gate.control, gate.target)
+    elif type(gate.angle) is tuple:
+        _apply_row_phases(state, gate.target, gate.angle)
     else:
         u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
         _apply_1q(state.amps, gate.target, u)

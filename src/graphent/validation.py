@@ -8,11 +8,13 @@ Where a property evolves one graph at many angles, the angles run as one
 batch of state rows (see :mod:`graphent.statevector`): the closed-form and
 transverse properties take a graph's 25 angles, the symmetry property its
 3 angles with their 3 partners each, and the prelude round trip its 100
-one-qubit states. A batch that would exceed ``2**max_qubits`` amplitudes is
-split into chunks that fit. Rows have their single-state bits, so neither the
-batching nor the chunking moves a reported value. The overlap, distance and
-edge-order properties build one circuit and one shuffled edge order per
-angle, and run one state at a time.
+one-qubit states. The overlap and distance properties run a graph's 5 angles
+as two batches, the dense reference and one synthesized circuit whose ``p``
+gates carry one angle per row. A batch that would exceed ``2**max_qubits``
+amplitudes is split into chunks that fit. Rows have their single-state bits,
+so neither the batching nor the chunking moves a reported value. The
+edge-order property draws its own shuffled edge order for each angle, so it
+runs one state at a time against the reference's row.
 """
 
 from __future__ import annotations
@@ -119,19 +121,25 @@ def run_validation(
     distances = []
     worst_order = 0.0
     for g in sub:
-        for phi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5):
-            reference = init_zero(g.n_vertices, max_qubits)
-            evolve_graph_exact(reference, g, phi)
-            circ_state = init_zero(g.n_vertices, max_qubits)
-            apply_circuit(circ_state, synthesize_graph_circuit(g, phi))
-            worst_overlap = max(
-                worst_overlap, 1.0 - overlap_magnitude(circ_state, reference)
-            )
-            distances.append(_phase_aligned_distance(circ_state, reference))
-            if g.edges:
+        n = g.n_vertices
+        phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5)
+        references = []
+        for chunk in _chunks(phis, n, max_qubits):
+            reference = evolve_graph_exact(init_zero(n, max_qubits, rows=len(chunk)), g, chunk)
+            circ = apply_circuit(init_zero(n, max_qubits, rows=len(chunk)), synthesize_graph_circuit(g, chunk))
+            overlaps = _row_inner(circ.amps, reference.amps, len(chunk))
+            for overlap, circ_row, ref_row in zip(overlaps, circ.amps, reference.amps):
+                # Python's abs, as overlap_magnitude takes it: np.abs can differ by an ulp
+                worst_overlap = max(worst_overlap, 1.0 - min(1.0, abs(complex(overlap))))
+                ref_state = StateVector(n, ref_row)
+                distances.append(_phase_aligned_distance(StateVector(n, circ_row), ref_state))
+                references.append(ref_state)
+        if g.edges:
+            # each angle draws its own edge order, so these run one state at a time
+            for phi, reference in zip(phis, references):
                 shuffled = list(g.edges)
                 rng.shuffle(shuffled)
-                other = init_zero(g.n_vertices, max_qubits)
+                other = init_zero(n, max_qubits)
                 for i, j in shuffled:
                     evolve_edge_exact(other, int(i), int(j), phi)
                 worst_order = max(worst_order, 1.0 - overlap_magnitude(other, reference))

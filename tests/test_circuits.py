@@ -13,6 +13,7 @@ from graphent import (
     complete,
     evolve_edge_exact,
     evolve_graph_exact,
+    gate_text,
     init_zero,
     measurement_prelude,
     overlap_magnitude,
@@ -22,6 +23,7 @@ from graphent import (
     valencia_calibration,
 )
 from graphent.statevector import apply_gate, pauli_means
+from graphent.validation import random_graph
 
 from conftest import NON_FINITE_ANGLES, random_state
 
@@ -146,6 +148,17 @@ class TestGraphSynthesis:
         assert c[2] == Gate.p(1, 0.5)
 
 
+class TestRowAngleCircuits:
+    def test_batched_circuit_rows_equal_single_circuits(self, rng):
+        # one circuit whose p gates carry one angle per row, against one circuit per angle
+        for _ in range(60):
+            g = random_graph(rng, 2, 6)
+            phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5)
+            batch = apply_circuit(init_zero(g.n_vertices, rows=5), synthesize_graph_circuit(g, phis))
+            singles = [apply_circuit(init_zero(g.n_vertices), synthesize_graph_circuit(g, phi)) for phi in phis]
+            assert batch.amps.tobytes() == np.stack([s.amps for s in singles]).tobytes()
+
+
 class TestPreludes:
     def test_z_is_empty(self):
         assert measurement_prelude("z", 3) == ()
@@ -192,6 +205,12 @@ class TestTextExport:
 
     def test_empty(self):
         assert circuit_text(()) == ""
+
+    def test_row_angles_have_no_text_form(self):
+        with pytest.raises(ValidationError, match="one angle per row has no text form"):
+            gate_text(Gate.p(0, [0.1, 0.2]))
+        with pytest.raises(ValidationError, match="one angle per row has no text form"):
+            circuit_text(synthesize_graph_circuit(valencia(), np.array([0.1, 0.2])))
 
     def test_calibrated_valencia_listing_head(self):
         c = synthesize_graph_circuit(valencia(), math.pi / 4, valencia_calibration())

@@ -567,3 +567,54 @@ class TestBatchedRows:
     def test_empty_graph_leaves_a_batch_unchanged(self):
         s = evolve_graph_exact(init_zero(3, rows=2), Graph(3, ()), [0.4, 0.5])
         assert np.array_equal(s.amps, init_zero(3, rows=2).amps)
+
+
+class TestRowAngles:
+    """A ``p`` gate with one angle per row runs a batch at its rows' own angles."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 8))
+    def test_row_phases_equal_single_runs_at_every_target(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        batch = _random_rows(rng, n, rows)
+        singles = _row_states(batch)
+        for q in range(n):
+            # an h and a cx first, so the phase meets mixed amplitudes on both halves
+            gates = [Gate.h(q)] + ([Gate.cx(q, (q + 1) % n)] if n > 1 else [])
+            for gate in gates:
+                apply_gate(batch, gate)
+                for s in singles:
+                    apply_gate(s, gate)
+            phis = rng.uniform(-7.0, 7.0, rows)
+            apply_gate(batch, Gate.p(q, phis))
+            for s, phi in zip(singles, phis):
+                apply_gate(s, Gate.p(q, phi))
+            _assert_rows_equal_singles(batch, singles)
+
+    def test_angles_are_stored_as_a_tuple_of_floats(self):
+        gate = Gate.p(1, np.array([0.5, -1.25]))
+        assert gate.angle == (0.5, -1.25) and all(type(a) is float for a in gate.angle)
+        assert gate == Gate.p(1, [0.5, -1.25])
+
+    @pytest.mark.parametrize("phis", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+    def test_angle_count_must_match_the_rows(self, phis):
+        s = init_zero(2, rows=3)
+        with pytest.raises(ValidationError, match=f"{len(phis)} angles for a batch of 3 rows"):
+            apply_gate(s, Gate.p(0, phis))
+        assert np.array_equal(s.amps, init_zero(2, rows=3).amps)
+
+    def test_single_state_rejects_row_angles(self):
+        with pytest.raises(ValidationError, match="1 angles for a single state"):
+            apply_gate(init_zero(2), Gate.p(0, [0.3]))
+
+    @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
+    def test_non_finite_angle_in_one_row_rejected(self, phi):
+        # an input error (exit 2) before any row moves, not a drifted norm
+        s = init_zero(2, rows=3)
+        with pytest.raises(ValidationError, match="non-finite angle"):
+            apply_gate(s, Gate.p(0, [0.1, phi, 0.3]))
+        assert np.array_equal(s.amps, init_zero(2, rows=3).amps)
+
+    @pytest.mark.parametrize("kind", ["rx", "ry"])
+    def test_only_p_takes_row_angles(self, kind):
+        with pytest.raises(ValidationError, match=f"{kind} takes one angle, not one per row"):
+            Gate(kind, 0, angle=(0.1, 0.2))

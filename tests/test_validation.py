@@ -98,6 +98,36 @@ def test_small_cap_splits_batches_without_moving_a_result(monkeypatch):
     assert (4, 25) in allocations and (4, 12) in allocations
 
 
+def test_circuit_and_reference_run_one_batch_per_graph(monkeypatch):
+    # each graph's 5 overlap angles run as a circuit batch and a reference batch;
+    # the edge-order property draws an order per angle and keeps one state per angle
+    allocations = []
+    init_zero = validation.init_zero
+
+    def recording(n, max_qubits, rows=None):
+        allocations.append((n, rows))
+        return init_zero(n, max_qubits, rows)
+
+    monkeypatch.setattr(validation, "init_zero", recording)
+    rng = np.random.default_rng(0)
+    graphs = [random_graph(rng, 2, 4) for _ in range(8)]  # run_validation's draw for seed 0
+    sizes = [g.n_vertices for g in graphs]
+    singles = [(g.n_vertices, None) for g in graphs if g.edges for _ in range(5)]
+    assert sizes.count(4) and singles
+
+    default = run_validation(max_n=4, trials=8, seed=0)
+    assert sorted(a for a in allocations if a[1] == 5) == sorted((n, 5) for n in sizes for _ in range(2))
+    assert (4, 5) in allocations
+    assert [a for a in allocations if a[1] is None] == singles
+
+    allocations.clear()
+    assert run_validation(max_n=4, trials=8, seed=0, max_qubits=4) == default
+    assert (4, 5) not in allocations
+    # 25 closed-form, 12 symmetry, 5 circuit and 5 reference rows per 4-vertex graph
+    assert allocations.count((4, 1)) == (25 + 12 + 2 * 5) * sizes.count(4)
+    assert [a for a in allocations if a[1] is None] == singles
+
+
 def test_chunks_fit_the_cap_and_keep_the_order():
     angles = list(range(25))
     for n, cap, size in [(6, 24, 25), (6, 10, 16), (6, 6, 1), (3, 5, 4)]:
