@@ -68,10 +68,7 @@ def synthesize_graph_circuit(
     g: "Graph", phi, cal: "CalibrationData | None" = None
 ) -> tuple[Gate, ...]:
     """Concatenate one edge block per graph edge, edges in canonical sorted order; ``phi`` as in :func:`synthesize_edge`."""
-    gates: list[Gate] = []
-    for edge in g.edges:
-        gates.extend(synthesize_edge(*choose_orientation(edge, cal), phi))
-    return tuple(gates)
+    return tuple(gate for edge in g.edges for gate in synthesize_edge(*choose_orientation(edge, cal), phi))
 
 
 def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
@@ -111,6 +108,4 @@ def gate_text(gate: Gate) -> str:
 
 def circuit_text(gates: tuple[Gate, ...]) -> str:
     """One gate per line; empty circuits give an empty listing."""
-    if not gates:
-        return ""
-    return "\n".join(gate_text(g) for g in gates) + "\n"
+    return "".join(gate_text(g) + "\n" for g in gates)

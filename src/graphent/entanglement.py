@@ -17,7 +17,6 @@ from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
-    _check_single,
     _finite_angle,
     evolve_edge_exact,
     init_zero,
@@ -115,7 +114,8 @@ def entanglement_from_bloch(
 
 def bloch_vector(state: StateVector, l: int) -> BlochVector:
     """All three exact Pauli means of qubit ``l`` of a single state."""
-    _check_single(state)
+    if state.rows is not None:
+        raise ValidationError(f"expected a single state, got a batch of {state.rows} rows")
     return BlochVector(*pauli_means(state, l))
 
 

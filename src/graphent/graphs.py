@@ -45,7 +45,6 @@ class Graph:
         if n < 1:
             raise ValidationError(f"vertex count must be positive, got {self.n_vertices}")
         seen = set()
-        canon = []
         for edge in self.edges:
             i, j = (int(edge[0]), int(edge[1]))
             if i == j:
@@ -56,8 +55,7 @@ class Graph:
             if pair in seen:
                 raise ValidationError(f"duplicate edge {pair}")
             seen.add(pair)
-            canon.append(pair)
-        edges = tuple(sorted(canon))
+        edges = tuple(sorted(seen))
         neighbours: dict[int, list[int]] = {}
         for i, j in edges:
             neighbours.setdefault(i, []).append(j)
@@ -92,16 +90,21 @@ def _data_lines(text: str) -> list[str]:
     return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
-def _parse_edge_list(text: str) -> Graph:
+def _count_and_lines(text: str, fmt: str) -> tuple[int, list[str]]:
+    """The vertex count on the first data line of a line format, and the data lines after it."""
     data = _data_lines(text)
     if not data:
-        raise ValidationError("empty edge-list input")
+        raise ValidationError(f"empty {fmt} input")
     head = data[0].split()
     if len(head) != 1:
         raise ValidationError(f"first line must be the vertex count, got {data[0]!r}")
-    n = _as_int(head[0], "vertex count")
+    return _as_int(head[0], "vertex count"), data[1:]
+
+
+def _parse_edge_list(text: str) -> Graph:
+    n, lines = _count_and_lines(text, "edge-list")
     edges = []
-    for ln in data[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ValidationError(f"expected edge line 'i j', got {ln!r}")
@@ -139,14 +142,7 @@ def _parse_json(text: str) -> Graph:
 
 
 def _parse_adjacency(text: str) -> Graph:
-    data = _data_lines(text)
-    if not data:
-        raise ValidationError("empty adjacency input")
-    head = data[0].split()
-    if len(head) != 1:
-        raise ValidationError(f"first line must be the vertex count, got {data[0]!r}")
-    n = _as_int(head[0], "vertex count")
-    rows = data[1:]
+    n, rows = _count_and_lines(text, "adjacency")
     if len(rows) != n:
         raise ValidationError(f"expected {n} adjacency rows, got {len(rows)}")
     matrix = []

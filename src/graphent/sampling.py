@@ -54,24 +54,27 @@ from .circuits import apply_circuit, choose_orientation, measurement_prelude, sy
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ValidationError
 from .graphs import Graph
-from .statevector import Gate, StateVector, _finite_angle
+from .statevector import Gate, StateVector, _checked_integer, _finite_angle
 
 DEFAULT_SHOTS = 8192
 
 
 def _checked_seed(seed: int) -> int:
-    """``seed``, if numpy accepts it; numpy's own error for a negative seed is unclassified."""
+    """``seed`` as an int, if numpy accepts it; numpy's own errors for a negative or non-integer seed are unclassified."""
+    seed = _checked_integer(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     return seed
 
 
-def _checked_shots(shots: int) -> None:
-    """Raise unless ``shots`` is a positive count that numpy's int64 draws can hold."""
+def _checked_shots(shots: int) -> int:
+    """``shots`` as an int, if it is a positive count that numpy's int64 draws can hold; a float would be truncated."""
+    shots = _checked_integer(shots, "shot count")
     if shots < 1:
         raise ValidationError(f"shot count must be positive, got {shots}")
     if shots >= 1 << 63:
         raise ValidationError(f"shot count must be below 2**63, got {shots}")
+    return shots
 
 
 def _z_mean(ones: int, shots: int) -> tuple[float, float]:
@@ -213,24 +216,21 @@ def estimate_entanglement_shots(
     """
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
-    _checked_shots(shots)
+    shots = _checked_shots(shots)
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
-    means: dict[str, float] = {}
-    errors: dict[str, float] = {}
-    probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
-    for index, (axis, p) in enumerate(zip(("z", "x", "y"), probabilities)):
-        ones = int(np.random.default_rng(derive_seed(seed, index)).binomial(shots, p))
-        means[axis], errors[axis] = _z_mean(ones, shots)
-    bloch = BlochVector(means["x"], means["y"], means["z"])
-    err3 = (errors["x"], errors["y"], errors["z"])
+    (mz, ez), (mx, ex), (my, ey) = (
+        _z_mean(int(np.random.default_rng(derive_seed(seed, i)).binomial(shots, p)), shots)
+        for i, p in enumerate(_read_one_probabilities(g, phi, l, cal, gate_noise))
+    )
+    bloch = BlochVector(mx, my, mz)
     return EntanglementEstimate(
         spin=l,
         value=entanglement_from_bloch(bloch, norm_tol=None),
         bloch=bloch,
         method="shots",
-        std_error=_propagated_std_error(bloch, err3),
+        std_error=_propagated_std_error(bloch, (ex, ey, ez)),
         shots=shots,
     )

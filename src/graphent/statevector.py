@@ -14,14 +14,16 @@ A state may hold a batch of independent rows: ``amps`` of shape
 batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
 applies one gate to every row; a ``p`` gate may instead carry one angle per
 row (``Gate.p(q, phis)``), which only a batch of as many rows accepts.
-``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row, and
-``pauli_means`` returns one array of means per axis. The norm rule holds for
-each row: the worst drift over the rows is checked, and a NaN in any row
-fails. Every row has exactly the bits its single-state run has. A single
-state is the case with no rows: the same kernels, which pick only their
-views and their inner-product call by the row count, so a single state
-keeps the calls it always made. ``overlap_magnitude`` and ``bloch_vector``
-take single states only.
+``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row,
+``pauli_means`` returns one array of means per axis, and
+``overlap_magnitude`` of two batches one overlap per row. The norm rule
+holds for each row: the worst drift over the rows is checked, and a NaN in
+any row fails. Every row has exactly the bits its single-state run has. A
+single state is the case with no rows: the same kernels, which pick only
+their views by the row count. Every inner product goes through ``_inner``,
+which takes a single state's with ``np.vdot`` and each row's of a batch
+with a stacked ``(1,K) @ (K,1)`` product that sums in ``np.vdot``'s order.
+Only ``bloch_vector`` takes single states alone.
 
 Both gate kernels address qubits through reshape views of the amplitude
 array and update it in place; on a batch the row index becomes extra high
@@ -39,14 +41,14 @@ can cross-check each other.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
-product. A batch takes each row's inner products as a stacked ``(1,K) @
-(K,1)`` product, which sums in the order of the single state's ``np.vdot``.
+product.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -59,6 +61,14 @@ NORM_DRIFT_LIMIT = 1e-9
 
 GATE_KINDS = ("h", "p", "rx", "ry", "cx")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _checked_integer(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index``: a float or other non-integer raises ValidationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _finite_angle(angle) -> float:
@@ -84,30 +94,27 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
-        if self.target < 0 or (self.control is not None and self.control < 0):
-            raise ValidationError(f"negative qubit index in {self}")
-        if self.kind == "cx":
-            if self.control is None:
-                raise ValidationError("cx requires a control qubit")
-            if self.control == self.target:
-                raise ValidationError(f"cx control and target coincide at {self.target}")
+        if (self.control is None) == (self.kind == "cx"):
+            raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
+        for q in (self.target, self.control) if self.kind == "cx" else (self.target,):
+            if _checked_integer(q, "qubit index") < 0:
+                raise ValidationError(f"negative qubit index in {self}")
+        if self.control == self.target:
+            raise ValidationError(f"cx control and target coincide at {self.target}")
+        if self.kind in ("h", "cx"):
             if self.angle is not None:
-                raise ValidationError("cx takes no angle")
+                raise ValidationError(f"{self.kind} takes no angle")
+        elif self.angle is None:
+            raise ValidationError(f"{self.kind} requires an angle")
+        elif isinstance(self.angle, (tuple, list, np.ndarray)) and (ndim := np.ndim(self.angle)) > 0:
+            if self.kind != "p":
+                raise ValidationError(f"{self.kind} takes one angle, not one per row")
+            if ndim > 1:
+                raise ValidationError(f"p takes an angle or one per row, not a {ndim}-D array")
+            # one angle per row of a batch; apply_gate checks their count
+            object.__setattr__(self, "angle", tuple(_finite_angle(a) for a in self.angle))
         else:
-            if self.control is not None:
-                raise ValidationError(f"{self.kind} takes no control qubit")
-            if self.kind == "h":
-                if self.angle is not None:
-                    raise ValidationError("h takes no angle")
-            elif self.angle is None:
-                raise ValidationError(f"{self.kind} requires an angle")
-            elif isinstance(self.angle, (tuple, list, np.ndarray)) and np.ndim(self.angle) == 1:
-                if self.kind != "p":
-                    raise ValidationError(f"{self.kind} takes one angle, not one per row")
-                # one angle per row of a batch; apply_gate checks their count
-                object.__setattr__(self, "angle", tuple(_finite_angle(a) for a in self.angle))
-            else:
-                object.__setattr__(self, "angle", _finite_angle(self.angle))
+            object.__setattr__(self, "angle", _finite_angle(self.angle))
 
     @staticmethod
     def h(target: int) -> "Gate":
@@ -170,16 +177,12 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
         raise ValidationError(f"row count must be positive, got {rows}")
     if n > max_qubits:
         raise ResourceCapError(f"{n} qubits exceeds the cap of {max_qubits}")
-    if rows is None:
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVector(n, amps)
-    if (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits
+    if rows is not None and (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits
         raise ResourceCapError(
             f"{rows} rows of {n} qubits exceed the cap of 2**{max_qubits} amplitudes"
         )
-    amps = np.zeros((rows, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    amps = np.zeros(1 << n if rows is None else (rows, 1 << n), dtype=np.complex128)
+    amps[..., 0] = 1.0
     return StateVector(n, amps)
 
 
@@ -188,7 +191,7 @@ def _check_qubit(state: StateVector, q: int):
         raise ValidationError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
-def _check_norm_value(norm_sq):
+def _check_norm(norm_sq):
     """Raise unless the squared norm, or every row's, is within the drift limit of 1; NaN fails."""
     drift = abs(norm_sq - 1.0)
     if not isinstance(drift, float):
@@ -197,21 +200,19 @@ def _check_norm_value(norm_sq):
         raise ConsistencyError(f"state norm drifted by {drift:.3e}")
 
 
-def _row_inner(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
-    """``np.vdot`` of each of ``rows`` equal parts of ``a`` and ``b`` (in C order), bit for bit.
+def _inner(a: np.ndarray, b: np.ndarray, rows: int | None):
+    """<a|b>: a complex for a single state (``rows`` None), an array for ``rows`` equal C-order parts.
 
-    One stacked (1,K) @ (K,1) product per row sums in np.vdot's order;
-    einsum and sum() do not.
+    A row's stacked (1,K) @ (K,1) product sums in np.vdot's order (einsum and
+    sum() do not); a single state keeps np.vdot, faster on one long row.
     """
+    if rows is None:
+        return complex(np.vdot(a, b))
     return (a.conj().reshape(rows, 1, -1) @ b.reshape(rows, -1, 1))[:, 0, 0]
 
 
-def _check_norm(state: StateVector):
-    amps = state.amps
-    if state.rows is None:
-        _check_norm_value(float(np.vdot(amps, amps).real))
-    else:
-        _check_norm_value(_row_inner(amps, amps, state.rows).real)
+def _shape_text(state: StateVector) -> str:
+    return "a single state" if state.rows is None else f"a batch of {state.rows} rows"
 
 
 def _paired_views(amps: np.ndarray, q: int):
@@ -224,7 +225,8 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
     """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1).
 
     Works on the half views in place, so at most two half-size temporaries
-    exist at once; a diagonal ``u`` (p) only scales the halves.
+    exist at once. A diagonal ``u`` only scales the qubit-1 half: every one
+    the gates build (p, and rx or ry at angle 0) has ``u00 = 1``.
     """
     a0, a1 = _paired_views(amps, q)
     (u00, u01), (u10, u11) = u
@@ -236,8 +238,6 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
             for row in amps:
                 _apply_1q(row, q, u)
             return
-        if u00 != 1:
-            a0 *= u00
         a1 *= u11
     else:
         t = u00 * a0
@@ -289,9 +289,8 @@ def _apply_row_phases(state: StateVector, q: int, angles: tuple[float, ...]):
     amplitudes with the same scalar, as a single state's ``p``.
     """
     rows = state.rows
-    if rows is None or len(angles) != rows:
-        where = "a single state" if rows is None else f"a batch of {rows} rows"
-        raise ValidationError(f"{len(angles)} angles for {where}")
+    if rows is None or len(angles) != rows:  # the gate holds finite angles in a tuple
+        raise ValidationError(f"{len(angles)} angles for {_shape_text(state)}")
     amps = state.amps
     if amps.shape[1] == 2:  # one-amplitude halves, scaled row by row as in _apply_1q
         for row, angle in zip(amps, angles):
@@ -312,7 +311,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     else:
         u = _H if gate.kind == "h" else _ANGLE_GATES[gate.kind](gate.angle)
         _apply_1q(state.amps, gate.target, u)
-    _check_norm(state)
+    _check_norm(_inner(state.amps, state.amps, state.rows).real)
     return state
 
 
@@ -361,7 +360,7 @@ def evolve_edge_exact(state: StateVector, i: int, j: int, phi) -> StateVector:
         c, s, z = _row_cos_sin(phi, rows)
     u = np.array([[c, z, z, s], [z, c, s, z], [z, s, c, z], [s, z, z, c]], dtype=np.complex128)
     _apply_two_qubit_dense(state.amps, i, j, u if rows is None else u.transpose(2, 0, 1))
-    _check_norm(state)
+    _check_norm(_inner(state.amps, state.amps, state.rows).real)
     return state
 
 
@@ -385,27 +384,21 @@ def pauli_means(state: StateVector, l: int):
     _check_qubit(state, l)
     rows = state.rows
     a0, a1 = _paired_views(state.amps, l)
-    if rows is None:
-        p0, p1 = float(np.vdot(a0, a0).real), float(np.vdot(a1, a1).real)
-        s = complex(np.vdot(a0, a1))
-    else:
-        p0, p1 = _row_inner(a0, a0, rows).real, _row_inner(a1, a1, rows).real
-        s = _row_inner(a0, a1, rows)
-    _check_norm_value(p0 + p1)
+    p0, p1 = _inner(a0, a0, rows).real, _inner(a1, a1, rows).real
+    s = _inner(a0, a1, rows)
+    _check_norm(p0 + p1)
     return 2.0 * s.real, 2.0 * s.imag, p0 - p1
 
 
-def _check_single(state: StateVector):
-    if state.rows is not None:
-        raise ValidationError(f"expected a single state, got a batch of {state.rows} rows")
+def overlap_magnitude(a: StateVector, b: StateVector):
+    """|<a|b>| of two states of one shape, at most 1; equals 1 iff they agree up to a global phase.
 
-
-def overlap_magnitude(a: StateVector, b: StateVector) -> float:
-    """|<a|b>| of two single states; equals 1 iff they agree up to a global phase."""
-    _check_single(a)
-    _check_single(b)
-    if a.n_qubits != b.n_qubits:
-        raise ValidationError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
-        )
-    return min(1.0, abs(complex(np.vdot(a.amps, b.amps))))
+    A float for single states, a list of each row's for batches: Python's
+    ``abs`` of a complex, since numpy's can differ from it by an ulp.
+    """
+    if a.amps.shape != b.amps.shape:
+        raise ValidationError(f"{_shape_text(a)} of {a.n_qubits} qubits vs {_shape_text(b)} of {b.n_qubits}")
+    overlaps = _inner(a.amps, b.amps, a.rows)
+    if a.rows is None:
+        return min(1.0, abs(overlaps))
+    return [min(1.0, abs(v)) for v in overlaps.tolist()]

@@ -10,11 +10,13 @@ transverse properties take a graph's 25 angles, the symmetry property its
 3 angles with their 3 partners each, and the prelude round trip its 100
 one-qubit states. The overlap and distance properties run a graph's 5 angles
 as two batches, the dense reference and one synthesized circuit whose ``p``
-gates carry one angle per row. A batch that would exceed ``2**max_qubits``
-amplitudes is split into chunks that fit. Rows have their single-state bits,
-so neither the batching nor the chunking moves a reported value. The
-edge-order property draws its own shuffled edge order for each angle, so it
-runs one state at a time against the reference's row.
+gates carry one angle per row, compared row by row (``overlap_magnitude``
+of the two batches, the distance of each pair of amplitude rows). A batch
+that would exceed ``2**max_qubits`` amplitudes is split into chunks that
+fit. Rows have their single-state bits, so neither the batching nor the
+chunking moves a reported value. The edge-order property draws its own
+shuffled edge order for each angle, so it runs one state at a time against
+the reference's row.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circu
 from .entanglement import BlochVector, analytic_entanglement, entanglement_from_bloch
 from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
+from .sampling import _checked_seed
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
-    _row_inner,
-    apply_gate,
+    _checked_integer,
+    _inner,
     evolve_edge_exact,
     evolve_graph_exact,
     init_zero,
@@ -75,8 +78,7 @@ def _entanglement_rows(g: Graph, angles, max_qubits: int) -> list[list[tuple[Blo
     """For each angle, each spin's exact Bloch vector and entanglement, from batches of rows."""
     out = []
     for chunk in _chunks(angles, g.n_vertices, max_qubits):
-        state = init_zero(g.n_vertices, max_qubits, rows=len(chunk))
-        evolve_graph_exact(state, g, chunk)
+        state = evolve_graph_exact(init_zero(g.n_vertices, max_qubits, rows=len(chunk)), g, chunk)
         means = [[m.tolist() for m in pauli_means(state, l)] for l in range(g.n_vertices)]
         for row in range(len(chunk)):
             blochs = [BlochVector(mx[row], my[row], mz[row]) for mx, my, mz in means]
@@ -84,10 +86,10 @@ def _entanglement_rows(g: Graph, angles, max_qubits: int) -> list[list[tuple[Blo
     return out
 
 
-def _phase_aligned_distance(a: StateVector, b: StateVector) -> float:
-    """``||a - e^{i theta} b||`` with ``e^{i theta} = <b|a> / |<b|a>|``, 1 if that is 0: linear in an amplitude error."""
-    s = complex(np.vdot(b.amps, a.amps))
-    return float(np.linalg.norm(a.amps - (s / abs(s) if s else 1.0) * b.amps))
+def _phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a - e^{i theta} b||`` of two amplitude rows, with ``e^{i theta} = <b|a> / |<b|a>|``, 1 if that is 0: linear in an amplitude error."""
+    s = complex(np.vdot(b, a))
+    return float(np.linalg.norm(a - (s / abs(s) if s else 1.0) * b))
 
 
 def run_validation(
@@ -96,14 +98,15 @@ def run_validation(
     seed: int = 7,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> tuple[PropertyResult, ...]:
-    """Run every property suite; ``trials`` is the number of random graphs."""
+    """Run every property suite; ``trials`` is the number of random graphs, and every argument an integer."""
+    trials, max_n, max_qubits = map(_checked_integer, (trials, max_n, max_qubits), ("trials", "max_n", "max_qubits"))
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
     if max_n < 2:
         raise ValidationError(f"max_n must be at least 2, got {max_n}")
     if max_n > max_qubits:
         raise ResourceCapError(f"max_n {max_n} exceeds the qubit cap {max_qubits}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     graphs = [random_graph(rng, 2, max_n) for _ in range(trials)]
     phis_per_graph = [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 25) for _ in graphs]
 
@@ -116,45 +119,37 @@ def run_validation(
                 worst_closed_form = max(worst_closed_form, abs(exact - analytic))
                 worst_transverse = max(worst_transverse, abs(b.mx), abs(b.my))
 
-    sub = graphs[: min(len(graphs), 30)]
+    sub = graphs[:30]
     worst_overlap = 0.0
     distances = []
     worst_order = 0.0
     for g in sub:
         n = g.n_vertices
         phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5)
-        references = []
         for chunk in _chunks(phis, n, max_qubits):
             reference = evolve_graph_exact(init_zero(n, max_qubits, rows=len(chunk)), g, chunk)
             circ = apply_circuit(init_zero(n, max_qubits, rows=len(chunk)), synthesize_graph_circuit(g, chunk))
-            overlaps = _row_inner(circ.amps, reference.amps, len(chunk))
-            for overlap, circ_row, ref_row in zip(overlaps, circ.amps, reference.amps):
-                # Python's abs, as overlap_magnitude takes it: np.abs can differ by an ulp
-                worst_overlap = max(worst_overlap, 1.0 - min(1.0, abs(complex(overlap))))
-                ref_state = StateVector(n, ref_row)
-                distances.append(_phase_aligned_distance(StateVector(n, circ_row), ref_state))
-                references.append(ref_state)
-        if g.edges:
-            # each angle draws its own edge order, so these run one state at a time
-            for phi, reference in zip(phis, references):
-                shuffled = list(g.edges)
-                rng.shuffle(shuffled)
-                other = init_zero(n, max_qubits)
-                for i, j in shuffled:
-                    evolve_edge_exact(other, int(i), int(j), phi)
-                worst_order = max(worst_order, 1.0 - overlap_magnitude(other, reference))
+            worst_overlap = max(worst_overlap, 1.0 - min(overlap_magnitude(circ, reference)))
+            distances.extend(map(_phase_aligned_distance, circ.amps, reference.amps))
+            if g.edges:
+                # each angle draws its own edge order, so these run one state at a time
+                for phi, ref_row in zip(chunk, reference.amps):
+                    shuffled = list(g.edges)
+                    rng.shuffle(shuffled)
+                    other = init_zero(n, max_qubits)
+                    for i, j in shuffled:
+                        evolve_edge_exact(other, int(i), int(j), phi)
+                    worst_order = max(worst_order, 1.0 - overlap_magnitude(other, StateVector(n, ref_row)))
 
     # 100 random one-qubit states, drawn as the real then the imaginary parts
     # of one state after another
     z = rng.standard_normal((100, 2, 2))
     worst_prelude = 0.0
     for amps in _chunks(z[:, 0] + 1j * z[:, 1], 1, max_qubits):
-        amps /= np.sqrt(_row_inner(amps, amps, len(amps)).real)[:, None]
+        amps /= np.sqrt(_inner(amps, amps, len(amps)).real)[:, None]
         base = StateVector(1, amps)
         for axis, target in zip(("x", "y", "z"), pauli_means(base, 0)):
-            rotated = base.copy()
-            for gate in measurement_prelude(axis, 0):
-                apply_gate(rotated, gate)
+            rotated = apply_circuit(base.copy(), measurement_prelude(axis, 0))
             deviation = np.abs(pauli_means(rotated, 0)[2] - target)
             worst_prelude = max(worst_prelude, float(np.max(deviation)))
 

@@ -255,6 +255,16 @@ class TestEstimateEntanglementShots:
         with pytest.raises(ValidationError, match="directed pair 1-3"):
             estimate_entanglement_shots(valencia(), 0.5, 3, 10, cal, gate_noise=True)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, "8"])
+    def test_non_integer_count_rejected(self, shots):
+        # 2.5 would draw 2 shots and divide the counts by 2.5, a confident wrong estimate
+        with pytest.raises(ValidationError, match="shot count must be an integer"):
+            estimate_entanglement_shots(valencia(), 0.3, 1, shots)
+
+    def test_numpy_integer_count_is_an_int(self):
+        est = estimate_entanglement_shots(valencia(), 0.3, 1, np.int64(100))
+        assert type(est.shots) is int and est == estimate_entanglement_shots(valencia(), 0.3, 1, 100)
+
     def test_count_beyond_int64_rejected(self):
         with pytest.raises(ValidationError, match="shot count must be below 2\\*\\*63"):
             estimate_entanglement_shots(valencia(), 0.5, 1, 2**63)
@@ -270,6 +280,8 @@ class TestEstimateEntanglementShots:
     def test_negative_seed_rejected(self, call):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
             call(-1)
+        with pytest.raises(ValidationError, match="seed must be an integer, got 1.5"):
+            call(1.5)
 
 
 class TestDepolarizingNoise:

@@ -117,6 +117,24 @@ class TestGateType:
         with pytest.raises(ValidationError, match="unknown gate kind"):
             Gate(axis, 0, control=1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Gate.h(1.5), lambda: Gate.h(None), lambda: Gate.p(2.0, 0.3), lambda: Gate.cx(0, 1.0), lambda: Gate.cx("0", 1)],
+    )
+    def test_non_integer_qubit_index_rejected(self, build):
+        # an input error (exit 2) when the gate is built, not a TypeError when it runs
+        with pytest.raises(ValidationError, match="qubit index must be an integer"):
+            build()
+
+    def test_numpy_integer_qubit_index_accepted(self):
+        s = apply_gate(init_zero(2), Gate.cx(np.int64(0), np.int64(1)))
+        assert np.array_equal(s.amps, init_zero(2).amps)
+
+    @pytest.mark.parametrize("angle", [[[0.1]], np.zeros((2, 2)), ((0.1, 0.2),)])
+    def test_angle_array_of_two_or_more_dimensions_rejected(self, angle):
+        with pytest.raises(ValidationError, match="p takes an angle or one per row, not a 2-D array"):
+            Gate.p(0, angle)
+
     @pytest.mark.parametrize("angle", NON_FINITE_ANGLES)
     @pytest.mark.parametrize("kind", ["p", "rx", "ry"])
     def test_non_finite_angle_rejected(self, kind, angle):
@@ -455,6 +473,30 @@ class TestOverlap:
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             overlap_magnitude(init_zero(1), init_zero(2))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 8))
+    def test_batch_overlaps_equal_single_overlaps(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        a, b = _random_rows(rng, n, rows), _random_rows(rng, n, rows)
+        b.amps[0] = a.amps[0] * np.exp(0.3j)  # one row that agrees up to a phase
+        overlaps = overlap_magnitude(a, b)
+        singles = [overlap_magnitude(sa, sb) for sa, sb in zip(_row_states(a), _row_states(b))]
+        assert type(overlaps) is list and all(type(v) is float for v in overlaps)
+        # bit for bit: numpy's abs differs from Python's by an ulp on many values
+        assert [repr(v) for v in overlaps] == [repr(v) for v in singles]
+
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            ((2, 3), (2, 2), "a batch of 3 rows of 2 qubits vs a batch of 2 rows of 2"),
+            ((1, 2), (2, None), "a batch of 2 rows of 1 qubits vs a single state of 2"),
+            ((3, 2), (2, 2), "a batch of 2 rows of 3 qubits vs a batch of 2 rows of 2"),
+            ((2, None), (2, 1), "a single state of 2 qubits vs a batch of 1 rows of 2"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, a, b, message):
+        with pytest.raises(ValidationError, match=message):
+            overlap_magnitude(init_zero(a[0], rows=a[1]), init_zero(b[0], rows=b[1]))
 
 
 def _random_rows(rng, n, rows):

@@ -26,6 +26,12 @@ def test_rejects_bad_arguments():
         run_validation(trials=0)
     with pytest.raises(ValidationError):
         run_validation(max_n=1)
+    # numpy's own errors for these are unclassified ValueError and TypeError
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        run_validation(trials=1, seed=-1)
+    for name, value in [("seed", 1.5), ("trials", 2.5), ("max_n", 4.0), ("max_qubits", 6.5)]:
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            run_validation(**{"trials": 1, name: value})
 
 
 def test_max_n_above_the_cap_is_rejected_before_any_trial():
