@@ -23,7 +23,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .statevector import Gate, StateVector, apply_gate
+from .statevector import Gate, StateVector, _checked_integer, apply_gate
 
 if TYPE_CHECKING:
     from .calibration import CalibrationData
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> tuple[int, int]:
     """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
-    i, j = int(edge[0]), int(edge[1])
+    i, j = _checked_integer(edge[0], "edge endpoint"), _checked_integer(edge[1], "edge endpoint")
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
     if i < 0 or j < 0:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -29,6 +31,24 @@ NORM_OVERSHOOT_LIMIT = 1e-9
 # fold error at the limit: 2**14 / pi * (pi - float pi) < 1e-12
 _FOLD_LIMIT = 2.0**14
 _COMPONENT_LIMIT = 1.0 + 1e-9
+_AXES = ("mx", "my", "mz")
+
+
+def _component_error(name: str, v: float) -> ValidationError:
+    return ValidationError(f"Bloch component {name}={v!r} outside [-1, 1]")
+
+
+def _norm(mx: float, my: float, mz: float) -> float:
+    # Python's x**2 (libm pow), not numpy's: they differ in the last bit for some x
+    return math.sqrt(mx**2 + my**2 + mz**2)
+
+
+def _check_components(means: np.ndarray):
+    """``BlochVector``'s bound on every value of an array whose last axis is (mx, my, mz); the first bad one is named."""
+    bad = ~(np.abs(means) <= _COMPONENT_LIMIT)  # NaN compares False, so it is bad too
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise _component_error(_AXES[at[-1]], float(means[at]))
 
 
 @dataclass(frozen=True)
@@ -40,12 +60,12 @@ class BlochVector:
     mz: float
 
     def __post_init__(self):
-        for name, v in (("mx", self.mx), ("my", self.my), ("mz", self.mz)):
+        for name, v in zip(_AXES, (self.mx, self.my, self.mz)):
             if not math.isfinite(v) or abs(v) > _COMPONENT_LIMIT:
-                raise ValidationError(f"Bloch component {name}={v!r} outside [-1, 1]")
+                raise _component_error(name, v)
 
     def norm(self) -> float:
-        return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
+        return _norm(self.mx, self.my, self.mz)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mx, self.my, self.mz)
@@ -106,7 +126,12 @@ def entanglement_from_bloch(
     finite-shot estimates, where |b| legitimately overshoots 1 by sampling
     noise and is clamped.
     """
-    norm = b.norm()
+    return _entanglement_of_means(b.mx, b.my, b.mz, norm_tol)
+
+
+def _entanglement_of_means(mx: float, my: float, mz: float, norm_tol: float | None = NORM_OVERSHOOT_LIMIT) -> float:
+    """``entanglement_from_bloch`` of the means (mx, my, mz), in Python floats so every value has one formula's bits."""
+    norm = _norm(mx, my, mz)
     if norm_tol is not None and norm > 1.0 + norm_tol:
         raise ValidationError(f"Bloch vector norm {norm!r} exceeds 1")
     return 0.5 * (1.0 - min(1.0, norm))

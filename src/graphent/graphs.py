@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .statevector import _checked_integer
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -41,12 +42,14 @@ class Graph:
     _neighbours: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = int(self.n_vertices)
+        n = _checked_integer(self.n_vertices, "vertex count")
         if n < 1:
             raise ValidationError(f"vertex count must be positive, got {self.n_vertices}")
         seen = set()
         for edge in self.edges:
-            i, j = (int(edge[0]), int(edge[1]))
+            i, j = edge[0], edge[1]
+            if type(i) is not int or type(j) is not int:  # plain ints, the common case, skip the calls
+                i, j = _checked_integer(i, "edge endpoint"), _checked_integer(j, "edge endpoint")
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):

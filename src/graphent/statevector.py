@@ -37,7 +37,9 @@ block. ``evolve_edge_exact`` deliberately multiplies a transposed view of the
 pair's four quarters by a generic dense 4x4 instead (a stack of them on a
 batch, which numpy multiplies one gemm per row), sharing nothing with the
 stride kernels, so the gate route and the edge route stay independent and
-can cross-check each other.
+can cross-check each other. ``evolve_graph_exact`` builds that unitary once
+per call, from its angles, and applies it to every edge in turn, checking
+the norm after each.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
@@ -72,10 +74,16 @@ def _checked_integer(value, what: str) -> int:
 
 
 def _finite_angle(angle) -> float:
-    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow."""
-    if not abs(angle) <= sys.float_info.max:
-        raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
-    return float(angle)
+    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow.
+
+    A non-number (a string, a list, a complex) raises ValidationError too.
+    """
+    try:
+        if abs(angle) <= sys.float_info.max:
+            return float(angle)
+    except (TypeError, ValueError):
+        raise ValidationError(f"angle must be a real number, got {angle!r}") from None
+    raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,8 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
 
 
 def _check_qubit(state: StateVector, q: int):
+    if type(q) is not int:  # plain ints, the common case, skip the call
+        q = _checked_integer(q, "qubit index")
     if not 0 <= q < state.n_qubits:
         raise ValidationError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
@@ -332,14 +342,37 @@ def _apply_two_qubit_dense(amps: np.ndarray, qa: int, qb: int, u: np.ndarray):
     quads[...] = (u @ quads.reshape(flat)).reshape(quads.shape)
 
 
-def _row_cos_sin(phi, rows: int):
-    """cos(phi/2), -i*sin(phi/2) and 0 as arrays over a batch's angles, each entry computed as for one angle."""
-    if np.ndim(phi) != 1 or len(phi) != rows:
-        raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
-    angles = [_finite_angle(p) for p in phi]
-    c = np.array([math.cos(p / 2.0) for p in angles])
-    s = np.array([-1j * math.sin(p / 2.0) for p in angles])
-    return c, s, np.zeros(rows)
+def _evolve_edges(state: StateVector, edges, phi) -> StateVector:
+    """Apply exp(-i*(phi/2)*XiXj) to each ``(i, j)`` of ``edges`` in the given order; a batch takes one angle per row.
+
+    Every edge is range-checked first. The dense unitary
+    cos(phi/2)*I - i*sin(phi/2)*XX is built once, each entry computed as for
+    one angle (a stack of one per row on a batch, so a row has its single
+    state's bits), and the norm is checked after every edge.
+    """
+    for i, j in edges:
+        _check_qubit(state, i)
+        _check_qubit(state, j)
+        if i == j:
+            raise ValidationError(f"edge endpoints coincide at {i}")
+    rows = state.rows
+    if rows is None:
+        phi = _finite_angle(phi)
+        c, s, z = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0), 0.0
+    else:
+        if np.ndim(phi) != 1 or len(phi) != rows:
+            raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
+        angles = [_finite_angle(p) for p in phi]
+        c = np.array([math.cos(p / 2.0) for p in angles])
+        s = np.array([-1j * math.sin(p / 2.0) for p in angles])
+        z = np.zeros(rows)
+    u = np.array([[c, z, z, s], [z, c, s, z], [z, s, c, z], [s, z, z, c]], dtype=np.complex128)
+    if rows is not None:
+        u = u.transpose(2, 0, 1)
+    for i, j in edges:
+        _apply_two_qubit_dense(state.amps, i, j, u)
+        _check_norm(_inner(state.amps, state.amps, rows).real)
+    return state
 
 
 def evolve_edge_exact(state: StateVector, i: int, j: int, phi) -> StateVector:
@@ -348,31 +381,19 @@ def evolve_edge_exact(state: StateVector, i: int, j: int, phi) -> StateVector:
     Expands to cos(phi/2)*I - i*sin(phi/2)*XiXj; this is the oracle route the
     synthesized circuits are checked against.
     """
-    _check_qubit(state, i)
-    _check_qubit(state, j)
-    if i == j:
-        raise ValidationError(f"edge endpoints coincide at {i}")
-    rows = state.rows
-    if rows is None:
-        phi = _finite_angle(phi)
-        c, s, z = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0), 0.0
-    else:
-        c, s, z = _row_cos_sin(phi, rows)
-    u = np.array([[c, z, z, s], [z, c, s, z], [z, s, c, z], [s, z, z, c]], dtype=np.complex128)
-    _apply_two_qubit_dense(state.amps, i, j, u if rows is None else u.transpose(2, 0, 1))
-    _check_norm(_inner(state.amps, state.amps, state.rows).real)
-    return state
+    return _evolve_edges(state, ((i, j),), phi)
 
 
 def evolve_graph_exact(state: StateVector, g, phi) -> StateVector:
-    """One edge unitary per graph edge, at ``phi`` (one angle per row on a batch); edge order is irrelevant (all commute)."""
+    """Every graph edge's unitary at ``phi`` (one angle per row on a batch); edge order is irrelevant (all commute).
+
+    The unitary is built once per call and applied edge by edge.
+    """
     if state.n_qubits < g.n_vertices:
         raise ValidationError(
             f"state has {state.n_qubits} qubits but graph has {g.n_vertices} vertices"
         )
-    for i, j in g.edges:
-        evolve_edge_exact(state, i, j, phi)
-    return state
+    return _evolve_edges(state, g.edges, phi)
 
 
 def pauli_means(state: StateVector, l: int):

@@ -4,19 +4,25 @@ Each property pits one computation route against an independent one (closed
 form vs state evolution, stride kernels vs dense edge unitaries, preludes vs
 direct expectations) over seeded random graphs and angles.
 
-Where a property evolves one graph at many angles, the angles run as one
-batch of state rows (see :mod:`graphent.statevector`): the closed-form and
-transverse properties take a graph's 25 angles, the symmetry property its
-3 angles with their 3 partners each, and the prelude round trip its 100
-one-qubit states. The overlap and distance properties run a graph's 5 angles
-as two batches, the dense reference and one synthesized circuit whose ``p``
-gates carry one angle per row, compared row by row (``overlap_magnitude``
-of the two batches, the distance of each pair of amplitude rows). A batch
-that would exceed ``2**max_qubits`` amplitudes is split into chunks that
-fit. Rows have their single-state bits, so neither the batching nor the
-chunking moves a reported value. The edge-order property draws its own
-shuffled edge order for each angle, so it runs one state at a time against
-the reference's row.
+Every random draw is made first, in a fixed order: the graphs, 25
+closed-form angles per graph, then for each of the first 30 graphs its 5
+overlap angles and, if it has edges, one shuffled edge order per overlap
+angle, the 100 prelude states, and 3 symmetry angles per graph of the first
+30. Then each graph is evolved once on the dense route, as one batch of
+state rows (see :mod:`graphent.statevector`): its 25 closed-form angles, and
+for the first 30 graphs also the 5 overlap angles and the 3 symmetry angles
+with their 3 partners each, 42 rows. The closed-form, transverse and
+symmetry properties read every spin's means from that batch as ``(rows,
+spins)`` arrays. The overlap and distance properties run the 5 overlap
+angles through one synthesized circuit whose ``p`` gates carry one angle per
+row, compared row by row with their rows of the dense batch
+(``overlap_magnitude`` of the two batches, the distance of each pair of
+amplitude rows); the edge-order property evolves one state per overlap angle
+in its own edge order against the same rows. The prelude round trip runs its
+100 one-qubit states as one batch. A batch that would exceed
+``2**max_qubits`` amplitudes is split into chunks that fit. Rows have their
+single-state bits, so neither the batching nor the chunking moves a reported
+value.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
-from .entanglement import BlochVector, analytic_entanglement, entanglement_from_bloch
+from .entanglement import _check_components, _entanglement_of_means, analytic_entanglement
 from .errors import ResourceCapError, ValidationError
 from .graphs import Graph
 from .sampling import _checked_seed
@@ -35,8 +41,8 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _checked_integer,
+    _evolve_edges,
     _inner,
-    evolve_edge_exact,
     evolve_graph_exact,
     init_zero,
     overlap_magnitude,
@@ -74,16 +80,22 @@ def _chunks(angles, n: int, max_qubits: int) -> list:
     return [angles[k : k + size] for k in range(0, len(angles), size)]
 
 
-def _entanglement_rows(g: Graph, angles, max_qubits: int) -> list[list[tuple[BlochVector, float]]]:
-    """For each angle, each spin's exact Bloch vector and entanglement, from batches of rows."""
-    out = []
-    for chunk in _chunks(angles, g.n_vertices, max_qubits):
-        state = evolve_graph_exact(init_zero(g.n_vertices, max_qubits, rows=len(chunk)), g, chunk)
-        means = [[m.tolist() for m in pauli_means(state, l)] for l in range(g.n_vertices)]
-        for row in range(len(chunk)):
-            blochs = [BlochVector(mx[row], my[row], mz[row]) for mx, my, mz in means]
-            out.append([(b, entanglement_from_bloch(b)) for b in blochs])
-    return out
+def _entanglement_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's per-spin transverse mean max(|<X>|, |<Y>|) and exact entanglement, as (rows, spins) arrays.
+
+    Every mean is held to ``BlochVector``'s component bound and every norm to
+    ``entanglement_from_bloch``'s, with their messages.
+    """
+    means = np.array([pauli_means(state, l) for l in range(state.n_qubits)]).transpose(2, 0, 1)
+    _check_components(means)
+    e = np.array([[_entanglement_of_means(*b) for b in spins] for spins in means.tolist()])
+    return np.abs(means[..., :2]).max(axis=-1), e
+
+
+def _shuffled(rng: np.random.Generator, edges) -> list:
+    order = list(edges)
+    rng.shuffle(order)
+    return order
 
 
 def _phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -109,41 +121,59 @@ def run_validation(
     rng = np.random.default_rng(_checked_seed(seed))
     graphs = [random_graph(rng, 2, max_n) for _ in range(trials)]
     phis_per_graph = [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 25) for _ in graphs]
-
-    worst_closed_form = 0.0
-    worst_transverse = 0.0
-    for g, phis in zip(graphs, phis_per_graph):
-        for phi, spins in zip(phis, _entanglement_rows(g, phis, max_qubits)):
-            for l, (b, exact) in enumerate(spins):
-                analytic = analytic_entanglement(g.degree(l), phi)
-                worst_closed_form = max(worst_closed_form, abs(exact - analytic))
-                worst_transverse = max(worst_transverse, abs(b.mx), abs(b.my))
-
     sub = graphs[:30]
-    worst_overlap = 0.0
-    distances = []
-    worst_order = 0.0
+    overlap_phis, orders = [], []
     for g in sub:
-        n = g.n_vertices
-        phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5)
-        for chunk in _chunks(phis, n, max_qubits):
-            reference = evolve_graph_exact(init_zero(n, max_qubits, rows=len(chunk)), g, chunk)
-            circ = apply_circuit(init_zero(n, max_qubits, rows=len(chunk)), synthesize_graph_circuit(g, chunk))
-            worst_overlap = max(worst_overlap, 1.0 - min(overlap_magnitude(circ, reference)))
-            distances.extend(map(_phase_aligned_distance, circ.amps, reference.amps))
-            if g.edges:
-                # each angle draws its own edge order, so these run one state at a time
-                for phi, ref_row in zip(chunk, reference.amps):
-                    shuffled = list(g.edges)
-                    rng.shuffle(shuffled)
-                    other = init_zero(n, max_qubits)
-                    for i, j in shuffled:
-                        evolve_edge_exact(other, int(i), int(j), phi)
-                    worst_order = max(worst_order, 1.0 - overlap_magnitude(other, StateVector(n, ref_row)))
-
+        overlap_phis.append(rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5))
+        # each overlap angle draws its own edge order
+        orders.append([_shuffled(rng, g.edges) for _ in range(5)] if g.edges else [])
     # 100 random one-qubit states, drawn as the real then the imaginary parts
     # of one state after another
     z = rng.standard_normal((100, 2, 2))
+    symmetry_angles = [
+        [a for phi in rng.uniform(0.0, 2.0 * math.pi, 3) for a in (phi, -phi, phi + math.pi, math.pi - phi)]
+        for _ in sub
+    ]
+
+    worst_closed_form = 0.0
+    worst_transverse = 0.0
+    worst_overlap = 0.0
+    distances = []
+    worst_order = 0.0
+    worst_symmetry = 0.0
+    for k, (g, phis) in enumerate(zip(graphs, phis_per_graph)):
+        # rows 0-24 closed form; on a sub graph 25-29 overlap, 30-41 symmetry
+        angles = np.concatenate((phis, overlap_phis[k], symmetry_angles[k])) if k < len(sub) else phis
+        n = g.n_vertices
+        transverse, e = [], []
+        start = 0
+        for chunk in _chunks(angles, n, max_qubits):
+            state = evolve_graph_exact(init_zero(n, max_qubits, rows=len(chunk)), g, chunk)
+            t, ec = _entanglement_rows(state)
+            transverse.append(t)
+            e.append(ec)
+            lo, hi = max(start, 25), min(start + len(chunk), 30)
+            if lo < hi:  # overlap rows in this chunk
+                reference = StateVector(n, state.amps[lo - start : hi - start])
+                circ = apply_circuit(init_zero(n, max_qubits, rows=hi - lo), synthesize_graph_circuit(g, angles[lo:hi]))
+                worst_overlap = max(worst_overlap, 1.0 - min(overlap_magnitude(circ, reference)))
+                distances.extend(map(_phase_aligned_distance, circ.amps, reference.amps))
+                for phi, order, row in zip(angles[lo:hi], orders[k][lo - 25 : hi - 25], reference.amps):
+                    other = _evolve_edges(init_zero(n, max_qubits), order, phi)
+                    worst_order = max(worst_order, 1.0 - overlap_magnitude(other, StateVector(n, row)))
+            start += len(chunk)
+        transverse, e = np.concatenate(transverse), np.concatenate(e)
+
+        degrees = [g.degree(l) for l in range(n)]
+        analytic = {d: [analytic_entanglement(d, phi) for phi in phis.tolist()] for d in set(degrees)}
+        closed_form = np.array([analytic[d] for d in degrees]).T
+        worst_closed_form = max(worst_closed_form, float(np.abs(e[:25] - closed_form).max()))
+        worst_transverse = max(worst_transverse, float(transverse[:25].max()))
+        if k < len(sub):
+            # each symmetry angle's row against its 3 partners' rows
+            quads = e[30:].reshape(3, 4, n)
+            worst_symmetry = max(worst_symmetry, float(np.abs(quads[:, 1:] - quads[:, :1]).max()))
+
     worst_prelude = 0.0
     for amps in _chunks(z[:, 0] + 1j * z[:, 1], 1, max_qubits):
         amps /= np.sqrt(_inner(amps, amps, len(amps)).real)[:, None]
@@ -152,18 +182,6 @@ def run_validation(
             rotated = apply_circuit(base.copy(), measurement_prelude(axis, 0))
             deviation = np.abs(pauli_means(rotated, 0)[2] - target)
             worst_prelude = max(worst_prelude, float(np.max(deviation)))
-
-    worst_symmetry = 0.0
-    for g in sub:
-        angles = [
-            a for phi in rng.uniform(0.0, 2.0 * math.pi, 3) for a in (phi, -phi, phi + math.pi, math.pi - phi)
-        ]
-        rows = _entanglement_rows(g, angles, max_qubits)
-        for k in range(0, len(rows), 4):
-            base_e = [e for _, e in rows[k]]
-            for other in rows[k + 1 : k + 4]:
-                for e1, (_, e2) in zip(base_e, other):
-                    worst_symmetry = max(worst_symmetry, abs(e1 - e2))
 
     return (
         PropertyResult("closed form vs exact entanglement", worst_closed_form, 1e-10),

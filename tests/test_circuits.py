@@ -54,6 +54,13 @@ class TestOrientation:
     def test_without_calibration_smaller_index(self):
         assert choose_orientation((2, 4)) == (2, 4)
 
+    def test_non_integer_endpoint_rejected(self):
+        with pytest.raises(ValidationError, match="edge endpoint must be an integer, got 1.5"):
+            choose_orientation((0, 1.5))
+
+    def test_numpy_integer_endpoints_accepted(self):
+        assert choose_orientation((np.int64(4), np.int32(2))) == (2, 4)
+
     def test_order_of_endpoints_irrelevant(self):
         cal = valencia_calibration()
         assert choose_orientation((1, 0), cal) == choose_orientation((0, 1), cal)

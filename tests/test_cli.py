@@ -456,7 +456,9 @@ class TestValidate:
 # was recomputed for its added distance line. The mixed-mode sweep puts
 # analytic and exact rows between its shots rows, so it fixes which substream
 # each shots row draws from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
-# rows of spins 2 and 4 come from the (mode, degree, phi) memo. Another numpy
+# rows of spins 2 and 4 come from the (mode, degree, phi) memo. validate runs
+# only its closed-form rows on graphs past the first 30, and the trials-40 pin
+# covers them. Another numpy
 # version may move last bits or draws, so recompute the pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
@@ -483,8 +485,12 @@ class TestValidate:
             " --mode analytic --mode shots --mode exact --seed 9",
             "dc42163fa24053ab1ed700a7d2f56fdf95e626f4b8601e76628f903e0e6a9550",
         ),
+        ("validate --trials 40 --seed 5", "050077f3d82764df386c26ab91808f387e1ff409aba85e04b24dacd3f1b56926"),
     ],
-    ids=["validate", "sweep", "shared-degree-sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep"],
+    ids=[
+        "validate", "sweep", "shared-degree-sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep",
+        "validate-past-30-graphs",
+    ],
 )
 def test_exact_output_bytes_are_pinned(capsys, argv, digest):
     cal = str(ROOT / "src/graphent/data/valencia_calibration.json")

@@ -174,6 +174,10 @@ class TestExact:
         with pytest.raises(ValidationError):
             exact_entanglement(valencia(), phi, 1)
 
+    def test_non_number_angle_rejected(self):
+        with pytest.raises(ValidationError, match="angle must be a real number, got '0.3'"):
+            exact_entanglement(valencia(), "0.3", 1)
+
 
 class TestLightCone:
     """The exact route simulates spin l and its neighbours only; the full register is the oracle."""

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +125,20 @@ class TestGraphType:
     def test_zero_vertices_rejected(self):
         with pytest.raises(ValidationError):
             Graph(0, ())
+
+    @pytest.mark.parametrize(
+        "n, edges, what",
+        [(3.7, ((0, 1),), "vertex count"), (3, ((0, 1.9),), "edge endpoint"), (3.0, (), "vertex count")],
+    )
+    def test_non_integer_vertex_rejected(self, n, edges, what):
+        # int() would truncate Graph(3.7, ((0, 1.9),)) to another graph
+        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+            Graph(n, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(np.int64(3), ((np.int32(2), np.int64(0)),))
+        assert g == Graph(3, ((0, 2),))
+        assert type(g.n_vertices) is int and all(type(v) is int for v in g.edges[0])
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValidationError):

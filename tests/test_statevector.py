@@ -315,6 +315,14 @@ class TestEvolveEdge:
         with pytest.raises(ValidationError, match="non-finite angle"):
             evolve_edge_exact(init_zero(2), 0, 1, phi)
 
+    def test_non_integer_qubit_rejected(self):
+        with pytest.raises(ValidationError, match="qubit index must be an integer, got 0.5"):
+            evolve_edge_exact(init_zero(2), 0.5, 1, 0.1)
+
+    def test_non_number_angle_on_a_single_state_rejected(self):
+        with pytest.raises(ValidationError, match=r"angle must be a real number, got \[0.1\]"):
+            evolve_edge_exact(init_zero(2), 0, 1, [0.1])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dense_kernel_bit_order_matches_kron(self, n):
         # basis index m = bit(qa) + 2*bit(qb); a u without swap symmetry tells qa from qb
@@ -373,6 +381,15 @@ class TestEvolveGraph:
             for i, j in shuffled:
                 evolve_edge_exact(other, int(i), int(j), phi)
             assert overlap_magnitude(reference, other) > 1 - 1e-12
+
+    @pytest.mark.parametrize("phi, rows", [(0.8, None), (np.linspace(-7.0, 7.0, 9), 9)])
+    def test_bits_equal_one_edge_call_per_edge(self, phi, rows):
+        # the graph call builds the unitary once; each edge still gets a single edge call's bits
+        g = valencia()
+        per_edge = init_zero(5, rows=rows)
+        for i, j in g.edges:
+            evolve_edge_exact(per_edge, i, j, phi)
+        assert evolve_graph_exact(init_zero(5, rows=rows), g, phi).amps.tobytes() == per_edge.amps.tobytes()
 
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
@@ -452,6 +469,10 @@ class TestExpectations:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             pauli_means(init_zero(2), 2)
+
+    def test_non_integer_qubit_rejected(self):
+        with pytest.raises(ValidationError, match="qubit index must be an integer, got 0.5"):
+            pauli_means(init_zero(2), 0.5)
 
 
 class TestOverlap:

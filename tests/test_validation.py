@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from graphent import ResourceCapError, ValidationError, statevector, validation
+from graphent import (
+    ResourceCapError,
+    ValidationError,
+    bloch_vector,
+    entanglement_from_bloch,
+    evolve_graph_exact,
+    init_zero,
+    statevector,
+    validation,
+)
 from graphent.validation import random_graph, run_validation
 
 
@@ -85,36 +94,48 @@ def test_nan_distance_fails_the_distance_property(monkeypatch):
     assert not results["circuit vs dense evolution distance"].passed
 
 
-def test_small_cap_splits_batches_without_moving_a_result(monkeypatch):
-    # under a cap of 4 qubits the 4-vertex graphs run one angle per batch
-    allocations = []
-    init_zero = validation.init_zero
+def _record_batches(monkeypatch):
+    """Every ``init_zero`` allocation as (n, rows), and every dense batch's amplitude shape."""
+    allocations, dense = [], []
+    init_zero, evolve = validation.init_zero, validation.evolve_graph_exact
 
-    def recording(n, max_qubits, rows=None):
+    def recording_init(n, max_qubits, rows=None):
         allocations.append((n, rows))
         return init_zero(n, max_qubits, rows)
 
-    monkeypatch.setattr(validation, "init_zero", recording)
-    capped = run_validation(max_n=4, trials=8, seed=0, max_qubits=4)
+    def recording_evolve(state, g, phi):
+        dense.append(state.amps.shape)
+        return evolve(state, g, phi)
+
+    monkeypatch.setattr(validation, "init_zero", recording_init)
+    monkeypatch.setattr(validation, "evolve_graph_exact", recording_evolve)
+    return allocations, dense
+
+
+def test_small_cap_splits_batches_without_moving_a_result(monkeypatch):
+    # each of the first 30 graphs evolves once: 25 closed-form, 5 overlap and
+    # 12 symmetry rows; later graphs evolve their 25 closed-form rows. Under a
+    # cap of 4 qubits the 4-vertex graphs run one row per batch.
+    allocations, dense = _record_batches(monkeypatch)
+    rng = np.random.default_rng(0)
+    sizes = [random_graph(rng, 2, 4).n_vertices for _ in range(32)]  # run_validation's draw for seed 0
+    capped = run_validation(max_n=4, trials=32, seed=0, max_qubits=4)
     batches = [(n, rows) for n, rows in allocations if rows is not None]
     assert all(rows << n <= 1 << 4 for n, rows in batches)
-    assert (4, 1) in batches
+    assert (4, 1) in batches and (4, 42) not in batches
+    assert sum(rows for rows, _ in dense) == 42 * 30 + 25 * 2
     allocations.clear()
-    assert run_validation(max_n=4, trials=8, seed=0) == capped
-    assert (4, 25) in allocations and (4, 12) in allocations
+    dense.clear()
+    assert run_validation(max_n=4, trials=32, seed=0) == capped
+    assert dense == [(42 if k < 30 else 25, 1 << n) for k, n in enumerate(sizes)]
+    assert sizes.count(4) and (4, 42) in allocations
 
 
 def test_circuit_and_reference_run_one_batch_per_graph(monkeypatch):
-    # each graph's 5 overlap angles run as a circuit batch and a reference batch;
-    # the edge-order property draws an order per angle and keeps one state per angle
-    allocations = []
-    init_zero = validation.init_zero
-
-    def recording(n, max_qubits, rows=None):
-        allocations.append((n, rows))
-        return init_zero(n, max_qubits, rows)
-
-    monkeypatch.setattr(validation, "init_zero", recording)
+    # each graph's 5 overlap angles run as one circuit batch against their rows
+    # of the graph's dense batch; the edge-order property draws an order per
+    # angle and keeps one state per angle
+    allocations, dense = _record_batches(monkeypatch)
     rng = np.random.default_rng(0)
     graphs = [random_graph(rng, 2, 4) for _ in range(8)]  # run_validation's draw for seed 0
     sizes = [g.n_vertices for g in graphs]
@@ -122,16 +143,46 @@ def test_circuit_and_reference_run_one_batch_per_graph(monkeypatch):
     assert sizes.count(4) and singles
 
     default = run_validation(max_n=4, trials=8, seed=0)
-    assert sorted(a for a in allocations if a[1] == 5) == sorted((n, 5) for n in sizes for _ in range(2))
-    assert (4, 5) in allocations
+    assert [a for a in allocations if a[1] is not None] == [a for n in sizes for a in ((n, 42), (n, 5))]
+    assert dense == [(42, 1 << n) for n in sizes]
     assert [a for a in allocations if a[1] is None] == singles
 
     allocations.clear()
     assert run_validation(max_n=4, trials=8, seed=0, max_qubits=4) == default
     assert (4, 5) not in allocations
-    # 25 closed-form, 12 symmetry, 5 circuit and 5 reference rows per 4-vertex graph
-    assert allocations.count((4, 1)) == (25 + 12 + 2 * 5) * sizes.count(4)
+    # 42 dense rows (25 closed-form, 5 overlap, 12 symmetry) and 5 circuit rows per 4-vertex graph
+    assert allocations.count((4, 1)) == (42 + 5) * sizes.count(4)
     assert [a for a in allocations if a[1] is None] == singles
+
+
+@pytest.mark.parametrize("value, text", [(1.0 + 1e-6, "1.000001"), (math.nan, "nan")])
+def test_pauli_mean_out_of_bounds_raises_the_bloch_component_error(monkeypatch, value, text):
+    means = validation.pauli_means
+
+    def corrupted(state, l):
+        mx, my, mz = means(state, l)
+        mx = np.array(mx, dtype=float)  # a copy, also of a single state's float
+        mx.flat[0] = value
+        return mx, my, mz
+
+    monkeypatch.setattr(validation, "pauli_means", corrupted)
+    with pytest.raises(ValidationError, match=rf"^Bloch component mx={text} outside \[-1, 1\]$"):
+        run_validation(max_n=4, trials=2, seed=0)
+
+
+def test_entanglement_rows_equal_the_per_spin_route(rng):
+    # the (rows, spins) arrays keep the bits of a BlochVector and
+    # entanglement_from_bloch per single state and spin
+    for _ in range(10):
+        g = random_graph(rng, 2, 6)
+        n = g.n_vertices
+        phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 7)
+        transverse, e = validation._entanglement_rows(evolve_graph_exact(init_zero(n, rows=7), g, phis))
+        assert transverse.shape == e.shape == (7, n)
+        for row, phi in enumerate(phis):
+            blochs = [bloch_vector(evolve_graph_exact(init_zero(n), g, phi), l) for l in range(n)]
+            assert e[row].tolist() == [entanglement_from_bloch(b) for b in blochs]
+            assert transverse[row].tolist() == [max(abs(b.mx), abs(b.my)) for b in blochs]
 
 
 def test_chunks_fit_the_cap_and_keep_the_order():
