@@ -19,8 +19,8 @@ from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _evolve_edges,
     _finite_angle,
-    evolve_edge_exact,
     init_zero,
     pauli_means,
 )
@@ -61,7 +61,7 @@ class BlochVector:
 
     def __post_init__(self):
         for name, v in zip(_AXES, (self.mx, self.my, self.mz)):
-            if not math.isfinite(v) or abs(v) > _COMPONENT_LIMIT:
+            if not abs(v) <= _COMPONENT_LIMIT:  # NaN compares False, so it fails too
                 raise _component_error(name, v)
 
     def norm(self) -> float:
@@ -154,13 +154,12 @@ def exact_entanglement(
     ``<sigma_l>`` of the graph state equals ``<sigma_0>`` of the star state
     that ``l``'s ``k = degree(l)`` edge terms make from qubit 0 to qubits
     1..k (Hein, Eisert & Briegel, PRA 69, 062311 (2004)). Only that star is
-    simulated, so ``max_qubits`` caps ``k + 1``, not the graph's size.
+    simulated, so ``max_qubits`` caps ``k + 1``, not the graph's size, and
+    its k edges are applied by one call, which builds their unitary once.
     """
     phi = _finite_angle(phi)
     k = g.degree(l)
-    state = init_zero(k + 1, max_qubits)
-    for m in range(1, k + 1):
-        evolve_edge_exact(state, 0, m, phi)
+    state = _evolve_edges(init_zero(k + 1, max_qubits), [(0, m) for m in range(1, k + 1)], phi)
     b = bloch_vector(state, 0)
     return EntanglementEstimate(
         spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"

@@ -47,7 +47,10 @@ class Graph:
             raise ValidationError(f"vertex count must be positive, got {self.n_vertices}")
         seen = set()
         for edge in self.edges:
-            i, j = edge[0], edge[1]
+            try:
+                i, j = edge
+            except (TypeError, ValueError):  # not iterable, or not two entries
+                raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
             if type(i) is not int or type(j) is not int:  # plain ints, the common case, skip the calls
                 i, j = _checked_integer(i, "edge endpoint"), _checked_integer(j, "edge endpoint")
             if i == j:

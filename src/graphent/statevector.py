@@ -14,16 +14,15 @@ A state may hold a batch of independent rows: ``amps`` of shape
 batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
 applies one gate to every row; a ``p`` gate may instead carry one angle per
 row (``Gate.p(q, phis)``), which only a batch of as many rows accepts.
-``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row,
-``pauli_means`` returns one array of means per axis, and
-``overlap_magnitude`` of two batches one overlap per row. The norm rule
-holds for each row: the worst drift over the rows is checked, and a NaN in
-any row fails. Every row has exactly the bits its single-state run has. A
-single state is the case with no rows: the same kernels, which pick only
-their views by the row count. Every inner product goes through ``_inner``,
-which takes a single state's with ``np.vdot`` and each row's of a batch
-with a stacked ``(1,K) @ (K,1)`` product that sums in ``np.vdot``'s order.
-Only ``bloch_vector`` takes single states alone.
+``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row, and
+``pauli_means`` returns one array of means per axis. The norm rule holds for
+each row: the worst drift over the rows is checked, and a NaN in any row
+fails. Every row has exactly the bits its single-state run has. A single
+state is the case with no rows: the same kernels, which pick only their views
+by the row count. Every inner product goes through ``_inner``, which takes a
+single state's with ``np.vdot`` and each row's of a batch with a stacked
+``(1,K) @ (K,1)`` product that sums in ``np.vdot``'s order. ``bloch_vector``
+and ``overlap_magnitude`` take single states alone.
 
 Both gate kernels address qubits through reshape views of the amplitude
 array and update it in place; on a batch the row index becomes extra high
@@ -33,13 +32,14 @@ gate's 2x2 matrix; a ``p`` with one angle per row scales the qubit-1 halves
 of the ``(rows, -1, 2, 2**q)`` view by a column of phases, the same inner
 loop a single state's ``p`` runs. ``_apply_cx`` views the array with one
 axis per bit of the qubit pair and swaps the target halves of the control-1
-block. ``evolve_edge_exact`` deliberately multiplies a transposed view of the
-pair's four quarters by a generic dense 4x4 instead (a stack of them on a
-batch, which numpy multiplies one gemm per row), sharing nothing with the
-stride kernels, so the gate route and the edge route stay independent and
-can cross-check each other. ``evolve_graph_exact`` builds that unitary once
-per call, from its angles, and applies it to every edge in turn, checking
-the norm after each.
+block. The edge route (``evolve_edge_exact``, ``evolve_graph_exact``, and
+the exact estimate's star through ``_evolve_edges``) deliberately multiplies
+a transposed view of the pair's four quarters by a stack of generic dense
+4x4s instead, one per row and a stack of one for a single state, which numpy
+multiplies one gemm per row. It shares nothing with the stride kernels, so
+the gate route and the edge route stay independent and can cross-check each
+other. ``_evolve_edges`` builds that unitary once per call, from its angles,
+and applies it to every edge in turn, checking the norm after each.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
@@ -326,29 +326,24 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _apply_two_qubit_dense(amps: np.ndarray, qa: int, qb: int, u: np.ndarray):
-    """Apply a dense 4x4 unitary to the pair's quarters, transposed to m = bit(qa) + 2*bit(qb).
+    """Apply a stack of dense 4x4 unitaries, one per row, to the pair's quarters, transposed to m = bit(qa) + 2*bit(qb).
 
-    On a batch ``u`` stacks one 4x4 per row, and row r's quarters meet only ``u[r]``.
+    Row r's quarters meet only ``u[r]``; a single state is a stack of one.
     """
     lo, hi = sorted((qa, qb))
-    if u.ndim == 2:
-        v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        quads = v.transpose((1, 3, 0, 2, 4) if qb == hi else (3, 1, 0, 2, 4))
-        flat = (4, -1)
-    else:  # the row axis stays first
-        v = amps.reshape(len(u), -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        quads = v.transpose((0, 2, 4, 1, 3, 5) if qb == hi else (0, 4, 2, 1, 3, 5))
-        flat = (len(u), 4, -1)
-    quads[...] = (u @ quads.reshape(flat)).reshape(quads.shape)
+    v = amps.reshape(len(u), -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    quads = v.transpose((0, 2, 4, 1, 3, 5) if qb == hi else (0, 4, 2, 1, 3, 5))
+    quads[...] = (u @ quads.reshape(len(u), 4, -1)).reshape(quads.shape)
 
 
 def _evolve_edges(state: StateVector, edges, phi) -> StateVector:
     """Apply exp(-i*(phi/2)*XiXj) to each ``(i, j)`` of ``edges`` in the given order; a batch takes one angle per row.
 
     Every edge is range-checked first. The dense unitary
-    cos(phi/2)*I - i*sin(phi/2)*XX is built once, each entry computed as for
-    one angle (a stack of one per row on a batch, so a row has its single
-    state's bits), and the norm is checked after every edge.
+    cos(phi/2)*I - i*sin(phi/2)*XX is built once, as a stack of 4x4s with one
+    per row (one in all for a single state) and each entry computed as for one
+    angle, so a row has its single state's bits; the norm is checked after
+    every edge.
     """
     for i, j in edges:
         _check_qubit(state, i)
@@ -357,18 +352,15 @@ def _evolve_edges(state: StateVector, edges, phi) -> StateVector:
             raise ValidationError(f"edge endpoints coincide at {i}")
     rows = state.rows
     if rows is None:
-        phi = _finite_angle(phi)
-        c, s, z = math.cos(phi / 2.0), -1j * math.sin(phi / 2.0), 0.0
+        angles = [_finite_angle(phi)]
+    elif np.ndim(phi) != 1 or len(phi) != rows:
+        raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
     else:
-        if np.ndim(phi) != 1 or len(phi) != rows:
-            raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
         angles = [_finite_angle(p) for p in phi]
-        c = np.array([math.cos(p / 2.0) for p in angles])
-        s = np.array([-1j * math.sin(p / 2.0) for p in angles])
-        z = np.zeros(rows)
-    u = np.array([[c, z, z, s], [z, c, s, z], [z, s, c, z], [s, z, z, c]], dtype=np.complex128)
-    if rows is not None:
-        u = u.transpose(2, 0, 1)
+    u = np.zeros((len(angles), 16), dtype=np.complex128)  # one flattened 4x4 per row
+    u[:, ::5] = np.array([math.cos(p / 2.0) for p in angles])[:, None]  # the diagonal
+    u[:, 3:13:3] = np.array([-1j * math.sin(p / 2.0) for p in angles])[:, None]  # the anti-diagonal
+    u = u.reshape(-1, 4, 4)
     for i, j in edges:
         _apply_two_qubit_dense(state.amps, i, j, u)
         _check_norm(_inner(state.amps, state.amps, rows).real)
@@ -411,15 +403,14 @@ def pauli_means(state: StateVector, l: int):
     return 2.0 * s.real, 2.0 * s.imag, p0 - p1
 
 
-def overlap_magnitude(a: StateVector, b: StateVector):
-    """|<a|b>| of two states of one shape, at most 1; equals 1 iff they agree up to a global phase.
+def overlap_magnitude(a: StateVector, b: StateVector) -> float:
+    """|<a|b>| of two single states of one size, at most 1; equals 1 iff they agree up to a global phase.
 
-    A float for single states, a list of each row's for batches: Python's
-    ``abs`` of a complex, since numpy's can differ from it by an ulp.
+    The clamp keeps a NaN inner product NaN, so it cannot read as a perfect overlap.
     """
-    if a.amps.shape != b.amps.shape:
-        raise ValidationError(f"{_shape_text(a)} of {a.n_qubits} qubits vs {_shape_text(b)} of {b.n_qubits}")
-    overlaps = _inner(a.amps, b.amps, a.rows)
-    if a.rows is None:
-        return min(1.0, abs(overlaps))
-    return [min(1.0, abs(v)) for v in overlaps.tolist()]
+    if a.rows is not None or a.amps.shape != b.amps.shape:
+        raise ValidationError(
+            f"overlap takes two single states of one size, got {_shape_text(a)} of {a.n_qubits} qubits"
+            f" vs {_shape_text(b)} of {b.n_qubits}"
+        )
+    return min(abs(_inner(a.amps, b.amps, None)), 1.0)

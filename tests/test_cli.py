@@ -458,7 +458,9 @@ class TestValidate:
 # each shots row draws from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
 # rows of spins 2 and 4 come from the (mode, degree, phi) memo. validate runs
 # only its closed-form rows on graphs past the first 30, and the trials-40 pin
-# covers them. Another numpy
+# covers them. The complete(13) sweep evolves a star of degree 12 (the other
+# exact pins reach degree 3); it was computed before the star's edges went
+# through one call with one unitary. Another numpy
 # version may move last bits or draws, so recompute the pins when numpy changes.
 @pytest.mark.parametrize(
     "argv,digest",
@@ -486,10 +488,14 @@ class TestValidate:
             "dc42163fa24053ab1ed700a7d2f56fdf95e626f4b8601e76628f903e0e6a9550",
         ),
         ("validate --trials 40 --seed 5", "050077f3d82764df386c26ab91808f387e1ff409aba85e04b24dacd3f1b56926"),
+        (
+            "sweep --preset complete(13) --sweep 0:2pi:9 --spin 0 --mode exact",
+            "45bf01c36b4fc0cdce2e36726bef6de1e14add5f77c179668a0af76420f27548",
+        ),
     ],
     ids=[
         "validate", "sweep", "shared-degree-sweep", "shots-readout-sweep", "shots-entangle", "mixed-mode-sweep",
-        "validate-past-30-graphs",
+        "validate-past-30-graphs", "degree-12-exact-sweep",
     ],
 )
 def test_exact_output_bytes_are_pinned(capsys, argv, digest):

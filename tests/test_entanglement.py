@@ -15,13 +15,16 @@ from graphent import (
     analytic_estimate,
     bloch_vector,
     complete,
+    entanglement,
     entanglement_from_bloch,
+    evolve_edge_exact,
     evolve_graph_exact,
     exact_entanglement,
     init_zero,
     ring,
     valencia,
 )
+from graphent.entanglement import _check_components
 from graphent.validation import random_graph
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi, 25)
@@ -89,6 +92,15 @@ class TestBlochVector:
         with pytest.raises(ValidationError):
             BlochVector(math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 1.000001, -1.000001])
+    def test_bound_is_the_array_check_bound(self, v):
+        # the same predicate and message as _check_components on an array of means
+        with pytest.raises(ValidationError) as single:
+            BlochVector(0.0, v, 0.0)
+        with pytest.raises(ValidationError) as array:
+            _check_components(np.array([[0.0, v, 0.0]]))
+        assert str(single.value) == str(array.value) == f"Bloch component my={v!r} outside [-1, 1]"
+
 
 class TestFromBloch:
     def test_pure_separable(self):
@@ -129,6 +141,26 @@ class TestExact:
         for phi in PHI_GRID[::3]:
             est = exact_entanglement(complete(5), phi, l)
             assert abs(est.value - 0.5 * (1 - math.cos(phi) ** 4)) < 1e-10
+
+    def test_star_evolved_by_one_call_with_the_per_edge_bits(self, monkeypatch):
+        calls = []
+        evolve = entanglement._evolve_edges
+
+        def counted(state, edges, phi):
+            calls.append(len(edges))
+            return evolve(state, edges, phi)
+
+        monkeypatch.setattr(entanglement, "_evolve_edges", counted)
+        for k in range(8):
+            g = Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
+            for phi in PHI_GRID[::4]:
+                calls.clear()
+                est = exact_entanglement(g, phi, 0)
+                assert calls == [k]
+                per_edge = init_zero(k + 1)
+                for m in range(1, k + 1):
+                    evolve_edge_exact(per_edge, 0, m, phi)
+                assert est.bloch == bloch_vector(per_edge, 0)
 
     def test_estimate_fields(self):
         est = exact_entanglement(valencia(), 0.9, 1)

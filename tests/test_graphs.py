@@ -135,6 +135,12 @@ class TestGraphType:
         with pytest.raises(ValidationError, match=f"{what} must be an integer"):
             Graph(n, edges)
 
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), (5,), ((),)], ids=["three", "one", "int", "empty"])
+    def test_edge_must_be_a_pair(self, edges):
+        # reading edge[0] and edge[1] would build Graph(3, ((0, 1),)) from (0, 1, 2)
+        with pytest.raises(ValidationError, match="is not a pair of vertices"):
+            Graph(3, edges)
+
     def test_numpy_integers_accepted(self):
         g = Graph(np.int64(3), ((np.int32(2), np.int64(0)),))
         assert g == Graph(3, ((0, 2),))

@@ -94,6 +94,35 @@ def test_nan_distance_fails_the_distance_property(monkeypatch):
     assert not results["circuit vs dense evolution distance"].passed
 
 
+@pytest.mark.parametrize(
+    "name", ["circuit vs dense evolution overlap deficit", "edge order independence overlap deficit"]
+)
+def test_nan_overlap_fails_its_deficit_property(monkeypatch, name):
+    # max(0.0, nan) returns 0.0, so a NaN overlap met after a finite one would read as a pass
+    evolve, overlap = validation._evolve_edges, validation.overlap_magnitude
+    reordered, calls = [], []  # the edge-order states themselves: `in` compares states by identity
+
+    def recording_evolve(state, edges, phi):
+        reordered.append(state)
+        return evolve(state, edges, phi)
+
+    def nan_second(a, b):
+        if (a in reordered) == name.startswith("edge order"):
+            calls.append(None)
+            if len(calls) == 2:
+                return math.nan
+        return overlap(a, b)
+
+    monkeypatch.setattr(validation, "_evolve_edges", recording_evolve)
+    monkeypatch.setattr(validation, "overlap_magnitude", nan_second)
+    results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
+    assert len(calls) > 2
+    assert math.isnan(results[name].worst)
+    assert results[name].line().startswith("FAIL")
+    others = [r for r in results.values() if r.name != name]
+    assert all(r.passed for r in others)
+
+
 def _record_batches(monkeypatch):
     """Every ``init_zero`` allocation as (n, rows), and every dense batch's amplitude shape."""
     allocations, dense = [], []
