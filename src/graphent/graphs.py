@@ -45,8 +45,12 @@ class Graph:
         n = _checked_integer(self.n_vertices, "vertex count")
         if n < 1:
             raise ValidationError(f"vertex count must be positive, got {self.n_vertices}")
+        try:
+            edge_iter = iter(self.edges)
+        except TypeError:  # Graph(3, 5), Graph(3, None)
+            raise ValidationError(f"edges {self.edges!r} is not a collection of vertex pairs") from None
         seen = set()
-        for edge in self.edges:
+        for edge in edge_iter:
             try:
                 i, j = edge
             except (TypeError, ValueError):  # not iterable, or not two entries

@@ -16,8 +16,11 @@ that block, ``rho <- Tr_m[U_b (rho (x) |0><0|_m) U_b^dagger]``, on ``l``'s 2x2
 density matrix ``rho`` (:func:`_spin_state`). ``U_b`` comes from the compiled
 block run through the gate kernels on 3 qubits (:func:`_isometry`), and each
 axis applies its measurement prelude to ``rho`` the same way before reading
-the probability ``p1`` that ``l`` reads 1. No state has more than 8
-amplitudes, whatever the degree, so the route has no qubit cap.
+the probability ``p1`` that ``l`` reads 1. The x and y preludes' isometries
+depend on nothing, so each is built once per process, on first use, and
+kept read-only (:func:`_prelude_isometry`); the z axis reads ``rho``
+itself. No state has more than 8 amplitudes, whatever the degree, so the
+route has no qubit cap.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 puts after each gate, with the calibrated probability, a uniformly random
@@ -45,6 +48,7 @@ every gate and CX rate zero, ``q`` is 0 and ``f`` is ``r`` exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -148,6 +152,17 @@ def _isometry(gates: tuple[Gate, ...]) -> np.ndarray:
     return apply_circuit(StateVector(3, amps), gates).amps.reshape(2, 4).T
 
 
+@functools.cache
+def _prelude_isometry(axis: str) -> np.ndarray:
+    """:func:`_isometry` of the ``axis`` measurement prelude on ``l`` = qubit 0, built on first use; read-only.
+
+    The preludes depend on nothing else, so each is built once per process.
+    """
+    v = _isometry(measurement_prelude(axis, 0))
+    v.flags.writeable = False
+    return v
+
+
 def _trace_out(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``Tr_m[U (rho (x) |0><0|_m) U^dagger]`` from ``v`` of :func:`_isometry`; the factor 2 is exact."""
     w = v @ rho @ v.conj().T
@@ -186,8 +201,7 @@ def _read_one_probabilities(
     r = 0.0 if cal is None else cal.readout_error[l]
     probabilities = []
     for axis in ("z", "x", "y"):
-        prelude = measurement_prelude(axis, 0)
-        measured = _trace_out(rho, _isometry(prelude)) if prelude else rho
+        measured = rho if axis == "z" else _trace_out(rho, _prelude_isometry(axis))
         p1 = measured[1, 1].real / (measured[0, 0].real + measured[1, 1].real)
         q = _gate_flip_probability(gates + measurement_prelude(axis, l), l, cal) if gate_noise else 0.0
         f = r + q - 2 * r * q

@@ -28,7 +28,10 @@ Both gate kernels address qubits through reshape views of the amplitude
 array and update it in place; on a batch the row index becomes extra high
 bits. Every single-qubit gate (h, p, rx, ry) goes through ``_apply_1q``,
 which multiplies the qubit-0/1 halves of the ``(-1, 2, 2**q)`` view by the
-gate's 2x2 matrix; a ``p`` with one angle per row scales the qubit-1 halves
+gate's 2x2 matrix, held as a tuple of rows of Python ``complex``: numpy
+multiplies such a scalar into an array exactly as a complex128 one, and on
+a few amplitudes building and unpacking a numpy 2x2 would cost more than
+the arithmetic. A ``p`` with one angle per row scales the qubit-1 halves
 of the ``(rows, -1, 2, 2**q)`` view by a column of phases, the same inner
 loop a single state's ``p`` runs. ``_apply_cx`` views the array with one
 axis per bit of the qubit pair and swaps the target halves of the control-1
@@ -231,8 +234,11 @@ def _paired_views(amps: np.ndarray, q: int):
     return v[:, 0, :], v[:, 1, :]
 
 
-def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
-    """Apply the 2x2 matrix ``u`` to qubit ``q``: (a0, a1) <- u @ (a0, a1).
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _apply_1q(amps: np.ndarray, q: int, u: Matrix2):
+    """Apply the 2x2 ``u``, rows of Python complex, to qubit ``q``: (a0, a1) <- u @ (a0, a1).
 
     Works on the half views in place, so at most two half-size temporaries
     exist at once. A diagonal ``u`` only scales the qubit-1 half: every one
@@ -257,21 +263,21 @@ def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray):
         a0[...] = t
 
 
-def _p_matrix(angle: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * angle)]], dtype=np.complex128)
+def _p_matrix(angle: float) -> Matrix2:
+    return (1 + 0j, 0j), (0j, cmath.exp(1j * angle))
 
 
-def _rx_matrix(angle: float) -> np.ndarray:
+def _rx_matrix(angle: float) -> Matrix2:
+    c, s = complex(math.cos(angle / 2.0)), math.sin(angle / 2.0)
+    return (c, -1j * s), (-1j * s, c)
+
+
+def _ry_matrix(angle: float) -> Matrix2:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    return (complex(c), complex(-s)), (complex(s), complex(c))
 
 
-def _ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-_H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128)
+_H: Matrix2 = (complex(_INV_SQRT2), complex(_INV_SQRT2)), (complex(_INV_SQRT2), complex(-_INV_SQRT2))
 _ANGLE_GATES = {"p": _p_matrix, "rx": _rx_matrix, "ry": _ry_matrix}
 
 

@@ -141,6 +141,12 @@ class TestGraphType:
         with pytest.raises(ValidationError, match="is not a pair of vertices"):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("edges", [5, None], ids=["int", "none"])
+    def test_edges_must_be_iterable(self, edges):
+        # iterating them raised an unclassified TypeError
+        with pytest.raises(ValidationError, match="is not a collection of vertex pairs"):
+            Graph(3, edges)
+
     def test_numpy_integers_accepted(self):
         g = Graph(np.int64(3), ((np.int32(2), np.int64(0)),))
         assert g == Graph(3, ((0, 2),))

@@ -213,7 +213,9 @@ class TestEstimateEntanglementShots:
         ids=[f"valencia-{l}" for l in range(5)] + ["complete(30)-0"],
     )
     def test_at_most_twelve_gates_per_estimate(self, g, l, cal, monkeypatch):
-        # one 5-gate block per orientation and one gate each for the x and y preludes
+        # one 5-gate block per orientation, and while the prelude memo is cold
+        # one gate each for the x and y preludes; once it is warm, none
+        sampling._prelude_isometry.cache_clear()
         calls = []
         kernel = circuits.apply_gate
 
@@ -224,6 +226,12 @@ class TestEstimateEntanglementShots:
         monkeypatch.setattr(circuits, "apply_gate", counted)
         estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
         assert 7 <= len(calls) <= 12
+        calls.clear()
+        estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
+        orientations = {choose_orientation((l, m), cal)[0] == l for m in g.neighbours(l)}
+        assert len(calls) == 5 * len(orientations)
+        preludes = circuits.measurement_prelude("x", 0) + circuits.measurement_prelude("y", 0)
+        assert not set(calls) & set(preludes)
 
     def test_no_state_holds_more_than_eight_amplitudes(self, monkeypatch):
         sizes = []
@@ -432,7 +440,10 @@ def test_per_neighbour_trace_reduces_the_full_register_under_any_error_pattern(d
 
 def _isometry_circuits(monkeypatch, g, l, cal, gate_noise=False):
     """The gate tuples the route runs through ``_isometry`` for one estimate, and
-    the gates its gate-noise pass walks for the z axis."""
+    the gates its gate-noise pass walks for the z axis.
+
+    The prelude memo is warmed first, so only the blocks' circuits run."""
+    sampling._prelude_isometry("x"), sampling._prelude_isometry("y")
     runs, walked = [], []
     isometry, flip = sampling._isometry, sampling._gate_flip_probability
 
@@ -447,11 +458,7 @@ def _isometry_circuits(monkeypatch, g, l, cal, gate_noise=False):
     monkeypatch.setattr(sampling, "_isometry", recorded_isometry)
     monkeypatch.setattr(sampling, "_gate_flip_probability", recorded_flip)
     estimate_entanglement_shots(g, 0.5, l, 10, cal, gate_noise=gate_noise)
-    x_prelude, y_prelude = runs[-2:]
-    assert (x_prelude, y_prelude) == (
-        circuits.measurement_prelude("x", 0), circuits.measurement_prelude("y", 0)
-    )
-    return runs[:-2], walked[0] if walked else None
+    return runs, walked[0] if walked else None
 
 
 class TestStarOrientation:
@@ -471,6 +478,48 @@ class TestStarOrientation:
         runs, walked = _isometry_circuits(monkeypatch, valencia(), 4, valencia_calibration(), True)
         assert runs == [synthesize_edge(1, 0, 0.5)]
         assert walked == synthesize_edge(3, 4, 0.5)
+
+
+class TestPreludeMemo:
+    """The x and y preludes' isometries are built once per process and shared."""
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_cached_prelude_is_read_only(self, axis):
+        v = sampling._prelude_isometry(axis)
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_cached_prelude_is_bit_equal_to_a_fresh_build(self, axis):
+        cached = sampling._prelude_isometry(axis)
+        fresh = sampling._isometry(circuits.measurement_prelude(axis, 0))
+        assert np.array_equal(cached, fresh)
+        assert cached.tobytes() == fresh.tobytes()
+
+    def test_each_prelude_is_built_once(self, monkeypatch):
+        sampling._prelude_isometry.cache_clear()
+        runs = []
+        isometry = sampling._isometry
+
+        def recorded(gates):
+            runs.append(gates)
+            return isometry(gates)
+
+        monkeypatch.setattr(sampling, "_isometry", recorded)
+        for l in (0, 1, 2):
+            estimate_entanglement_shots(valencia(), 0.7, l, 100, valencia_calibration(), seed=l)
+        for axis in ("x", "y"):
+            assert runs.count(circuits.measurement_prelude(axis, 0)) == 1
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_cold_and_warm_memo_give_identical_estimates(self, gate_noise):
+        cal = valencia_calibration()
+        for l in range(5):
+            sampling._prelude_isometry.cache_clear()
+            cold = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
+            warm = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
+            assert cold == warm
+            assert repr(cold) == repr(warm)
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its
