@@ -6,8 +6,9 @@ JSON shape:
 
 ``readout_error`` and ``gate_error`` are indexed by qubit; ``cx_error`` keys
 are directed pairs written ``"control-target"``. No key and no pair may be
-given twice. A fixture reproducing the IBM Q Valencia table (19 Jan 2021)
-ships with the package.
+given twice, and no integer may have more digits than ``int()`` converts. A
+fixture reproducing the IBM Q Valencia table (19 Jan 2021) ships with the
+package.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
-from .errors import ValidationError
+from .errors import ValidationError, _unique_keys
 
 _PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -67,20 +69,15 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members as a dict; a repeated key raises, where ``json`` keeps the last."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValidationError(f"calibration repeats the key {key!r}")
-        obj[key] = value
-    return obj
+_CALIBRATION_KEYS = partial(_unique_keys, "calibration")
 
 
 def parse_calibration(text: str) -> CalibrationData:
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_CALIBRATION_KEYS)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
         raise ValidationError(f"invalid calibration JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError("calibration must be a JSON object")
@@ -96,7 +93,10 @@ def parse_calibration(text: str) -> CalibrationData:
         m = _PAIR_RE.fullmatch(key)
         if not m:
             raise ValidationError(f"cx_error key {key!r} is not of the form 'c-t'")
-        pair = (int(m.group(1)), int(m.group(2)))
+        try:
+            pair = (int(m.group(1)), int(m.group(2)))
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(f"cx_error key {key!r} has a qubit index too long to read") from None
         if pair in cx:
             raise ValidationError(f"cx_error gives pair {pair[0]}-{pair[1]} twice")
         cx[pair] = _number(value, f"cx_error[{key}]")

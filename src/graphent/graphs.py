@@ -10,6 +10,7 @@ Three text formats are supported:
   0/1 entries; the matrix must be symmetric with a zero diagonal.
 
 In the two line formats, blank lines and lines starting with ``#`` are skipped.
+In JSON, a repeated key and an integer past ``int()``'s digit limit are rejected.
 
 ``parse_graph(text, "auto")`` picks the format from the text itself: a leading
 ``{`` means JSON, a square 0/1 matrix under a vertex-count line means adjacency,
@@ -17,6 +18,12 @@ anything else is read as an edge list.
 
 Couplings are unweighted: adjacency entries other than 0/1, self-loops, and
 duplicate edges are rejected rather than silently normalized away.
+
+A text is read in one pass: its lines are split once, and the detector hands
+the tokens to the parser it picks. Well-formed input is accepted by checks over
+all tokens at once (set membership, a transpose compare for a matrix); the
+per-token loop runs only on the error path, to name the first bad token in file
+order.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from operator import getitem
 
-from .errors import ValidationError
+from .errors import ValidationError, _unique_keys
 from .statevector import _checked_integer
 
 FORMATS = ("edge-list", "json", "adjacency")
@@ -100,64 +110,101 @@ def _data_lines(text: str) -> list[str]:
     return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
-def _count_and_lines(text: str, fmt: str) -> tuple[int, list[str]]:
-    """The vertex count on the first data line of a line format, and the data lines after it."""
-    data = _data_lines(text)
-    if not data:
+def _data_rows(text: str) -> list[list[str]]:
+    """The tokens of each of ``text``'s data lines, the lines :func:`_data_lines` keeps."""
+    return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
+
+
+def _vertex_count(text: str, rows: list[list[str]], fmt: str) -> int:
+    """The vertex count on the first data row of a line format."""
+    if not rows:
         raise ValidationError(f"empty {fmt} input")
-    head = data[0].split()
-    if len(head) != 1:
-        raise ValidationError(f"first line must be the vertex count, got {data[0]!r}")
-    return _as_int(head[0], "vertex count"), data[1:]
+    if len(rows[0]) != 1:
+        raise ValidationError(f"first line must be the vertex count, got {_data_lines(text)[0]!r}")
+    return _as_int(rows[0][0], "vertex count")
 
 
-def _parse_edge_list(text: str) -> Graph:
-    n, lines = _count_and_lines(text, "edge-list")
+def _parse_edge_list(text: str, rows: list[list[str]]) -> Graph:
+    n = _vertex_count(text, rows, "edge-list")
+    body = rows[1:]
+    tokens = list(chain.from_iterable(body))
+    digits = "".join(tokens)
+    if set(map(len, body)) <= {2} and digits.isascii() and digits.isdigit():
+        try:
+            ends = list(map(int, tokens))
+        except ValueError:  # more digits than int() converts; the loop below names the token
+            pass
+        else:  # tuple() of a list: one of an iterator grows by reallocation, which raised peak RSS
+            return Graph(n, tuple(list(zip(ends[::2], ends[1::2]))))
+    # a malformed line or token: name the first, in file order
     edges = []
-    for ln in lines:
-        parts = ln.split()
+    for k, parts in enumerate(body, 1):
         if len(parts) != 2:
-            raise ValidationError(f"expected edge line 'i j', got {ln!r}")
+            raise ValidationError(f"expected edge line 'i j', got {_data_lines(text)[k]!r}")
         edges.append((_as_int(parts[0], "vertex"), _as_int(parts[1], "vertex")))
     return Graph(n, tuple(edges))
 
 
+_GRAPH_KEYS = partial(_unique_keys, "JSON graph")
+
+
 def _parse_json(text: str) -> Graph:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_GRAPH_KEYS)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
         raise ValidationError(f"invalid JSON graph: {exc}") from None
     if not isinstance(obj, dict) or "edges" not in obj:
         raise ValidationError("JSON graph must be an object with an 'edges' array")
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ValidationError("'edges' must be an array")
-    edges = []
-    for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise ValidationError(f"each edge must be a two-integer array, got {item!r}")
-        edges.append((item[0], item[1]))
+    # json.loads makes no int subclass but bool, so a type test is the integer test
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        for item in raw:
+            if (
+                type(item) is not list
+                or len(item) != 2
+                or type(item[0]) is not int
+                or type(item[1]) is not int
+            ):
+                raise ValidationError(f"each edge must be a two-integer array, got {item!r}")
+    edges = list(map(tuple, raw))
     n = obj.get("n")
     if n is None:
         if not edges:
             raise ValidationError("vertex count 'n' required when no edges are given")
-        n = 1 + max(max(e) for e in edges)
-    elif not isinstance(n, int) or isinstance(n, bool):
+        n = 1 + max(chain.from_iterable(edges))
+    elif type(n) is not int:
         raise ValidationError(f"'n' must be an integer, got {n!r}")
     return Graph(n, tuple(edges))
 
 
-def _parse_adjacency(text: str) -> Graph:
-    n, rows = _count_and_lines(text, "adjacency")
-    if len(rows) != n:
-        raise ValidationError(f"expected {n} adjacency rows, got {len(rows)}")
+def _is_bit_matrix(rows: list[list[str]], n: int) -> bool:
+    """Whether every row holds ``n`` tokens, each ``"0"`` or ``"1"``."""
+    return set(map(len, rows)) <= {n} and set().union(*rows) <= {"0", "1"}
+
+
+def _parse_adjacency(text: str, rows: list[list[str]]) -> Graph:
+    n = _vertex_count(text, rows, "adjacency")
+    body = rows[1:]
+    if len(body) != n:
+        raise ValidationError(f"expected {n} adjacency rows, got {len(body)}")
+    if (
+        _is_bit_matrix(body, n)
+        and "1" not in map(getitem, body, range(n))  # diagonal
+        and list(map(list, zip(*body))) == body  # transpose
+    ):
+        return Graph(n, tuple([(i, j) for i, row in enumerate(body) for j in range(i + 1, n) if row[j] == "1"]))
+    # a bad entry, a loop or an asymmetry: name the first, in file order
     matrix = []
-    for ln in rows:
-        entries = [_as_int(tok, "adjacency entry") for tok in ln.split()]
+    for parts in body:
+        entries = [_as_int(tok, "adjacency entry") for tok in parts]
         if len(entries) != n:
             raise ValidationError(f"expected {n} entries per row, got {len(entries)}")
         matrix.append(entries)
@@ -175,39 +222,30 @@ def _parse_adjacency(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-_PARSERS = {
-    "edge-list": _parse_edge_list,
-    "json": _parse_json,
-    "adjacency": _parse_adjacency,
-}
+_LINE_PARSERS = {"edge-list": _parse_edge_list, "adjacency": _parse_adjacency}
 
 
-def _looks_like_adjacency(text: str) -> bool:
-    """A vertex-count line ``n`` followed by exactly ``n`` rows of ``n`` 0/1 entries."""
-    data = [ln.split() for ln in _data_lines(text)]
-    if not data or len(data[0]) != 1 or not data[0][0].isdecimal():
+def _looks_like_adjacency(rows: list[list[str]]) -> bool:
+    """A vertex-count row ``n`` followed by exactly ``n`` rows of ``n`` 0/1 entries."""
+    if not rows or len(rows[0]) != 1 or not rows[0][0].isdecimal():
         return False
-    rows = data[1:]
+    body = rows[1:]
     # compared as digit strings: int() refuses counts of more than 4300 digits
-    return data[0][0].lstrip("0") == str(len(rows)).lstrip("0") and all(
-        len(r) == len(rows) and set(r) <= {"0", "1"} for r in rows
-    )
+    return rows[0][0].lstrip("0") == str(len(body)).lstrip("0") and _is_bit_matrix(body, len(body))
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
     """Parse ``text`` in one of the formats listed in :data:`FORMATS`, or ``"auto"`` to detect it."""
-    if fmt == "auto":
-        if text.lstrip().startswith("{"):
-            fmt = "json"
-        elif _looks_like_adjacency(text):
-            fmt = "adjacency"
-        else:
-            fmt = "edge-list"
-    if fmt not in _PARSERS:
+    if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
+        return _parse_json(text)
+    if fmt != "auto" and fmt not in _LINE_PARSERS:
         raise ValidationError(
             f"unknown graph format {fmt!r}; expected one of {FORMATS + ('auto',)}"
         )
-    return _PARSERS[fmt](text)
+    rows = _data_rows(text)  # split once, shared by the detector and the parser
+    if fmt == "auto":
+        fmt = "adjacency" if _looks_like_adjacency(rows) else "edge-list"
+    return _LINE_PARSERS[fmt](text, rows)
 
 
 def valencia() -> Graph:

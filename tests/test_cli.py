@@ -569,6 +569,39 @@ class TestGraphInput:
             assert (code, out) == (2, "")
             assert err.startswith("error: expected integer")
 
+    @pytest.mark.parametrize(
+        "option,content",
+        [
+            ("--graph", '{"n": %s, "edges": [[0, 1]]}' % ("1" * 5000)),
+            ("--graph", '{"n": 2, "edges": [[0, %s]]}' % ("1" * 5000)),
+            ("--calibration", '{"readout_error": [%s, 0], "gate_error": [0, 0], "cx_error": {}}' % ("1" * 5000)),
+            ("--calibration", '{"readout_error": [0, 0], "gate_error": [0, 0], "cx_error": {"%s-0": 0.01}}' % ("1" * 5000)),
+        ],
+        ids=["graph-n", "graph-endpoint", "readout-error", "cx-error-key"],
+    )
+    def test_integer_past_digit_limit_is_input_error(self, capsys, tmp_path, option, content):
+        # int() refuses integers of more than 4300 digits with a ValueError,
+        # which escaped both JSON readers as a traceback
+        p = tmp_path / "input.json"
+        p.write_text(content)
+        source = ["--graph", str(p)] if option == "--graph" else ["--preset", "path(2)", "--calibration", str(p)]
+        code, out, err = run(capsys, "entangle", *source, "--phi", "0", "--spin", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content,key",
+        [('{"n": 3, "edges": [[0, 1]], "edges": [[1, 2]]}', "edges"), ('{"n": 3, "n": 5, "edges": [[0, 1]]}', "n")],
+        ids=["edges", "n"],
+    )
+    def test_json_graph_repeated_key(self, capsys, tmp_path, content, key):
+        # json.loads alone keeps the last value, and the record answered for that graph
+        p = tmp_path / "g.json"
+        p.write_text(content)
+        code, out, err = run(capsys, "entangle", "--graph", str(p), "--phi", "0", "--spin", "0")
+        assert (code, out, err) == (2, "", f"error: JSON graph repeats the key {key!r}\n")
+
     def test_bad_calibration_file(self, capsys, tmp_path):
         cal = tmp_path / "cal.json"
         cal.write_text("{}")

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,30 +83,100 @@ class TestParsing:
         assert g.degree(5) == 0
 
     @pytest.mark.parametrize(
-        "text,fmt",
+        "text,fmt,message",
         [
-            ("5\n1 1\n", "edge-list"),  # self-loop
-            ("2\n0 3\n", "edge-list"),  # index out of range
-            ("2\n0 1\n1 0\n", "edge-list"),  # duplicate edge
-            ("2\n0 1 2\n", "edge-list"),  # malformed edge line
-            ("x\n0 1\n", "edge-list"),  # non-integer count
-            ("", "edge-list"),
-            ("2\n0 1\n0 0", "adjacency"),  # asymmetric
-            ("2\n0 2\n2 0", "adjacency"),  # entry outside {0, 1}
-            ("2\n1 0\n0 1", "adjacency"),  # diagonal self-loop
-            ("3\n0 1\n1 0", "adjacency"),  # wrong row count
-            ('{"edges": "nope"}', "json"),
-            ('{"edges": [[0, 1, 2]]}', "json"),
-            ('{"edges": []}', "json"),  # no n and nothing to infer from
-            ("not json", "json"),
-            ("\u00b2\n0 1\n", "auto"),  # non-ASCII digit as vertex count
-            ("1" * 5000 + "\n0 1\n", "auto"),  # beyond int()'s digit limit
-            ("1" * 5000 + "\n0 1\n", "edge-list"),
+            ("5\n1 1\n", "edge-list", "self-loop at vertex 1"),
+            ("2\n0 3\n", "edge-list", "edge (0, 3) out of range for 2 vertices"),
+            ("2\n0 1\n1 0\n", "edge-list", "duplicate edge (0, 1)"),
+            ("2\n0 1 2\n", "edge-list", "expected edge line 'i j', got '0 1 2'"),
+            ("x\n0 1\n", "edge-list", "expected integer vertex count, got 'x'"),
+            ("", "edge-list", "empty edge-list input"),
+            ("2\n0 1\n0 0", "adjacency", "adjacency matrix asymmetric at (0, 1)"),
+            ("2\n0 2\n2 0", "adjacency", "adjacency entry 2 outside {0, 1}"),
+            ("2\n1 0\n0 1", "adjacency", "self-loop at vertex 0"),
+            ("3\n0 1\n1 0", "adjacency", "expected 3 adjacency rows, got 2"),
+            ('{"edges": "nope"}', "json", "'edges' must be an array"),
+            ('{"edges": [[0, 1, 2]]}', "json", "each edge must be a two-integer array, got [0, 1, 2]"),
+            ('{"edges": []}', "json", "vertex count 'n' required when no edges are given"),
+            ("not json", "json", "invalid JSON graph: Expecting value: line 1 column 1 (char 0)"),
+            ("\u00b2\n0 1\n", "auto", "expected integer vertex count, got '\u00b2'"),  # non-ASCII digit
+            *(
+                pytest.param(
+                    "1" * 5000 + "\n0 1\n", fmt, f"expected integer vertex count, got '{'1' * 5000}'",
+                    id=f"beyond-int-digit-limit-{fmt}",
+                )
+                for fmt in ("auto", "edge-list")
+            ),
         ],
     )
-    def test_rejects_malformed(self, text, fmt):
-        with pytest.raises(ValidationError):
+    def test_rejects_malformed(self, text, fmt, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             parse_graph(text, fmt)
+
+    @pytest.mark.parametrize(
+        "text,adjacency,auto",
+        [
+            pytest.param(
+                "3\n0 1\n1 0 x\n0 0 0\n",
+                "expected 3 entries per row, got 2", "expected edge line 'i j', got '1 0 x'",
+                id="short-row-before-bad-token",
+            ),
+            pytest.param(
+                "3\n0 1 0\n1 1 1\n0 0 0\n",
+                "self-loop at vertex 1", "self-loop at vertex 1",
+                id="loop-before-asymmetry-in-its-row",
+            ),
+            pytest.param(
+                "3\n0 2 0\n2 1 0\n0 0 0\n",
+                "adjacency entry 2 outside {0, 1}", "expected edge line 'i j', got '0 2 0'",
+                id="entry-before-later-loop",
+            ),
+            pytest.param(
+                "2\n0 1\n1 0 0\n",
+                "expected 2 entries per row, got 3", "expected edge line 'i j', got '1 0 0'",
+                id="long-row",
+            ),
+            pytest.param(
+                "2\n0 1\n x 0\n",
+                "expected integer adjacency entry, got 'x'", "expected integer vertex, got 'x'",
+                id="bad-token",
+            ),
+        ],
+    )
+    def test_first_error_is_named(self, text, adjacency, auto):
+        """Malformed matrices name the same first fault in the same order, whichever check finds it."""
+        for fmt, message in (("adjacency", adjacency), ("auto", auto)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                parse_graph(text, fmt)
+
+    def test_zero_padded_entries(self):
+        # read as integers under --format adjacency; not a 0/1 matrix to the detector
+        text = "3\n00 01 00\n01 00 01\n00 01 00\n"
+        assert parse_graph(text, "adjacency") == path(3)
+        with pytest.raises(ValidationError, match=re.escape("expected edge line 'i j', got '00 01 00'")):
+            parse_graph(text, "auto")
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"n": 3, "edges": [[0, 1]], "edges": [[1, 2]]}', "edges"),
+            ('{"n": 3, "n": 5, "edges": [[0, 1]]}', "n"),
+            ('{"n": 3, "edges": [[0, 1]], "note": {"a": 1, "a": 2}}', "a"),
+        ],
+        ids=["edges", "n", "nested"],
+    )
+    def test_json_rejects_repeated_keys(self, text, key):
+        # json.loads alone keeps the last value and answers for another graph
+        for fmt in ("json", "auto"):
+            with pytest.raises(ValidationError, match=f"^JSON graph repeats the key {re.escape(repr(key))}$"):
+                parse_graph(text, fmt)
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": %s, "edges": []}' % ("1" * 5000), '{"edges": [[0, %s]]}' % ("1" * 5000)], ids=["n", "endpoint"],
+    )
+    def test_json_integer_past_digit_limit(self, text):
+        with pytest.raises(ValidationError, match="^invalid JSON graph: "):
+            parse_graph(text, "json")
 
     def test_unknown_format(self):
         with pytest.raises(ValidationError, match="'auto'"):
@@ -280,20 +351,47 @@ class TestPresets:
             preset(name)
 
 
+def _graph_rows(g, fmt):
+    """The tokens of each line of ``g`` in a line format, written without graphent's help."""
+    if fmt == "edge-list":
+        return [[str(g.n_vertices)]] + [[str(i), str(j)] for i, j in g.edges]
+    rows = [["0"] * g.n_vertices for _ in range(g.n_vertices)]
+    for i, j in g.edges:
+        rows[i][j] = rows[j][i] = "1"
+    return [[str(g.n_vertices)]] + rows
+
+
 def _graph_text(g, fmt):
     """``g`` in one of the file formats, written without graphent's help."""
-    if fmt == "edge-list":
-        return f"{g.n_vertices}\n" + "".join(f"{i} {j}\n" for i, j in g.edges)
     if fmt == "json":
         return json.dumps({"n": g.n_vertices, "edges": [list(e) for e in g.edges]})
-    rows = [[0] * g.n_vertices for _ in range(g.n_vertices)]
-    for i, j in g.edges:
-        rows[i][j] = rows[j][i] = 1
-    return f"{g.n_vertices}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return "".join(" ".join(row) + "\n" for row in _graph_rows(g, fmt))
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+_EDGES = st.sampled_from(["", " ", "\t", "  "])
+_ENDINGS = st.sampled_from(["\n", "\r\n"])
+_FILLER = st.lists(st.sampled_from(["", "   ", "\t", "#", "# 0 1", "  # comment"]), max_size=2)
+
+
+@st.composite
+def noisy_text(draw, rows):
+    """``rows`` as lines with tabs, runs of spaces, CRLF endings, blank lines and ``#`` lines."""
+    lines = []
+    for tokens in rows:
+        lines += [filler + draw(_ENDINGS) for filler in draw(_FILLER)]
+        gaps = [draw(_GAPS) for _ in tokens[1:]] + [draw(_EDGES)]
+        line = draw(_EDGES) + "".join(tok + gap for tok, gap in zip(tokens, gaps))
+        lines.append(line + draw(_ENDINGS))
+    return "".join(lines) + "".join(filler + draw(_ENDINGS) for filler in draw(_FILLER))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@given(g=graphs())
-def test_serialize_parse_roundtrip(fmt, g):
-    assert parse_graph(_graph_text(g, fmt), fmt) == g
-    assert parse_graph(_graph_text(g, fmt), "auto") == g
+@given(data=st.data(), g=graphs())
+def test_serialize_parse_roundtrip(fmt, data, g):
+    texts = [_graph_text(g, fmt)]
+    if fmt != "json":  # the line formats skip whitespace, blank lines and comments
+        texts.append(data.draw(noisy_text(_graph_rows(g, fmt))))
+    for text in texts:
+        assert parse_graph(text, fmt) == g
+        assert parse_graph(text, "auto") == g
