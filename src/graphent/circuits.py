@@ -74,6 +74,7 @@ def synthesize_graph_circuit(
 def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
     """Gates to run before a z-basis measurement of qubit ``l`` so that the
     z outcome statistics equal the ``axis`` expectation of the original state."""
+    l = _checked_integer(l, "qubit index")
     if l < 0:
         raise ValidationError(f"negative qubit index {l}")
     if axis == "z":

@@ -254,8 +254,8 @@ def _add_run_args(p):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser; built once per process, since parsing leaves it unchanged."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argument parser and each command's parser by name; built once per process, since parsing leaves them unchanged."""
     parser = _Parser(prog="graphent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,12 +291,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-qubits", type=int, default=None, help=f"largest state vector, in qubits: caps --max-n (above it exits 3), and a batch of angles never holds more than 2**cap amplitudes (default {DEFAULT_MAX_QUBITS}; env {ENV_MAX_QUBITS})")
     p.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` (``sys.argv[1:]`` when None) parsed as the top-level parser parses it.
+
+    Its subparsers action hands every string after a command's name to that
+    command's parser, so a leading command name goes straight there; anything
+    else (no arguments, ``-h``, an unknown command, an option first) goes
+    through the top-level parser.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and return its exit code.
+
+    A named command is parsed by its own parser in one pass.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # entangle, sweep and validate, whatever the mode
             raise UsageError(f"seed must be non-negative, got {args.seed}")
         if hasattr(args, "shots"):  # entangle and sweep, whatever the mode

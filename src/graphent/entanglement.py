@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _checked_integer,
     _evolve_edges,
     _finite_angle,
     init_zero,
@@ -111,6 +112,8 @@ def _folded_cos(phi: float) -> float:
 
 def analytic_entanglement(k: int, phi: float) -> float:
     """Closed form (1 - |cos(phi)|**k) / 2 for a spin of degree ``k``."""
+    if type(k) is not int:  # plain ints, the common case, skip the call
+        k = _checked_integer(k, "degree")
     if k < 0:
         raise ValidationError(f"degree must be non-negative, got {k}")
     phi = _finite_angle(phi)

@@ -85,7 +85,9 @@ class Graph:
         object.__setattr__(self, "_neighbours", {v: tuple(ns) for v, ns in neighbours.items()})
 
     def neighbours(self, l: int) -> tuple[int, ...]:
-        """Vertices adjacent to ``l`` in ascending order; the range check every route relies on."""
+        """Vertices adjacent to ``l`` in ascending order; the integer and range check every route relies on."""
+        if type(l) is not int:  # plain ints, the common case, skip the call
+            l = _checked_integer(l, "spin")
         if not 0 <= l < self.n_vertices:
             raise ValidationError(f"spin {l} out of range for {self.n_vertices} vertices")
         return self._neighbours.get(l, ())

@@ -89,6 +89,9 @@ def _z_mean(ones: int, shots: int) -> tuple[float, float]:
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed of substream ``index``: the ``index``-th child that ``SeedSequence(seed).spawn`` makes."""
+    index = _checked_integer(index, "substream index")
+    if index < 0:
+        raise ValidationError(f"substream index must be non-negative, got {index}")
     child = np.random.SeedSequence(_checked_seed(seed), spawn_key=(index,))
     return int(child.generate_state(1, np.uint64)[0])
 

@@ -182,10 +182,13 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
     A batch may hold at most ``2**max_qubits`` amplitudes, the size of the
     largest single state the cap allows.
     """
+    n = _checked_integer(n, "qubit count")
     if n < 1:
         raise ValidationError(f"qubit count must be positive, got {n}")
-    if rows is not None and rows < 1:
-        raise ValidationError(f"row count must be positive, got {rows}")
+    if rows is not None:
+        rows = _checked_integer(rows, "row count")
+        if rows < 1:
+            raise ValidationError(f"row count must be positive, got {rows}")
     if n > max_qubits:
         raise ResourceCapError(f"{n} qubits exceeds the cap of {max_qubits}")
     if rows is not None and (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits

@@ -192,6 +192,11 @@ class TestPreludes:
         with pytest.raises(ValidationError):
             measurement_prelude("w", 0)
 
+    @pytest.mark.parametrize("l", ["a", 1.0, None])
+    def test_non_integer_qubit_rejected(self, l):
+        with pytest.raises(ValidationError, match="qubit index must be an integer"):
+            measurement_prelude("x", l)
+
 
 class TestTextExport:
     def test_gate_lines(self):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -822,6 +823,97 @@ class TestUsageErrors:
             "--mode", "magic",
         )
         assert code == 1
+
+
+VALENCIA = ["--preset", "valencia"]
+
+
+class TestParsing:
+    """What a command line parses to; ``main`` parses a named command with its own parser only."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'entangle', 'sweep', 'synthesize', 'validate')"),
+            (["entangle"], "the following arguments are required: --phi, --spin"),
+            (["entangle", *VALENCIA, "--phi", "0", "--spin", "1", "--bogus"], "unrecognized arguments: --bogus"),
+            (["entangle", *VALENCIA, "--phi", "0", "--s", "1"], "ambiguous option: --s could match --spin, --shots, --seed"),
+            (["entangle", "--graph", "g.txt", *VALENCIA, "--phi", "0", "--spin", "1"], "argument --preset: not allowed with argument --graph"),
+            (["--preset", "valencia", "entangle", "--phi", "0", "--spin", "1"], "argument command: invalid choice: 'valencia' (choose from 'entangle', 'sweep', 'synthesize', 'validate')"),
+            (["--", "entangle"], "argument command: invalid choice: '--' (choose from 'entangle', 'sweep', 'synthesize', 'validate')"),
+            (["synthesize", *VALENCIA, "--phi", "0", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["sweep", *VALENCIA, "--sweep", "0:1:2", "--", "x"], "unrecognized arguments: -- x"),
+            (["validate", "--trials", "1", "extra"], "unrecognized arguments: extra"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+    def test_abbreviated_options(self, capsys):
+        code, out, err = run(capsys, "entangle", *VALENCIA, "--phi=pi/4", "--sp", "1", "--sh", "10")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "entangle", *VALENCIA, "--phi", "pi/4", "--spin", "1", "--shots", "10")[1]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["entangle", "-h"], ["sweep", "--he"], ["validate", "-h"]])
+    def test_help_exits_zero_with_the_two_pass_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser()[0].parse_args(argv)
+        assert capsys.readouterr().out == text
+        prog = "graphent" if argv[0].startswith("-") else f"graphent {argv[0]}"
+        assert text.startswith(f"usage: {prog} [-h]")
+
+    def test_main_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        argv = ["entangle", *VALENCIA, "--phi", "pi/4", "--spin", "1"]
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["graphent", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == expected[1]
+        monkeypatch.setattr(sys, "argv", ["graphent"])
+        assert main() == 1
+        assert capsys.readouterr().err == "usage error: the following arguments are required: command\n"
+
+
+def _parse_outcome(parse, argv):
+    """``parse(argv)``'s Namespace, usage-error message, or help exit with its text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "parsed", vars(parse(argv))
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+_OPTION_TOKENS = [
+    "--graph", "--preset", "--format", "--calibration", "--phi", "--spin", "--mode", "--shots",
+    "--seed", "--max-qubits", "--sweep", "--out", "--max-n", "--trials",
+    "--s", "--sp", "--sh", "--ma", "--max", "--pr", "--phi=pi/4", "--spin=2", "--bogus",
+    "-h", "--he", "--", "-",
+]
+_VALUE_TOKENS = [
+    "valencia", "path(3)", "g.txt", "auto", "json", "0", "1", "-1", "1.5", "pi/4", "tau",
+    "0:1:3", "1:0:3", "exact", "shots", "magic", "entangle", "sweep", "x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["entangle", "sweep", "synthesize", "validate", "bogus", "--preset", "-h"]),
+    rest=st.lists(st.sampled_from(_OPTION_TOKENS + _VALUE_TOKENS), max_size=12),
+)
+def test_one_pass_parse_equals_the_two_pass_parse(command, rest):
+    argv = [command, *rest]
+    with contextlib.redirect_stderr(io.StringIO()):
+        one_pass = _parse_outcome(cli._parse_args, argv)
+        two_pass = _parse_outcome(cli._build_parser()[0].parse_args, argv)
+    assert one_pass == two_pass
 
 
 class TestReadmeRecipes:

@@ -19,6 +19,7 @@ from graphent import (
     entanglement_from_bloch,
     evolve_edge_exact,
     evolve_graph_exact,
+    estimate_entanglement_shots,
     exact_entanglement,
     init_zero,
     ring,
@@ -49,6 +50,14 @@ class TestAnalytic:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValidationError):
             analytic_entanglement(-1, 0.3)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, math.nan, "2", None])
+    def test_non_integer_degree_rejected(self, k):
+        with pytest.raises(ValidationError, match="degree must be an integer"):
+            analytic_entanglement(k, 0.3)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert analytic_entanglement(np.int64(3), 0.3) == analytic_entanglement(3, 0.3)
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValidationError):
@@ -284,3 +293,15 @@ class TestEstimateType:
     def test_shots_method_consistency(self):
         with pytest.raises(ValidationError):
             EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "exact", shots=100)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [analytic_estimate, exact_entanglement, lambda g, phi, l: estimate_entanglement_shots(g, phi, l, 100)],
+    ids=["analytic", "exact", "shots"],
+)
+@pytest.mark.parametrize("spin", [1.5, 1.0])
+def test_non_integer_spin_gets_no_answer(estimate, spin):
+    # spin 1.5 used to be answered as an isolated spin: E = 0, Bloch (0, 0, 1)
+    with pytest.raises(ValidationError, match=f"spin must be an integer, got {spin}"):
+        estimate(valencia(), 1.0, spin)

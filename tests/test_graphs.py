@@ -227,6 +227,19 @@ class TestGraphType:
         with pytest.raises(ValidationError):
             valencia().degree(5)
 
+    @pytest.mark.parametrize("spin", [1.5, 1.0, "1", None])
+    def test_non_integer_spin_rejected(self, spin):
+        # 1.5 passed the range check and then found no neighbours
+        with pytest.raises(ValidationError, match=re.escape(f"spin must be an integer, got {spin!r}")):
+            valencia().neighbours(spin)
+        with pytest.raises(ValidationError):
+            valencia().degree(spin)
+
+    def test_integer_like_spin_accepted(self):
+        g = valencia()
+        assert g.neighbours(np.int64(1)) == g.neighbours(1) == (0, 2, 3)
+        assert g.degree(True) == g.degree(1)
+
 
 class TestDegrees:
     def test_valencia_degrees(self):

@@ -291,6 +291,13 @@ class TestEstimateEntanglementShots:
         with pytest.raises(ValidationError, match="seed must be an integer, got 1.5"):
             call(1.5)
 
+    def test_bad_substream_index_rejected(self):
+        with pytest.raises(ValidationError, match="substream index must be non-negative, got -1"):
+            derive_seed(1, -1)
+        with pytest.raises(ValidationError, match="substream index must be an integer, got 1.5"):
+            derive_seed(1, 1.5)
+        assert derive_seed(1, np.int64(2)) == derive_seed(1, 2)
+
 
 class TestDepolarizingNoise:
     def test_zero_rates_identical_to_noiseless_sampling(self):

@@ -54,6 +54,13 @@ class TestInitZero:
         with pytest.raises(ValidationError):
             init_zero(0)
 
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="qubit count must be an integer, got 2.0"):
+            init_zero(2.0)
+        with pytest.raises(ValidationError, match="row count must be an integer, got 2.0"):
+            init_zero(2, rows=2.0)
+        assert init_zero(np.int64(2), rows=np.int64(3)).amps.shape == (3, 4)
+
     def test_rows_of_zero_states(self):
         s = init_zero(3, rows=4)
         assert s.rows == 4 and init_zero(3).rows is None
