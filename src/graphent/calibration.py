@@ -17,7 +17,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 
 from .errors import ValidationError, _unique_keys
 
@@ -114,5 +113,7 @@ def load_calibration(path) -> CalibrationData:
 
 def valencia_calibration() -> CalibrationData:
     """Bundled IBM Q Valencia calibration table (19 Jan 2021)."""
+    from importlib import resources  # only this reader needs it
+
     text = resources.files("graphent").joinpath("data/valencia_calibration.json").read_text()
     return parse_calibration(text)

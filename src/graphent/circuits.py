@@ -1,4 +1,9 @@
-"""Gate synthesis for coupling graphs, and measurement-basis preludes.
+"""The gate-circuit IR, gate synthesis for coupling graphs, and measurement-basis preludes.
+
+A circuit is a plain ``tuple[Gate, ...]`` of h, p, rx, ry and cx gates
+(:class:`Gate`); the register is the state it runs on. This module builds
+and lists circuits without numpy; :func:`apply_circuit` runs one through
+:func:`graphent.statevector.apply_gate`.
 
 Each graph edge compiles to the five-gate block
 
@@ -6,8 +11,7 @@ Each graph edge compiles to the five-gate block
 
 which equals exp(-i*(phi/2)*XrXp) up to a global phase. The rotation qubit
 ``r`` is the endpoint with the smaller single-qubit gate error when
-calibration data is supplied, otherwise the smaller index. A circuit is a
-plain ``tuple[Gate, ...]``; the register is the state it runs on. A 1-D
+calibration data is supplied, otherwise the smaller index. A 1-D
 ``phi`` gives each ``p`` gate one angle per row, so one circuit runs a batch
 of rows at their own angles; such a circuit has no text form.
 
@@ -20,18 +24,89 @@ uses ry(-pi/2); the y prelude uses rx(+pi/2).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
-from .statevector import Gate, StateVector, _checked_integer, apply_gate
+from .calibration import CalibrationData
+from .errors import ValidationError, _checked_integer, _finite_angle, _numpy_module
 
 if TYPE_CHECKING:
-    from .calibration import CalibrationData
     from .graphs import Graph
+    from .statevector import StateVector
+
+GATE_KINDS = ("h", "p", "rx", "ry", "cx")
 
 
-def choose_orientation(edge: tuple[int, int], cal: "CalibrationData | None" = None) -> tuple[int, int]:
+def _ndim(angle) -> int:
+    """``numpy.ndim`` of an angle: a number, a nested tuple or list (read along its first entries), or an array."""
+    if isinstance(angle, (tuple, list)):
+        return 1 + (_ndim(angle[0]) if angle else 0)
+    return getattr(angle, "ndim", 0)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One gate of the tiny circuit IR: h, p, rx, ry, or cx.
+
+    A ``p`` gate may carry a 1-D sequence of angles, one per row of the batch
+    it runs on, stored as a tuple of floats.
+    """
+
+    kind: str
+    target: int
+    control: int | None = None
+    angle: float | tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValidationError(f"unknown gate kind {self.kind!r}")
+        if (self.control is None) == (self.kind == "cx"):
+            raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
+        for q in (self.target, self.control) if self.kind == "cx" else (self.target,):
+            if _checked_integer(q, "qubit index") < 0:
+                raise ValidationError(f"negative qubit index in {self}")
+        if self.control == self.target:
+            raise ValidationError(f"cx control and target coincide at {self.target}")
+        if self.kind in ("h", "cx"):
+            if self.angle is not None:
+                raise ValidationError(f"{self.kind} takes no angle")
+        elif self.angle is None:
+            raise ValidationError(f"{self.kind} requires an angle")
+        elif type(self.angle) is not float and (ndim := _ndim(self.angle)) > 0:
+            if self.kind != "p":
+                raise ValidationError(f"{self.kind} takes one angle, not one per row")
+            if ndim > 1:
+                raise ValidationError(f"p takes an angle or one per row, not a {ndim}-D array")
+            # one angle per row of a batch; apply_gate checks their count
+            object.__setattr__(self, "angle", tuple(_finite_angle(a) for a in self.angle))
+        else:
+            object.__setattr__(self, "angle", _finite_angle(self.angle))
+
+    @staticmethod
+    def h(target: int) -> "Gate":
+        return Gate("h", target)
+
+    @staticmethod
+    def p(target: int, angle) -> "Gate":
+        return Gate("p", target, angle=angle)
+
+    @staticmethod
+    def rx(target: int, angle: float) -> "Gate":
+        return Gate("rx", target, angle=angle)
+
+    @staticmethod
+    def ry(target: int, angle: float) -> "Gate":
+        return Gate("ry", target, angle=angle)
+
+    @staticmethod
+    def cx(control: int, target: int) -> "Gate":
+        return Gate("cx", target, control=control)
+
+
+def choose_orientation(edge: tuple[int, int], cal: CalibrationData | None = None) -> tuple[int, int]:
     """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
+    if cal is not None and not isinstance(cal, CalibrationData):
+        raise ValidationError(f"calibration must be CalibrationData or None, got {cal!r}")
     i, j = _checked_integer(edge[0], "edge endpoint"), _checked_integer(edge[1], "edge endpoint")
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
@@ -65,7 +140,7 @@ def synthesize_edge(r: int, p: int, phi) -> tuple[Gate, ...]:
 
 
 def synthesize_graph_circuit(
-    g: "Graph", phi, cal: "CalibrationData | None" = None
+    g: "Graph", phi, cal: CalibrationData | None = None
 ) -> tuple[Gate, ...]:
     """Concatenate one edge block per graph edge, edges in canonical sorted order; ``phi`` as in :func:`synthesize_edge`."""
     return tuple(gate for edge in g.edges for gate in synthesize_edge(*choose_orientation(edge, cal), phi))
@@ -86,12 +161,14 @@ def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
     raise ValidationError(f"unknown measurement axis {axis!r}")
 
 
-def apply_circuit(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
+def apply_circuit(state: "StateVector", gates: tuple[Gate, ...]) -> "StateVector":
     """Run ``gates`` on ``state`` in place, in order.
 
-    :func:`apply_gate` range-checks each gate, so a gate outside the register
-    raises ``ValidationError`` after the gates before it have run.
+    :func:`~graphent.statevector.apply_gate` range-checks each gate, so a gate
+    outside the register raises ``ValidationError`` after the gates before it
+    have run.
     """
+    apply_gate = _numpy_module("statevector").apply_gate
     for gate in gates:
         apply_gate(state, gate)
     return state

@@ -19,11 +19,13 @@ import sys
 from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
 from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
-from .errors import ConsistencyError, GraphentError, ResourceCapError, ValidationError
+from .errors import DEFAULT_MAX_QUBITS, DEFAULT_SHOTS, ConsistencyError, GraphentError, ResourceCapError
+from .errors import ValidationError, _checked_shots, _numpy_module
 from .graphs import FORMATS, Graph, parse_graph, preset
-from .sampling import DEFAULT_SHOTS, _checked_shots, derive_seed, estimate_entanglement_shots
-from .statevector import DEFAULT_MAX_QUBITS
-from .validation import run_validation
+
+# sampling and validation import numpy, so they load on a command's first
+# shots estimate or validate run (exact estimates load statevector the same
+# way); analytic estimates, synthesize, help and usage errors never load it
 
 ENV_MAX_QUBITS = "GRAPHENT_MAX_QUBITS"
 
@@ -139,7 +141,7 @@ def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate
         return analytic_estimate(g, phi, spin)
     if mode == "exact":
         return exact_entanglement(g, phi, spin, cap)
-    return estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed)
+    return _numpy_module("sampling").estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed)
 
 
 def cmd_entangle(args) -> int:
@@ -195,7 +197,7 @@ def cmd_sweep(args) -> int:
                 key = (mode, k, phi)
                 if mode == "shots" or key not in cells:
                     # data row i draws from substream i of the root seed
-                    seed = derive_seed(args.seed, len(rows)) if mode == "shots" else None
+                    seed = _numpy_module("sampling").derive_seed(args.seed, len(rows)) if mode == "shots" else None
                     est = _estimate(mode, g, phi, spin, args.shots, cal, seed, cap)
                     cells[key] = [
                         repr(est.bloch.mx),
@@ -224,7 +226,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_validate(args) -> int:
     cap = _max_qubits(args)
-    results = run_validation(max_n=args.max_n, trials=args.trials, seed=args.seed, max_qubits=cap)
+    results = _numpy_module("validation").run_validation(max_n=args.max_n, trials=args.trials, seed=args.seed, max_qubits=cap)
     print(f"validation: trials={args.trials} max_n={args.max_n} seed={args.seed}")
     for r in results:
         print(r.line())

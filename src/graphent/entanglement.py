@@ -6,25 +6,22 @@ form (1 - |cos(phi)|**k) / 2 with k the vertex degree. ``analytic_entanglement``
 evaluates that form after folding phi into [0, pi/2] with exact float
 remainders, which makes the symmetries phi -> -phi, phi + pi, pi - phi hold
 bit-exactly whenever the shifted argument itself is exactly representable.
+The closed form needs no numpy; ``exact_entanglement`` and ``bloch_vector``
+load :mod:`graphent.statevector` on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DEFAULT_MAX_QUBITS, ValidationError, _checked_integer, _finite_angle, _numpy_module
 
-from .errors import ValidationError
-from .statevector import (
-    DEFAULT_MAX_QUBITS,
-    StateVector,
-    _checked_integer,
-    _evolve_edges,
-    _finite_angle,
-    init_zero,
-    pauli_means,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .statevector import StateVector
 
 METHODS = ("analytic", "exact", "shots")
 
@@ -46,9 +43,9 @@ def _norm(mx: float, my: float, mz: float) -> float:
 
 def _check_components(means: np.ndarray):
     """``BlochVector``'s bound on every value of an array whose last axis is (mx, my, mz); the first bad one is named."""
-    bad = ~(np.abs(means) <= _COMPONENT_LIMIT)  # NaN compares False, so it is bad too
+    bad = ~(abs(means) <= _COMPONENT_LIMIT)  # NaN compares False, so it is bad too
     if bad.any():
-        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        at = tuple(int(ix[0]) for ix in bad.nonzero())  # nonzero lists indices in C order
         raise _component_error(_AXES[at[-1]], float(means[at]))
 
 
@@ -144,7 +141,7 @@ def bloch_vector(state: StateVector, l: int) -> BlochVector:
     """All three exact Pauli means of qubit ``l`` of a single state."""
     if state.rows is not None:
         raise ValidationError(f"expected a single state, got a batch of {state.rows} rows")
-    return BlochVector(*pauli_means(state, l))
+    return BlochVector(*_numpy_module("statevector").pauli_means(state, l))
 
 
 def exact_entanglement(
@@ -162,7 +159,8 @@ def exact_entanglement(
     """
     phi = _finite_angle(phi)
     k = g.degree(l)
-    state = _evolve_edges(init_zero(k + 1, max_qubits), [(0, m) for m in range(1, k + 1)], phi)
+    sv = _numpy_module("statevector")
+    state = sv._evolve_edges(sv.init_zero(k + 1, max_qubits), [(0, m) for m in range(1, k + 1)], phi)
     b = bloch_vector(state, 0)
     return EntanglementEstimate(
         spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"

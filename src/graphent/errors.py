@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the JSON readers' repeated-key check."""
+"""Exception types, the numpy-free input checks and defaults shared across the package, and the JSON readers' repeated-key check."""
+
+import functools
+import importlib
+import operator
+import sys
+
+DEFAULT_MAX_QUBITS = 24
+DEFAULT_SHOTS = 8192
 
 
 class GraphentError(Exception):
@@ -15,6 +23,57 @@ class ResourceCapError(GraphentError, RuntimeError):
 
 class ConsistencyError(GraphentError, RuntimeError):
     """Internal invariant violated (norm drift, nonreal expectation); indicates a bug."""
+
+
+def _checked_integer(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index``: a bool, a float or other non-integer raises ValidationError."""
+    try:
+        if type(value) is not bool:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite_angle(angle) -> float:
+    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow.
+
+    A non-number (a string, a list, a complex) raises ValidationError too.
+    """
+    try:
+        if abs(angle) <= sys.float_info.max:
+            return float(angle)
+    except (TypeError, ValueError):
+        raise ValidationError(f"angle must be a real number, got {angle!r}") from None
+    raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
+
+
+def _checked_seed(seed: int) -> int:
+    """``seed`` as an int, if numpy accepts it; numpy's own errors for a negative or non-integer seed are unclassified."""
+    seed = _checked_integer(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _checked_shots(shots: int) -> int:
+    """``shots`` as an int, if it is a positive count that numpy's int64 draws can hold; a float would be truncated."""
+    shots = _checked_integer(shots, "shot count")
+    if shots < 1:
+        raise ValidationError(f"shot count must be positive, got {shots}")
+    if shots >= 1 << 63:
+        raise ValidationError(f"shot count must be below 2**63, got {shots}")
+    return shots
+
+
+@functools.cache
+def _numpy_module(name: str):
+    """``graphent.<name>``, a module that imports numpy, imported on first use and kept.
+
+    Callers look a function up on the returned module at each call, so a
+    wrapper later set on the module's attribute is the one called.
+    """
+    return importlib.import_module(f"graphent.{name}")
 
 
 def _unique_keys(what: str, pairs: list[tuple[str, object]]) -> dict:

@@ -35,8 +35,7 @@ from functools import partial
 from itertools import chain
 from operator import getitem
 
-from .errors import ValidationError, _unique_keys
-from .statevector import _checked_integer
+from .errors import ValidationError, _checked_integer, _unique_keys
 
 FORMATS = ("edge-list", "json", "adjacency")
 

@@ -54,31 +54,11 @@ import math
 import numpy as np
 
 from .calibration import CalibrationData
-from .circuits import apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
+from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ValidationError
+from .errors import DEFAULT_SHOTS, ValidationError, _checked_integer, _checked_seed, _checked_shots, _finite_angle  # noqa: F401
 from .graphs import Graph
-from .statevector import Gate, StateVector, _checked_integer, _finite_angle
-
-DEFAULT_SHOTS = 8192
-
-
-def _checked_seed(seed: int) -> int:
-    """``seed`` as an int, if numpy accepts it; numpy's own errors for a negative or non-integer seed are unclassified."""
-    seed = _checked_integer(seed, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _checked_shots(shots: int) -> int:
-    """``shots`` as an int, if it is a positive count that numpy's int64 draws can hold; a float would be truncated."""
-    shots = _checked_integer(shots, "shot count")
-    if shots < 1:
-        raise ValidationError(f"shot count must be positive, got {shots}")
-    if shots >= 1 << 63:
-        raise ValidationError(f"shot count must be below 2**63, got {shots}")
-    return shots
+from .statevector import StateVector
 
 
 def _z_mean(ones: int, shots: int) -> tuple[float, float]:

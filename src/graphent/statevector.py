@@ -1,5 +1,9 @@
 """Dense state-vector kernel for few-qubit spin systems.
 
+This module and those that simulate with it (``sampling``, ``validation``)
+import numpy; the rest of the package does not, and loads them on first
+use. The gates ``apply_gate`` runs are :class:`graphent.circuits.Gate`.
+
 Conventions, fixed across the package:
 
 * basis index ``b`` encodes qubit ``l`` as bit ``(b >> l) & 1``, i.e. qubit 0
@@ -53,99 +57,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ResourceCapError, ValidationError
+# the gate IR and the shared checks live in numpy-free modules; this module
+# re-exports them, so importing them from here keeps working
+from .circuits import GATE_KINDS, Gate  # noqa: F401
+from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_integer, _finite_angle
 
-DEFAULT_MAX_QUBITS = 24
 NORM_DRIFT_LIMIT = 1e-9
-
-GATE_KINDS = ("h", "p", "rx", "ry", "cx")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _checked_integer(value, what: str) -> int:
-    """``value`` as an int, by ``operator.index``: a float or other non-integer raises ValidationError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _finite_angle(angle) -> float:
-    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow.
-
-    A non-number (a string, a list, a complex) raises ValidationError too.
-    """
-    try:
-        if abs(angle) <= sys.float_info.max:
-            return float(angle)
-    except (TypeError, ValueError):
-        raise ValidationError(f"angle must be a real number, got {angle!r}") from None
-    raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate of the tiny circuit IR: h, p, rx, ry, or cx.
-
-    A ``p`` gate may carry a 1-D sequence of angles, one per row of the batch
-    it runs on, stored as a tuple of floats.
-    """
-
-    kind: str
-    target: int
-    control: int | None = None
-    angle: float | tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
-        if (self.control is None) == (self.kind == "cx"):
-            raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
-        for q in (self.target, self.control) if self.kind == "cx" else (self.target,):
-            if _checked_integer(q, "qubit index") < 0:
-                raise ValidationError(f"negative qubit index in {self}")
-        if self.control == self.target:
-            raise ValidationError(f"cx control and target coincide at {self.target}")
-        if self.kind in ("h", "cx"):
-            if self.angle is not None:
-                raise ValidationError(f"{self.kind} takes no angle")
-        elif self.angle is None:
-            raise ValidationError(f"{self.kind} requires an angle")
-        elif isinstance(self.angle, (tuple, list, np.ndarray)) and (ndim := np.ndim(self.angle)) > 0:
-            if self.kind != "p":
-                raise ValidationError(f"{self.kind} takes one angle, not one per row")
-            if ndim > 1:
-                raise ValidationError(f"p takes an angle or one per row, not a {ndim}-D array")
-            # one angle per row of a batch; apply_gate checks their count
-            object.__setattr__(self, "angle", tuple(_finite_angle(a) for a in self.angle))
-        else:
-            object.__setattr__(self, "angle", _finite_angle(self.angle))
-
-    @staticmethod
-    def h(target: int) -> "Gate":
-        return Gate("h", target)
-
-    @staticmethod
-    def p(target: int, angle) -> "Gate":
-        return Gate("p", target, angle=angle)
-
-    @staticmethod
-    def rx(target: int, angle: float) -> "Gate":
-        return Gate("rx", target, angle=angle)
-
-    @staticmethod
-    def ry(target: int, angle: float) -> "Gate":
-        return Gate("ry", target, angle=angle)
-
-    @staticmethod
-    def cx(control: int, target: int) -> "Gate":
-        return Gate("cx", target, control=control)
 
 
 class StateVector:
@@ -189,6 +110,8 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
         rows = _checked_integer(rows, "row count")
         if rows < 1:
             raise ValidationError(f"row count must be positive, got {rows}")
+    if type(max_qubits) is not int:  # plain ints, the common case, skip the call
+        max_qubits = _checked_integer(max_qubits, "qubit cap")
     if n > max_qubits:
         raise ResourceCapError(f"{n} qubits exceeds the cap of {max_qubits}")
     if rows is not None and (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits

@@ -33,13 +33,10 @@ import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import _check_components, _entanglement_of_means, analytic_entanglement
-from .errors import ResourceCapError, ValidationError
+from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, ValidationError, _checked_integer, _checked_seed
 from .graphs import Graph
-from .sampling import _checked_seed
 from .statevector import (
-    DEFAULT_MAX_QUBITS,
     StateVector,
-    _checked_integer,
     _evolve_edges,
     _inner,
     evolve_graph_exact,

@@ -4,14 +4,17 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent import cli, entanglement, sampling, valencia, validation
+import graphent
+from graphent import cli, sampling, statevector, valencia, validation
 from graphent.cli import CSV_COLUMNS, main, parse_phi, UsageError
 from graphent.entanglement import METHODS
 
@@ -703,12 +706,13 @@ class TestResourceCap:
         assert code == 0
 
     # each route's one allocation of amplitudes: the exact light cone's
-    # init_zero, the shots route's 3-qubit StateVector per isometry, and
-    # validate's init_zero of each batch of rows
+    # init_zero (looked up on statevector at each call), the shots route's
+    # 3-qubit StateVector per isometry, and validate's init_zero of each
+    # batch of rows
     @pytest.mark.parametrize(
         "module,allocator,args",
         [
-            (entanglement, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact", "--preset", "valencia"]),
+            (statevector, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact", "--preset", "valencia"]),
             (sampling, "StateVector", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots", "--preset", "valencia"]),
             (sampling, "StateVector", ["sweep", "--sweep", "0:1:2", "--mode", "shots", "--preset", "valencia"]),
             (validation, "init_zero", ["validate", "--trials", "2"]),
@@ -938,3 +942,62 @@ class TestReadmeRecipes:
         if {"analytic", "exact"} <= modes:
             worst = max(abs(v["analytic"] - v["exact"]) for v in by_point.values())
             assert worst <= 1e-10
+
+
+def _python(code, *argv):
+    """(exit code, stdout, stderr) of a fresh interpreter running ``code`` with ``argv``, importing graphent from this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+_MAIN = "import sys; from graphent.cli import main; sys.exit(main(sys.argv[1:]))"
+# a None entry makes every later `import numpy` raise ImportError
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+class TestNumpyFree:
+    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sweep", *VALENCIA, "--sweep", "0:2pi:64"], 0),
+            (["entangle", *VALENCIA, "--phi", "pi/4", "--spin", "1", "--mode", "analytic"], 0),
+            (["synthesize", *VALENCIA, "--phi", "pi/4"], 0),
+            (["synthesize", *VALENCIA, "--phi", "pi/4", "--calibration", str(ROOT / "src/graphent/data/valencia_calibration.json")], 0),
+            (["--help"], 0),
+            (["entangle", *VALENCIA, "--phi", "1", "--spin", "9"], 2),
+            ([], 1),
+        ],
+        ids=["sweep-analytic", "entangle-analytic", "synthesize", "synthesize-calibrated", "help", "bad-spin", "no-arguments"],
+    )
+    def test_same_bytes_and_exit_code_without_numpy(self, argv, code):
+        blocked = _python(_NO_NUMPY + _MAIN, *argv)
+        assert blocked == _python(_MAIN, *argv)
+        assert blocked[0] == code
+        assert blocked[1 if code == 0 else 2]  # the result, or the error, was written
+
+    def test_importing_the_package_and_cli_leaves_numpy_unloaded(self):
+        assert _python("import sys, graphent, graphent.cli; sys.exit('numpy' in sys.modules)") == (0, b"", b"")
+
+    def test_numpy_backed_modules_are_package_attributes(self):
+        # a fresh interpreter, where no test has imported the modules yet
+        code = (
+            "import graphent; names = ('statevector', 'sampling', 'validation'); "
+            "assert all(n in dir(graphent) for n in names); "
+            "print(*(getattr(graphent, n).__name__ for n in names), graphent.sampling.derive_seed(7, 0))"
+        )
+        expected = f"graphent.statevector graphent.sampling graphent.validation {sampling.derive_seed(7, 0)}\n"
+        assert _python(code) == (0, expected.encode(), b"")
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        listing = dir(graphent)
+        for name in graphent.__all__:
+            assert getattr(graphent, name) is not None
+            assert name in listing
+        assert graphent.init_zero is statevector.init_zero
+        assert graphent.run_validation is validation.run_validation
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            graphent.nosuch

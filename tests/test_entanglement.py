@@ -15,7 +15,6 @@ from graphent import (
     analytic_estimate,
     bloch_vector,
     complete,
-    entanglement,
     entanglement_from_bloch,
     evolve_edge_exact,
     evolve_graph_exact,
@@ -23,6 +22,7 @@ from graphent import (
     exact_entanglement,
     init_zero,
     ring,
+    statevector,
     valencia,
 )
 from graphent.entanglement import _check_components
@@ -153,13 +153,13 @@ class TestExact:
 
     def test_star_evolved_by_one_call_with_the_per_edge_bits(self, monkeypatch):
         calls = []
-        evolve = entanglement._evolve_edges
+        evolve = statevector._evolve_edges
 
         def counted(state, edges, phi):
             calls.append(len(edges))
             return evolve(state, edges, phi)
 
-        monkeypatch.setattr(entanglement, "_evolve_edges", counted)
+        monkeypatch.setattr(statevector, "_evolve_edges", counted)
         for k in range(8):
             g = Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
             for phi in PHI_GRID[::4]:

@@ -238,7 +238,6 @@ class TestGraphType:
     def test_integer_like_spin_accepted(self):
         g = valencia()
         assert g.neighbours(np.int64(1)) == g.neighbours(1) == (0, 2, 3)
-        assert g.degree(True) == g.degree(1)
 
 
 class TestDegrees:

@@ -6,6 +6,8 @@ subclass; a valid input must return, and an invalid one must raise.
 
 import math
 
+import numpy as np
+import pytest
 from conftest import noisy_bloch_oracle
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +15,15 @@ from graphent import (
     CalibrationData,
     GraphentError,
     Graph,
+    ValidationError,
     analytic_entanglement,
     analytic_estimate,
+    choose_orientation,
+    derive_seed,
     estimate_entanglement_shots,
     exact_entanglement,
+    init_zero,
+    valencia,
 )
 from graphent.cli import parse_phi
 
@@ -144,3 +151,42 @@ def test_shots_route(g, phi, l, shots, seed, noise):
     assert (est.spin, est.shots) == (l, shots)
     expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
     assert all(_within(got, mean, shots) for got, mean in zip(est.bloch.as_tuple(), expected))
+
+
+@pytest.mark.parametrize("cap", ["a", 2.5, 3.5, None, True])
+def test_qubit_cap_must_be_an_integer(cap):
+    message = f"qubit cap must be an integer, got {cap!r}"
+    with pytest.raises(ValidationError, match=message.replace(".", r"\.")):
+        init_zero(2, cap)
+    with pytest.raises(ValidationError, match=message.replace(".", r"\.")):
+        exact_entanglement(valencia(), 1.0, 1, cap)
+
+
+def test_integer_like_qubit_cap_accepted():
+    assert init_zero(2, np.int64(2)).n_qubits == 2
+    assert exact_entanglement(valencia(), 1.0, 1, np.int64(4)) == exact_entanglement(valencia(), 1.0, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Graph(True, ()),
+        lambda: Graph(3, ((False, True),)),
+        lambda: valencia().degree(True),
+        lambda: analytic_entanglement(True, 1.0),
+        lambda: estimate_entanglement_shots(valencia(), 1.0, 1, True),
+        lambda: derive_seed(True, 0),
+        lambda: derive_seed(0, True),
+        lambda: init_zero(True),
+    ],
+    ids=["vertex-count", "edge-endpoints", "spin", "degree", "shots", "seed", "substream", "qubit-count"],
+)
+def test_bools_are_not_integers(call):
+    with pytest.raises(ValidationError, match="must be an integer, got (True|False)"):
+        call()
+
+
+@pytest.mark.parametrize("cal", ["x", 0, {"gate_error": [0.1, 0.2]}])
+def test_orientation_takes_calibration_data_or_none(cal):
+    with pytest.raises(ValidationError, match="calibration must be CalibrationData or None"):
+        choose_orientation((0, 1), cal)

@@ -26,7 +26,7 @@ from graphent import (
     valencia,
     valencia_calibration,
 )
-from graphent import circuits, sampling
+from graphent import circuits, sampling, statevector
 from graphent.circuits import apply_circuit
 from graphent.entanglement import bloch_vector
 from graphent.sampling import DEFAULT_SHOTS
@@ -217,13 +217,13 @@ class TestEstimateEntanglementShots:
         # one gate each for the x and y preludes; once it is warm, none
         sampling._prelude_isometry.cache_clear()
         calls = []
-        kernel = circuits.apply_gate
+        kernel = statevector.apply_gate
 
         def counted(state, gate):
             calls.append(gate)
             return kernel(state, gate)
 
-        monkeypatch.setattr(circuits, "apply_gate", counted)
+        monkeypatch.setattr(statevector, "apply_gate", counted)
         estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
         assert 7 <= len(calls) <= 12
         calls.clear()
