@@ -49,6 +49,12 @@ class UsageError(GraphentError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token of '-' then a digit, '.' or 'pi' is a value ('-0.5pi', '-pi/2', '-1:1:3'), not an
+        # option: argparse's own test takes only plain negative numbers, and no option looks like one
+        self._negative_number_matcher = re.compile(r"-(?:[\d.]|pi)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -4,10 +4,12 @@
 experiment per axis, and keeps only the count of shots that read ``l`` as 1.
 
 Determinism: every sampling entry point takes a non-negative integer seed and
-is bit-reproducible for a fixed seed and numpy version. Substream ``i`` of a
-root seed is the ``i``-th child that ``numpy.random.SeedSequence(seed).spawn``
-makes (:func:`derive_seed`); ``estimate_entanglement_shots`` gives the z, x
-and y axes substreams 0, 1 and 2, each making its axis's single binomial draw.
+is bit-reproducible for a fixed seed and numpy version.
+``estimate_entanglement_shots`` makes one ``numpy.random.default_rng(seed)``
+and draws the z, x and y counts from it, one binomial each, in that order.
+Substream ``i`` of a root seed is the ``i``-th child that
+``numpy.random.SeedSequence(seed).spawn`` makes (:func:`derive_seed`); a sweep
+hands data row ``i`` substream ``i`` as its estimate's seed.
 
 Spin ``l``'s marginal needs only its own ``degree(l)`` edge blocks: the
 others commute with them and act on other qubits. Neighbour ``m`` starts in
@@ -218,10 +220,9 @@ def estimate_entanglement_shots(
         raise ValidationError("gate_noise requires calibration data")
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
-    (mz, ez), (mx, ex), (my, ey) = (
-        _z_mean(int(np.random.default_rng(derive_seed(seed, i)).binomial(shots, p)), shots)
-        for i, p in enumerate(_read_one_probabilities(g, phi, l, cal, gate_noise))
-    )
+    probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
+    rng = np.random.default_rng(_checked_seed(seed))
+    (mz, ez), (mx, ex), (my, ey) = (_z_mean(int(rng.binomial(shots, p)), shots) for p in probabilities)
     bloch = BlochVector(mx, my, mz)
     return EntanglementEstimate(
         spin=l,

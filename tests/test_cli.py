@@ -456,7 +456,10 @@ class TestValidate:
 # across such rewrites. The two calibrated shots pins were recomputed when the
 # per-neighbour trace replaced the star state vector: the last bits of a
 # read-1 probability near 1/2 moved, and numpy's binomial draw reflects at
-# p = 1/2, so a few rows changed under the seed contract. The validate pin
+# p = 1/2, so a few rows changed under the seed contract. All three shots pins
+# were recomputed, at the same command lines and seeds, when an estimate's z, x
+# and y counts moved from three substreams of its seed to one generator seeded
+# with it: every shots output changed under that contract. The validate pin
 # was recomputed for its added distance line. The mixed-mode sweep puts
 # analytic and exact rows between its shots rows, so it fixes which substream
 # each shots row draws from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
@@ -480,16 +483,16 @@ class TestValidate:
         ),
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:2pi:9 --mode shots --seed 5",
-            "e130ca82d002e21b469379049ff32e562e4d70581a6726d956fb3b9d954d5f38",
+            "4c8c051b49fd93ef869a61ba33ba7dd2ed0b74673dcc32b46e46ba0359127c3e",
         ),
         (
             "entangle --preset valencia --phi pi/3 --spin 1 --mode shots --seed 5",
-            "64ce1a56c4e277d8e5fdcf191562a64df77138ef353fd54c23455138a4b29a71",
+            "f62c882f107a1aada621737d6c517c37f25de54bd27f2d1018e7ca1842e97e2e",
         ),
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:pi:5 --spin 1 --spin 4"
             " --mode analytic --mode shots --mode exact --seed 9",
-            "dc42163fa24053ab1ed700a7d2f56fdf95e626f4b8601e76628f903e0e6a9550",
+            "ff5d470a34d7e5aaed17b3a45bf86e82f20045127ad4b05950b6eb6a923f7154",
         ),
         ("validate --trials 40 --seed 5", "050077f3d82764df386c26ab91808f387e1ff409aba85e04b24dacd3f1b56926"),
         (
@@ -849,10 +852,28 @@ class TestParsing:
             (["synthesize", *VALENCIA, "--phi", "0", "--seed", "3"], "unrecognized arguments: --seed 3"),
             (["sweep", *VALENCIA, "--sweep", "0:1:2", "--", "x"], "unrecognized arguments: -- x"),
             (["validate", "--trials", "1", "extra"], "unrecognized arguments: extra"),
+            (["entangle", *VALENCIA, "--phi", "--spin", "1"], "argument --phi: expected one argument"),
+            (["entangle", *VALENCIA, "--phi", "-x", "--spin", "1"], "argument --phi: expected one argument"),
+            (["entangle", *VALENCIA, "--phi", "0", "--spin", "1", "-x"], "unrecognized arguments: -x"),
         ],
     )
     def test_usage_errors(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "entangle --preset valencia --phi=-0.5pi --spin 1",
+            "entangle --preset valencia --phi=-pi/2 --spin 1 --mode shots",
+            "sweep --preset valencia --sweep=-1:1:3",
+            "synthesize --preset valencia --phi=-pi/4",
+        ],
+    )
+    def test_negative_angle_as_its_own_token(self, capsys, line):
+        # a value that starts with '-' parses as one, not as an option
+        expected = run(capsys, *line.split())
+        assert expected[0] == 0
+        assert run(capsys, *line.replace("=", " ").split()) == expected
 
     def test_abbreviated_options(self, capsys):
         code, out, err = run(capsys, "entangle", *VALENCIA, "--phi=pi/4", "--sp", "1", "--sh", "10")
@@ -902,7 +923,7 @@ _OPTION_TOKENS = [
     "-h", "--he", "--", "-",
 ]
 _VALUE_TOKENS = [
-    "valencia", "path(3)", "g.txt", "auto", "json", "0", "1", "-1", "1.5", "pi/4", "tau",
+    "valencia", "path(3)", "g.txt", "auto", "json", "0", "1", "-1", "1.5", "pi/4", "-0.5pi", "-pi/2", "tau",
     "0:1:3", "1:0:3", "exact", "shots", "magic", "entangle", "sweep", "x",
 ]
 
