@@ -15,38 +15,73 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 
-from .errors import ValidationError, _unique_keys
+from .errors import ValidationError, _checked_integer, _unique_keys, _Value
 
 _PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
 
-@dataclass(frozen=True)
-class CalibrationData:
-    readout_error: tuple[float, ...]
-    gate_error: tuple[float, ...]
-    cx_error: dict[tuple[int, int], float]
+def _rate(p, name: str, index) -> float:
+    """Entry ``index`` of rate table ``name`` as a float, if it is a real number (not a bool) in [0, 1].
 
-    def __post_init__(self):
-        if len(self.readout_error) == 0 or len(self.readout_error) != len(self.gate_error):
+    Compared before converting, so an integer beyond float range cannot overflow.
+    """
+    if type(p) is bool or not isinstance(p, (int, float)):
+        raise ValidationError(f"{name}[{index}] must be a number, got {p!r}")
+    if not 0.0 <= p <= 1.0:  # NaN compares False, so it fails too
+        raise ValidationError(f"{name}[{index}]={p!r} outside [0, 1]")
+    return float(p)
+
+
+def _rates(name: str, probs) -> tuple[float, ...]:
+    """Per-qubit rate table ``name`` as a tuple of floats, each entry checked by :func:`_rate`."""
+    try:
+        return tuple([_rate(p, name, q) for q, p in enumerate(probs)])
+    except TypeError:  # not iterable
+        raise ValidationError(f"{name} must be a sequence of rates, got {probs!r}") from None
+
+
+class CalibrationData(_Value):
+    """Per-qubit readout and gate error rates, and CX error rates keyed by directed (control, target) pair.
+
+    Every rate is checked to be a number in [0, 1] and stored as a float,
+    the per-qubit rates as tuples; every pair as two distinct qubit indices
+    within the table.
+    """
+
+    __slots__ = ("readout_error", "gate_error", "cx_error")
+
+    def __init__(
+        self,
+        readout_error: tuple[float, ...],
+        gate_error: tuple[float, ...],
+        cx_error: dict[tuple[int, int], float],
+    ):
+        readout, gate = _rates("readout_error", readout_error), _rates("gate_error", gate_error)
+        if len(readout) == 0 or len(readout) != len(gate):
             raise ValidationError(
                 "readout_error and gate_error must list the same nonzero number of qubits"
             )
-        n = len(self.readout_error)
-        for name, probs in (
-            ("readout_error", self.readout_error),
-            ("gate_error", self.gate_error),
-        ):
-            for q, p in enumerate(probs):
-                if not 0.0 <= p <= 1.0:
-                    raise ValidationError(f"{name}[{q}]={p!r} outside [0, 1]")
-        for (c, t), p in self.cx_error.items():
+        n = len(readout)
+        try:
+            items = cx_error.items()
+        except AttributeError:
+            raise ValidationError(f"cx_error must be a mapping of qubit pairs to rates, got {cx_error!r}") from None
+        cx = {}
+        for key, p in items:
+            try:
+                c, t = key
+            except (TypeError, ValueError):  # not iterable, or not two entries
+                raise ValidationError(f"cx_error key {key!r} is not a pair of qubits") from None
+            if type(c) is not int or type(t) is not int:  # plain ints, the common case, skip the calls
+                c, t = _checked_integer(c, "cx_error qubit"), _checked_integer(t, "cx_error qubit")
             if c == t or not (0 <= c < n and 0 <= t < n):
                 raise ValidationError(f"cx_error pair ({c}, {t}) invalid for {n} qubits")
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"cx_error[{c}-{t}]={p!r} outside [0, 1]")
+            cx[(c, t)] = _rate(p, "cx_error", (c, t))
+        object.__setattr__(self, "readout_error", readout)
+        object.__setattr__(self, "gate_error", gate)
+        object.__setattr__(self, "cx_error", cx)
 
     @property
     def n_qubits(self) -> int:
@@ -61,11 +96,10 @@ class CalibrationData:
             ) from None
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; strings, booleans and nulls are rejected."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _check_calibration(cal) -> None:
+    """Raise ValidationError unless ``cal`` is CalibrationData or None, before a route reads a rate from it."""
+    if cal is not None and not isinstance(cal, CalibrationData):
+        raise ValidationError(f"calibration must be CalibrationData or None, got {cal!r}")
 
 
 _CALIBRATION_KEYS = partial(_unique_keys, "calibration")
@@ -87,7 +121,7 @@ def parse_calibration(text: str) -> CalibrationData:
         raise ValidationError("readout_error and gate_error must be arrays")
     if not isinstance(obj["cx_error"], dict):
         raise ValidationError("cx_error must be an object keyed by 'control-target'")
-    cx: dict[tuple[int, int], float] = {}
+    cx = {}
     for key, value in obj["cx_error"].items():
         m = _PAIR_RE.fullmatch(key)
         if not m:
@@ -98,12 +132,8 @@ def parse_calibration(text: str) -> CalibrationData:
             raise ValidationError(f"cx_error key {key!r} has a qubit index too long to read") from None
         if pair in cx:
             raise ValidationError(f"cx_error gives pair {pair[0]}-{pair[1]} twice")
-        cx[pair] = _number(value, f"cx_error[{key}]")
-    return CalibrationData(
-        readout_error=tuple(_number(p, "readout_error entry") for p in obj["readout_error"]),
-        gate_error=tuple(_number(p, "gate_error entry") for p in obj["gate_error"]),
-        cx_error=cx,
-    )
+        cx[pair] = value
+    return CalibrationData(obj["readout_error"], obj["gate_error"], cx)
 
 
 def load_calibration(path) -> CalibrationData:

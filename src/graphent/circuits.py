@@ -24,11 +24,10 @@ uses ry(-pi/2); the y prelude uses rx(+pi/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .calibration import CalibrationData
-from .errors import ValidationError, _checked_integer, _finite_angle, _numpy_module
+from .calibration import CalibrationData, _check_calibration
+from .errors import ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -44,20 +43,23 @@ def _ndim(angle) -> int:
     return getattr(angle, "ndim", 0)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(_Value):
     """One gate of the tiny circuit IR: h, p, rx, ry, or cx.
 
     A ``p`` gate may carry a 1-D sequence of angles, one per row of the batch
     it runs on, stored as a tuple of floats.
     """
 
-    kind: str
-    target: int
-    control: int | None = None
-    angle: float | tuple[float, ...] | None = None
+    __slots__ = ("kind", "target", "control", "angle")
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, target: int, control: int | None = None, angle: float | tuple[float, ...] | None = None
+    ):
+        # stored as given first, so a message can show the gate; the angle is then replaced by its floats
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "angle", angle)
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         if (self.control is None) == (self.kind == "cx"):
@@ -105,8 +107,7 @@ class Gate:
 
 def choose_orientation(edge: tuple[int, int], cal: CalibrationData | None = None) -> tuple[int, int]:
     """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
-    if cal is not None and not isinstance(cal, CalibrationData):
-        raise ValidationError(f"calibration must be CalibrationData or None, got {cal!r}")
+    _check_calibration(cal)
     i, j = _checked_integer(edge[0], "edge endpoint"), _checked_integer(edge[1], "edge endpoint")
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")

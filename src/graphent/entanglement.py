@@ -13,10 +13,9 @@ load :mod:`graphent.statevector` on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_MAX_QUBITS, ValidationError, _checked_integer, _finite_angle, _numpy_module
+from .errors import DEFAULT_MAX_QUBITS, ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,18 +48,22 @@ def _check_components(means: np.ndarray):
         raise _component_error(_AXES[at[-1]], float(means[at]))
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Value):
     """Single-spin Pauli means (mx, my, mz)."""
 
-    mx: float
-    my: float
-    mz: float
+    __slots__ = ("mx", "my", "mz")
 
-    def __post_init__(self):
-        for name, v in zip(_AXES, (self.mx, self.my, self.mz)):
-            if not abs(v) <= _COMPONENT_LIMIT:  # NaN compares False, so it fails too
+    def __init__(self, mx: float, my: float, mz: float):
+        for name, v in zip(_AXES, (mx, my, mz)):
+            try:
+                in_range = abs(v) <= _COMPONENT_LIMIT  # NaN compares False, so it fails too
+            except TypeError:  # a string, None, ...
+                raise ValidationError(f"Bloch component {name} must be a real number, got {v!r}") from None
+            if not in_range:
                 raise _component_error(name, v)
+        object.__setattr__(self, "mx", mx)
+        object.__setattr__(self, "my", my)
+        object.__setattr__(self, "mz", mz)
 
     def norm(self) -> float:
         return _norm(self.mx, self.my, self.mz)
@@ -69,24 +72,36 @@ class BlochVector:
         return (self.mx, self.my, self.mz)
 
 
-@dataclass(frozen=True)
-class EntanglementEstimate:
+class EntanglementEstimate(_Value):
     """Per-spin result: E value, Bloch components, and how they were obtained."""
 
-    spin: int
-    value: float
-    bloch: BlochVector
-    method: str
-    std_error: float | None = None
-    shots: int | None = None
+    __slots__ = ("spin", "value", "bloch", "method", "std_error", "shots")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
-        if not -1e-12 <= self.value <= 0.5 + 1e-12:
-            raise ValidationError(f"entanglement value {self.value!r} outside [0, 1/2]")
-        if (self.shots is not None) != (self.method == "shots"):
+    def __init__(
+        self,
+        spin: int,
+        value: float,
+        bloch: BlochVector,
+        method: str,
+        std_error: float | None = None,
+        shots: int | None = None,
+    ):
+        if method not in METHODS:
+            raise ValidationError(f"unknown method {method!r}")
+        try:
+            in_range = -1e-12 <= value <= 0.5 + 1e-12
+        except TypeError:  # a string, None, ...
+            raise ValidationError(f"entanglement value must be a real number, got {value!r}") from None
+        if not in_range:
+            raise ValidationError(f"entanglement value {value!r} outside [0, 1/2]")
+        if (shots is not None) != (method == "shots"):
             raise ValidationError("shot count is present exactly for method='shots'")
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "bloch", bloch)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "shots", shots)
 
 
 def _folded_cos(phi: float) -> float:

@@ -1,4 +1,21 @@
-"""Exception types, the numpy-free input checks and defaults shared across the package, and the JSON readers' repeated-key check."""
+"""Exception types, the numpy-free input checks and defaults shared across the package, the JSON readers' repeated-key check, and the immutable value base.
+
+The package's value classes (``Graph``, ``Gate``, ``CalibrationData``,
+``BlochVector``, ``EntanglementEstimate``, ``PropertyResult``) derive from
+:class:`_Value`. A subclass names its attributes in ``__slots__`` and checks
+and stores its arguments in ``__init__`` with ``object.__setattr__``. Its
+fields are exactly ``__init__``'s parameters, in order; a slot that is not a
+parameter (``Graph._neighbours``) is derived data, neither compared nor shown.
+The base defines its methods once, so building a class imports nothing and
+compiles no generated code, which keeps ``import graphent.cli`` short. It
+gives:
+
+* ``==`` between instances of one class, and a hash, over the fields;
+* a repr ``Name(field=value, ...)``;
+* ``AttributeError`` on assigning or deleting any attribute;
+* ``__reduce__``, which rebuilds a value from its fields through ``__init__``,
+  so ``copy``, ``deepcopy`` and ``pickle`` give an equal value, checked again.
+"""
 
 import functools
 import importlib
@@ -90,3 +107,38 @@ def _unique_keys(what: str, pairs: list[tuple[str, object]]) -> dict:
                 raise ValidationError(f"{what} repeats the key {key!r}")
             seen.add(key)
     return obj
+
+
+class _Value:
+    """Immutable value with fields ``__init__``'s parameters; see the module docstring."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()

@@ -30,34 +30,30 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import getitem
 
-from .errors import ValidationError, _checked_integer, _unique_keys
+from .errors import ValidationError, _checked_integer, _unique_keys, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Immutable simple graph; edges are stored sorted, each pair as (i, j) with i < j."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...] = ()
-    # neighbours in ascending order, keyed by non-isolated vertex only, so the
-    # memory is O(edges); derived, so not compared
-    _neighbours: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # _neighbours: neighbours in ascending order, keyed by non-isolated vertex
+    # only, so the memory is O(edges); derived, so not a field
+    __slots__ = ("n_vertices", "edges", "_neighbours")
 
-    def __post_init__(self):
-        n = _checked_integer(self.n_vertices, "vertex count")
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...] = ()):
+        n = _checked_integer(n_vertices, "vertex count")
         if n < 1:
-            raise ValidationError(f"vertex count must be positive, got {self.n_vertices}")
+            raise ValidationError(f"vertex count must be positive, got {n_vertices}")
         try:
-            edge_iter = iter(self.edges)
+            edge_iter = iter(edges)
         except TypeError:  # Graph(3, 5), Graph(3, None)
-            raise ValidationError(f"edges {self.edges!r} is not a collection of vertex pairs") from None
+            raise ValidationError(f"edges {edges!r} is not a collection of vertex pairs") from None
         seen = set()
         for edge in edge_iter:
             try:

@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .calibration import CalibrationData
+from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import DEFAULT_SHOTS, ValidationError, _checked_integer, _checked_seed, _checked_shots, _finite_angle  # noqa: F401
@@ -216,6 +216,7 @@ def estimate_entanglement_shots(
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
     shots = _checked_shots(shots)
+    _check_calibration(cal)
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
     if cal is not None and cal.n_qubits < g.n_vertices:

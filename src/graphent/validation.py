@@ -27,13 +27,12 @@ batching nor the chunking moves a reported value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import _check_components, _entanglement_of_means, analytic_entanglement
-from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, ValidationError, _checked_integer, _checked_seed
+from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, ValidationError, _checked_integer, _checked_seed, _Value
 from .graphs import Graph
 from .statevector import (
     StateVector,
@@ -46,11 +45,13 @@ from .statevector import (
 )
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    worst: float
-    threshold: float
+class PropertyResult(_Value):
+    __slots__ = ("name", "worst", "threshold")
+
+    def __init__(self, name: str, worst: float, threshold: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "threshold", threshold)
 
     @property
     def passed(self) -> bool:

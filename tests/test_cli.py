@@ -974,12 +974,13 @@ def _python(code, *argv):
 
 
 _MAIN = "import sys; from graphent.cli import main; sys.exit(main(sys.argv[1:]))"
-# a None entry makes every later `import numpy` raise ImportError
-_NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+# a None entry makes every later import of that module raise ImportError;
+# dataclasses (with inspect) cost more than the rest of `import graphent.cli`
+_NO_NUMPY = "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = None; "
 
 
 class TestNumpyFree:
-    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy."""
+    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy or dataclasses."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1001,7 +1002,8 @@ class TestNumpyFree:
         assert blocked[1 if code == 0 else 2]  # the result, or the error, was written
 
     def test_importing_the_package_and_cli_leaves_numpy_unloaded(self):
-        assert _python("import sys, graphent, graphent.cli; sys.exit('numpy' in sys.modules)") == (0, b"", b"")
+        loaded = "import sys, graphent, graphent.cli; print(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
+        assert _python(loaded) == (0, b"\n", b"")
 
     def test_numpy_backed_modules_are_package_attributes(self):
         # a fresh interpreter, where no test has imported the modules yet

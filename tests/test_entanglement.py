@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,11 @@ class TestBlochVector:
         with pytest.raises(ValidationError) as array:
             _check_components(np.array([[0.0, v, 0.0]]))
         assert str(single.value) == str(array.value) == f"Bloch component my={v!r} outside [-1, 1]"
+
+    @pytest.mark.parametrize("v", ["a", None, [0.5]])
+    def test_non_number_component(self, v):
+        with pytest.raises(ValidationError, match=rf"^Bloch component mz must be a real number, got {re.escape(repr(v))}$"):
+            BlochVector(0.0, 0.0, v)
 
 
 class TestFromBloch:
@@ -293,6 +299,11 @@ class TestEstimateType:
     def test_shots_method_consistency(self):
         with pytest.raises(ValidationError):
             EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "exact", shots=100)
+
+    @pytest.mark.parametrize("value", ["x", None, (0.1,)])
+    def test_non_number_value(self, value):
+        with pytest.raises(ValidationError, match=rf"^entanglement value must be a real number, got {re.escape(repr(value))}$"):
+            EntanglementEstimate(0, value, BlochVector(0, 0, 0.8), "exact")
 
 
 @pytest.mark.parametrize(

@@ -190,3 +190,9 @@ def test_bools_are_not_integers(call):
 def test_orientation_takes_calibration_data_or_none(cal):
     with pytest.raises(ValidationError, match="calibration must be CalibrationData or None"):
         choose_orientation((0, 1), cal)
+
+
+@pytest.mark.parametrize("cal", ["x", 0, {"gate_error": [0.1, 0.2]}])
+def test_shots_route_takes_calibration_data_or_none(cal):
+    with pytest.raises(ValidationError, match="calibration must be CalibrationData or None"):
+        estimate_entanglement_shots(valencia(), 1.0, 1, 10, cal)

@@ -77,6 +77,45 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             parse_calibration(text)
 
+    def test_rate_beyond_float_range(self):
+        # within int()'s digit limit, so json reads it; float() of it would overflow
+        text = '{"readout_error": [1%s], "gate_error": [0.1], "cx_error": {}}' % ("0" * 400)
+        with pytest.raises(ValidationError, match=r"^readout_error\[0\]=1000+ outside \[0, 1\]$"):
+            parse_calibration(text)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((("x",), (0.1,), {}), r"readout_error\[0\] must be a number, got 'x'"),
+            (((0.1,), (0.1, True), {}), r"gate_error\[1\] must be a number, got True"),
+            (((0.1,), ([0.1],), {}), r"gate_error\[0\] must be a number, got \[0\.1\]"),
+            ((None, (0.1,), {}), "readout_error must be a sequence of rates, got None"),
+            (((0.1, 0.1), (0.1, 0.1), None), "cx_error must be a mapping of qubit pairs to rates, got None"),
+            (((0.1, 0.1), (0.1, 0.1), {(0,): 0.1}), r"cx_error key \(0,\) is not a pair of qubits"),
+            (((0.1, 0.1), (0.1, 0.1), {0: 0.1}), "cx_error key 0 is not a pair of qubits"),
+            (((0.1, 0.1), (0.1, 0.1), {(0.0, 1.0): 0.1}), r"cx_error qubit must be an integer, got 0\.0"),
+            (((0.1, 0.1), (0.1, 0.1), {(0, True): 0.1}), "cx_error qubit must be an integer, got True"),
+            (((0.1, 0.1), (0.1, 0.1), {(0, 1): True}), r"cx_error\[\(0, 1\)\] must be a number, got True"),
+            (((0.1, 0.1), (0.1, 0.1), {(0, 1): "0.1"}), r"cx_error\[\(0, 1\)\] must be a number, got '0\.1'"),
+        ],
+        ids=[
+            "string-rate", "bool-rate", "list-rate", "no-table", "no-cx-table",
+            "one-qubit-key", "int-key", "float-key", "bool-key", "bool-cx-rate", "string-cx-rate",
+        ],
+    )
+    def test_constructor_classifies_ill_typed_input(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            CalibrationData(*args)
+
+    def test_constructor_stores_tuples_of_floats(self):
+        cx = {(np.int64(0), 1): 1}
+        cal = CalibrationData([0, 1], [np.float64(0.5), 0], cx)
+        assert cal.readout_error == (0.0, 1.0) and cal.gate_error == (0.5, 0.0)
+        assert set(map(type, cal.readout_error + cal.gate_error)) == {float}
+        assert cal.cx_error == {(0, 1): 1.0}
+        assert [type(v) for key in cal.cx_error for v in (*key, cal.cx_error[key])] == [int, int, float]
+        assert cal.cx_error is not cx
+
     def test_missing_cx_pair(self):
         cal = valencia_calibration()
         with pytest.raises(ValidationError):
