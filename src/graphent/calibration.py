@@ -13,11 +13,9 @@ package.
 
 from __future__ import annotations
 
-import json
 import re
-from functools import partial
 
-from .errors import ValidationError, _checked_integer, _unique_keys, _Value
+from .errors import ValidationError, _checked_integer, _load_json, _Value
 
 _PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -102,16 +100,8 @@ def _check_calibration(cal) -> None:
         raise ValidationError(f"calibration must be CalibrationData or None, got {cal!r}")
 
 
-_CALIBRATION_KEYS = partial(_unique_keys, "calibration")
-
-
 def parse_calibration(text: str) -> CalibrationData:
-    try:
-        obj = json.loads(text, object_pairs_hook=_CALIBRATION_KEYS)
-    except ValidationError:
-        raise
-    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
-        raise ValidationError(f"invalid calibration JSON: {exc}") from None
+    obj = _load_json(text, "calibration", "invalid calibration JSON")
     if not isinstance(obj, dict):
         raise ValidationError("calibration must be a JSON object")
     for key in ("readout_error", "gate_error", "cx_error"):

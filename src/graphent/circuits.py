@@ -24,11 +24,11 @@ uses ry(-pi/2); the y prelude uses rx(+pi/2).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .calibration import CalibrationData, _check_calibration
 from .errors import ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
 
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
     from .graphs import Graph
     from .statevector import StateVector
@@ -108,7 +108,11 @@ class Gate(_Value):
 def choose_orientation(edge: tuple[int, int], cal: CalibrationData | None = None) -> tuple[int, int]:
     """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
     _check_calibration(cal)
-    i, j = _checked_integer(edge[0], "edge endpoint"), _checked_integer(edge[1], "edge endpoint")
+    try:
+        i, j = edge
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
+    i, j = _checked_integer(i, "edge endpoint"), _checked_integer(j, "edge endpoint")
     if i == j:
         raise ValidationError(f"edge endpoints coincide at {i}")
     if i < 0 or j < 0:

@@ -13,10 +13,10 @@ load :mod:`graphent.statevector` on first use.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_MAX_QUBITS, ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
 
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -33,6 +33,15 @@ _AXES = ("mx", "my", "mz")
 
 def _component_error(name: str, v: float) -> ValidationError:
     return ValidationError(f"Bloch component {name}={v!r} outside [-1, 1]")
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is one real number: Python orders no complex against a float, but numpy orders complex arrays."""
+    try:
+        v < 0.0
+    except TypeError:  # a string, None, a Python complex, ...
+        return False
+    return getattr(getattr(v, "dtype", None), "kind", None) != "c" and getattr(v, "ndim", 0) == 0
 
 
 def _norm(mx: float, my: float, mz: float) -> float:
@@ -55,11 +64,9 @@ class BlochVector(_Value):
 
     def __init__(self, mx: float, my: float, mz: float):
         for name, v in zip(_AXES, (mx, my, mz)):
-            try:
-                in_range = abs(v) <= _COMPONENT_LIMIT  # NaN compares False, so it fails too
-            except TypeError:  # a string, None, ...
-                raise ValidationError(f"Bloch component {name} must be a real number, got {v!r}") from None
-            if not in_range:
+            if type(v) is not float and not _is_real(v):  # floats, the common case, skip the call
+                raise ValidationError(f"Bloch component {name} must be a real number, got {v!r}")
+            if not abs(v) <= _COMPONENT_LIMIT:  # NaN compares False, so it fails too
                 raise _component_error(name, v)
         object.__setattr__(self, "mx", mx)
         object.__setattr__(self, "my", my)
@@ -88,12 +95,12 @@ class EntanglementEstimate(_Value):
     ):
         if method not in METHODS:
             raise ValidationError(f"unknown method {method!r}")
-        try:
-            in_range = -1e-12 <= value <= 0.5 + 1e-12
-        except TypeError:  # a string, None, ...
-            raise ValidationError(f"entanglement value must be a real number, got {value!r}") from None
-        if not in_range:
+        if type(value) is not float and not _is_real(value):  # floats, the common case, skip the call
+            raise ValidationError(f"entanglement value must be a real number, got {value!r}")
+        if not -1e-12 <= value <= 0.5 + 1e-12:
             raise ValidationError(f"entanglement value {value!r} outside [0, 1/2]")
+        if not isinstance(bloch, BlochVector):
+            raise ValidationError(f"bloch must be a BlochVector, got {bloch!r}")
         if (shots is not None) != (method == "shots"):
             raise ValidationError("shot count is present exactly for method='shots'")
         object.__setattr__(self, "spin", spin)
@@ -175,7 +182,7 @@ def exact_entanglement(
     phi = _finite_angle(phi)
     k = g.degree(l)
     sv = _numpy_module("statevector")
-    state = sv._evolve_edges(sv.init_zero(k + 1, max_qubits), [(0, m) for m in range(1, k + 1)], phi)
+    state = sv.evolve_edges(sv.init_zero(k + 1, max_qubits), [(0, m) for m in range(1, k + 1)], phi)
     b = bloch_vector(state, 0)
     return EntanglementEstimate(
         spin=l, value=entanglement_from_bloch(b), bloch=b, method="exact"

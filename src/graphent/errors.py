@@ -1,4 +1,4 @@
-"""Exception types, the numpy-free input checks and defaults shared across the package, the JSON readers' repeated-key check, and the immutable value base.
+"""Exception types, the numpy-free input checks and defaults shared across the package, the JSON reader, and the immutable value base.
 
 The package's value classes (``Graph``, ``Gate``, ``CalibrationData``,
 ``BlochVector``, ``EntanglementEstimate``, ``PropertyResult``) derive from
@@ -19,6 +19,7 @@ gives:
 
 import functools
 import importlib
+import json
 import operator
 import sys
 
@@ -93,20 +94,28 @@ def _numpy_module(name: str):
     return importlib.import_module(f"graphent.{name}")
 
 
-def _unique_keys(what: str, pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members as a dict; a repeated key raises, where ``json`` keeps the last.
+def _load_json(text: str, what: str, invalid: str):
+    """``json.loads(text)``, where a repeated key raises ValidationError naming ``what`` (``json`` keeps the last).
 
-    An ``object_pairs_hook`` for ``json.loads`` once ``what``, the input's
-    name in the message, is bound with ``functools.partial``.
+    Malformed text, an integer past ``int()``'s digit limit and nesting past the
+    recursion limit raise ValidationError as ``"<invalid>: <json's message>"``.
     """
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValidationError(f"{what} repeats the key {key!r}")
-            seen.add(key)
-    return obj
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValidationError(f"{what} repeats the key {key!r}")
+                seen.add(key)
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{invalid}: {exc}") from None
 
 
 class _Value:

@@ -28,13 +28,11 @@ order.
 
 from __future__ import annotations
 
-import json
 import re
-from functools import partial
 from itertools import chain
 from operator import getitem
 
-from .errors import ValidationError, _checked_integer, _unique_keys, _Value
+from .errors import ValidationError, _checked_integer, _load_json, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -142,16 +140,8 @@ def _parse_edge_list(text: str, rows: list[list[str]]) -> Graph:
     return Graph(n, tuple(edges))
 
 
-_GRAPH_KEYS = partial(_unique_keys, "JSON graph")
-
-
 def _parse_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text, object_pairs_hook=_GRAPH_KEYS)
-    except ValidationError:
-        raise
-    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
-        raise ValidationError(f"invalid JSON graph: {exc}") from None
+    obj = _load_json(text, "JSON graph", "invalid JSON graph")
     if not isinstance(obj, dict) or "edges" not in obj:
         raise ValidationError("JSON graph must be an object with an 'edges' array")
     raw = obj["edges"]
@@ -250,21 +240,26 @@ def valencia() -> Graph:
     return Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
 
 
+def _size(kind: str, n, minimum: int) -> int:
+    """A sized preset's ``n`` as an int, if it is at least ``minimum``."""
+    n = _checked_integer(n, f"{kind} graph size")
+    if n < minimum:
+        raise ValidationError(f"{kind} graph needs n >= {minimum}, got {n}")
+    return n
+
+
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValidationError(f"complete graph needs n >= 1, got {n}")
+    n = _size("complete", n, 1)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValidationError(f"path graph needs n >= 1, got {n}")
+    n = _size("path", n, 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def ring(n: int) -> Graph:
-    if n < 3:
-        raise ValidationError(f"ring graph needs n >= 3, got {n}")
+    n = _size("ring", n, 3)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 
@@ -276,6 +271,8 @@ def preset(name: str) -> Graph:
 
     Sized presets accept ``name(n)`` or the shell-friendly ``name:n``.
     """
+    if not isinstance(name, str):
+        raise ValidationError(f"preset name must be a string, got {name!r}")
     spec = name.strip().lower()
     if spec == "valencia":
         return valencia()

@@ -58,7 +58,7 @@ import numpy as np
 from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import DEFAULT_SHOTS, ValidationError, _checked_integer, _checked_seed, _checked_shots, _finite_angle  # noqa: F401
+from .errors import ValidationError, _checked_integer, _checked_seed, _checked_shots, _finite_angle
 from .graphs import Graph
 from .statevector import StateVector
 

@@ -18,7 +18,7 @@ A state may hold a batch of independent rows: ``amps`` of shape
 batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
 applies one gate to every row; a ``p`` gate may instead carry one angle per
 row (``Gate.p(q, phis)``), which only a batch of as many rows accepts.
-``evolve_edge_exact`` and ``evolve_graph_exact`` take one angle per row, and
+``evolve_edges`` and ``evolve_graph_exact`` take one angle per row, and
 ``pauli_means`` returns one array of means per axis. The norm rule holds for
 each row: the worst drift over the rows is checked, and a NaN in any row
 fails. Every row has exactly the bits its single-state run has. A single
@@ -39,14 +39,14 @@ the arithmetic. A ``p`` with one angle per row scales the qubit-1 halves
 of the ``(rows, -1, 2, 2**q)`` view by a column of phases, the same inner
 loop a single state's ``p`` runs. ``_apply_cx`` views the array with one
 axis per bit of the qubit pair and swaps the target halves of the control-1
-block. The edge route (``evolve_edge_exact``, ``evolve_graph_exact``, and
-the exact estimate's star through ``_evolve_edges``) deliberately multiplies
-a transposed view of the pair's four quarters by a stack of generic dense
-4x4s instead, one per row and a stack of one for a single state, which numpy
-multiplies one gemm per row. It shares nothing with the stride kernels, so
-the gate route and the edge route stay independent and can cross-check each
-other. ``_evolve_edges`` builds that unitary once per call, from its angles,
-and applies it to every edge in turn, checking the norm after each.
+block. The edge route, ``evolve_edges``, which ``evolve_graph_exact`` and
+the exact estimate's star call, deliberately multiplies a transposed view of
+the pair's four quarters by a stack of generic dense 4x4s instead, one per
+row and a stack of one for a single state, which numpy multiplies one gemm
+per row. It shares nothing with the stride kernels, so the gate route and
+the edge route stay independent and can cross-check each other. It builds
+that unitary once per call, from its angles, and applies it to every edge in
+turn, checking the norm after each.
 
 The exact route's read kernel, ``pauli_means``, takes a qubit's three Pauli
 means from the same half views: two squared norms and one cross inner
@@ -60,10 +60,11 @@ import math
 
 import numpy as np
 
-# the gate IR and the shared checks live in numpy-free modules; this module
-# re-exports them, so importing them from here keeps working
-from .circuits import GATE_KINDS, Gate  # noqa: F401
 from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_integer, _finite_angle
+
+TYPE_CHECKING = False  # typing's constant, without importing typing
+if TYPE_CHECKING:
+    from .circuits import Gate
 
 NORM_DRIFT_LIMIT = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -268,14 +269,14 @@ def _apply_two_qubit_dense(amps: np.ndarray, qa: int, qb: int, u: np.ndarray):
     quads[...] = (u @ quads.reshape(len(u), 4, -1)).reshape(quads.shape)
 
 
-def _evolve_edges(state: StateVector, edges, phi) -> StateVector:
+def evolve_edges(state: StateVector, edges, phi) -> StateVector:
     """Apply exp(-i*(phi/2)*XiXj) to each ``(i, j)`` of ``edges`` in the given order; a batch takes one angle per row.
 
+    This dense route is the oracle the synthesized circuits are checked against.
     Every edge is range-checked first. The dense unitary
-    cos(phi/2)*I - i*sin(phi/2)*XX is built once, as a stack of 4x4s with one
-    per row (one in all for a single state) and each entry computed as for one
-    angle, so a row has its single state's bits; the norm is checked after
-    every edge.
+    cos(phi/2)*I - i*sin(phi/2)*XX is built once, as a stack of 4x4s with one per
+    row (one in all for a single state) and each entry computed as for one angle,
+    so a row has its single state's bits; the norm is checked after every edge.
     """
     for i, j in edges:
         _check_qubit(state, i)
@@ -299,15 +300,6 @@ def _evolve_edges(state: StateVector, edges, phi) -> StateVector:
     return state
 
 
-def evolve_edge_exact(state: StateVector, i: int, j: int, phi) -> StateVector:
-    """Apply exp(-i*(phi/2)*XiXj) as one dense two-qubit unitary; a batch takes one angle per row.
-
-    Expands to cos(phi/2)*I - i*sin(phi/2)*XiXj; this is the oracle route the
-    synthesized circuits are checked against.
-    """
-    return _evolve_edges(state, ((i, j),), phi)
-
-
 def evolve_graph_exact(state: StateVector, g, phi) -> StateVector:
     """Every graph edge's unitary at ``phi`` (one angle per row on a batch); edge order is irrelevant (all commute).
 
@@ -317,7 +309,7 @@ def evolve_graph_exact(state: StateVector, g, phi) -> StateVector:
         raise ValidationError(
             f"state has {state.n_qubits} qubits but graph has {g.n_vertices} vertices"
         )
-    return _evolve_edges(state, g.edges, phi)
+    return evolve_edges(state, g.edges, phi)
 
 
 def pauli_means(state: StateVector, l: int):

@@ -36,8 +36,8 @@ from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, ValidationError, _chec
 from .graphs import Graph
 from .statevector import (
     StateVector,
-    _evolve_edges,
     _inner,
+    evolve_edges,
     evolve_graph_exact,
     init_zero,
     overlap_magnitude,
@@ -155,7 +155,7 @@ def run_validation(
                     overlap_deficits.append(1.0 - overlap_magnitude(StateVector(n, a), StateVector(n, b)))
                     distances.append(_phase_aligned_distance(a, b))
                 for phi, order, row in zip(angles[lo:hi], orders[k][lo - 25 : hi - 25], reference):
-                    other = _evolve_edges(init_zero(n, max_qubits), order, phi)
+                    other = evolve_edges(init_zero(n, max_qubits), order, phi)
                     order_deficits.append(1.0 - overlap_magnitude(other, StateVector(n, row)))
             start += len(chunk)
         transverse, e = np.concatenate(transverse), np.concatenate(e)

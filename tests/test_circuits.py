@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from graphent import (
     choose_orientation,
     circuit_text,
     complete,
-    evolve_edge_exact,
+    evolve_edges,
     evolve_graph_exact,
     gate_text,
     init_zero,
@@ -58,6 +59,11 @@ class TestOrientation:
         with pytest.raises(ValidationError, match="edge endpoint must be an integer, got 1.5"):
             choose_orientation((0, 1.5))
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None])
+    def test_edge_not_a_pair_rejected(self, edge):
+        with pytest.raises(ValidationError, match=rf"^edge {re.escape(repr(edge))} is not a pair of vertices$"):
+            choose_orientation(edge)
+
     def test_numpy_integer_endpoints_accepted(self):
         assert choose_orientation((np.int64(4), np.int32(2))) == (2, 4)
 
@@ -96,12 +102,12 @@ class TestEdgeSynthesis:
             s = random_state(2, seed=seed)
             reference = s.copy()
             run_fragment(s, synthesize_edge(rotation, 1 - rotation, phi))
-            evolve_edge_exact(reference, 0, 1, phi)
+            evolve_edges(reference, [(0, 1)], phi)
             assert overlap_magnitude(s, reference) > 1 - 1e-12
 
     def test_fragment_on_zero_state_at_1_3(self):
         s = run_fragment(init_zero(2), synthesize_edge(0, 1, 1.3))
-        reference = evolve_edge_exact(init_zero(2), 0, 1, 1.3)
+        reference = evolve_edges(init_zero(2), [(0, 1)], 1.3)
         assert overlap_magnitude(s, reference) > 1 - 1e-12
 
     def test_both_orientations_agree_up_to_phase(self, rng):
@@ -120,7 +126,7 @@ class TestEdgeSynthesis:
             s = random_state(4, seed=300 + trial)
             reference = s.copy()
             run_fragment(s, synthesize_edge(int(i), int(j), phi))
-            evolve_edge_exact(reference, int(i), int(j), phi)
+            evolve_edges(reference, [(int(i), int(j))], phi)
             assert overlap_magnitude(s, reference) > 1 - 1e-12
 
 

@@ -975,12 +975,13 @@ def _python(code, *argv):
 
 _MAIN = "import sys; from graphent.cli import main; sys.exit(main(sys.argv[1:]))"
 # a None entry makes every later import of that module raise ImportError;
-# dataclasses (with inspect) cost more than the rest of `import graphent.cli`
-_NO_NUMPY = "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = None; "
+# dataclasses (with inspect) cost more than the rest of `import graphent.cli`,
+# and typing is needed only by type checkers
+_NO_NUMPY = "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['typing'] = None; "
 
 
 class TestNumpyFree:
-    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy or dataclasses."""
+    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy, dataclasses or typing."""
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -17,7 +17,7 @@ from graphent import (
     bloch_vector,
     complete,
     entanglement_from_bloch,
-    evolve_edge_exact,
+    evolve_edges,
     evolve_graph_exact,
     estimate_entanglement_shots,
     exact_entanglement,
@@ -111,7 +111,9 @@ class TestBlochVector:
             _check_components(np.array([[0.0, v, 0.0]]))
         assert str(single.value) == str(array.value) == f"Bloch component my={v!r} outside [-1, 1]"
 
-    @pytest.mark.parametrize("v", ["a", None, [0.5]])
+    @pytest.mark.parametrize(
+        "v", ["a", None, [0.5], 0.5j, np.complex128(0.5), np.complex64(0.5j), np.array(0.5j), np.array([0.1, 0.2])]
+    )
     def test_non_number_component(self, v):
         with pytest.raises(ValidationError, match=rf"^Bloch component mz must be a real number, got {re.escape(repr(v))}$"):
             BlochVector(0.0, 0.0, v)
@@ -159,13 +161,13 @@ class TestExact:
 
     def test_star_evolved_by_one_call_with_the_per_edge_bits(self, monkeypatch):
         calls = []
-        evolve = statevector._evolve_edges
+        evolve = statevector.evolve_edges
 
         def counted(state, edges, phi):
             calls.append(len(edges))
             return evolve(state, edges, phi)
 
-        monkeypatch.setattr(statevector, "_evolve_edges", counted)
+        monkeypatch.setattr(statevector, "evolve_edges", counted)
         for k in range(8):
             g = Graph(k + 1, tuple((0, m) for m in range(1, k + 1)))
             for phi in PHI_GRID[::4]:
@@ -174,7 +176,7 @@ class TestExact:
                 assert calls == [k]
                 per_edge = init_zero(k + 1)
                 for m in range(1, k + 1):
-                    evolve_edge_exact(per_edge, 0, m, phi)
+                    evolve_edges(per_edge, [(0, m)], phi)
                 assert est.bloch == bloch_vector(per_edge, 0)
 
     def test_estimate_fields(self):
@@ -300,10 +302,15 @@ class TestEstimateType:
         with pytest.raises(ValidationError):
             EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "exact", shots=100)
 
-    @pytest.mark.parametrize("value", ["x", None, (0.1,)])
+    @pytest.mark.parametrize("value", ["x", None, (0.1,), 0.1j, np.complex128(0.1), np.array([0.1, 0.2])])
     def test_non_number_value(self, value):
         with pytest.raises(ValidationError, match=rf"^entanglement value must be a real number, got {re.escape(repr(value))}$"):
             EntanglementEstimate(0, value, BlochVector(0, 0, 0.8), "exact")
+
+    @pytest.mark.parametrize("bloch", ["str", None, (0.0, 0.0, 0.8)])
+    def test_non_bloch_vector(self, bloch):
+        with pytest.raises(ValidationError, match=rf"^bloch must be a BlochVector, got {re.escape(repr(bloch))}$"):
+            EntanglementEstimate(0, 0.1, bloch, "exact")
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,10 @@ class TestParsing:
         with pytest.raises(ValidationError, match="^invalid JSON graph: "):
             parse_graph(text, "json")
 
+    def test_json_nested_past_the_recursion_limit(self):
+        with pytest.raises(ValidationError, match="^invalid JSON graph: maximum recursion depth exceeded"):
+            parse_graph('{"n": ' + "[" * 100_000, "auto")
+
     def test_unknown_format(self):
         with pytest.raises(ValidationError, match="'auto'"):
             parse_graph("1\n", "yaml")
@@ -361,6 +365,30 @@ class TestPresets:
     def test_invalid(self, name):
         with pytest.raises(ValidationError):
             preset(name)
+
+    @pytest.mark.parametrize("name", [5, None, b"valencia"])
+    def test_non_string_name(self, name):
+        with pytest.raises(ValidationError, match=rf"^preset name must be a string, got {re.escape(repr(name))}$"):
+            preset(name)
+
+    @pytest.mark.parametrize("build, kind", [(complete, "complete"), (path, "path"), (ring, "ring")])
+    @pytest.mark.parametrize("n", [2.5, "4", None, True, 4.0])
+    def test_non_integer_size(self, build, kind, n):
+        with pytest.raises(ValidationError, match=rf"^{kind} graph size must be an integer, got {re.escape(repr(n))}$"):
+            build(n)
+
+    @pytest.mark.parametrize("build, n, text", [
+        (complete, 0, "complete graph needs n >= 1, got 0"),
+        (path, -1, "path graph needs n >= 1, got -1"),
+        (ring, 2, "ring graph needs n >= 3, got 2"),
+    ])
+    def test_too_small_size(self, build, n, text):
+        for size in (n, np.int64(n)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+                build(size)
+
+    def test_numpy_integer_size(self):
+        assert ring(np.int64(5)) == ring(5)
 
 
 def _graph_rows(g, fmt):

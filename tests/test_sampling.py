@@ -29,7 +29,7 @@ from graphent import (
 from graphent import circuits, sampling, statevector
 from graphent.circuits import apply_circuit
 from graphent.entanglement import bloch_vector
-from graphent.sampling import DEFAULT_SHOTS
+from graphent.errors import DEFAULT_SHOTS
 
 
 class TestCalibration:
@@ -76,6 +76,10 @@ class TestCalibration:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValidationError):
             parse_calibration(text)
+
+    def test_nested_past_the_recursion_limit(self):
+        with pytest.raises(ValidationError, match="^invalid calibration JSON: maximum recursion depth exceeded"):
+            parse_calibration('{"readout_error": ' + "[" * 100_000)
 
     def test_rate_beyond_float_range(self):
         # within int()'s digit limit, so json reads it; float() of it would overflow

@@ -13,13 +13,13 @@ from graphent import (
     StateVector,
     ValidationError,
     apply_gate,
-    evolve_edge_exact,
+    evolve_edges,
     evolve_graph_exact,
     init_zero,
     overlap_magnitude,
     valencia,
 )
-from graphent import statevector
+from graphent.circuits import GATE_KINDS
 from graphent.entanglement import bloch_vector
 from graphent.statevector import _apply_two_qubit_dense, pauli_means
 from graphent.validation import random_graph
@@ -289,7 +289,7 @@ class TestApplyPauli:
 class TestEvolveEdge:
     def test_two_qubit_expansion(self):
         phi = 1.3
-        s = evolve_edge_exact(init_zero(2), 0, 1, phi)
+        s = evolve_edges(init_zero(2), [(0, 1)], phi)
         expected = np.zeros(4, dtype=complex)
         expected[0] = math.cos(phi / 2)
         expected[3] = -1j * math.sin(phi / 2)
@@ -298,11 +298,11 @@ class TestEvolveEdge:
     def test_phi_zero_is_identity(self):
         s = random_state(3, seed=2)
         before = s.amps.copy()
-        evolve_edge_exact(s, 0, 2, 0.0)
+        evolve_edges(s, [(0, 2)], 0.0)
         assert_allclose(s.amps, before)
 
     def test_phi_pi_gives_minus_i_one_one(self):
-        s = evolve_edge_exact(init_zero(2), 0, 1, math.pi)
+        s = evolve_edges(init_zero(2), [(0, 1)], math.pi)
         assert_allclose(s.amps, [0, 0, 0, -1j], atol=1e-15)
 
     @pytest.mark.parametrize("n,i,j", [(2, 0, 1), (3, 2, 0), (4, 1, 3)])
@@ -310,25 +310,25 @@ class TestEvolveEdge:
     def test_matches_expm_oracle(self, n, i, j, phi):
         s = random_state(n, seed=n * 100 + i)
         expected = edge_unitary_oracle(n, i, j, phi) @ s.amps
-        evolve_edge_exact(s, i, j, phi)
+        evolve_edges(s, [(i, j)], phi)
         assert_allclose(s.amps, expected, atol=1e-13)
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
-            evolve_edge_exact(init_zero(2), 1, 1, 0.5)
+            evolve_edges(init_zero(2), [(1, 1)], 0.5)
 
     @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
     def test_unrepresentable_angle_rejected(self, phi):
         with pytest.raises(ValidationError, match="non-finite angle"):
-            evolve_edge_exact(init_zero(2), 0, 1, phi)
+            evolve_edges(init_zero(2), [(0, 1)], phi)
 
     def test_non_integer_qubit_rejected(self):
         with pytest.raises(ValidationError, match="qubit index must be an integer, got 0.5"):
-            evolve_edge_exact(init_zero(2), 0.5, 1, 0.1)
+            evolve_edges(init_zero(2), [(0.5, 1)], 0.1)
 
     def test_non_number_angle_on_a_single_state_rejected(self):
         with pytest.raises(ValidationError, match=r"angle must be a real number, got \[0.1\]"):
-            evolve_edge_exact(init_zero(2), 0, 1, [0.1])
+            evolve_edges(init_zero(2), [(0, 1)], [0.1])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dense_kernel_bit_order_matches_kron(self, n):
@@ -386,7 +386,7 @@ class TestEvolveGraph:
             rng.shuffle(shuffled)
             other = init_zero(g.n_vertices)
             for i, j in shuffled:
-                evolve_edge_exact(other, int(i), int(j), phi)
+                evolve_edges(other, [(int(i), int(j))], phi)
             assert overlap_magnitude(reference, other) > 1 - 1e-12
 
     @pytest.mark.parametrize("phi, rows", [(0.8, None), (np.linspace(-7.0, 7.0, 9), 9)])
@@ -395,7 +395,7 @@ class TestEvolveGraph:
         g = valencia()
         per_edge = init_zero(5, rows=rows)
         for i, j in g.edges:
-            evolve_edge_exact(per_edge, i, j, phi)
+            evolve_edges(per_edge, [(i, j)], phi)
         assert evolve_graph_exact(init_zero(5, rows=rows), g, phi).amps.tobytes() == per_edge.amps.tobytes()
 
     def test_size_mismatch(self):
@@ -557,9 +557,9 @@ class TestBatchedRows:
         qa, qb = sorted(int(q) for q in rng.choice(n, 2, replace=False))
         for i, j in ((qa, qb), (qb, qa)):  # both pair orders of the dense kernel
             phis = rng.uniform(-8.0, 8.0, rows)
-            evolve_edge_exact(batch, i, j, phis)
+            evolve_edges(batch, [(i, j)], phis)
             for s, phi in zip(singles, phis):
-                evolve_edge_exact(s, i, j, phi)
+                evolve_edges(s, [(i, j)], phi)
             _assert_rows_equal_singles(batch, singles)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 8))
@@ -572,7 +572,7 @@ class TestBatchedRows:
         if n > 1:
             c, t = (int(x) for x in rng.choice(n, 2, replace=False))
             gates.append(Gate.cx(c, t))
-        assert {g.kind for g in gates} == set(statevector.GATE_KINDS) or n == 1
+        assert {g.kind for g in gates} == set(GATE_KINDS) or n == 1
         for gate in gates:
             apply_gate(batch, gate)
             for s in singles:
@@ -601,7 +601,7 @@ class TestBatchedRows:
         with pytest.raises(ConsistencyError, match="norm drifted by 2.000e-06"):
             apply_gate(s, Gate.h(0))
         with pytest.raises(ConsistencyError, match="norm drifted"):
-            evolve_edge_exact(s, 0, 1, np.zeros(4))
+            evolve_edges(s, [(0, 1)], np.zeros(4))
         with pytest.raises(ConsistencyError, match="norm drifted"):
             pauli_means(s, 1)
 
@@ -611,14 +611,14 @@ class TestBatchedRows:
         with pytest.raises(ConsistencyError, match="norm drifted by nan"):
             apply_gate(s, Gate.cx(0, 2))
         with pytest.raises(ConsistencyError, match="norm drifted"):
-            evolve_edge_exact(s, 0, 1, np.zeros(4))
+            evolve_edges(s, [(0, 1)], np.zeros(4))
         with pytest.raises(ConsistencyError, match="norm drifted"):
             pauli_means(s, 0)
 
     @pytest.mark.parametrize("phi", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], 0.5, [[0.1, 0.2, 0.3]]])
     def test_angle_count_must_match_the_rows(self, phi):
         with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
-            evolve_edge_exact(init_zero(2, rows=3), 0, 1, phi)
+            evolve_edges(init_zero(2, rows=3), [(0, 1)], phi)
         with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
             evolve_graph_exact(init_zero(5, rows=3), valencia(), phi)
 
@@ -626,7 +626,7 @@ class TestBatchedRows:
     def test_non_finite_angle_in_one_row_rejected(self, phi):
         s = init_zero(2, rows=3)
         with pytest.raises(ValidationError, match="non-finite angle"):
-            evolve_edge_exact(s, 0, 1, [0.1, phi, 0.3])
+            evolve_edges(s, [(0, 1)], [0.1, phi, 0.3])
         assert np.array_equal(s.amps, init_zero(2, rows=3).amps)  # rejected before any row moved
 
     def test_single_state_readers_reject_a_batch(self):

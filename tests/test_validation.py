@@ -99,7 +99,7 @@ def test_nan_distance_fails_the_distance_property(monkeypatch):
 )
 def test_nan_overlap_fails_its_deficit_property(monkeypatch, name):
     # max(0.0, nan) returns 0.0, so a NaN overlap met after a finite one would read as a pass
-    evolve, overlap = validation._evolve_edges, validation.overlap_magnitude
+    evolve, overlap = validation.evolve_edges, validation.overlap_magnitude
     reordered, calls = [], []  # the edge-order states themselves: `in` compares states by identity
 
     def recording_evolve(state, edges, phi):
@@ -113,7 +113,7 @@ def test_nan_overlap_fails_its_deficit_property(monkeypatch, name):
                 return math.nan
         return overlap(a, b)
 
-    monkeypatch.setattr(validation, "_evolve_edges", recording_evolve)
+    monkeypatch.setattr(validation, "evolve_edges", recording_evolve)
     monkeypatch.setattr(validation, "overlap_magnitude", nan_second)
     results = {r.name: r for r in run_validation(max_n=4, trials=8, seed=0)}
     assert len(calls) > 2
