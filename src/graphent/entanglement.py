@@ -14,7 +14,16 @@ from __future__ import annotations
 
 import math
 
-from .errors import DEFAULT_MAX_QUBITS, ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
+from .errors import (
+    DEFAULT_MAX_QUBITS,
+    ValidationError,
+    _checked_integer,
+    _checked_shots,
+    _finite_angle,
+    _is_real,
+    _numpy_module,
+    _Value,
+)
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -33,15 +42,6 @@ _AXES = ("mx", "my", "mz")
 
 def _component_error(name: str, v: float) -> ValidationError:
     return ValidationError(f"Bloch component {name}={v!r} outside [-1, 1]")
-
-
-def _is_real(v) -> bool:
-    """Whether ``v`` is one real number: Python orders no complex against a float, but numpy orders complex arrays."""
-    try:
-        v < 0.0
-    except TypeError:  # a string, None, a Python complex, ...
-        return False
-    return getattr(getattr(v, "dtype", None), "kind", None) != "c" and getattr(v, "ndim", 0) == 0
 
 
 def _norm(mx: float, my: float, mz: float) -> float:
@@ -101,8 +101,21 @@ class EntanglementEstimate(_Value):
             raise ValidationError(f"entanglement value {value!r} outside [0, 1/2]")
         if not isinstance(bloch, BlochVector):
             raise ValidationError(f"bloch must be a BlochVector, got {bloch!r}")
+        if type(spin) is not int:  # plain ints, the common case, skip the call
+            spin = _checked_integer(spin, "spin")
+        if spin < 0:
+            raise ValidationError(f"spin must be non-negative, got {spin}")
         if (shots is not None) != (method == "shots"):
             raise ValidationError("shot count is present exactly for method='shots'")
+        if shots is not None and (type(shots) is not int or not 1 <= shots < 1 << 63):
+            shots = _checked_shots(shots)  # converts a numpy integer, or raises with the reason
+        if (std_error is not None) != (method == "shots"):
+            raise ValidationError("standard error is present exactly for method='shots'")
+        if std_error is not None:
+            if type(std_error) is not float and not _is_real(std_error):  # floats, the common case, skip the call
+                raise ValidationError(f"standard error must be a real number, got {std_error!r}")
+            if not 0.0 <= std_error < math.inf:  # NaN compares False, so it fails too
+                raise ValidationError(f"standard error {std_error!r} is not finite and non-negative")
         object.__setattr__(self, "spin", spin)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "bloch", bloch)

@@ -20,6 +20,7 @@ gives:
 import functools
 import importlib
 import json
+import math
 import operator
 import sys
 
@@ -53,17 +54,31 @@ def _checked_integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _finite_angle(angle) -> float:
-    """``angle`` as a float; compared before converting, so an int beyond float range cannot overflow.
-
-    A non-number (a string, a list, a complex) raises ValidationError too.
-    """
+def _is_real(v) -> bool:
+    """Whether ``v`` is one real number: Python orders no complex against a float, but numpy orders complex arrays."""
     try:
-        if abs(angle) <= sys.float_info.max:
-            return float(angle)
-    except (TypeError, ValueError):
-        raise ValidationError(f"angle must be a real number, got {angle!r}") from None
-    raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
+        v < 0.0
+    except TypeError:  # a string, None, a Python complex, ...
+        return False
+    return getattr(getattr(v, "dtype", None), "kind", None) != "c" and getattr(v, "ndim", 0) == 0
+
+
+def _finite_angle(angle) -> float:
+    """``angle`` as a float, if it is a real number that converts to a finite one.
+
+    It is compared as a float, so a numpy float32 meets no float64 bound (whose
+    cast to float32 would overflow, with a warning). A non-number (a string, a
+    list, a Python or numpy complex) raises ValidationError too.
+    """
+    if type(angle) is float or _is_real(angle):  # floats, the common case, skip the call
+        try:
+            value = float(angle)
+        except OverflowError:  # an int or a fraction beyond float range
+            value = math.inf
+        if abs(value) <= sys.float_info.max:
+            return value
+        raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
+    raise ValidationError(f"angle must be a real number, got {angle!r}")
 
 
 def _checked_seed(seed: int) -> int:

@@ -21,8 +21,14 @@ axis applies its measurement prelude to ``rho`` the same way before reading
 the probability ``p1`` that ``l`` reads 1. The x and y preludes' isometries
 depend on nothing, so each is built once per process, on first use, and
 kept read-only (:func:`_prelude_isometry`); the z axis reads ``rho``
-itself. No state has more than 8 amplitudes, whatever the degree, so the
-route has no qubit cap.
+itself. A block's gates before its ``p(phi)``, its first ``cx`` and ``h``,
+depend on no angle either, so each orientation's (rotating on ``l`` or on
+``m``) run once per process and their 8 amplitudes are kept read-only
+(:func:`_block_prefix`); an estimate runs only ``p(phi)``, ``h`` and ``cx``
+on a copy of them (:func:`_block_isometry`). Those are the kernels the whole
+block runs, in its order and on the same amplitudes, each norm-checked, so
+the isometry keeps its bits. No state has more than 8 amplitudes, whatever
+the degree, so the route has no qubit cap.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 puts after each gate, with the calibrated probability, a uniformly random
@@ -125,16 +131,21 @@ def _gate_flip_probability(gates: tuple[Gate, ...], l: int, cal: CalibrationData
     return (1.0 - keep) / 2.0
 
 
+def _reference_state() -> StateVector:
+    """``l`` = qubit 0 maximally entangled with a reference qubit 2, and ``m`` = qubit 1 in ``|0>``."""
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0b000] = amps[0b101] = math.sqrt(0.5)
+    return StateVector(3, amps)
+
+
 def _isometry(gates: tuple[Gate, ...]) -> np.ndarray:
     """``U |0>_m / sqrt(2)`` as a 4x2 matrix ``V``: ``V[2j + i, a] = <i|_l <j|_m U |a>_l |0>_m / sqrt(2)``.
 
     ``gates`` act on ``l`` = qubit 0 and ``m`` = qubit 1. They run once on
-    those two and a reference qubit 2 maximally entangled with ``l``, so the
-    8 amplitudes of the result are ``U``'s columns at ``m = 0``.
+    those two and :func:`_reference_state`'s qubit 2, so the 8 amplitudes of
+    the result are ``U``'s columns at ``m = 0``.
     """
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000] = amps[0b101] = math.sqrt(0.5)
-    return apply_circuit(StateVector(3, amps), gates).amps.reshape(2, 4).T
+    return apply_circuit(_reference_state(), gates).amps.reshape(2, 4).T
 
 
 @functools.cache
@@ -146,6 +157,34 @@ def _prelude_isometry(axis: str) -> np.ndarray:
     v = _isometry(measurement_prelude(axis, 0))
     v.flags.writeable = False
     return v
+
+
+@functools.cache
+def _block_prefix(on_l: bool) -> tuple[np.ndarray, Gate, tuple[Gate, ...]]:
+    """The edge block rotating on ``l`` = qubit 0 (or on ``m`` = qubit 1), split at its first angle gate.
+
+    Returns the reference state's amplitudes after the gates before that
+    gate, read-only, then the angle gate and the gates after it. The gates
+    before it depend on no angle, so each orientation's are run once per
+    process, on first use.
+    """
+    block = synthesize_edge(0, 1, 0.0) if on_l else synthesize_edge(1, 0, 0.0)
+    split = next(i for i, gate in enumerate(block) if gate.angle is not None)
+    amps = apply_circuit(_reference_state(), block[:split]).amps
+    amps.flags.writeable = False
+    return amps, block[split], block[split + 1 :]
+
+
+def _block_isometry(on_l: bool, phi: float) -> np.ndarray:
+    """:func:`_isometry` of ``synthesize_edge(0, 1, phi)`` (or of ``(1, 0, phi)``), from :func:`_block_prefix`.
+
+    Only the angle gate, at ``phi``, and the gates after it run, on a copy of
+    the prefix's amplitudes: the same kernels on the same inputs as the whole
+    block, so the result has the same bits.
+    """
+    amps, angle_gate, suffix = _block_prefix(on_l)
+    gates = (Gate(angle_gate.kind, angle_gate.target, angle=phi),) + suffix
+    return apply_circuit(StateVector(3, amps.copy()), gates).amps.reshape(2, 4).T
 
 
 def _trace_out(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -166,7 +205,7 @@ def _spin_state(blocks: list[tuple[int, int]], l: int, phi: float) -> np.ndarray
     for r, _ in blocks:
         on_l = r == l
         if on_l not in isometries:
-            isometries[on_l] = _isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
+            isometries[on_l] = _block_isometry(on_l, phi)
         rho = _trace_out(rho, isometries[on_l])
     return rho
 

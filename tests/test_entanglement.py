@@ -312,6 +312,57 @@ class TestEstimateType:
         with pytest.raises(ValidationError, match=rf"^bloch must be a BlochVector, got {re.escape(repr(bloch))}$"):
             EntanglementEstimate(0, 0.1, bloch, "exact")
 
+    @pytest.mark.parametrize("spin", ["x", None, 1.5, 1.0, True, (1,)])
+    def test_non_integer_spin(self, spin):
+        with pytest.raises(ValidationError, match=rf"^spin must be an integer, got {re.escape(repr(spin))}$"):
+            EntanglementEstimate(spin, 0.1, BlochVector(0, 0, 0.8), "exact")
+
+    def test_negative_spin(self):
+        with pytest.raises(ValidationError, match=r"^spin must be non-negative, got -1$"):
+            EntanglementEstimate(-1, 0.1, BlochVector(0, 0, 0.8), "exact")
+
+    def test_numpy_integer_spin_and_shots_are_ints(self):
+        est = EntanglementEstimate(np.int64(3), 0.1, BlochVector(0, 0, 0.8), "shots", np.float64(0.01), np.int32(100))
+        assert (type(est.spin), type(est.shots)) == (int, int)
+        assert est == EntanglementEstimate(3, 0.1, BlochVector(0, 0, 0.8), "shots", 0.01, 100)
+
+    @pytest.mark.parametrize(
+        "shots,message",
+        [
+            (-3, "shot count must be positive, got -3"),
+            (0, "shot count must be positive, got 0"),
+            (1 << 63, f"shot count must be below 2**63, got {1 << 63}"),
+            (2.5, "shot count must be an integer, got 2.5"),
+            (True, "shot count must be an integer, got True"),
+            ("x", "shot count must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_shot_count(self, shots, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "shots", 0.01, shots)
+
+    @pytest.mark.parametrize("std_error", ["x", (0.1,), 0.1j, np.complex128(0.1), np.array([0.1, 0.2])])
+    def test_non_number_std_error(self, std_error):
+        with pytest.raises(ValidationError, match=rf"^standard error must be a real number, got {re.escape(repr(std_error))}$"):
+            EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "shots", std_error, 100)
+
+    @pytest.mark.parametrize("std_error", [math.nan, -1.0, -5e-324, math.inf, np.float32("nan"), np.float64(-0.5)])
+    def test_std_error_not_finite_and_non_negative(self, std_error):
+        message = f"standard error {std_error!r} is not finite and non-negative"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "shots", std_error, 100)
+
+    @pytest.mark.parametrize("std_error", [0.0, -0.0, 0, 5e-324, 0.5, np.float32(0.25), 1e308])
+    def test_finite_non_negative_std_error_accepted(self, std_error):
+        # zero stays legal: an estimate at |m| = 1 has a zero-width error bar
+        est = EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), "shots", std_error, 100)
+        assert est.std_error is std_error
+
+    @pytest.mark.parametrize("method,std_error,shots", [("exact", 0.01, None), ("analytic", 0.0, None), ("shots", None, 100)])
+    def test_std_error_present_exactly_for_shots(self, method, std_error, shots):
+        with pytest.raises(ValidationError, match=r"^standard error is present exactly for method='shots'$"):
+            EntanglementEstimate(0, 0.1, BlochVector(0, 0, 0.8), method, std_error, shots)
+
 
 @pytest.mark.parametrize(
     "estimate",

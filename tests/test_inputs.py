@@ -5,6 +5,7 @@ subclass; a valid input must return, and an invalid one must raise.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphent import (
     CalibrationData,
+    Gate,
     GraphentError,
     Graph,
     ValidationError,
@@ -21,6 +23,7 @@ from graphent import (
     choose_orientation,
     derive_seed,
     estimate_entanglement_shots,
+    evolve_edges,
     exact_entanglement,
     init_zero,
     valencia,
@@ -196,3 +199,31 @@ def test_orientation_takes_calibration_data_or_none(cal):
 def test_shots_route_takes_calibration_data_or_none(cal):
     with pytest.raises(ValidationError, match="calibration must be CalibrationData or None"):
         estimate_entanglement_shots(valencia(), 1.0, 1, 10, cal)
+
+
+ANGLE_ENTRIES = {
+    "Gate.p": lambda phi: Gate.p(0, phi),
+    "Gate.rx": lambda phi: Gate.rx(0, phi),
+    "Gate.ry": lambda phi: Gate.ry(0, phi),
+    "evolve_edges": lambda phi: evolve_edges(init_zero(2), [(0, 1)], phi).amps.tobytes(),
+    "evolve_edges-batch": lambda phi: evolve_edges(init_zero(2, rows=2), [(0, 1)], [0.5, phi]).amps.tobytes(),
+    "analytic_entanglement": lambda phi: analytic_entanglement(2, phi),
+    "analytic_estimate": lambda phi: analytic_estimate(valencia(), phi, 1),
+    "exact_entanglement": lambda phi: exact_entanglement(valencia(), phi, 1),
+    "estimate_entanglement_shots": lambda phi: estimate_entanglement_shots(valencia(), phi, 1, 100),
+}
+
+
+@pytest.mark.parametrize("entry", ANGLE_ENTRIES.values(), ids=ANGLE_ENTRIES.keys())
+@pytest.mark.parametrize("phi", [np.complex128(0.3 + 1j), np.complex128(0.3), np.complex64(0.3 + 1j), 0.3 + 0j])
+def test_complex_angle_is_not_a_real_number(entry, phi):
+    # numpy's float() of a complex scalar drops its imaginary part with a
+    # warning, which used to be all a numpy complex angle met
+    with pytest.raises(ValidationError, match=rf"^angle must be a real number, got {re.escape(repr(phi))}$"):
+        entry(phi)
+
+
+@pytest.mark.parametrize("entry", ANGLE_ENTRIES.values(), ids=ANGLE_ENTRIES.keys())
+def test_float32_angle_is_its_float_value(entry):
+    # float32's own value, compared without casting a float64 bound to float32
+    assert entry(np.float32(0.3)) == entry(float(np.float32(0.3)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import NON_FINITE_ANGLES, density_matrix_oracle, noisy_bloch_oracle, pauli_on
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphent import (
     DEFAULT_MAX_QUBITS,
@@ -272,9 +272,11 @@ class TestEstimateEntanglementShots:
         ids=[f"valencia-{l}" for l in range(5)] + ["complete(30)-0"],
     )
     def test_at_most_twelve_gates_per_estimate(self, g, l, cal, monkeypatch):
-        # one 5-gate block per orientation, and while the prelude memo is cold
-        # one gate each for the x and y preludes; once it is warm, none
+        # per orientation, its block's p, h and cx, and while the memos are
+        # cold the cx and h before them, and one gate each for the x and y
+        # preludes; once both memos are warm, only p, h and cx
         sampling._prelude_isometry.cache_clear()
+        sampling._block_prefix.cache_clear()
         calls = []
         kernel = statevector.apply_gate
 
@@ -288,7 +290,7 @@ class TestEstimateEntanglementShots:
         calls.clear()
         estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
         orientations = {choose_orientation((l, m), cal)[0] == l for m in g.neighbours(l)}
-        assert len(calls) == 5 * len(orientations)
+        assert len(calls) == 3 * len(orientations)
         preludes = circuits.measurement_prelude("x", 0) + circuits.measurement_prelude("y", 0)
         assert not set(calls) & set(preludes)
 
@@ -506,23 +508,31 @@ def test_per_neighbour_trace_reduces_the_full_register_under_any_error_pattern(d
 
 
 def _isometry_circuits(monkeypatch, g, l, cal, gate_noise=False):
-    """The gate tuples the route runs through ``_isometry`` for one estimate, and
-    the gates its gate-noise pass walks for the z axis.
+    """The block circuits the route runs for one estimate's isometries, one per
+    orientation, and the gates its gate-noise pass walks for the z axis.
 
-    The prelude memo is warmed first, so only the blocks' circuits run."""
+    The prelude memo is warmed and the block memo cleared first, so each
+    block's run is the gates its memo runs before the angle gate, then the
+    angle gate and the gates after it."""
     sampling._prelude_isometry("x"), sampling._prelude_isometry("y")
+    sampling._block_prefix.cache_clear()
     runs, walked = [], []
-    isometry, flip = sampling._isometry, sampling._gate_flip_probability
+    block, circuit, flip = sampling._block_isometry, sampling.apply_circuit, sampling._gate_flip_probability
 
-    def recorded_isometry(gates):
-        runs.append(gates)
-        return isometry(gates)
+    def recorded_block(on_l, phi):
+        runs.append(())
+        return block(on_l, phi)
+
+    def recorded_circuit(state, gates):
+        runs[-1] += tuple(gates)
+        return circuit(state, gates)
 
     def recorded_flip(gates, spin, c):
         walked.append(gates)
         return flip(gates, spin, c)
 
-    monkeypatch.setattr(sampling, "_isometry", recorded_isometry)
+    monkeypatch.setattr(sampling, "_block_isometry", recorded_block)
+    monkeypatch.setattr(sampling, "apply_circuit", recorded_circuit)
     monkeypatch.setattr(sampling, "_gate_flip_probability", recorded_flip)
     estimate_entanglement_shots(g, 0.5, l, 10, cal, gate_noise=gate_noise)
     return runs, walked[0] if walked else None
@@ -587,6 +597,57 @@ class TestPreludeMemo:
             warm = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
             assert cold == warm
             assert repr(cold) == repr(warm)
+
+
+class TestBlockPrefixMemo:
+    """Each block orientation's gates before its angle gate run once per process."""
+
+    @pytest.mark.parametrize("on_l", [True, False])
+    def test_cached_prefix_is_read_only(self, on_l):
+        amps, _, _ = sampling._block_prefix(on_l)
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+
+    def test_each_prefix_is_built_once(self, monkeypatch):
+        sampling._block_prefix.cache_clear()
+        runs = []
+        circuit = sampling.apply_circuit
+
+        def recorded(state, gates):
+            runs.append(tuple(gates))
+            return circuit(state, gates)
+
+        monkeypatch.setattr(sampling, "apply_circuit", recorded)
+        # spin 3 has a block of each orientation under this calibration
+        for phi in (0.7, -1.3, 2.0):
+            for l in range(5):
+                estimate_entanglement_shots(valencia(), phi, l, 100, valencia_calibration(), seed=l)
+        for r, m in ((0, 1), (1, 0)):
+            assert runs.count(synthesize_edge(r, m, 0.0)[:2]) == 1  # the block's cx and h
+
+    @settings(max_examples=300, deadline=None)
+    @given(on_l=st.booleans(), phi=st.floats(allow_nan=False, allow_infinity=False))
+    @example(on_l=True, phi=-0.0)
+    @example(on_l=False, phi=-0.0)
+    @example(on_l=True, phi=5e-324)
+    @example(on_l=False, phi=5e-324)
+    @example(on_l=True, phi=1e10)
+    @example(on_l=False, phi=1e10)
+    def test_hoisted_isometry_is_bit_equal_to_the_whole_block(self, on_l, phi):
+        hoisted = sampling._block_isometry(on_l, phi)
+        whole = sampling._isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
+        assert hoisted.shape == whole.shape == (4, 2)
+        assert hoisted.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("gate_noise", [False, True])
+    def test_cold_and_warm_memo_give_identical_estimates(self, gate_noise):
+        for cal in (valencia_calibration(), HEAVY):
+            for l in range(5):
+                sampling._block_prefix.cache_clear()
+                cold = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
+                warm = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
+                assert cold == warm
+                assert repr(cold) == repr(warm)
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its
