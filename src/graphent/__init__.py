@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in (
-        ("statevector", "StateVector apply_gate evolve_edges evolve_graph_exact init_zero overlap_magnitude"),
+        ("statevector", "StateVector apply_gate evolve_edges init_zero overlap_magnitude"),
         ("sampling", "derive_seed estimate_entanglement_shots"),
         ("validation", "random_graph run_validation"),
     )

@@ -88,7 +88,7 @@ class CalibrationData(_Value):
     def cx_error_for(self, control: int, target: int) -> float:
         try:
             return self.cx_error[(control, target)]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable index, such as a list
             raise ValidationError(
                 f"no cx error entry for directed pair {control}-{target}"
             ) from None

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .calibration import CalibrationData, _check_calibration
-from .errors import ValidationError, _checked_integer, _finite_angle, _numpy_module, _Value
+from .errors import ValidationError, _checked_choice, _checked_count, _checked_integer, _finite_angle, _numpy_module, _Value
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -60,8 +60,7 @@ class Gate(_Value):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "control", control)
         object.__setattr__(self, "angle", angle)
-        if self.kind not in GATE_KINDS:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
+        _checked_choice(kind, GATE_KINDS, "gate kind")
         if (self.control is None) == (self.kind == "cx"):
             raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
         for q in (self.target, self.control) if self.kind == "cx" else (self.target,):
@@ -154,16 +153,13 @@ def synthesize_graph_circuit(
 def measurement_prelude(axis: str, l: int) -> tuple[Gate, ...]:
     """Gates to run before a z-basis measurement of qubit ``l`` so that the
     z outcome statistics equal the ``axis`` expectation of the original state."""
-    l = _checked_integer(l, "qubit index")
-    if l < 0:
-        raise ValidationError(f"negative qubit index {l}")
+    l = _checked_count(l, "qubit index")
+    _checked_choice(axis, ("x", "y", "z"), "measurement axis")
     if axis == "z":
         return ()
     if axis == "y":
         return (Gate.rx(l, math.pi / 2.0),)
-    if axis == "x":
-        return (Gate.ry(l, -math.pi / 2.0),)
-    raise ValidationError(f"unknown measurement axis {axis!r}")
+    return (Gate.ry(l, -math.pi / 2.0),)
 
 
 def apply_circuit(state: "StateVector", gates: tuple[Gate, ...]) -> "StateVector":

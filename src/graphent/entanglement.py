@@ -1,11 +1,12 @@
 """One-spin-versus-rest entanglement: E = (1 - |<sigma>|) / 2.
 
-For the graph states produced by ``evolve_graph_exact`` the transverse means
-vanish and <sigma_z> for spin l is cos(phi)**degree(l), so E has the closed
-form (1 - |cos(phi)|**k) / 2 with k the vertex degree. ``analytic_entanglement``
-evaluates that form after folding phi into [0, pi/2] with exact float
-remainders, which makes the symmetries phi -> -phi, phi + pi, pi - phi hold
-bit-exactly whenever the shifted argument itself is exactly representable.
+For the graph states that ``evolve_edges`` makes from |00...0> with all of a
+graph's edges the transverse means vanish and <sigma_z> for spin l is
+cos(phi)**degree(l), so E has the closed form (1 - |cos(phi)|**k) / 2 with k
+the vertex degree. ``analytic_entanglement`` evaluates that form after folding
+phi into [0, pi/2] with exact float remainders, which makes the symmetries
+phi -> -phi, phi + pi, pi - phi hold bit-exactly whenever the shifted argument
+itself is exactly representable.
 The closed form needs no numpy; ``exact_entanglement`` and ``bloch_vector``
 load :mod:`graphent.statevector` on first use.
 """
@@ -17,10 +18,11 @@ import math
 from .errors import (
     DEFAULT_MAX_QUBITS,
     ValidationError,
-    _checked_integer,
+    _checked_choice,
+    _checked_count,
+    _checked_real,
     _checked_shots,
     _finite_angle,
-    _is_real,
     _numpy_module,
     _Value,
 )
@@ -64,9 +66,8 @@ class BlochVector(_Value):
 
     def __init__(self, mx: float, my: float, mz: float):
         for name, v in zip(_AXES, (mx, my, mz)):
-            if type(v) is not float and not _is_real(v):  # floats, the common case, skip the call
-                raise ValidationError(f"Bloch component {name} must be a real number, got {v!r}")
-            if not abs(v) <= _COMPONENT_LIMIT:  # NaN compares False, so it fails too
+            # NaN compares False, so it fails too
+            if not abs(_checked_real(v, f"Bloch component {name}")) <= _COMPONENT_LIMIT:
                 raise _component_error(name, v)
         object.__setattr__(self, "mx", mx)
         object.__setattr__(self, "my", my)
@@ -93,29 +94,21 @@ class EntanglementEstimate(_Value):
         std_error: float | None = None,
         shots: int | None = None,
     ):
-        if method not in METHODS:
-            raise ValidationError(f"unknown method {method!r}")
-        if type(value) is not float and not _is_real(value):  # floats, the common case, skip the call
-            raise ValidationError(f"entanglement value must be a real number, got {value!r}")
-        if not -1e-12 <= value <= 0.5 + 1e-12:
+        _checked_choice(method, METHODS, "method")
+        if not -1e-12 <= _checked_real(value, "entanglement value") <= 0.5 + 1e-12:
             raise ValidationError(f"entanglement value {value!r} outside [0, 1/2]")
         if not isinstance(bloch, BlochVector):
             raise ValidationError(f"bloch must be a BlochVector, got {bloch!r}")
-        if type(spin) is not int:  # plain ints, the common case, skip the call
-            spin = _checked_integer(spin, "spin")
-        if spin < 0:
-            raise ValidationError(f"spin must be non-negative, got {spin}")
+        spin = _checked_count(spin, "spin")
         if (shots is not None) != (method == "shots"):
             raise ValidationError("shot count is present exactly for method='shots'")
         if shots is not None and (type(shots) is not int or not 1 <= shots < 1 << 63):
             shots = _checked_shots(shots)  # converts a numpy integer, or raises with the reason
         if (std_error is not None) != (method == "shots"):
             raise ValidationError("standard error is present exactly for method='shots'")
-        if std_error is not None:
-            if type(std_error) is not float and not _is_real(std_error):  # floats, the common case, skip the call
-                raise ValidationError(f"standard error must be a real number, got {std_error!r}")
-            if not 0.0 <= std_error < math.inf:  # NaN compares False, so it fails too
-                raise ValidationError(f"standard error {std_error!r} is not finite and non-negative")
+        if std_error is not None and not 0.0 <= _checked_real(std_error, "standard error") < math.inf:
+            # NaN compares False, so it fails too
+            raise ValidationError(f"standard error {std_error!r} is not finite and non-negative")
         object.__setattr__(self, "spin", spin)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "bloch", bloch)
@@ -144,10 +137,7 @@ def _folded_cos(phi: float) -> float:
 
 def analytic_entanglement(k: int, phi: float) -> float:
     """Closed form (1 - |cos(phi)|**k) / 2 for a spin of degree ``k``."""
-    if type(k) is not int:  # plain ints, the common case, skip the call
-        k = _checked_integer(k, "degree")
-    if k < 0:
-        raise ValidationError(f"degree must be non-negative, got {k}")
+    k = _checked_count(k, "degree")
     phi = _finite_angle(phi)
     return 0.5 * (1.0 - _folded_cos(phi) ** k)
 

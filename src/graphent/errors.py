@@ -1,5 +1,22 @@
 """Exception types, the numpy-free input checks and defaults shared across the package, the JSON reader, and the immutable value base.
 
+Every public input of a number or a name is one of three kinds, and each kind
+has one checker, which raises :class:`ValidationError` with one message form:
+
+* a count or index, :func:`_checked_count`: an integer by ``operator.index``
+  (a bool or a float is none), else ``"<what> must be an integer, got <v!r>"``;
+  below its minimum, ``"<what> must be non-negative, got <v>"``, ``"... must
+  be positive, ..."`` or ``"... must be at least <minimum>, ..."``;
+* a real number, :func:`_checked_real`: one real number (no complex, string,
+  sequence, array or NaN ``Decimal``), else ``"<what> must be a real number,
+  got <v!r>"``; an angle, :func:`_finite_angle`, must also be finite as a float;
+* a name from a fixed set, :func:`_checked_choice`: a ``str`` in the set, else
+  ``"unknown <what> <v!r>; expected one of <choices>"``.
+
+Messages that name an object (a gate, an edge) and a preset's size keep their
+own checks. The checkers import nothing beyond the standard modules above, so
+``import graphent.cli`` stays numpy-free.
+
 The package's value classes (``Graph``, ``Gate``, ``CalibrationData``,
 ``BlochVector``, ``EntanglementEstimate``, ``PropertyResult``) derive from
 :class:`_Value`. A subclass names its attributes in ``__slots__`` and checks
@@ -54,46 +71,56 @@ def _checked_integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _checked_count(value, what: str, minimum: int = 0) -> int:
+    """``value`` as an int, if it is an integer of at least ``minimum``: the count kind."""
+    if type(value) is not int:  # plain ints, the common case, skip the call
+        value = _checked_integer(value, what)
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else "positive" if minimum == 1 else f"at least {minimum}"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+    return value
+
+
 def _is_real(v) -> bool:
     """Whether ``v`` is one real number: Python orders no complex against a float, but numpy orders complex arrays."""
     try:
         v < 0.0
-    except TypeError:  # a string, None, a Python complex, ...
+    except (TypeError, ArithmeticError):  # a string, None, a Python complex, a NaN Decimal, ...
         return False
     return getattr(getattr(v, "dtype", None), "kind", None) != "c" and getattr(v, "ndim", 0) == 0
+
+
+def _checked_real(value, what: str):
+    """``value`` unchanged, if it is one real number (:func:`_is_real`): the real-number kind."""
+    if type(value) is not float and not _is_real(value):  # floats, the common case, skip the call
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def _finite_angle(angle) -> float:
     """``angle`` as a float, if it is a real number that converts to a finite one.
 
     It is compared as a float, so a numpy float32 meets no float64 bound (whose
-    cast to float32 would overflow, with a warning). A non-number (a string, a
-    list, a Python or numpy complex) raises ValidationError too.
+    cast to float32 would overflow, with a warning).
     """
-    if type(angle) is float or _is_real(angle):  # floats, the common case, skip the call
-        try:
-            value = float(angle)
-        except OverflowError:  # an int or a fraction beyond float range
-            value = math.inf
-        if abs(value) <= sys.float_info.max:
-            return value
-        raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
-    raise ValidationError(f"angle must be a real number, got {angle!r}")
+    try:
+        value = float(_checked_real(angle, "angle"))
+    except OverflowError:  # an int or a fraction beyond float range
+        value = math.inf
+    if abs(value) <= sys.float_info.max:
+        return value
+    raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
 
 
-def _checked_seed(seed: int) -> int:
-    """``seed`` as an int, if numpy accepts it; numpy's own errors for a negative or non-integer seed are unclassified."""
-    seed = _checked_integer(seed, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    return seed
+def _checked_choice(value, choices: tuple[str, ...], what: str) -> None:
+    """Raise ValidationError unless ``value`` is a string (``numpy.str_`` included) among ``choices``: the name kind."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValidationError(f"unknown {what} {value!r}; expected one of {choices}")
 
 
 def _checked_shots(shots: int) -> int:
     """``shots`` as an int, if it is a positive count that numpy's int64 draws can hold; a float would be truncated."""
-    shots = _checked_integer(shots, "shot count")
-    if shots < 1:
-        raise ValidationError(f"shot count must be positive, got {shots}")
+    shots = _checked_count(shots, "shot count", 1)
     if shots >= 1 << 63:
         raise ValidationError(f"shot count must be below 2**63, got {shots}")
     return shots

@@ -32,7 +32,7 @@ import re
 from itertools import chain
 from operator import getitem
 
-from .errors import ValidationError, _checked_integer, _load_json, _Value
+from .errors import ValidationError, _checked_choice, _checked_count, _checked_integer, _load_json, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -45,9 +45,7 @@ class Graph(_Value):
     __slots__ = ("n_vertices", "edges", "_neighbours")
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...] = ()):
-        n = _checked_integer(n_vertices, "vertex count")
-        if n < 1:
-            raise ValidationError(f"vertex count must be positive, got {n_vertices}")
+        n = _checked_count(n_vertices, "vertex count", 1)
         try:
             edge_iter = iter(edges)
         except TypeError:  # Graph(3, 5), Graph(3, None)
@@ -223,12 +221,9 @@ def _looks_like_adjacency(rows: list[list[str]]) -> bool:
 
 def parse_graph(text: str, fmt: str) -> Graph:
     """Parse ``text`` in one of the formats listed in :data:`FORMATS`, or ``"auto"`` to detect it."""
+    _checked_choice(fmt, FORMATS + ("auto",), "graph format")
     if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
         return _parse_json(text)
-    if fmt != "auto" and fmt not in _LINE_PARSERS:
-        raise ValidationError(
-            f"unknown graph format {fmt!r}; expected one of {FORMATS + ('auto',)}"
-        )
     rows = _data_rows(text)  # split once, shared by the detector and the parser
     if fmt == "auto":
         fmt = "adjacency" if _looks_like_adjacency(rows) else "edge-list"

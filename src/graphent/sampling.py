@@ -64,7 +64,7 @@ import numpy as np
 from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ValidationError, _checked_integer, _checked_seed, _checked_shots, _finite_angle
+from .errors import ValidationError, _checked_count, _checked_shots, _finite_angle
 from .graphs import Graph
 from .statevector import StateVector
 
@@ -77,10 +77,8 @@ def _z_mean(ones: int, shots: int) -> tuple[float, float]:
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed of substream ``index``: the ``index``-th child that ``SeedSequence(seed).spawn`` makes."""
-    index = _checked_integer(index, "substream index")
-    if index < 0:
-        raise ValidationError(f"substream index must be non-negative, got {index}")
-    child = np.random.SeedSequence(_checked_seed(seed), spawn_key=(index,))
+    index = _checked_count(index, "substream index")
+    child = np.random.SeedSequence(_checked_count(seed, "seed"), spawn_key=(index,))
     return int(child.generate_state(1, np.uint64)[0])
 
 
@@ -261,7 +259,7 @@ def estimate_entanglement_shots(
     if cal is not None and cal.n_qubits < g.n_vertices:
         raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
     probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
-    rng = np.random.default_rng(_checked_seed(seed))
+    rng = np.random.default_rng(_checked_count(seed, "seed"))
     (mz, ez), (mx, ex), (my, ey) = (_z_mean(int(rng.binomial(shots, p)), shots) for p in probabilities)
     bloch = BlochVector(mx, my, mz)
     return EntanglementEstimate(

@@ -13,20 +13,20 @@ Conventions, fixed across the package:
 * norm drift is checked, never silently renormalized: any operation leaving
   ``|sum |amp|^2 - 1| > 1e-9``, or a NaN norm, raises :class:`ConsistencyError`.
 
-A state may hold a batch of independent rows: ``amps`` of shape
-``(rows, 2**n)``, allocated by ``init_zero(n, max_qubits, rows=...)``, and a
-batch holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate``
-applies one gate to every row; a ``p`` gate may instead carry one angle per
-row (``Gate.p(q, phis)``), which only a batch of as many rows accepts.
-``evolve_edges`` and ``evolve_graph_exact`` take one angle per row, and
-``pauli_means`` returns one array of means per axis. The norm rule holds for
-each row: the worst drift over the rows is checked, and a NaN in any row
-fails. Every row has exactly the bits its single-state run has. A single
-state is the case with no rows: the same kernels, which pick only their views
-by the row count. Every inner product goes through ``_inner``, which takes a
-single state's with ``np.vdot`` and each row's of a batch with a stacked
-``(1,K) @ (K,1)`` product that sums in ``np.vdot``'s order. ``bloch_vector``
-and ``overlap_magnitude`` take single states alone.
+A state may hold a batch of independent rows: ``amps`` of shape ``(rows,
+2**n)``, allocated by ``init_zero(n, max_qubits, rows=...)``, and a batch
+holds at most ``2**max_qubits`` amplitudes in all. ``apply_gate`` applies one
+gate to every row; a ``p`` gate may instead carry one angle per row
+(``Gate.p(q, phis)``), which only a batch of as many rows accepts.
+``evolve_edges`` takes one angle per row, and ``pauli_means`` returns one
+array of means per axis. The norm rule holds for each row: the worst drift
+over the rows is checked, and a NaN in any row fails. Every row has exactly
+the bits its single-state run has. A single state is the case with no rows:
+the same kernels, which pick only their views by the row count. Every inner
+product goes through ``_inner``, which takes a single state's with ``np.vdot``
+and each row's of a batch with a stacked ``(1,K) @ (K,1)`` product that sums
+in ``np.vdot``'s order. ``bloch_vector`` and ``overlap_magnitude`` take single
+states alone.
 
 Both gate kernels address qubits through reshape views of the amplitude
 array and update it in place; on a batch the row index becomes extra high
@@ -39,7 +39,7 @@ the arithmetic. A ``p`` with one angle per row scales the qubit-1 halves
 of the ``(rows, -1, 2, 2**q)`` view by a column of phases, the same inner
 loop a single state's ``p`` runs. ``_apply_cx`` views the array with one
 axis per bit of the qubit pair and swaps the target halves of the control-1
-block. The edge route, ``evolve_edges``, which ``evolve_graph_exact`` and
+block. The edge route, ``evolve_edges``, which the validation suites and
 the exact estimate's star call, deliberately multiplies a transposed view of
 the pair's four quarters by a stack of generic dense 4x4s instead, one per
 row and a stack of one for a single state, which numpy multiplies one gemm
@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_integer, _finite_angle
+from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_count, _checked_integer, _finite_angle
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -104,13 +104,9 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
     A batch may hold at most ``2**max_qubits`` amplitudes, the size of the
     largest single state the cap allows.
     """
-    n = _checked_integer(n, "qubit count")
-    if n < 1:
-        raise ValidationError(f"qubit count must be positive, got {n}")
+    n = _checked_count(n, "qubit count", 1)
     if rows is not None:
-        rows = _checked_integer(rows, "row count")
-        if rows < 1:
-            raise ValidationError(f"row count must be positive, got {rows}")
+        rows = _checked_count(rows, "row count", 1)
     if type(max_qubits) is not int:  # plain ints, the common case, skip the call
         max_qubits = _checked_integer(max_qubits, "qubit cap")
     if n > max_qubits:
@@ -286,9 +282,13 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
     rows = state.rows
     if rows is None:
         angles = [_finite_angle(phi)]
-    elif np.ndim(phi) != 1 or len(phi) != rows:
-        raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
     else:
+        try:
+            wrong_shape = np.shape(phi) != (rows,)
+        except ValueError:  # a ragged nesting of sequences, which has no shape
+            raise ValidationError(f"angles for a batch of {rows} rows are not one number per row: {phi!r}") from None
+        if wrong_shape:
+            raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
         angles = [_finite_angle(p) for p in phi]
     u = np.zeros((len(angles), 16), dtype=np.complex128)  # one flattened 4x4 per row
     u[:, ::5] = np.array([math.cos(p / 2.0) for p in angles])[:, None]  # the diagonal
@@ -298,18 +298,6 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
         _apply_two_qubit_dense(state.amps, i, j, u)
         _check_norm(_inner(state.amps, state.amps, rows).real)
     return state
-
-
-def evolve_graph_exact(state: StateVector, g, phi) -> StateVector:
-    """Every graph edge's unitary at ``phi`` (one angle per row on a batch); edge order is irrelevant (all commute).
-
-    The unitary is built once per call and applied edge by edge.
-    """
-    if state.n_qubits < g.n_vertices:
-        raise ValidationError(
-            f"state has {state.n_qubits} qubits but graph has {g.n_vertices} vertices"
-        )
-    return evolve_edges(state, g.edges, phi)
 
 
 def pauli_means(state: StateVector, l: int):

@@ -32,13 +32,12 @@ import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import _check_components, _entanglement_of_means, analytic_entanglement
-from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, ValidationError, _checked_integer, _checked_seed, _Value
+from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, _checked_count, _checked_integer, _Value
 from .graphs import Graph
 from .statevector import (
     StateVector,
     _inner,
     evolve_edges,
-    evolve_graph_exact,
     init_zero,
     overlap_magnitude,
     pauli_means,
@@ -108,14 +107,11 @@ def run_validation(
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> tuple[PropertyResult, ...]:
     """Run every property suite; ``trials`` is the number of random graphs, and every argument an integer."""
-    trials, max_n, max_qubits = map(_checked_integer, (trials, max_n, max_qubits), ("trials", "max_n", "max_qubits"))
-    if trials < 1:
-        raise ValidationError(f"trials must be positive, got {trials}")
-    if max_n < 2:
-        raise ValidationError(f"max_n must be at least 2, got {max_n}")
+    trials, max_n = _checked_count(trials, "trials", 1), _checked_count(max_n, "max_n", 2)
+    max_qubits = _checked_integer(max_qubits, "max_qubits")
     if max_n > max_qubits:
         raise ResourceCapError(f"max_n {max_n} exceeds the qubit cap {max_qubits}")
-    rng = np.random.default_rng(_checked_seed(seed))
+    rng = np.random.default_rng(_checked_count(seed, "seed"))
     graphs = [random_graph(rng, 2, max_n) for _ in range(trials)]
     phis_per_graph = [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 25) for _ in graphs]
     sub = graphs[:30]
@@ -143,7 +139,7 @@ def run_validation(
         transverse, e = [], []
         start = 0
         for chunk in _chunks(angles, n, max_qubits):
-            state = evolve_graph_exact(init_zero(n, max_qubits, rows=len(chunk)), g, chunk)
+            state = evolve_edges(init_zero(n, max_qubits, rows=len(chunk)), g.edges, chunk)
             t, ec = _entanglement_rows(state)
             transverse.append(t)
             e.append(ec)

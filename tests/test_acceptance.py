@@ -19,7 +19,7 @@ from graphent import (
     complete,
     entanglement_from_bloch,
     estimate_entanglement_shots,
-    evolve_graph_exact,
+    evolve_edges,
     exact_entanglement,
     init_zero,
     measurement_prelude,
@@ -50,7 +50,7 @@ def _grid_blochs(which):
     rows = []
     for phi in PHI_GRID_64:
         state = init_zero(g.n_vertices)
-        evolve_graph_exact(state, g, phi)
+        evolve_edges(state, g.edges, phi)
         rows.append((phi, [bloch_vector(state, l) for l in range(g.n_vertices)]))
     return g, rows
 
@@ -66,7 +66,7 @@ def _random_sample():
         per_phi = []
         for phi in phis:
             state = init_zero(g.n_vertices)
-            evolve_graph_exact(state, g, phi)
+            evolve_edges(state, g.edges, phi)
             per_phi.append((phi, [bloch_vector(state, l) for l in range(g.n_vertices)]))
         sample.append((g, per_phi))
     return sample
@@ -138,7 +138,7 @@ def test_criterion_4_circuit_synthesis_fidelity():
     for g in (valencia(), complete(5)):
         for phi in PHI_GRID_64:
             dense = init_zero(g.n_vertices)
-            evolve_graph_exact(dense, g, phi)
+            evolve_edges(dense, g.edges, phi)
             synthesized = init_zero(g.n_vertices)
             apply_circuit(synthesized, synthesize_graph_circuit(g, phi))
             worst_deficit = max(
@@ -239,7 +239,7 @@ def test_criterion_9_symmetry_suite():
             states = {}
             for angle in (phi, -phi, phi + math.pi, math.pi - phi):
                 s = init_zero(g.n_vertices)
-                evolve_graph_exact(s, g, angle)
+                evolve_edges(s, g.edges, angle)
                 states[angle] = s
             for l in range(g.n_vertices):
                 base = entanglement_from_bloch(bloch_vector(states[phi], l))

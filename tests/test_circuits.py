@@ -13,7 +13,6 @@ from graphent import (
     circuit_text,
     complete,
     evolve_edges,
-    evolve_graph_exact,
     gate_text,
     init_zero,
     measurement_prelude,
@@ -151,7 +150,7 @@ class TestGraphSynthesis:
             circuit_state = apply_circuit(
                 init_zero(graph.n_vertices), synthesize_graph_circuit(graph, phi)
             )
-            dense_state = evolve_graph_exact(init_zero(graph.n_vertices), graph, phi)
+            dense_state = evolve_edges(init_zero(graph.n_vertices), graph.edges, phi)
             assert overlap_magnitude(circuit_state, dense_state) > 1 - 1e-12
 
     def test_calibrated_valencia_first_block(self):

@@ -199,6 +199,12 @@ class TestEntangle:
 
 
 class TestSweep:
+    def test_non_integer_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--preset", "valencia", "--sweep", "0:1:2.5")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: argument --sweep: sweep count must be an integer, got '2.5'\n"
+
     def test_header_and_row_order(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--preset", "path(2)", "--sweep", "0:pi:3",
@@ -700,6 +706,18 @@ class TestResourceCap:
         assert out == ""
         assert err == f"usage error: qubit cap must be at least 1, got {cap}\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [["entangle", "--preset", "valencia", "--phi", "1", "--spin", "1"], ["validate", "--trials", "1"]],
+        ids=["entangle", "validate"],
+    )
+    def test_non_integer_env_cap_is_usage_error(self, capsys, monkeypatch, args):
+        monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "abc")
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: GRAPHENT_MAX_QUBITS='abc' is not an integer\n"
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GRAPHENT_MAX_QUBITS", "3")
         code, _, _ = run(
@@ -731,6 +749,45 @@ class TestResourceCap:
         assert code == 3
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 256 MiB\n"
+
+
+class TestInternalError:
+    """Exit 4: a broken kernel, put in by monkeypatching, is reported and prints no result."""
+
+    @staticmethod
+    def _edge_kernel(monkeypatch, broken):
+        dense = statevector._apply_two_qubit_dense
+        monkeypatch.setattr(statevector, "_apply_two_qubit_dense", lambda amps, qa, qb, u: broken(dense, amps, qa, qb, u))
+
+    @pytest.mark.parametrize(
+        "args",
+        [["entangle", "--preset", "valencia", "--phi", "1", "--spin", "1", "--mode", "exact"], ["validate", "--trials", "2"]],
+        ids=["entangle-exact", "validate"],
+    )
+    def test_norm_drift_exits_4(self, capsys, monkeypatch, args):
+        def drifting(dense, amps, qa, qb, u):
+            dense(amps, qa, qb, u)
+            amps *= 1.001
+
+        self._edge_kernel(monkeypatch, drifting)
+        code, out, err = run(capsys, *args)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: state norm drifted by ")
+        assert err.count("\n") == 1
+
+    def test_failed_property_exits_4(self, capsys, monkeypatch):
+        # each edge applied twice: a unitary at 2 phi, so the norm holds but the closed form fails
+        def doubled(dense, amps, qa, qb, u):
+            dense(amps, qa, qb, u)
+            dense(amps, qa, qb, u)
+
+        self._edge_kernel(monkeypatch, doubled)
+        code, out, err = run(capsys, "validate", "--trials", "2")
+        assert code == 4
+        assert err == ""
+        assert out.startswith("validation: trials=2 max_n=6 seed=7\nFAIL  closed form vs exact entanglement")
+        assert out.endswith("\nvalidation FAILED\n")
 
 
 class TestShotCount:
@@ -976,12 +1033,17 @@ def _python(code, *argv):
 _MAIN = "import sys; from graphent.cli import main; sys.exit(main(sys.argv[1:]))"
 # a None entry makes every later import of that module raise ImportError;
 # dataclasses (with inspect) cost more than the rest of `import graphent.cli`,
-# and typing is needed only by type checkers
-_NO_NUMPY = "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['typing'] = None; "
+# typing is needed only by type checkers, and the input checkers tell numbers
+# apart without decimal, numbers or fractions
+_NO_NUMPY = (
+    "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['typing'] = None; "
+    "sys.modules['decimal'] = sys.modules['numbers'] = sys.modules['fractions'] = None; "
+)
 
 
 class TestNumpyFree:
-    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy, dataclasses or typing."""
+    """The commands that simulate nothing run, byte for byte, in an interpreter that cannot import numpy, dataclasses,
+    typing, decimal, numbers or fractions."""
 
     @pytest.mark.parametrize(
         "argv, code",

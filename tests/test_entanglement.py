@@ -18,7 +18,6 @@ from graphent import (
     complete,
     entanglement_from_bloch,
     evolve_edges,
-    evolve_graph_exact,
     estimate_entanglement_shots,
     exact_entanglement,
     init_zero,
@@ -26,7 +25,7 @@ from graphent import (
     statevector,
     valencia,
 )
-from graphent.entanglement import _check_components
+from graphent.entanglement import _COMPONENT_LIMIT, _check_components
 from graphent.validation import random_graph
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi, 25)
@@ -117,6 +116,15 @@ class TestBlochVector:
     def test_non_number_component(self, v):
         with pytest.raises(ValidationError, match=rf"^Bloch component mz must be a real number, got {re.escape(repr(v))}$"):
             BlochVector(0.0, 0.0, v)
+
+    @pytest.mark.parametrize("v", [_COMPONENT_LIMIT, -_COMPONENT_LIMIT])
+    def test_bound_is_inclusive(self, v):
+        assert BlochVector(v, 0.0, 0.0).mx == v
+
+    @pytest.mark.parametrize("v", [math.nextafter(_COMPONENT_LIMIT, math.inf), math.nextafter(-_COMPONENT_LIMIT, -math.inf)])
+    def test_one_float_past_the_bound_is_rejected(self, v):
+        with pytest.raises(ValidationError, match=rf"^Bloch component mx={re.escape(repr(v))} outside \[-1, 1\]$"):
+            BlochVector(v, 0.0, 0.0)
 
 
 class TestFromBloch:
@@ -234,7 +242,7 @@ class TestLightCone:
     @staticmethod
     def full_register_bloch(g, phi, l):
         state = init_zero(g.n_vertices)
-        evolve_graph_exact(state, g, phi)
+        evolve_edges(state, g.edges, phi)
         return bloch_vector(state, l)
 
     @given(seed=st.integers(0, 2**32 - 1), phi=st.floats(-2 * math.pi, 2 * math.pi))
@@ -305,6 +313,16 @@ class TestEstimateType:
     @pytest.mark.parametrize("value", ["x", None, (0.1,), 0.1j, np.complex128(0.1), np.array([0.1, 0.2])])
     def test_non_number_value(self, value):
         with pytest.raises(ValidationError, match=rf"^entanglement value must be a real number, got {re.escape(repr(value))}$"):
+            EntanglementEstimate(0, value, BlochVector(0, 0, 0.8), "exact")
+
+    @pytest.mark.parametrize("value", [0, np.float64(0.25), -1e-12, 0.5 + 1e-12])
+    def test_int_numpy_and_boundary_values_accepted(self, value):
+        est = EntanglementEstimate(0, value, BlochVector(0, 0, 0.8), "exact")
+        assert est.value is value
+
+    @pytest.mark.parametrize("value", [math.nextafter(-1e-12, -math.inf), math.nextafter(0.5 + 1e-12, math.inf)])
+    def test_one_float_past_a_value_bound_is_rejected(self, value):
+        with pytest.raises(ValidationError, match=rf"^entanglement value {re.escape(repr(value))} outside \[0, 1/2\]$"):
             EntanglementEstimate(0, value, BlochVector(0, 0, 0.8), "exact")
 
     @pytest.mark.parametrize("bloch", ["str", None, (0.0, 0.0, 0.8)])

@@ -6,6 +6,8 @@ subclass; a valid input must return, and an invalid one must raise.
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,20 +15,34 @@ from conftest import noisy_bloch_oracle
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
+    BlochVector,
     CalibrationData,
+    EntanglementEstimate,
     Gate,
     GraphentError,
     Graph,
+    StateVector,
     ValidationError,
     analytic_entanglement,
     analytic_estimate,
+    bloch_vector,
     choose_orientation,
+    complete,
     derive_seed,
     estimate_entanglement_shots,
     evolve_edges,
     exact_entanglement,
     init_zero,
+    measurement_prelude,
+    parse_graph,
+    path,
+    preset,
+    ring,
+    run_validation,
+    synthesize_edge,
+    synthesize_graph_circuit,
     valencia,
+    valencia_calibration,
 )
 from graphent.cli import parse_phi
 
@@ -211,6 +227,8 @@ ANGLE_ENTRIES = {
     "analytic_estimate": lambda phi: analytic_estimate(valencia(), phi, 1),
     "exact_entanglement": lambda phi: exact_entanglement(valencia(), phi, 1),
     "estimate_entanglement_shots": lambda phi: estimate_entanglement_shots(valencia(), phi, 1, 100),
+    "synthesize_edge": lambda phi: synthesize_edge(0, 1, phi),
+    "synthesize_graph_circuit": lambda phi: synthesize_graph_circuit(valencia(), phi),
 }
 
 
@@ -227,3 +245,225 @@ def test_complex_angle_is_not_a_real_number(entry, phi):
 def test_float32_angle_is_its_float_value(entry):
     # float32's own value, compared without casting a float64 bound to float32
     assert entry(np.float32(0.3)) == entry(float(np.float32(0.3)))
+
+
+@pytest.mark.parametrize("entry", ANGLE_ENTRIES.values(), ids=ANGLE_ENTRIES.keys())
+@pytest.mark.parametrize("phi", [Decimal("NaN"), Decimal("sNaN"), Decimal("-NaN")], ids=["NaN", "sNaN", "-NaN"])
+def test_nan_decimal_angle_is_not_a_real_number(entry, phi):
+    # ordering a NaN Decimal against a float raises decimal.InvalidOperation
+    with pytest.raises(ValidationError, match=rf"^angle must be a real number, got {re.escape(repr(phi))}$"):
+        entry(phi)
+
+
+@pytest.mark.parametrize("v", [Decimal("NaN"), Decimal("sNaN")], ids=["NaN", "sNaN"])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: BlochVector(v, 0.0, 0.0), "Bloch component mx"),
+        (lambda v: BlochVector(0.0, 0.0, v), "Bloch component mz"),
+        (lambda v: EntanglementEstimate(0, v, BlochVector(0.0, 0.0, 0.8), "exact"), "entanglement value"),
+        (lambda v: EntanglementEstimate(0, 0.1, BlochVector(0.0, 0.0, 0.8), "shots", v, 100), "standard error"),
+    ],
+    ids=["mx", "mz", "value", "std_error"],
+)
+def test_nan_decimal_value_is_not_a_real_number(call, what, v):
+    with pytest.raises(ValidationError, match=rf"^{what} must be a real number, got {re.escape(repr(v))}$"):
+        call(v)
+
+
+@pytest.mark.parametrize("name", [np.array(["exact", "x"]), ["auto"], np.array("exact"), b"exact", None])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda name: EntanglementEstimate(0, 0.1, BlochVector(0.0, 0.0, 0.8), name), "method"),
+        (lambda name: Gate(name, 0), "gate kind"),
+        (lambda name: measurement_prelude(name, 0), "measurement axis"),
+        (lambda name: parse_graph("2\n0 1\n", name), "graph format"),
+    ],
+    ids=["method", "gate-kind", "prelude-axis", "graph-format"],
+)
+def test_a_name_that_is_no_string_is_unknown(call, what, name):
+    # numpy compares an array with each name elementwise, and a list is unhashable
+    with pytest.raises(ValidationError, match=rf"^unknown {what} {re.escape(repr(name))}; expected one of \("):
+        call(name)
+
+
+def test_numpy_string_names_are_names():
+    assert parse_graph("2\n0 1\n", np.str_("auto")) == parse_graph("2\n0 1\n", "auto")
+    assert measurement_prelude(np.str_("x"), 1) == measurement_prelude("x", 1)
+    assert Gate(np.str_("h"), 0) == Gate("h", 0)
+
+
+@pytest.mark.parametrize("control", [[0], {0: 1}])
+def test_cx_error_lookup_of_an_unhashable_index_finds_no_entry(control):
+    with pytest.raises(ValidationError, match=rf"^no cx error entry for directed pair {re.escape(str(control))}-1$"):
+        valencia_calibration().cx_error_for(control, 1)
+
+
+# The kind property: every public parameter that takes a number or a name,
+# with the kind of input it takes. Each drawn value either gives the answer
+# that its plain Python counterpart gives, or raises a GraphentError; a value
+# with no plain counterpart (a list given as a count, a string given as an
+# angle) must raise. Out of scope: parameters that take an object (graphs,
+# edges, states, gates, Bloch vectors, calibration data), the gate_noise flag,
+# text to parse, random_graph's bounds, entanglement_from_bloch's norm_tol, and
+# cx_error_for, a lookup in which any key equal to a listed pair finds it.
+_BLOCH = BlochVector(0.0, 0.0, 0.8)
+KIND_TABLE = [
+    ("analytic_entanglement", "k", "count", lambda v: analytic_entanglement(v, 1.0)),
+    ("analytic_entanglement", "phi", "angle", lambda v: analytic_entanglement(2, v)),
+    ("analytic_estimate", "phi", "angle", lambda v: analytic_estimate(valencia(), v, 1)),
+    ("analytic_estimate", "l", "count", lambda v: analytic_estimate(valencia(), 1.0, v)),
+    ("exact_entanglement", "phi", "angle", lambda v: exact_entanglement(valencia(), v, 1)),
+    ("exact_entanglement", "l", "count", lambda v: exact_entanglement(valencia(), 1.0, v)),
+    ("exact_entanglement", "max_qubits", "count", lambda v: exact_entanglement(valencia(), 1.0, 1, v)),
+    ("estimate_entanglement_shots", "phi", "angle", lambda v: estimate_entanglement_shots(valencia(), v, 1, 64)),
+    ("estimate_entanglement_shots", "l", "count", lambda v: estimate_entanglement_shots(valencia(), 1.0, v, 64)),
+    ("estimate_entanglement_shots", "shots", "count", lambda v: estimate_entanglement_shots(valencia(), 1.0, 1, v)),
+    ("estimate_entanglement_shots", "seed", "count", lambda v: estimate_entanglement_shots(valencia(), 1.0, 1, 64, seed=v)),
+    ("derive_seed", "seed", "count", lambda v: derive_seed(v, 1)),
+    ("derive_seed", "index", "count", lambda v: derive_seed(1, v)),
+    ("init_zero", "n", "count", lambda v: init_zero(v)),
+    ("init_zero", "max_qubits", "count", lambda v: init_zero(2, v)),
+    ("init_zero", "rows", "count", lambda v: init_zero(2, rows=v)),
+    ("evolve_edges", "phi", "angle", lambda v: evolve_edges(init_zero(2), [(0, 1)], v)),
+    ("evolve_edges", "phi-per-row", "rows", lambda v: evolve_edges(init_zero(2, rows=2), [(0, 1)], v)),
+    ("bloch_vector", "l", "count", lambda v: bloch_vector(evolve_edges(init_zero(3), [(0, 1)], 0.7), v)),
+    ("Gate", "kind", "name", lambda v: Gate(v, 0, angle=0.5)),
+    ("Gate", "target", "count", lambda v: Gate("p", v, angle=0.5)),
+    ("Gate", "control", "count", lambda v: Gate("cx", 1, control=v)),
+    ("Gate", "angle", "rows", lambda v: Gate("p", 0, angle=v)),
+    ("Gate.rx", "angle", "angle", lambda v: Gate.rx(0, v)),
+    ("Gate.ry", "angle", "angle", lambda v: Gate.ry(0, v)),
+    ("synthesize_edge", "r", "count", lambda v: synthesize_edge(v, 2, 0.5)),
+    ("synthesize_edge", "phi", "rows", lambda v: synthesize_edge(0, 1, v)),
+    ("synthesize_graph_circuit", "phi", "rows", lambda v: synthesize_graph_circuit(valencia(), v)),
+    ("measurement_prelude", "axis", "name", lambda v: measurement_prelude(v, 1)),
+    ("measurement_prelude", "l", "count", lambda v: measurement_prelude("x", v)),
+    ("BlochVector", "mx", "real", lambda v: BlochVector(v, 0.0, 0.0)),
+    ("BlochVector", "my", "real", lambda v: BlochVector(0.0, v, 0.0)),
+    ("BlochVector", "mz", "real", lambda v: BlochVector(0.0, 0.0, v)),
+    ("EntanglementEstimate", "spin", "count", lambda v: EntanglementEstimate(v, 0.1, _BLOCH, "exact")),
+    ("EntanglementEstimate", "value", "real", lambda v: EntanglementEstimate(0, v, _BLOCH, "exact")),
+    ("EntanglementEstimate", "method", "name", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, v)),
+    ("EntanglementEstimate", "std_error", "real", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", v, 64)),
+    ("EntanglementEstimate", "shots", "count", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", 0.01, v)),
+    ("Graph", "n_vertices", "count", lambda v: Graph(v, ((0, 1),))),
+    ("Graph.neighbours", "l", "count", lambda v: valencia().neighbours(v)),
+    ("Graph.degree", "l", "count", lambda v: valencia().degree(v)),
+    ("complete", "n", "count", complete),
+    ("path", "n", "count", path),
+    ("ring", "n", "count", ring),
+    ("parse_graph", "fmt", "name", lambda v: parse_graph("3\n0 1\n", v)),
+    ("preset", "name", "name", preset),
+    ("run_validation", "max_n", "count", lambda v: run_validation(max_n=v, trials=1)),
+    ("run_validation", "trials", "count", lambda v: run_validation(max_n=2, trials=v)),
+    ("run_validation", "seed", "count", lambda v: run_validation(max_n=2, trials=1, seed=v)),
+    ("run_validation", "max_qubits", "count", lambda v: run_validation(max_n=2, trials=1, max_qubits=v)),
+]
+
+INVALID = object()  # the plain counterpart of a value that stands for no number or name of the kind
+
+_COUNT_FORMS = [
+    lambda n: n, np.int64, np.int16, np.array, float, np.float64, Decimal, Fraction, str, complex,
+    lambda n: n == 1, lambda n: [n], lambda n: (n, n), lambda n: np.array([n, n]),
+]
+_REAL_FORMS = [
+    lambda x: x, np.float64, np.array, Decimal, str, complex, np.complex128,
+    lambda x: np.float32(x) if not abs(x) > 3e38 else x,  # a cast past float32's range warns
+    lambda x: Fraction(x) if math.isfinite(x) else x,
+    lambda x: int(x) if x.is_integer() else x,
+    lambda x: x == 1.0,
+    lambda x: [x], lambda x: (x, x), lambda x: np.array([x, math.nan]),
+    lambda x: Decimal("NaN"), lambda x: Decimal("sNaN"), lambda x: None,
+]
+_NAME_FORMS = [
+    lambda s: s, np.str_, np.array, str.encode, str.upper,
+    lambda s: [s], lambda s: (s,), lambda s: np.array([s, "x"]), lambda s: None, lambda s: 1,
+]
+NAMES = [
+    "analytic", "exact", "shots", "h", "p", "rx", "ry", "cx", "x", "y", "z",
+    "edge-list", "json", "adjacency", "auto", "valencia", "ring:4", "", "pi",
+]
+COUNTS = st.integers(-2, 6)
+REALS = st.one_of(
+    st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e308, math.nan, math.inf, -math.inf])
+)
+
+
+def _formed(values, forms):
+    return st.tuples(values, st.sampled_from(forms)).map(lambda pair: pair[1](pair[0]))
+
+
+_ODD_REALS = _formed(REALS, _REAL_FORMS)
+KIND_VALUES = {
+    "count": _formed(COUNTS, _COUNT_FORMS),
+    "real": _ODD_REALS,
+    "angle": _ODD_REALS,
+    # one angle, or a sequence of them, one per row
+    "rows": st.one_of(
+        _ODD_REALS,
+        st.lists(_ODD_REALS, max_size=3),
+        st.lists(_ODD_REALS, max_size=3).map(tuple),
+        st.lists(REALS, max_size=3).map(np.array),
+        st.lists(REALS, max_size=3).map(lambda xs: [xs]),
+    ),
+    "name": _formed(st.sampled_from(NAMES), _NAME_FORMS),
+}
+
+
+def _plain_count(v):
+    if type(v) is int or isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind == "i":
+        return int(v)
+    return INVALID
+
+
+def _plain_real(v):
+    if isinstance(v, Decimal):
+        return INVALID if v.is_nan() else float(v)
+    if isinstance(v, (int, float, Fraction, np.integer, np.floating)):  # bools included, as Python's ints
+        return float(v)
+    if isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf":
+        return float(v)
+    return INVALID
+
+
+def _plain_rows(v):
+    if isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1):
+        plains = tuple(_plain_real(x) for x in v)
+        return INVALID if any(p is INVALID for p in plains) else plains
+    return _plain_real(v)
+
+
+def _plain_name(v):
+    return str(v) if isinstance(v, str) else INVALID
+
+
+PLAIN = {"count": _plain_count, "real": _plain_real, "angle": _plain_real, "rows": _plain_rows, "name": _plain_name}
+
+
+def _answer(result):
+    """``result`` in a form ``==`` compares: a state as its size, rows and amplitude bytes."""
+    if isinstance(result, StateVector):
+        return result.n_qubits, result.rows, result.amps.tobytes()
+    if isinstance(result, tuple):
+        return tuple(_answer(r) for r in result)
+    return result
+
+
+@pytest.mark.parametrize(
+    "kind, call", [(kind, call) for _, _, kind, call in KIND_TABLE], ids=[f"{e}-{p}" for e, p, _, _ in KIND_TABLE]
+)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_odd_input_gives_the_plain_answer_or_a_graphent_error(kind, call, data):
+    value = data.draw(KIND_VALUES[kind], label="value")
+    plain = PLAIN[kind](value)
+    try:
+        got = call(value)
+    except GraphentError:
+        return
+    assert plain is not INVALID, f"{value!r} was answered, with {got!r}"
+    assert _answer(got) == _answer(call(plain))

@@ -8,13 +8,11 @@ from numpy.testing import assert_allclose
 from graphent import (
     ConsistencyError,
     Gate,
-    Graph,
     ResourceCapError,
     StateVector,
     ValidationError,
     apply_gate,
     evolve_edges,
-    evolve_graph_exact,
     init_zero,
     overlap_magnitude,
     valencia,
@@ -357,23 +355,21 @@ class TestEvolveEdge:
 
 class TestEvolveGraph:
     def test_empty_graph_unchanged(self):
-        from graphent import Graph
-
         s = random_state(3, seed=4)
         before = s.amps.copy()
-        evolve_graph_exact(s, Graph(3, ()), 1.0)
+        evolve_edges(s, (), 1.0)
         assert_allclose(s.amps, before)
 
     def test_matches_expm_oracle_on_valencia(self):
         g = valencia()
         s = init_zero(5)
-        evolve_graph_exact(s, g, 0.8)
+        evolve_edges(s, g.edges, 0.8)
         expected = graph_unitary_oracle(g, 0.8) @ init_zero(5).amps
         assert_allclose(s.amps, expected, atol=1e-13)
 
     def test_two_pi_is_global_phase(self):
         g = valencia()
-        s = evolve_graph_exact(init_zero(5), g, 2 * math.pi)
+        s = evolve_edges(init_zero(5), g.edges, 2 * math.pi)
         assert overlap_magnitude(s, init_zero(5)) > 1 - 1e-12
         assert_allclose(pauli_means(s, 1), pauli_means(init_zero(5), 1), atol=1e-12)
 
@@ -381,7 +377,7 @@ class TestEvolveGraph:
         for trial in range(10):
             g = random_graph(rng, 2, 5)
             phi = rng.uniform(-6, 6)
-            reference = evolve_graph_exact(init_zero(g.n_vertices), g, phi)
+            reference = evolve_edges(init_zero(g.n_vertices), g.edges, phi)
             shuffled = list(g.edges)
             rng.shuffle(shuffled)
             other = init_zero(g.n_vertices)
@@ -396,17 +392,7 @@ class TestEvolveGraph:
         per_edge = init_zero(5, rows=rows)
         for i, j in g.edges:
             evolve_edges(per_edge, [(i, j)], phi)
-        assert evolve_graph_exact(init_zero(5, rows=rows), g, phi).amps.tobytes() == per_edge.amps.tobytes()
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            evolve_graph_exact(init_zero(3), valencia(), 0.3)
-
-    def test_state_larger_than_graph_ok(self):
-        from graphent import Graph
-
-        s = evolve_graph_exact(init_zero(3), Graph(2, ((0, 1),)), 0.9)
-        assert abs(pauli_means(s, 2)[2] - 1.0) < 1e-12
+        assert evolve_edges(init_zero(5, rows=rows), g.edges, phi).amps.tobytes() == per_edge.amps.tobytes()
 
 
 class TestExpectations:
@@ -417,7 +403,7 @@ class TestExpectations:
         assert my == 0.0
 
     def test_transverse_vanish_on_valencia(self):
-        s = evolve_graph_exact(init_zero(5), valencia(), 0.7)
+        s = evolve_edges(init_zero(5), valencia().edges, 0.7)
         for l in range(5):
             mx, my, _ = pauli_means(s, l)
             assert abs(mx) <= 1e-12
@@ -425,14 +411,14 @@ class TestExpectations:
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, 2 * math.pi, 9))
     def test_valencia_hub_z_is_cos_cubed(self, phi):
-        s = evolve_graph_exact(init_zero(5), valencia(), phi)
+        s = evolve_edges(init_zero(5), valencia().edges, phi)
         assert abs(pauli_means(s, 1)[2] - math.cos(phi) ** 3) < 1e-12
 
     def test_signed_longitudinal_closed_form_on_random_graphs(self, rng):
         for trial in range(20):
             g = random_graph(rng, 2, 6)
             for phi in rng.uniform(-2 * math.pi, 2 * math.pi, 5):
-                s = evolve_graph_exact(init_zero(g.n_vertices), g, phi)
+                s = evolve_edges(init_zero(g.n_vertices), g.edges, phi)
                 for l in range(g.n_vertices):
                     expected = math.cos(phi) ** g.degree(l)
                     assert abs(pauli_means(s, l)[2] - expected) < 1e-10
@@ -447,8 +433,8 @@ class TestExpectations:
         for trial in range(5):
             g = random_graph(rng, 2, 5)
             phi = rng.uniform(0, 6)
-            plus = evolve_graph_exact(init_zero(g.n_vertices), g, phi)
-            minus = evolve_graph_exact(init_zero(g.n_vertices), g, -phi)
+            plus = evolve_edges(init_zero(g.n_vertices), g.edges, phi)
+            minus = evolve_edges(init_zero(g.n_vertices), g.edges, -phi)
             for l in range(g.n_vertices):
                 for m_plus, m_minus in zip(pauli_means(plus, l), pauli_means(minus, l)):
                     assert abs(abs(m_plus) - abs(m_minus)) < 1e-12
@@ -592,8 +578,8 @@ class TestBatchedRows:
     def test_graph_rows_equal_single_runs(self):
         g = valencia()
         phis = np.linspace(-7.0, 7.0, 9)
-        batch = evolve_graph_exact(init_zero(5, rows=9), g, phis)
-        _assert_rows_equal_singles(batch, [evolve_graph_exact(init_zero(5), g, phi) for phi in phis])
+        batch = evolve_edges(init_zero(5, rows=9), g.edges, phis)
+        _assert_rows_equal_singles(batch, [evolve_edges(init_zero(5), g.edges, phi) for phi in phis])
 
     def test_drift_in_one_row_fails(self):
         s = _random_rows(np.random.default_rng(1), 3, 4)
@@ -620,7 +606,13 @@ class TestBatchedRows:
         with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
             evolve_edges(init_zero(2, rows=3), [(0, 1)], phi)
         with pytest.raises(ValidationError, match="angles for a batch of 3 rows"):
-            evolve_graph_exact(init_zero(5, rows=3), valencia(), phi)
+            evolve_edges(init_zero(5, rows=3), valencia().edges, phi)
+
+    @pytest.mark.parametrize("phi", [[[0.1], 0.2, 0.3], [0.1, (0.2, 0.3), 0.4]])
+    def test_ragged_angles_rejected(self, phi):
+        # numpy makes no array of a ragged nesting, and raises a bare ValueError
+        with pytest.raises(ValidationError, match=r"^angles for a batch of 3 rows are not one number per row: "):
+            evolve_edges(init_zero(2, rows=3), [(0, 1)], phi)
 
     @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
     def test_non_finite_angle_in_one_row_rejected(self, phi):
@@ -639,7 +631,7 @@ class TestBatchedRows:
             bloch_vector(batch, 0)
 
     def test_empty_graph_leaves_a_batch_unchanged(self):
-        s = evolve_graph_exact(init_zero(3, rows=2), Graph(3, ()), [0.4, 0.5])
+        s = evolve_edges(init_zero(3, rows=2), (), [0.4, 0.5])
         assert np.array_equal(s.amps, init_zero(3, rows=2).amps)
 
 

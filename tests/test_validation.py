@@ -8,7 +8,7 @@ from graphent import (
     ValidationError,
     bloch_vector,
     entanglement_from_bloch,
-    evolve_graph_exact,
+    evolve_edges,
     init_zero,
     statevector,
     validation,
@@ -126,18 +126,19 @@ def test_nan_overlap_fails_its_deficit_property(monkeypatch, name):
 def _record_batches(monkeypatch):
     """Every ``init_zero`` allocation as (n, rows), and every dense batch's amplitude shape."""
     allocations, dense = [], []
-    init_zero, evolve = validation.init_zero, validation.evolve_graph_exact
+    init_zero, evolve = validation.init_zero, validation.evolve_edges
 
     def recording_init(n, max_qubits, rows=None):
         allocations.append((n, rows))
         return init_zero(n, max_qubits, rows)
 
-    def recording_evolve(state, g, phi):
-        dense.append(state.amps.shape)
-        return evolve(state, g, phi)
+    def recording_evolve(state, edges, phi):
+        if state.rows is not None:  # the edge-order property's single states are no dense batch
+            dense.append(state.amps.shape)
+        return evolve(state, edges, phi)
 
     monkeypatch.setattr(validation, "init_zero", recording_init)
-    monkeypatch.setattr(validation, "evolve_graph_exact", recording_evolve)
+    monkeypatch.setattr(validation, "evolve_edges", recording_evolve)
     return allocations, dense
 
 
@@ -206,10 +207,10 @@ def test_entanglement_rows_equal_the_per_spin_route(rng):
         g = random_graph(rng, 2, 6)
         n = g.n_vertices
         phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 7)
-        transverse, e = validation._entanglement_rows(evolve_graph_exact(init_zero(n, rows=7), g, phis))
+        transverse, e = validation._entanglement_rows(evolve_edges(init_zero(n, rows=7), g.edges, phis))
         assert transverse.shape == e.shape == (7, n)
         for row, phi in enumerate(phis):
-            blochs = [bloch_vector(evolve_graph_exact(init_zero(n), g, phi), l) for l in range(n)]
+            blochs = [bloch_vector(evolve_edges(init_zero(n), g.edges, phi), l) for l in range(n)]
             assert e[row].tolist() == [entanglement_from_bloch(b) for b in blochs]
             assert transverse[row].tolist() == [max(abs(b.mx), abs(b.my)) for b in blochs]
 
