@@ -86,9 +86,12 @@ class CalibrationData(_Value):
         return len(self.readout_error)
 
     def cx_error_for(self, control: int, target: int) -> float:
+        """The rate of the directed pair; an index that is no integer (a float, a bool, a list) has no entry."""
         try:
+            if type(control) is not int or type(target) is not int:  # plain ints, the common case, skip the calls
+                control, target = _checked_integer(control, "cx_error qubit"), _checked_integer(target, "cx_error qubit")
             return self.cx_error[(control, target)]
-        except (KeyError, TypeError):  # TypeError: an unhashable index, such as a list
+        except (KeyError, ValidationError):
             raise ValidationError(
                 f"no cx error entry for directed pair {control}-{target}"
             ) from None

@@ -63,9 +63,11 @@ class Gate(_Value):
         _checked_choice(kind, GATE_KINDS, "gate kind")
         if (self.control is None) == (self.kind == "cx"):
             raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
-        for q in (self.target, self.control) if self.kind == "cx" else (self.target,):
-            if _checked_integer(q, "qubit index") < 0:
+        for name in ("target", "control") if self.kind == "cx" else ("target",):
+            q = _checked_integer(getattr(self, name), "qubit index")
+            if q < 0:
                 raise ValidationError(f"negative qubit index in {self}")
+            object.__setattr__(self, name, q)  # a numpy integer is stored as its int, so the gate hashes
         if self.control == self.target:
             raise ValidationError(f"cx control and target coincide at {self.target}")
         if self.kind in ("h", "cx"):

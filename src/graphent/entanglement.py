@@ -60,7 +60,7 @@ def _check_components(means: np.ndarray):
 
 
 class BlochVector(_Value):
-    """Single-spin Pauli means (mx, my, mz)."""
+    """Single-spin Pauli means (mx, my, mz): real numbers within ``_COMPONENT_LIMIT`` of 0, stored as floats."""
 
     __slots__ = ("mx", "my", "mz")
 
@@ -69,9 +69,7 @@ class BlochVector(_Value):
             # NaN compares False, so it fails too
             if not abs(_checked_real(v, f"Bloch component {name}")) <= _COMPONENT_LIMIT:
                 raise _component_error(name, v)
-        object.__setattr__(self, "mx", mx)
-        object.__setattr__(self, "my", my)
-        object.__setattr__(self, "mz", mz)
+            object.__setattr__(self, name, float(v))  # so a Decimal or numpy component mixes with floats
 
     def norm(self) -> float:
         return _norm(self.mx, self.my, self.mz)

@@ -273,7 +273,11 @@ def preset(name: str) -> Graph:
         return valencia()
     m = re.fullmatch(r"([a-z]+)\(([0-9]+)\)", spec) or re.fullmatch(r"([a-z]+):([0-9]+)", spec)
     if m and m.group(1) in _SIZED_PRESETS:
-        return _SIZED_PRESETS[m.group(1)](int(m.group(2)))
+        try:
+            n = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(f"{m.group(1)} graph size has {len(m.group(2))} digits, more than int() converts") from None
+        return _SIZED_PRESETS[m.group(1)](n)
     raise ValidationError(
         f"unknown preset {name!r}; expected valencia, complete(n), path(n), or ring(n)"
     )

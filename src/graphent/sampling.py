@@ -18,16 +18,15 @@ that block, ``rho <- Tr_m[U_b (rho (x) |0><0|_m) U_b^dagger]``, on ``l``'s 2x2
 density matrix ``rho`` (:func:`_spin_state`). ``U_b`` comes from the compiled
 block run through the gate kernels on 3 qubits (:func:`_isometry`), and each
 axis applies its measurement prelude to ``rho`` the same way before reading
-the probability ``p1`` that ``l`` reads 1. The x and y preludes' isometries
-depend on nothing, so each is built once per process, on first use, and
-kept read-only (:func:`_prelude_isometry`); the z axis reads ``rho``
-itself. A block's gates before its ``p(phi)``, its first ``cx`` and ``h``,
-depend on no angle either, so each orientation's (rotating on ``l`` or on
-``m``) run once per process and their 8 amplitudes are kept read-only
-(:func:`_block_prefix`); an estimate runs only ``p(phi)``, ``h`` and ``cx``
-on a copy of them (:func:`_block_isometry`). Those are the kernels the whole
-block runs, in its order and on the same amplitudes, each norm-checked, so
-the isometry keeps its bits. No state has more than 8 amplitudes, whatever
+the probability ``p1`` that ``l`` reads 1; the z axis reads ``rho`` itself.
+The x and y preludes' isometries depend on nothing, and neither do a block's
+gates before its ``p(phi)``, its first ``cx`` and ``h``, so both are built at
+import and kept read-only: ``_PRELUDE_ISOMETRIES``, and ``_BLOCK_PREFIXES``
+with each block orientation's (rotating on ``l`` or on ``m``) 8 amplitudes
+after those gates. An estimate runs only ``p(phi)``, ``h`` and ``cx`` on a
+copy of them (:func:`_block_isometry`): the kernels the whole block runs, in
+its order and on the same amplitudes, each norm-checked, so the isometry
+keeps its bits. No state has more than 8 amplitudes, whatever
 the degree, so the route has no qubit cap.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
@@ -56,7 +55,6 @@ every gate and CX rate zero, ``q`` is 0 and ``f`` is ``r`` exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -146,41 +144,27 @@ def _isometry(gates: tuple[Gate, ...]) -> np.ndarray:
     return apply_circuit(_reference_state(), gates).amps.reshape(2, 4).T
 
 
-@functools.cache
-def _prelude_isometry(axis: str) -> np.ndarray:
-    """:func:`_isometry` of the ``axis`` measurement prelude on ``l`` = qubit 0, built on first use; read-only.
-
-    The preludes depend on nothing else, so each is built once per process.
-    """
-    v = _isometry(measurement_prelude(axis, 0))
-    v.flags.writeable = False
-    return v
-
-
-@functools.cache
-def _block_prefix(on_l: bool) -> tuple[np.ndarray, Gate, tuple[Gate, ...]]:
-    """The edge block rotating on ``l`` = qubit 0 (or on ``m`` = qubit 1), split at its first angle gate.
-
-    Returns the reference state's amplitudes after the gates before that
-    gate, read-only, then the angle gate and the gates after it. The gates
-    before it depend on no angle, so each orientation's are run once per
-    process, on first use.
-    """
-    block = synthesize_edge(0, 1, 0.0) if on_l else synthesize_edge(1, 0, 0.0)
-    split = next(i for i, gate in enumerate(block) if gate.angle is not None)
-    amps = apply_circuit(_reference_state(), block[:split]).amps
+def _read_only(amps: np.ndarray) -> np.ndarray:
     amps.flags.writeable = False
-    return amps, block[split], block[split + 1 :]
+    return amps
+
+
+_PRELUDE_ISOMETRIES = {axis: _read_only(_isometry(measurement_prelude(axis, 0))) for axis in ("x", "y")}
+# per block orientation, rotating on l = qubit 0 (True) or on m = qubit 1 (False):
+# the amplitudes after the five-gate block's cx and h, its p, and its h and cx
+_BLOCK_PREFIXES = {
+    on_l: (_read_only(apply_circuit(_reference_state(), block[:2]).amps), block[2], block[3:])
+    for on_l, block in ((True, synthesize_edge(0, 1, 0.0)), (False, synthesize_edge(1, 0, 0.0)))
+}
 
 
 def _block_isometry(on_l: bool, phi: float) -> np.ndarray:
-    """:func:`_isometry` of ``synthesize_edge(0, 1, phi)`` (or of ``(1, 0, phi)``), from :func:`_block_prefix`.
+    """:func:`_isometry` of ``synthesize_edge(0, 1, phi)`` (or of ``(1, 0, phi)``), bit for bit.
 
-    Only the angle gate, at ``phi``, and the gates after it run, on a copy of
-    the prefix's amplitudes: the same kernels on the same inputs as the whole
-    block, so the result has the same bits.
+    Only the ``p`` gate, at ``phi``, and the gates after it run, on a copy of
+    the amplitudes ``_BLOCK_PREFIXES`` keeps from the gates before it.
     """
-    amps, angle_gate, suffix = _block_prefix(on_l)
+    amps, angle_gate, suffix = _BLOCK_PREFIXES[on_l]
     gates = (Gate(angle_gate.kind, angle_gate.target, angle=phi),) + suffix
     return apply_circuit(StateVector(3, amps.copy()), gates).amps.reshape(2, 4).T
 
@@ -223,7 +207,7 @@ def _read_one_probabilities(
     r = 0.0 if cal is None else cal.readout_error[l]
     probabilities = []
     for axis in ("z", "x", "y"):
-        measured = rho if axis == "z" else _trace_out(rho, _prelude_isometry(axis))
+        measured = rho if axis == "z" else _trace_out(rho, _PRELUDE_ISOMETRIES[axis])
         p1 = measured[1, 1].real / (measured[0, 0].real + measured[1, 1].real)
         q = _gate_flip_probability(gates + measurement_prelude(axis, l), l, cal) if gate_noise else 0.0
         f = r + q - 2 * r * q

@@ -76,6 +76,10 @@ class StateVector:
     __slots__ = ("n_qubits", "amps", "rows")
 
     def __init__(self, n_qubits: int, amps: np.ndarray):
+        if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:  # the kernels write complex amplitudes in place
+            got = f"{amps.dtype} array" if isinstance(amps, np.ndarray) else type(amps).__name__
+            raise ValidationError(f"amplitudes must be a complex128 numpy array, got {got}")
+        n_qubits = _checked_count(n_qubits, "qubit count")
         if amps.shape == (1 << n_qubits,):
             self.rows = None
         elif amps.ndim == 2 and amps.shape[1] == 1 << n_qubits and len(amps):
@@ -269,12 +273,21 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
     """Apply exp(-i*(phi/2)*XiXj) to each ``(i, j)`` of ``edges`` in the given order; a batch takes one angle per row.
 
     This dense route is the oracle the synthesized circuits are checked against.
-    Every edge is range-checked first. The dense unitary
+    ``edges`` is read once, so it may be an iterator, and every edge is checked
+    before any is applied. The dense unitary
     cos(phi/2)*I - i*sin(phi/2)*XX is built once, as a stack of 4x4s with one per
     row (one in all for a single state) and each entry computed as for one angle,
     so a row has its single state's bits; the norm is checked after every edge.
     """
-    for i, j in edges:
+    try:
+        edges = list(edges)
+    except TypeError:  # 5, None
+        raise ValidationError(f"edges {edges!r} is not a collection of vertex pairs") from None
+    for edge in edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):  # not iterable, or not two entries
+            raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
         _check_qubit(state, i)
         _check_qubit(state, j)
         if i == j:

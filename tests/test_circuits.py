@@ -44,6 +44,21 @@ class TestCircuitType:
         with pytest.raises(ValidationError, match="non-finite angle"):
             gate(0, angle)
 
+    @pytest.mark.parametrize(
+        "kind,control,message", [("cx", None, "cx requires a control qubit"), ("h", 1, "h takes no control qubit")]
+    )
+    def test_control_exactly_for_cx(self, kind, control, message):
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            Gate(kind, 0, control=control)
+
+    @pytest.mark.parametrize("q", [np.array(1), np.int64(1), np.int8(1)], ids=["0d-array", "int64", "int8"])
+    def test_numpy_qubit_is_stored_as_its_int(self, q):
+        # a 0-d array was stored as given, so the gate did not hash
+        for gate, plain in ((Gate.h(q), Gate.h(1)), (Gate.cx(q, 0), Gate.cx(1, 0)), (Gate.cx(0, q), Gate.cx(0, 1))):
+            assert gate == plain
+            assert hash(gate) == hash(plain)
+            assert repr(gate) == repr(plain)
+
 
 class TestOrientation:
     def test_table_prefers_lower_gate_error(self):
@@ -74,6 +89,13 @@ class TestOrientation:
         cal = valencia_calibration()
         with pytest.raises(ValidationError):
             choose_orientation((0, 7), cal)
+
+    @pytest.mark.parametrize(
+        "edge,message", [((1, 1), "edge endpoints coincide at 1"), ((-1, 2), r"negative vertex in edge \(-1, 2\)")]
+    )
+    def test_edge_that_is_no_coupling_rejected(self, edge, message):
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            choose_orientation(edge)
 
     def test_coincident_pair_rejected(self):
         with pytest.raises(ValidationError, match="cx control and target coincide"):

@@ -615,6 +615,35 @@ class TestGraphInput:
         code, out, err = run(capsys, "entangle", "--graph", str(p), "--phi", "0", "--spin", "0")
         assert (code, out, err) == (2, "", f"error: JSON graph repeats the key {key!r}\n")
 
+    @pytest.mark.parametrize(
+        "option,content,message",
+        [
+            ("--calibration", '{"readout_error": [], "gate_error": [], "cx_error": {}}',
+             "readout_error and gate_error must list the same nonzero number of qubits"),
+            ("--calibration", '{"readout_error": [0.1, 0.1], "gate_error": [0.1], "cx_error": {}}',
+             "readout_error and gate_error must list the same nonzero number of qubits"),
+            ("--calibration", "[]", "calibration must be a JSON object"),
+            ("--calibration", '{"readout_error": 0.1, "gate_error": [0.1], "cx_error": {}}',
+             "readout_error and gate_error must be arrays"),
+            ("--calibration", '{"readout_error": [0.1, 0.1], "gate_error": [0.1, 0.1], "cx_error": []}',
+             "cx_error must be an object keyed by 'control-target'"),
+            ("--graph", "3 4\n0 1\n", "first line must be the vertex count, got '3 4'"),
+            ("--graph", "2\n0 %s\n" % ("1" * 5000), "expected integer vertex, got '%s'" % ("1" * 5000)),
+            ("--graph", '{"n": 2}', "JSON graph must be an object with an 'edges' array"),
+            ("--graph", '{"n": "2", "edges": [[0, 1]]}', "'n' must be an integer, got '2'"),
+        ],
+        ids=[
+            "cal-no-qubits", "cal-lengths", "cal-not-object", "cal-rates-not-array", "cal-cx-not-object",
+            "graph-first-line", "graph-long-token", "graph-no-edges", "graph-n-not-integer",
+        ],
+    )
+    def test_malformed_input_file_message(self, capsys, tmp_path, option, content, message):
+        p = tmp_path / "input.txt"
+        p.write_text(content)
+        source = ["--graph", str(p)] if option == "--graph" else ["--preset", "path(2)", "--calibration", str(p)]
+        code, out, err = run(capsys, "entangle", *source, "--phi", "0", "--spin", "0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_bad_calibration_file(self, capsys, tmp_path):
         cal = tmp_path / "cal.json"
         cal.write_text("{}")
@@ -874,6 +903,14 @@ class TestUsageErrors:
     def test_missing_graph_source(self, capsys):
         code, _, _ = run(capsys, "entangle", "--phi", "0", "--spin", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("form", ["ring({})", "ring:{}"])
+    def test_preset_size_past_the_digit_limit(self, capsys, form):
+        # was an uncaught ValueError traceback from int()
+        code, out, err = run(
+            capsys, "entangle", "--preset", form.format("9" * 5000), "--phi", "1", "--spin", "0", "--mode", "analytic",
+        )
+        assert (code, out, err) == (1, "", "usage error: ring graph size has 5000 digits, more than int() converts\n")
 
     def test_bad_phi_expression(self, capsys):
         code, _, _ = run(

@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +118,14 @@ class TestBlochVector:
     def test_non_number_component(self, v):
         with pytest.raises(ValidationError, match=rf"^Bloch component mz must be a real number, got {re.escape(repr(v))}$"):
             BlochVector(0.0, 0.0, v)
+
+    @pytest.mark.parametrize("v", [Decimal(0.5), Fraction(1, 2), np.float32(0.5), np.array(0.5), True])
+    def test_real_component_is_stored_as_a_float(self, v):
+        # a Decimal was stored as given, and norm() then mixed it with floats
+        b = BlochVector(v, 0.0, 0.0)
+        assert type(b.mx) is float and b.mx == float(v)
+        assert b.norm() == BlochVector(float(v), 0.0, 0.0).norm()
+        assert entanglement_from_bloch(b) == entanglement_from_bloch(BlochVector(float(v), 0.0, 0.0))
 
     @pytest.mark.parametrize("v", [_COMPONENT_LIMIT, -_COMPONENT_LIMIT])
     def test_bound_is_inclusive(self, v):

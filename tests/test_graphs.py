@@ -390,6 +390,13 @@ class TestPresets:
     def test_numpy_integer_size(self):
         assert ring(np.int64(5)) == ring(5)
 
+    @pytest.mark.parametrize("form", ["ring({})", "ring:{}", "path({})", "complete:{}"])
+    def test_size_past_the_digit_limit(self, form):
+        # int() refuses more than 4300 digits with a ValueError, which escaped preset
+        kind = form.split("(")[0].split(":")[0]
+        with pytest.raises(ValidationError, match=rf"^{kind} graph size has 5000 digits, more than int\(\) converts$"):
+            preset(form.format("9" * 5000))
+
 
 def _graph_rows(g, fmt):
     """The tokens of each line of ``g`` in a line format, written without graphent's help."""

@@ -300,14 +300,21 @@ def test_cx_error_lookup_of_an_unhashable_index_finds_no_entry(control):
         valencia_calibration().cx_error_for(control, 1)
 
 
+@pytest.mark.parametrize("pair", [(0.0, 1), (True, 0), (0, 1.0), (1, False), (np.float64(0.0), 1)])
+def test_cx_error_lookup_of_a_non_integer_index_finds_no_entry(pair):
+    # the dict lookup found 0.0 and True as 0 and 1
+    with pytest.raises(ValidationError, match=rf"^no cx error entry for directed pair {re.escape(str(pair[0]))}-{pair[1]}$"):
+        valencia_calibration().cx_error_for(*pair)
+    assert valencia_calibration().cx_error_for(np.int64(0), np.int32(1)) == valencia_calibration().cx_error_for(0, 1)
+
+
 # The kind property: every public parameter that takes a number or a name,
 # with the kind of input it takes. Each drawn value either gives the answer
 # that its plain Python counterpart gives, or raises a GraphentError; a value
 # with no plain counterpart (a list given as a count, a string given as an
 # angle) must raise. Out of scope: parameters that take an object (graphs,
 # edges, states, gates, Bloch vectors, calibration data), the gate_noise flag,
-# text to parse, random_graph's bounds, entanglement_from_bloch's norm_tol, and
-# cx_error_for, a lookup in which any key equal to a listed pair finds it.
+# text to parse, random_graph's bounds and entanglement_from_bloch's norm_tol.
 _BLOCH = BlochVector(0.0, 0.0, 0.8)
 KIND_TABLE = [
     ("analytic_entanglement", "k", "count", lambda v: analytic_entanglement(v, 1.0)),
@@ -348,6 +355,8 @@ KIND_TABLE = [
     ("EntanglementEstimate", "method", "name", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, v)),
     ("EntanglementEstimate", "std_error", "real", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", v, 64)),
     ("EntanglementEstimate", "shots", "count", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", 0.01, v)),
+    ("CalibrationData.cx_error_for", "control", "count", lambda v: valencia_calibration().cx_error_for(v, 1)),
+    ("CalibrationData.cx_error_for", "target", "count", lambda v: valencia_calibration().cx_error_for(1, v)),
     ("Graph", "n_vertices", "count", lambda v: Graph(v, ((0, 1),))),
     ("Graph.neighbours", "l", "count", lambda v: valencia().neighbours(v)),
     ("Graph.degree", "l", "count", lambda v: valencia().degree(v)),

@@ -272,11 +272,8 @@ class TestEstimateEntanglementShots:
         ids=[f"valencia-{l}" for l in range(5)] + ["complete(30)-0"],
     )
     def test_at_most_twelve_gates_per_estimate(self, g, l, cal, monkeypatch):
-        # per orientation, its block's p, h and cx, and while the memos are
-        # cold the cx and h before them, and one gate each for the x and y
-        # preludes; once both memos are warm, only p, h and cx
-        sampling._prelude_isometry.cache_clear()
-        sampling._block_prefix.cache_clear()
+        # per orientation, its block's p, h and cx: the gates before them and
+        # the x and y preludes ran when the module was imported
         calls = []
         kernel = statevector.apply_gate
 
@@ -285,14 +282,13 @@ class TestEstimateEntanglementShots:
             return kernel(state, gate)
 
         monkeypatch.setattr(statevector, "apply_gate", counted)
-        estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
-        assert 7 <= len(calls) <= 12
-        calls.clear()
-        estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
         orientations = {choose_orientation((l, m), cal)[0] == l for m in g.neighbours(l)}
-        assert len(calls) == 3 * len(orientations)
         preludes = circuits.measurement_prelude("x", 0) + circuits.measurement_prelude("y", 0)
-        assert not set(calls) & set(preludes)
+        for _ in range(2):
+            calls.clear()
+            estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
+            assert len(calls) == 3 * len(orientations)
+            assert not set(calls) & set(preludes)
 
     def test_no_state_holds_more_than_eight_amplitudes(self, monkeypatch):
         sizes = []
@@ -508,31 +504,21 @@ def test_per_neighbour_trace_reduces_the_full_register_under_any_error_pattern(d
 
 
 def _isometry_circuits(monkeypatch, g, l, cal, gate_noise=False):
-    """The block circuits the route runs for one estimate's isometries, one per
-    orientation, and the gates its gate-noise pass walks for the z axis.
-
-    The prelude memo is warmed and the block memo cleared first, so each
-    block's run is the gates its memo runs before the angle gate, then the
-    angle gate and the gates after it."""
-    sampling._prelude_isometry("x"), sampling._prelude_isometry("y")
-    sampling._block_prefix.cache_clear()
+    """The block orientations the route builds isometries for in one estimate,
+    ``True`` for a block rotating on the spin and ``False`` for one rotating
+    on its neighbour, and the gates its gate-noise pass walks for the z axis."""
     runs, walked = [], []
-    block, circuit, flip = sampling._block_isometry, sampling.apply_circuit, sampling._gate_flip_probability
+    block, flip = sampling._block_isometry, sampling._gate_flip_probability
 
     def recorded_block(on_l, phi):
-        runs.append(())
+        runs.append(on_l)
         return block(on_l, phi)
-
-    def recorded_circuit(state, gates):
-        runs[-1] += tuple(gates)
-        return circuit(state, gates)
 
     def recorded_flip(gates, spin, c):
         walked.append(gates)
         return flip(gates, spin, c)
 
     monkeypatch.setattr(sampling, "_block_isometry", recorded_block)
-    monkeypatch.setattr(sampling, "apply_circuit", recorded_circuit)
     monkeypatch.setattr(sampling, "_gate_flip_probability", recorded_flip)
     estimate_entanglement_shots(g, 0.5, l, 10, cal, gate_noise=gate_noise)
     return runs, walked[0] if walked else None
@@ -545,85 +531,43 @@ class TestStarOrientation:
         # neighbour, m = 1), the tie with 4 on 3 (the spin, l = 0); local
         # labels would put both rotations on l
         runs, _ = _isometry_circuits(monkeypatch, valencia(), 3, cal)
-        assert runs == [synthesize_edge(1, 0, 0.5), synthesize_edge(0, 1, 0.5)]
+        assert runs == [False, True]
 
     def test_calibration_orients_on_physical_rates(self, monkeypatch):
         # bundled rates: q1 < q0 < q3 < q4 < q2, so spin 1's blocks all rotate on 1
         runs, walked = _isometry_circuits(monkeypatch, valencia(), 1, valencia_calibration(), True)
-        assert runs == [synthesize_edge(0, 1, 0.5)]
+        assert runs == [True]
         assert walked == sum((synthesize_edge(1, m, 0.5) for m in (0, 2, 3)), ())
         runs, walked = _isometry_circuits(monkeypatch, valencia(), 4, valencia_calibration(), True)
-        assert runs == [synthesize_edge(1, 0, 0.5)]
+        assert runs == [False]
         assert walked == synthesize_edge(3, 4, 0.5)
 
 
 class TestPreludeMemo:
-    """The x and y preludes' isometries are built once per process and shared."""
+    """The x and y preludes' isometries are built at import and shared."""
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_cached_prelude_is_read_only(self, axis):
-        v = sampling._prelude_isometry(axis)
+        v = sampling._PRELUDE_ISOMETRIES[axis]
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_cached_prelude_is_bit_equal_to_a_fresh_build(self, axis):
-        cached = sampling._prelude_isometry(axis)
+        cached = sampling._PRELUDE_ISOMETRIES[axis]
         fresh = sampling._isometry(circuits.measurement_prelude(axis, 0))
         assert np.array_equal(cached, fresh)
         assert cached.tobytes() == fresh.tobytes()
 
-    def test_each_prelude_is_built_once(self, monkeypatch):
-        sampling._prelude_isometry.cache_clear()
-        runs = []
-        isometry = sampling._isometry
-
-        def recorded(gates):
-            runs.append(gates)
-            return isometry(gates)
-
-        monkeypatch.setattr(sampling, "_isometry", recorded)
-        for l in (0, 1, 2):
-            estimate_entanglement_shots(valencia(), 0.7, l, 100, valencia_calibration(), seed=l)
-        for axis in ("x", "y"):
-            assert runs.count(circuits.measurement_prelude(axis, 0)) == 1
-
-    @pytest.mark.parametrize("gate_noise", [False, True])
-    def test_cold_and_warm_memo_give_identical_estimates(self, gate_noise):
-        cal = valencia_calibration()
-        for l in range(5):
-            sampling._prelude_isometry.cache_clear()
-            cold = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
-            warm = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
-            assert cold == warm
-            assert repr(cold) == repr(warm)
-
 
 class TestBlockPrefixMemo:
-    """Each block orientation's gates before its angle gate run once per process."""
+    """Each block orientation's gates before its angle gate run at import."""
 
     @pytest.mark.parametrize("on_l", [True, False])
     def test_cached_prefix_is_read_only(self, on_l):
-        amps, _, _ = sampling._block_prefix(on_l)
+        amps, _, _ = sampling._BLOCK_PREFIXES[on_l]
         with pytest.raises(ValueError):
             amps[0] = 0.0
-
-    def test_each_prefix_is_built_once(self, monkeypatch):
-        sampling._block_prefix.cache_clear()
-        runs = []
-        circuit = sampling.apply_circuit
-
-        def recorded(state, gates):
-            runs.append(tuple(gates))
-            return circuit(state, gates)
-
-        monkeypatch.setattr(sampling, "apply_circuit", recorded)
-        # spin 3 has a block of each orientation under this calibration
-        for phi in (0.7, -1.3, 2.0):
-            for l in range(5):
-                estimate_entanglement_shots(valencia(), phi, l, 100, valencia_calibration(), seed=l)
-        for r, m in ((0, 1), (1, 0)):
-            assert runs.count(synthesize_edge(r, m, 0.0)[:2]) == 1  # the block's cx and h
 
     @settings(max_examples=300, deadline=None)
     @given(on_l=st.booleans(), phi=st.floats(allow_nan=False, allow_infinity=False))
@@ -638,16 +582,6 @@ class TestBlockPrefixMemo:
         whole = sampling._isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
         assert hoisted.shape == whole.shape == (4, 2)
         assert hoisted.tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("gate_noise", [False, True])
-    def test_cold_and_warm_memo_give_identical_estimates(self, gate_noise):
-        for cal in (valencia_calibration(), HEAVY):
-            for l in range(5):
-                sampling._block_prefix.cache_clear()
-                cold = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
-                warm = estimate_entanglement_shots(valencia(), 0.7, l, 8192, cal, seed=5, gate_noise=gate_noise)
-                assert cold == warm
-                assert repr(cold) == repr(warm)
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its

@@ -90,6 +90,26 @@ class TestStateVectorShape:
         with pytest.raises(ValidationError, match="does not match"):
             StateVector(2, np.zeros(shape, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "amps,got",
+        [([1, 0, 0, 0], "list"), (np.array([1, 0, 0, 0]), "int64 array"), (np.eye(1, 4, dtype=np.complex64)[0], "complex64 array")],
+        ids=["list", "int64", "complex64"],
+    )
+    def test_amplitudes_must_be_a_complex128_array(self, amps, got):
+        # the kernels write complex amplitudes in place: an int64 array failed
+        # inside apply_gate with numpy's casting error, a list on its shape
+        with pytest.raises(ValidationError, match=rf"^amplitudes must be a complex128 numpy array, got {got}$"):
+            StateVector(2, amps)
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(2.0, "must be an integer, got 2.0"), ("2", "must be an integer, got '2'"), (-1, "must be non-negative, got -1")],
+    )
+    def test_qubit_count_must_be_a_count(self, n, message):
+        # 1 << n raised a bare TypeError or ValueError
+        with pytest.raises(ValidationError, match=rf"^qubit count {message}$"):
+            StateVector(n, np.zeros(4, dtype=complex))
+
     def test_strided_batch_rejected(self):
         # the kernels merge a batch's rows into reshape views, a copy for a strided array
         with pytest.raises(ValidationError, match="batch amplitude array is not C-contiguous"):
@@ -314,6 +334,30 @@ class TestEvolveEdge:
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
             evolve_edges(init_zero(2), [(1, 1)], 0.5)
+
+    def test_one_shot_iterable_of_edges(self):
+        # the check loop once consumed an iterator, so no edge was applied
+        from_iterator = evolve_edges(init_zero(3), iter([(0, 1), (1, 2)]), 0.9)
+        from_list = evolve_edges(init_zero(3), [(0, 1), (1, 2)], 0.9)
+        assert from_iterator.amps.tobytes() == from_list.amps.tobytes()
+        assert bloch_vector(evolve_edges(init_zero(2), iter([(0, 1)]), 1.0), 0).mz == pytest.approx(math.cos(1.0))
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of vertices"),
+            ([5], "edge 5 is not a pair of vertices"),
+            ([(0, 1), (2,)], r"edge \(2,\) is not a pair of vertices"),
+            (None, "edges None is not a collection of vertex pairs"),
+            (5, "edges 5 is not a collection of vertex pairs"),
+        ],
+        ids=["triple", "int", "single", "none", "int-edges"],
+    )
+    def test_edges_that_are_not_pairs_rejected(self, edges, message):
+        s = init_zero(3)
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            evolve_edges(s, edges, 0.5)
+        assert s.amps.tobytes() == init_zero(3).amps.tobytes()  # checked before any edge runs
 
     @pytest.mark.parametrize("phi", NON_FINITE_ANGLES)
     def test_unrepresentable_angle_rejected(self, phi):
