@@ -54,7 +54,7 @@ class ValidationError(GraphentError, ValueError):
 
 
 class ResourceCapError(GraphentError, RuntimeError):
-    """Requested simulation exceeds the configured qubit cap."""
+    """Requested simulation exceeds the configured qubit cap, or a sized preset its edge cap."""
 
 
 class ConsistencyError(GraphentError, RuntimeError):

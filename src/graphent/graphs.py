@@ -32,7 +32,7 @@ import re
 from itertools import chain
 from operator import getitem
 
-from .errors import ValidationError, _checked_choice, _checked_count, _checked_integer, _load_json, _Value
+from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_integer, _load_json, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -235,26 +235,39 @@ def valencia() -> Graph:
     return Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
 
 
-def _size(kind: str, n, minimum: int) -> int:
-    """A sized preset's ``n`` as an int, if it is at least ``minimum``."""
+# the most edges a sized preset builds, so that an oversized one exits 3 rather
+# than being OOM-killed while it builds and prints the graph: ring(100000), the
+# largest in use, peaks at about 70 MB in an analytic entangle
+MAX_PRESET_EDGES = 100_000
+
+
+def _shown(n: int) -> str:
+    """``str(n)``, or ``n``'s bit length where ``str()`` could refuse its digits."""
+    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"
+
+
+def _size(kind: str, n, minimum: int, edge_count) -> int:
+    """A sized preset's ``n`` as an int, if it is at least ``minimum`` and ``edge_count(n)`` is within ``MAX_PRESET_EDGES``."""
     n = _checked_integer(n, f"{kind} graph size")
     if n < minimum:
-        raise ValidationError(f"{kind} graph needs n >= {minimum}, got {n}")
+        raise ValidationError(f"{kind} graph needs n >= {minimum}, got {_shown(n)}")
+    if edge_count(n) > MAX_PRESET_EDGES:
+        raise ResourceCapError(f"{kind} graph of size {_shown(n)} has more than the preset cap of {MAX_PRESET_EDGES} edges")
     return n
 
 
 def complete(n: int) -> Graph:
-    n = _size("complete", n, 1)
+    n = _size("complete", n, 1, lambda n: n * (n - 1) // 2)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def path(n: int) -> Graph:
-    n = _size("path", n, 1)
+    n = _size("path", n, 1, lambda n: n - 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def ring(n: int) -> Graph:
-    n = _size("ring", n, 3)
+    n = _size("ring", n, 3, lambda n: n)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 

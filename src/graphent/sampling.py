@@ -15,19 +15,30 @@ Spin ``l``'s marginal needs only its own ``degree(l)`` edge blocks: the
 others commute with them and act on other qubits. Neighbour ``m`` starts in
 ``|0>`` and meets only its block with ``l``, so it is traced out right after
 that block, ``rho <- Tr_m[U_b (rho (x) |0><0|_m) U_b^dagger]``, on ``l``'s 2x2
-density matrix ``rho`` (:func:`_spin_state`). ``U_b`` comes from the compiled
-block run through the gate kernels on 3 qubits (:func:`_isometry`), and each
-axis applies its measurement prelude to ``rho`` the same way before reading
-the probability ``p1`` that ``l`` reads 1; the z axis reads ``rho`` itself.
-The x and y preludes' isometries depend on nothing, and neither do a block's
-gates before its ``p(phi)``, its first ``cx`` and ``h``, so both are built at
-import and kept read-only: ``_PRELUDE_ISOMETRIES``, and ``_BLOCK_PREFIXES``
-with each block orientation's (rotating on ``l`` or on ``m``) 8 amplitudes
-after those gates. An estimate runs only ``p(phi)``, ``h`` and ``cx`` on a
-copy of them (:func:`_block_isometry`): the kernels the whole block runs, in
-its order and on the same amplitudes, each norm-checked, so the isometry
-keeps its bits. No state has more than 8 amplitudes, whatever
-the degree, so the route has no qubit cap.
+density matrix ``rho`` (:func:`_spin_state`). ``U_b`` enters as its isometry
+``V``, its columns at ``m = 0`` (:func:`_isometry`), and each axis applies its
+measurement prelude's isometry to ``rho`` the same way before reading the
+probability ``p1`` that ``l`` reads 1; the z axis reads ``rho`` itself.
+
+Every isometry comes from the compiled gates run through the gate kernels on
+3 qubits, each gate norm-checked, when the module is imported: the x and y
+preludes' (``_PRELUDE_ISOMETRIES``) and, per block orientation (rotating on
+``l`` or on ``m``), the whole five-gate block's at phi = 0 and at phi = pi
+(``_BLOCK_ENDPOINTS``). The block's one angle gate is
+``p(phi) = diag(1, z) = ((1 + z) p(0) + (1 - z) p(pi)) / 2`` with
+``z = e^{i phi}``, and its other gates are linear and take no angle, so its
+isometry at phi is the same mix of the two endpoint isometries
+(:func:`_block_isometry`): within 2**-51 of the whole block's kernel run per
+entry, and bit-equal to it at phi = +-0. The tables are immutable tuples of
+Python ``complex`` rows, and the trace-outs and ``p1`` run on them in plain
+Python arithmetic, so an estimate applies no gate and builds no state, whatever
+the degree; the route has no qubit cap. It shares no code with the closed form
+or with the dense edge kernel, so the three routes still check each other.
+
+Only the gates that build the tables are norm-checked, so each axis checks the
+trace of the ``rho`` it reads instead: one more than ``NORM_DRIFT_LIMIT`` from
+1, or NaN, raises :class:`ConsistencyError`, as does a read-1 probability
+outside [0, 1], before numpy's binomial draw would reject it unclassified.
 
 Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
 puts after each gate, with the calibrated probability, a uniformly random
@@ -55,6 +66,7 @@ every gate and CX rate zero, ``q`` is 0 and ``f`` is ``r`` exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -62,9 +74,9 @@ import numpy as np
 from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ValidationError, _checked_count, _checked_shots, _finite_angle
+from .errors import ConsistencyError, ValidationError, _checked_count, _checked_shots, _finite_angle
 from .graphs import Graph
-from .statevector import StateVector
+from .statevector import NORM_DRIFT_LIMIT, Matrix2, StateVector
 
 
 def _z_mean(ones: int, shots: int) -> tuple[float, float]:
@@ -144,46 +156,66 @@ def _isometry(gates: tuple[Gate, ...]) -> np.ndarray:
     return apply_circuit(_reference_state(), gates).amps.reshape(2, 4).T
 
 
-def _read_only(amps: np.ndarray) -> np.ndarray:
-    amps.flags.writeable = False
-    return amps
+# an isometry as its 4 rows of 2 Python complex numbers
+Rows = tuple[tuple[complex, complex], ...]
 
 
-_PRELUDE_ISOMETRIES = {axis: _read_only(_isometry(measurement_prelude(axis, 0))) for axis in ("x", "y")}
+def _rows(v: np.ndarray) -> Rows:
+    return tuple(map(tuple, v.tolist()))
+
+
+_PRELUDE_ISOMETRIES = {axis: _rows(_isometry(measurement_prelude(axis, 0))) for axis in ("x", "y")}
 # per block orientation, rotating on l = qubit 0 (True) or on m = qubit 1 (False):
-# the amplitudes after the five-gate block's cx and h, its p, and its h and cx
-_BLOCK_PREFIXES = {
-    on_l: (_read_only(apply_circuit(_reference_state(), block[:2]).amps), block[2], block[3:])
-    for on_l, block in ((True, synthesize_edge(0, 1, 0.0)), (False, synthesize_edge(1, 0, 0.0)))
+# the whole five-gate block's isometry at phi = 0 and at phi = pi
+_BLOCK_ENDPOINTS = {
+    on_l: tuple(_rows(_isometry(synthesize_edge(r, p, angle))) for angle in (0.0, math.pi))
+    for on_l, (r, p) in ((True, (0, 1)), (False, (1, 0)))
 }
 
 
-def _block_isometry(on_l: bool, phi: float) -> np.ndarray:
-    """:func:`_isometry` of ``synthesize_edge(0, 1, phi)`` (or of ``(1, 0, phi)``), bit for bit.
+def _block_isometry(on_l: bool, phi: float) -> Rows:
+    """:func:`_isometry` of ``synthesize_edge(0, 1, phi)`` (or of ``(1, 0, phi)``), to within 2**-51 per entry.
 
-    Only the ``p`` gate, at ``phi``, and the gates after it run, on a copy of
-    the amplitudes ``_BLOCK_PREFIXES`` keeps from the gates before it.
+    ``((1 + z) V(0) + (1 - z) V(pi)) / 2`` with ``z = e^{i phi}``, of the
+    ``_BLOCK_ENDPOINTS`` pair ``V``: the mix the block's ``p(phi)`` is of
+    ``p(0)`` and ``p(pi)``. At phi = +-0 it is ``V(0)`` bit for bit.
     """
-    amps, angle_gate, suffix = _BLOCK_PREFIXES[on_l]
-    gates = (Gate(angle_gate.kind, angle_gate.target, angle=phi),) + suffix
-    return apply_circuit(StateVector(3, amps.copy()), gates).amps.reshape(2, 4).T
+    z = cmath.exp(1j * phi)
+    c0, c1 = (1 + z) / 2, (1 - z) / 2
+    v0, vpi = _BLOCK_ENDPOINTS[on_l]
+    return tuple((c0 * a + c1 * b, c0 * c + c1 * d) for (a, c), (b, d) in zip(v0, vpi))
 
 
-def _trace_out(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``Tr_m[U (rho (x) |0><0|_m) U^dagger]`` from ``v`` of :func:`_isometry`; the factor 2 is exact."""
-    w = v @ rho @ v.conj().T
-    return 2.0 * (w[:2, :2] + w[2:, 2:])
+def _trace_out(rho: Matrix2, v: Rows) -> Matrix2:
+    """``Tr_m[U (rho (x) |0><0|_m) U^dagger]`` from ``v`` of :func:`_isometry`; the factor 2 is exact.
+
+    The sum over ``m`` of ``l``'s 2x2 blocks of ``v rho v^dagger``, each
+    entry written out in Python complex arithmetic.
+    """
+    (r00, r01), (r10, r11) = rho
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = v
+    # rows of v @ rho
+    x0, y0 = a0 * r00 + b0 * r10, a0 * r01 + b0 * r11
+    x1, y1 = a1 * r00 + b1 * r10, a1 * r01 + b1 * r11
+    x2, y2 = a2 * r00 + b2 * r10, a2 * r01 + b2 * r11
+    x3, y3 = a3 * r00 + b3 * r10, a3 * r01 + b3 * r11
+    a0, b0, a1, b1 = a0.conjugate(), b0.conjugate(), a1.conjugate(), b1.conjugate()
+    a2, b2, a3, b3 = a2.conjugate(), b2.conjugate(), a3.conjugate(), b3.conjugate()
+    return (
+        (2 * (x0 * a0 + y0 * b0 + x2 * a2 + y2 * b2), 2 * (x0 * a1 + y0 * b1 + x2 * a3 + y2 * b3)),
+        (2 * (x1 * a0 + y1 * b0 + x3 * a2 + y3 * b2), 2 * (x1 * a1 + y1 * b1 + x3 * a3 + y3 * b3)),
+    )
 
 
-def _spin_state(blocks: list[tuple[int, int]], l: int, phi: float) -> np.ndarray:
+def _spin_state(blocks: list[tuple[int, int]], l: int, phi: float) -> Matrix2:
     """Spin ``l``'s 2x2 density matrix after its edge blocks, oriented as ``blocks``.
 
     Neighbour ``m`` starts in ``|0>`` and meets only its own block, so it is
     traced out right after it. A block has two orientations, rotating on
     ``l`` or on ``m``, so at most two isometries are built.
     """
-    isometries: dict[bool, np.ndarray] = {}
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    isometries: dict[bool, Rows] = {}
+    rho = (1 + 0j, 0j), (0j, 0j)
     for r, _ in blocks:
         on_l = r == l
         if on_l not in isometries:
@@ -192,14 +224,30 @@ def _spin_state(blocks: list[tuple[int, int]], l: int, phi: float) -> np.ndarray
     return rho
 
 
+def _read_one(rho: Matrix2) -> float:
+    """``p1 = rho11 / tr(rho)``, the chance that ``rho`` reads 1, once its trace is within ``NORM_DRIFT_LIMIT`` of 1.
+
+    The trace is the squared norm of the state the isometries purify, so it
+    is held to the gate kernels' norm rule: a drift past the limit, or a NaN,
+    raises :class:`ConsistencyError`.
+    """
+    trace = rho[0][0].real + rho[1][1].real
+    drift = abs(trace - 1.0)
+    if not drift <= NORM_DRIFT_LIMIT:
+        raise ConsistencyError(f"spin state trace drifted by {drift:.3e}")
+    return rho[1][1].real / trace
+
+
 def _read_one_probabilities(
     g: Graph, phi: float, l: int, cal: CalibrationData | None, gate_noise: bool
 ) -> list[float]:
     """Chances that one shot of the z, x and y experiments reads spin ``l`` as 1.
 
-    Each is ``f + (1 - 2f) p1`` of the module docstring. The blocks are
-    oriented on the physical pairs with the physical calibration, so ties
-    break on physical indices, and gate noise walks them on physical qubits.
+    Each is ``f + (1 - 2f) p1`` of the module docstring, and one outside
+    [0, 1] raises :class:`ConsistencyError` rather than reach a binomial draw.
+    The blocks are oriented on the physical pairs with the physical
+    calibration, so ties break on physical indices, and gate noise walks them
+    on physical qubits.
     """
     blocks = [choose_orientation((l, m), cal) for m in g.neighbours(l)]
     rho = _spin_state(blocks, l, phi)
@@ -207,11 +255,13 @@ def _read_one_probabilities(
     r = 0.0 if cal is None else cal.readout_error[l]
     probabilities = []
     for axis in ("z", "x", "y"):
-        measured = rho if axis == "z" else _trace_out(rho, _PRELUDE_ISOMETRIES[axis])
-        p1 = measured[1, 1].real / (measured[0, 0].real + measured[1, 1].real)
+        p1 = _read_one(rho if axis == "z" else _trace_out(rho, _PRELUDE_ISOMETRIES[axis]))
         q = _gate_flip_probability(gates + measurement_prelude(axis, l), l, cal) if gate_noise else 0.0
         f = r + q - 2 * r * q
-        probabilities.append(f + (1 - 2 * f) * p1)
+        p = f + (1 - 2 * f) * p1
+        if not 0.0 <= p <= 1.0:
+            raise ConsistencyError(f"{axis} read-1 probability {p!r} outside [0, 1]")
+        probabilities.append(p)
     return probabilities
 
 

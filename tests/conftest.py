@@ -22,6 +22,23 @@ NON_FINITE_ANGLES = [
     math.inf, -math.inf, math.nan, pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")
 ]
 
+def floats_at_drift_limit(limit):
+    """Per side of 1, the float farthest from 1 by at most ``limit`` and the next float out.
+
+    No float near 1 lies exactly 1e-9 from it, so these two are the closest
+    a check against a drift limit of 1e-9 can be probed.
+    """
+    pairs = []
+    for out in (2.0, 0.0):
+        x = 1.0 + limit if out > 1.0 else 1.0 - limit
+        while abs(x - 1.0) > limit:
+            x = math.nextafter(x, 1.0)
+        while abs(math.nextafter(x, out) - 1.0) <= limit:
+            x = math.nextafter(x, out)
+        pairs.append((x, math.nextafter(x, out)))
+    return pairs
+
+
 PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -465,7 +465,11 @@ class TestValidate:
 # p = 1/2, so a few rows changed under the seed contract. All three shots pins
 # were recomputed, at the same command lines and seeds, when an estimate's z, x
 # and y counts moved from three substreams of its seed to one generator seeded
-# with it: every shots output changed under that contract. The validate pin
+# with it: every shots output changed under that contract. The two calibrated
+# shots pins were recomputed again when a block's isometry became the phi-linear
+# mix of its two endpoint runs: the x axis's read-1 probability moved by one
+# ulp at 1/2, where the draw reflects, in four rows of the first and one of the
+# second. The validate pin
 # was recomputed for its added distance line. The mixed-mode sweep puts
 # analytic and exact rows between its shots rows, so it fixes which substream
 # each shots row draws from. In the shared-degree sweep spins 0, 2 and 4 have degree 1, so the
@@ -489,7 +493,7 @@ class TestValidate:
         ),
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:2pi:9 --mode shots --seed 5",
-            "4c8c051b49fd93ef869a61ba33ba7dd2ed0b74673dcc32b46e46ba0359127c3e",
+            "ed3747c1cdb175533d8e22d26e4c3465dd463f9c0f8ae037624343433c42c3bd",
         ),
         (
             "entangle --preset valencia --phi pi/3 --spin 1 --mode shots --seed 5",
@@ -498,7 +502,7 @@ class TestValidate:
         (
             "sweep --preset valencia --calibration {cal} --sweep 0:pi:5 --spin 1 --spin 4"
             " --mode analytic --mode shots --mode exact --seed 9",
-            "ff5d470a34d7e5aaed17b3a45bf86e82f20045127ad4b05950b6eb6a923f7154",
+            "4a56e8741670c24946710349a353851f27099823dbc321827028db6b11c06323",
         ),
         ("validate --trials 40 --seed 5", "050077f3d82764df386c26ab91808f387e1ff409aba85e04b24dacd3f1b56926"),
         (
@@ -755,16 +759,15 @@ class TestResourceCap:
         )
         assert code == 0
 
-    # each route's one allocation of amplitudes: the exact light cone's
-    # init_zero (looked up on statevector at each call), the shots route's
-    # 3-qubit StateVector per isometry, and validate's init_zero of each
-    # batch of rows
+    # each route's allocation: the exact light cone's init_zero (looked up on
+    # statevector at each call), the shots route's generator (it builds no
+    # state), and validate's init_zero of each batch of rows
     @pytest.mark.parametrize(
         "module,allocator,args",
         [
             (statevector, "init_zero", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "exact", "--preset", "valencia"]),
-            (sampling, "StateVector", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots", "--preset", "valencia"]),
-            (sampling, "StateVector", ["sweep", "--sweep", "0:1:2", "--mode", "shots", "--preset", "valencia"]),
+            (sampling.np.random, "default_rng", ["entangle", "--phi", "0.5", "--spin", "1", "--mode", "shots", "--preset", "valencia"]),
+            (sampling.np.random, "default_rng", ["sweep", "--sweep", "0:1:2", "--mode", "shots", "--preset", "valencia"]),
             (validation, "init_zero", ["validate", "--trials", "2"]),
         ],
         ids=["entanglement-entangle", "sampling-entangle", "sampling-sweep", "validation-validate"],
@@ -778,6 +781,15 @@ class TestResourceCap:
         assert code == 3
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 256 MiB\n"
+
+
+    @pytest.mark.parametrize("name", ["complete(448)", "ring(100001)", "path:100002", "complete(100000)"])
+    def test_oversized_preset_exits_3(self, capsys, name):
+        # refused before any edge is built, so complete(100000) costs nothing
+        code, out, err = run(capsys, "entangle", "--preset", name, "--phi", "1", "--spin", "0", "--mode", "analytic")
+        assert (code, out) == (3, "")
+        kind, size = name.replace(":", "(").rstrip(")").split("(")
+        assert err == f"error: {kind} graph of size {size} has more than the preset cap of 100000 edges\n"
 
 
 class TestInternalError:
@@ -803,6 +815,20 @@ class TestInternalError:
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: state norm drifted by ")
+        assert err.count("\n") == 1
+
+    def test_shots_trace_drift_exits_4(self, capsys, monkeypatch):
+        # endpoint isometries scaled by 1.001: no gate runs in an estimate, so
+        # only the trace check of spin l's state can see it
+        scaled = {
+            on_l: tuple(tuple(tuple(1.001 * w for w in row) for row in v) for v in endpoints)
+            for on_l, endpoints in sampling._BLOCK_ENDPOINTS.items()
+        }
+        monkeypatch.setattr(sampling, "_BLOCK_ENDPOINTS", scaled)
+        code, out, err = run(capsys, "entangle", "--preset", "valencia", "--phi", "1", "--spin", "1", "--mode", "shots")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: spin state trace drifted by ")
         assert err.count("\n") == 1
 
     def test_failed_property_exits_4(self, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from graphent import (
     statevector,
     valencia,
 )
-from graphent.entanglement import _COMPONENT_LIMIT, _check_components
+from graphent.entanglement import _COMPONENT_LIMIT, _FOLD_LIMIT, NORM_OVERSHOOT_LIMIT, _check_components, _folded_cos, _norm
 from graphent.validation import random_graph
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi, 25)
@@ -57,6 +57,18 @@ class TestAnalytic:
     def test_non_integer_degree_rejected(self, k):
         with pytest.raises(ValidationError, match="degree must be an integer"):
             analytic_entanglement(k, 0.3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fold_limit_is_the_last_angle_folded_by_fmod(self, sign):
+        def fmod_route(phi):
+            r = math.fabs(math.fmod(phi, math.pi))
+            return math.cos(math.pi - r if r > 0.5 * math.pi else r)
+
+        at, past = sign * _FOLD_LIMIT, sign * math.nextafter(_FOLD_LIMIT, math.inf)
+        # the routes differ in the last bits at both angles, so each result names its route
+        assert fmod_route(at) != abs(math.cos(at)) and fmod_route(past) != abs(math.cos(past))
+        assert _folded_cos(at) == fmod_route(at)
+        assert _folded_cos(past) == abs(math.cos(past))
 
     def test_numpy_integer_degree_accepted(self):
         assert analytic_entanglement(np.int64(3), 0.3) == analytic_entanglement(3, 0.3)
@@ -151,6 +163,14 @@ class TestFromBloch:
 
     def test_rounding_overshoot_clamped(self):
         assert entanglement_from_bloch(BlochVector(0.0, 0.0, 1.0 + 5e-10)) == 0.0
+
+    def test_norm_exactly_at_the_overshoot_limit_passes(self):
+        limit = 1.0 + NORM_OVERSHOOT_LIMIT
+        assert entanglement_from_bloch(BlochVector(0.0, 0.0, limit)) == 0.0
+        # a second component lifts the norm to the next float, each staying within _COMPONENT_LIMIT
+        assert _norm(2e-8, 0.0, limit) == math.nextafter(limit, 2.0)
+        with pytest.raises(ValidationError, match="^Bloch vector norm 1.0000000010000003 exceeds 1$"):
+            entanglement_from_bloch(BlochVector(2e-8, 0.0, limit))
 
     def test_fraud_line(self):
         with pytest.raises(ValidationError):

@@ -19,6 +19,7 @@ from graphent import (
     ring,
     valencia,
 )
+from graphent.graphs import MAX_PRESET_EDGES
 
 VALENCIA_EDGE_LIST = "5\n0 1\n1 2\n1 3\n3 4"
 
@@ -387,8 +388,21 @@ class TestPresets:
             with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
                 build(size)
 
+    def test_too_small_size_past_the_digit_limit(self):
+        # str() refuses more than 4300 digits, which the message once raised unclassified
+        with pytest.raises(ValidationError, match="^path graph needs n >= 1, got a 13288-bit integer$"):
+            path(-(10**4000))
+
     def test_numpy_integer_size(self):
         assert ring(np.int64(5)) == ring(5)
+
+    @pytest.mark.parametrize("build, largest", [(complete, 447), (path, 100_001), (ring, 100_000)])
+    def test_edge_cap(self, build, largest):
+        assert len(build(largest).edges) <= MAX_PRESET_EDGES
+        kind = build.__name__
+        for n, shown in ((largest + 1, largest + 1), (10**4000, "a 13288-bit integer")):
+            with pytest.raises(ResourceCapError, match=rf"^{kind} graph of size {shown} has more than the preset cap of 100000 edges$"):
+                build(n)
 
     @pytest.mark.parametrize("form", ["ring({})", "ring:{}", "path({})", "complete:{}"])
     def test_size_past_the_digit_limit(self, form):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import NON_FINITE_ANGLES, density_matrix_oracle, noisy_bloch_oracle, pauli_on
+from conftest import NON_FINITE_ANGLES, density_matrix_oracle, floats_at_drift_limit, noisy_bloch_oracle, pauli_on
 from hypothesis import example, given, settings, strategies as st
 
 from graphent import (
     DEFAULT_MAX_QUBITS,
     CalibrationData,
+    ConsistencyError,
     Gate,
     Graph,
     StateVector,
@@ -272,8 +273,8 @@ class TestEstimateEntanglementShots:
         ids=[f"valencia-{l}" for l in range(5)] + ["complete(30)-0"],
     )
     def test_at_most_twelve_gates_per_estimate(self, g, l, cal, monkeypatch):
-        # per orientation, its block's p, h and cx: the gates before them and
-        # the x and y preludes ran when the module was imported
+        # no gate at all: each block's isometry mixes two endpoint runs built,
+        # like the x and y preludes', when the module was imported
         calls = []
         kernel = statevector.apply_gate
 
@@ -282,15 +283,12 @@ class TestEstimateEntanglementShots:
             return kernel(state, gate)
 
         monkeypatch.setattr(statevector, "apply_gate", counted)
-        orientations = {choose_orientation((l, m), cal)[0] == l for m in g.neighbours(l)}
-        preludes = circuits.measurement_prelude("x", 0) + circuits.measurement_prelude("y", 0)
         for _ in range(2):
-            calls.clear()
             estimate_entanglement_shots(g, 0.7, l, 8192, cal, seed=1, gate_noise=True)
-            assert len(calls) == 3 * len(orientations)
-            assert not set(calls) & set(preludes)
+            assert calls == []
 
     def test_no_state_holds_more_than_eight_amplitudes(self, monkeypatch):
+        # an estimate builds no state at all; the import-time runs hold 8
         sizes = []
         init = StateVector.__init__
 
@@ -303,7 +301,9 @@ class TestEstimateEntanglementShots:
             estimate_entanglement_shots(valencia(), 0.7, l, 100, valencia_calibration(), gate_noise=True)
         estimate_entanglement_shots(complete(30), 0.7, 0, 100, _uniform_cal(30, 1e-3, 1e-2), gate_noise=True)
         estimate_entanglement_shots(_star(200), 0.7, 0, 100)
-        assert sizes and max(sizes) <= 8
+        assert sizes == []
+        sampling._isometry(synthesize_edge(0, 1, 0.7))
+        assert sizes == [8]
 
     @pytest.mark.parametrize("r", [0.0, 0.03])
     @pytest.mark.parametrize("g", [complete(30), _star(200)], ids=["complete(30)", "star(200)"])
@@ -456,11 +456,11 @@ def _traced_bloch(blocks, l):
     each block is relabelled onto l = 0, m = 1 and traced out through its
     own isometry.
     """
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    rho = (1 + 0j, 0j), (0j, 0j)
     for m, gates in blocks:
         local = tuple(_relabel(gate, {l: 0, m: 1}) for gate in gates)
-        rho = sampling._trace_out(rho, sampling._isometry(local))
-    return 2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real
+        rho = sampling._trace_out(rho, sampling._rows(sampling._isometry(local)))
+    return 2 * rho[1][0].real, 2 * rho[1][0].imag, (rho[0][0] - rho[1][1]).real
 
 
 @settings(max_examples=80)
@@ -549,25 +549,38 @@ class TestPreludeMemo:
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_cached_prelude_is_read_only(self, axis):
         v = sampling._PRELUDE_ISOMETRIES[axis]
-        with pytest.raises(ValueError):
-            v[0, 0] = 0.0
+        assert type(v) is tuple and {type(row) for row in v} == {tuple}
+        assert {type(w) for row in v for w in row} == {complex}
+        with pytest.raises(TypeError):
+            v[0] = (0j, 0j)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_cached_prelude_is_bit_equal_to_a_fresh_build(self, axis):
         cached = sampling._PRELUDE_ISOMETRIES[axis]
         fresh = sampling._isometry(circuits.measurement_prelude(axis, 0))
-        assert np.array_equal(cached, fresh)
-        assert cached.tobytes() == fresh.tobytes()
+        assert np.array(cached).shape == fresh.shape == (4, 2)
+        assert np.array(cached).tobytes() == fresh.tobytes()
 
 
-class TestBlockPrefixMemo:
-    """Each block orientation's gates before its angle gate run at import."""
+def _whole_block(on_l, phi):
+    return sampling._isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
+
+
+class TestBlockEndpoints:
+    """A block's isometry is the phi-linear mix of its whole-block runs at 0 and pi, built at import."""
 
     @pytest.mark.parametrize("on_l", [True, False])
-    def test_cached_prefix_is_read_only(self, on_l):
-        amps, _, _ = sampling._BLOCK_PREFIXES[on_l]
-        with pytest.raises(ValueError):
-            amps[0] = 0.0
+    def test_endpoints_are_bit_equal_to_whole_block_runs(self, on_l):
+        endpoints = sampling._BLOCK_ENDPOINTS[on_l]
+        assert len(endpoints) == 2
+        for cached, phi in zip(endpoints, (0.0, math.pi)):
+            assert type(cached) is tuple and {type(w) for row in cached for w in row} == {complex}
+            assert np.array(cached).tobytes() == _whole_block(on_l, phi).tobytes()
+
+    @pytest.mark.parametrize("on_l", [True, False])
+    @pytest.mark.parametrize("phi", [0.0, -0.0])
+    def test_mix_is_bit_equal_to_the_whole_block_at_zero(self, on_l, phi):
+        assert np.array(sampling._block_isometry(on_l, phi)).tobytes() == _whole_block(on_l, phi).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(on_l=st.booleans(), phi=st.floats(allow_nan=False, allow_infinity=False))
@@ -577,11 +590,77 @@ class TestBlockPrefixMemo:
     @example(on_l=False, phi=5e-324)
     @example(on_l=True, phi=1e10)
     @example(on_l=False, phi=1e10)
-    def test_hoisted_isometry_is_bit_equal_to_the_whole_block(self, on_l, phi):
-        hoisted = sampling._block_isometry(on_l, phi)
-        whole = sampling._isometry(synthesize_edge(0, 1, phi) if on_l else synthesize_edge(1, 0, phi))
-        assert hoisted.shape == whole.shape == (4, 2)
-        assert hoisted.tobytes() == whole.tobytes()
+    def test_mix_is_within_2_to_the_minus_51_of_the_whole_block(self, on_l, phi):
+        mixed = np.array(sampling._block_isometry(on_l, phi))
+        whole = _whole_block(on_l, phi)
+        assert mixed.shape == whole.shape == (4, 2)
+        assert np.abs(mixed - whole).max() <= 2.0**-51
+
+
+class TestSpinStateChecks:
+    """An estimate runs no norm-checked gate, so the trace of each state it reads and each read-1 probability are checked."""
+
+    @staticmethod
+    def _rho(trace):
+        return (trace + 0j, 0j), (0j, 0j)
+
+    def test_trace_drift_exactly_at_the_limit_passes(self, monkeypatch):
+        # a limit that a float near 1 can drift by exactly, which 1e-9 is not
+        monkeypatch.setattr(sampling, "NORM_DRIFT_LIMIT", 2.0**-30)
+        for trace, out in ((1 + 2.0**-30, 2.0), (1 - 2.0**-30, 0.0)):
+            assert sampling._read_one(self._rho(trace)) == 0.0
+            with pytest.raises(ConsistencyError, match="^spin state trace drifted by "):
+                sampling._read_one(self._rho(math.nextafter(trace, out)))
+
+    def test_trace_drift_either_side_of_the_limit(self):
+        assert sampling.NORM_DRIFT_LIMIT == statevector.NORM_DRIFT_LIMIT
+        for within, past in floats_at_drift_limit(statevector.NORM_DRIFT_LIMIT):
+            assert sampling._read_one(self._rho(within)) == 0.0
+            with pytest.raises(ConsistencyError, match="^spin state trace drifted by "):
+                sampling._read_one(self._rho(past))
+
+    def test_nan_trace_raises(self):
+        with pytest.raises(ConsistencyError, match="^spin state trace drifted by nan$"):
+            sampling._read_one(((math.nan + 0j, 0j), (0j, 0j)))
+
+    def test_probability_outside_the_unit_interval_raises(self, monkeypatch):
+        # trace 1 but a negative diagonal entry: numpy's binomial would raise a bare ValueError
+        monkeypatch.setattr(sampling, "_spin_state", lambda blocks, l, phi: ((1.5 + 0j, 0j), (0j, -0.5 + 0j)))
+        with pytest.raises(ConsistencyError, match=r"^z read-1 probability -0\.5 outside \[0, 1\]$"):
+            estimate_entanglement_shots(valencia(), 0.7, 1, 100, seed=1)
+
+
+RATES = st.sampled_from([0.0, 1.0, 0.5, 1e-3]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_read_one_probabilities_lie_in_the_unit_interval(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    pairs = [(i, j) for i, j in ALL_PAIRS if j < n]
+    g = Graph(n, tuple(data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")))
+    cal = CalibrationData(
+        tuple(data.draw(st.lists(RATES, min_size=n, max_size=n), label="readout")),
+        tuple(data.draw(st.lists(RATES, min_size=n, max_size=n), label="gate")),
+        {(i, j): data.draw(RATES) for i in range(n) for j in range(n) if i != j},
+    )
+    phi = data.draw(
+        st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, 1e10, -1e15])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        label="phi",
+    )
+    for l in range(n):
+        for c, gate_noise in ((None, False), (cal, False), (cal, True)):
+            assert all(0.0 <= p <= 1.0 for p in sampling._read_one_probabilities(g, phi, l, c, gate_noise))
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, math.pi / 2, math.pi, 2.3, 1e10, -1e15])
+def test_star_read_one_probabilities_up_to_degree_200(phi):
+    # past the density-matrix oracle's reach: the z axis reads (1 - cos(phi)**k) / 2, x and y 1/2
+    for k in range(1, 201):
+        expected = ((1 - math.cos(phi) ** k) / 2, 0.5, 0.5)
+        got = sampling._read_one_probabilities(_star(k), phi, 0, None, False)
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12
 
 
 # gate errors chosen so that some blocks rotate on the spin and some on its

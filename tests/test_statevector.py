@@ -15,6 +15,7 @@ from graphent import (
     evolve_edges,
     init_zero,
     overlap_magnitude,
+    statevector,
     valencia,
 )
 from graphent.circuits import GATE_KINDS
@@ -25,6 +26,7 @@ from graphent.validation import random_graph
 from conftest import (
     NON_FINITE_ANGLES,
     edge_unitary_oracle,
+    floats_at_drift_limit,
     graph_unitary_oracle,
     kron_chain,
     pauli_on,
@@ -279,6 +281,21 @@ class TestApplyGate:
         s.amps[0] = complex(math.nan, 0.0)
         with pytest.raises(ConsistencyError):
             apply_gate(s, Gate.h(0))
+
+
+    def test_drift_exactly_at_the_limit_passes(self, monkeypatch):
+        # a limit that a float near 1 can drift by exactly, which 1e-9 is not
+        monkeypatch.setattr(statevector, "NORM_DRIFT_LIMIT", 2.0**-30)
+        for norm_sq, out in ((1 + 2.0**-30, 2.0), (1 - 2.0**-30, 0.0)):
+            statevector._check_norm(norm_sq)
+            with pytest.raises(ConsistencyError, match="^state norm drifted by "):
+                statevector._check_norm(math.nextafter(norm_sq, out))
+
+    def test_drift_either_side_of_the_limit(self):
+        for within, past in floats_at_drift_limit(statevector.NORM_DRIFT_LIMIT):
+            statevector._check_norm(within)
+            with pytest.raises(ConsistencyError, match="^state norm drifted by "):
+                statevector._check_norm(past)
 
 
 class TestApplyPauli:
