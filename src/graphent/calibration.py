@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ValidationError, _checked_integer, _load_json, _Value
+from .errors import ValidationError, _checked_pair, _load_json, _shown, _Value
 
 _PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -68,14 +68,9 @@ class CalibrationData(_Value):
             raise ValidationError(f"cx_error must be a mapping of qubit pairs to rates, got {cx_error!r}") from None
         cx = {}
         for key, p in items:
-            try:
-                c, t = key
-            except (TypeError, ValueError):  # not iterable, or not two entries
-                raise ValidationError(f"cx_error key {key!r} is not a pair of qubits") from None
-            if type(c) is not int or type(t) is not int:  # plain ints, the common case, skip the calls
-                c, t = _checked_integer(c, "cx_error qubit"), _checked_integer(t, "cx_error qubit")
+            c, t = _checked_pair(key, "cx_error key", "qubits", "cx_error qubit")
             if c == t or not (0 <= c < n and 0 <= t < n):
-                raise ValidationError(f"cx_error pair ({c}, {t}) invalid for {n} qubits")
+                raise ValidationError(f"cx_error pair ({_shown(c)}, {_shown(t)}) invalid for {n} qubits")
             cx[(c, t)] = _rate(p, "cx_error", (c, t))
         object.__setattr__(self, "readout_error", readout)
         object.__setattr__(self, "gate_error", gate)
@@ -88,13 +83,10 @@ class CalibrationData(_Value):
     def cx_error_for(self, control: int, target: int) -> float:
         """The rate of the directed pair; an index that is no integer (a float, a bool, a list) has no entry."""
         try:
-            if type(control) is not int or type(target) is not int:  # plain ints, the common case, skip the calls
-                control, target = _checked_integer(control, "cx_error qubit"), _checked_integer(target, "cx_error qubit")
-            return self.cx_error[(control, target)]
+            return self.cx_error[_checked_pair((control, target), "cx_error key", "qubits", "cx_error qubit")]
         except (KeyError, ValidationError):
-            raise ValidationError(
-                f"no cx error entry for directed pair {control}-{target}"
-            ) from None
+            shown = [_shown(q) if type(q) is int else q for q in (control, target)]  # str() of a float, as given
+            raise ValidationError(f"no cx error entry for directed pair {shown[0]}-{shown[1]}") from None
 
 
 def _check_calibration(cal) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .calibration import CalibrationData, _check_calibration
-from .errors import ValidationError, _checked_choice, _checked_count, _checked_integer, _finite_angle, _numpy_module, _Value
+from .errors import ValidationError, _checked_choice, _checked_count, _checked_pair, _finite_angle, _numpy_module, _shown, _Value
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -64,12 +64,10 @@ class Gate(_Value):
         if (self.control is None) == (self.kind == "cx"):
             raise ValidationError("cx requires a control qubit" if self.kind == "cx" else f"{self.kind} takes no control qubit")
         for name in ("target", "control") if self.kind == "cx" else ("target",):
-            q = _checked_integer(getattr(self, name), "qubit index")
-            if q < 0:
-                raise ValidationError(f"negative qubit index in {self}")
-            object.__setattr__(self, name, q)  # a numpy integer is stored as its int, so the gate hashes
+            # a numpy integer is stored as its int, so the gate hashes
+            object.__setattr__(self, name, _checked_count(getattr(self, name), "qubit index"))
         if self.control == self.target:
-            raise ValidationError(f"cx control and target coincide at {self.target}")
+            raise ValidationError(f"cx control and target coincide at {_shown(self.target)}")
         if self.kind in ("h", "cx"):
             if self.angle is not None:
                 raise ValidationError(f"{self.kind} takes no angle")
@@ -109,22 +107,16 @@ class Gate(_Value):
 def choose_orientation(edge: tuple[int, int], cal: CalibrationData | None = None) -> tuple[int, int]:
     """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
     _check_calibration(cal)
-    try:
-        i, j = edge
-    except (TypeError, ValueError):  # not iterable, or not two entries
-        raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
-    i, j = _checked_integer(i, "edge endpoint"), _checked_integer(j, "edge endpoint")
+    i, j = _checked_pair(edge, "edge", "vertices", "edge endpoint")
     if i == j:
-        raise ValidationError(f"edge endpoints coincide at {i}")
+        raise ValidationError(f"edge endpoints coincide at {_shown(i)}")
     if i < 0 or j < 0:
-        raise ValidationError(f"negative vertex in edge ({i}, {j})")
+        raise ValidationError(f"negative vertex in edge ({_shown(i)}, {_shown(j)})")
     if cal is None:
         rotation = min(i, j)
     else:
         if max(i, j) >= cal.n_qubits:
-            raise ValidationError(
-                f"calibration covers {cal.n_qubits} qubits, edge ({i}, {j}) is outside"
-            )
+            raise ValidationError(f"calibration covers {cal.n_qubits} qubits, edge ({_shown(i)}, {_shown(j)}) is outside")
         ei, ej = cal.gate_error[i], cal.gate_error[j]
         rotation = i if ei < ej else j if ej < ei else min(i, j)
     partner = j if rotation == i else i

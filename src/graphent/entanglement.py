@@ -134,10 +134,10 @@ def _folded_cos(phi: float) -> float:
 
 
 def analytic_entanglement(k: int, phi: float) -> float:
-    """Closed form (1 - |cos(phi)|**k) / 2 for a spin of degree ``k``."""
+    """Closed form (1 - |cos(phi)|**k) / 2 for a spin of degree ``k``; a degree past 2**1023 gives the limit, 1/2 or 0."""
     k = _checked_count(k, "degree")
     phi = _finite_angle(phi)
-    return 0.5 * (1.0 - _folded_cos(phi) ** k)
+    return 0.5 * (1.0 - _folded_cos(phi) ** min(k, 1 << 1023))
 
 
 def entanglement_from_bloch(

@@ -1,21 +1,30 @@
 """Exception types, the numpy-free input checks and defaults shared across the package, the JSON reader, and the immutable value base.
 
-Every public input of a number or a name is one of three kinds, and each kind
-has one checker, which raises :class:`ValidationError` with one message form:
+Every public input of a number, a name or a pair of vertices is one of five
+kinds, and each kind has one checker, which raises :class:`ValidationError`
+with one message form:
 
-* a count or index, :func:`_checked_count`: an integer by ``operator.index``
-  (a bool or a float is none), else ``"<what> must be an integer, got <v!r>"``;
-  below its minimum, ``"<what> must be non-negative, got <v>"``, ``"... must
-  be positive, ..."`` or ``"... must be at least <minimum>, ..."``;
+* a count, :func:`_checked_count`: an integer by ``operator.index`` (a bool or
+  a float is none), else ``"<what> must be an integer, got <v!r>"``; below its
+  minimum, ``"<what> must be non-negative, got <v>"``, ``"... must be
+  positive, ..."`` or ``"... must be at least <minimum>, ..."``;
+* an index into ``n`` spins or qubits, :func:`_checked_index`: an integer as a
+  count is, in ``[0, n)``, else ``"<what> <v> out of range [0, <n>)"``;
+* a pair, :func:`_checked_pair`: two entries, each an integer as a count is,
+  else ``"<what> <pair!r> is not a pair of <of>"``; :func:`_checked_edges`
+  reads a collection of them, else ``"edges <v!r> is not a collection of
+  vertex pairs"``;
 * a real number, :func:`_checked_real`: one real number (no complex, string,
   sequence, array or NaN ``Decimal``), else ``"<what> must be a real number,
   got <v!r>"``; an angle, :func:`_finite_angle`, must also be finite as a float;
 * a name from a fixed set, :func:`_checked_choice`: a ``str`` in the set, else
   ``"unknown <what> <v!r>; expected one of <choices>"``.
 
-Messages that name an object (a gate, an edge) and a preset's size keep their
-own checks. The checkers import nothing beyond the standard modules above, so
-``import graphent.cli`` stays numpy-free.
+Every message shows a caller's value with :func:`_shown`: an int past 64 bits
+by its bit length (``str()`` refuses more than 4300 digits), anything else by
+its repr. Messages that name a gate and a preset's size keep their own checks.
+The checkers import nothing beyond the standard modules above, so ``import
+graphent.cli`` stays numpy-free.
 
 The package's value classes (``Graph``, ``Gate``, ``CalibrationData``,
 ``BlochVector``, ``EntanglementEstimate``, ``PropertyResult``) derive from
@@ -61,6 +70,16 @@ class ConsistencyError(GraphentError, RuntimeError):
     """Internal invariant violated (norm drift, nonreal expectation); indicates a bug."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``; an int past 64 bits by its bit length, and a value whose repr raises (a tuple of one) by its type."""
+    if type(value) is int and value.bit_length() > 64:
+        return f"a {value.bit_length()}-bit integer"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to show"
+
+
 def _checked_integer(value, what: str) -> int:
     """``value`` as an int, by ``operator.index``: a bool, a float or other non-integer raises ValidationError."""
     try:
@@ -68,7 +87,7 @@ def _checked_integer(value, what: str) -> int:
             return operator.index(value)
     except TypeError:
         pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _checked_count(value, what: str, minimum: int = 0) -> int:
@@ -77,8 +96,37 @@ def _checked_count(value, what: str, minimum: int = 0) -> int:
         value = _checked_integer(value, what)
     if value < minimum:
         bound = "non-negative" if minimum == 0 else "positive" if minimum == 1 else f"at least {minimum}"
-        raise ValidationError(f"{what} must be {bound}, got {value}")
+        raise ValidationError(f"{what} must be {bound}, got {_shown(value)}")
     return value
+
+
+def _checked_index(index, n: int, what: str) -> int:
+    """``index`` as an int, if it is an integer in ``[0, n)``: the index kind."""
+    if type(index) is not int:  # plain ints, the common case, skip the call
+        index = _checked_integer(index, what)
+    if not 0 <= index < n:
+        raise ValidationError(f"{what} {_shown(index)} out of range [0, {n})")
+    return index
+
+
+def _checked_pair(pair, what: str, of: str, endpoint: str) -> tuple[int, int]:
+    """``pair`` as two ints, if it unpacks to two integers: the pair kind; ``endpoint`` names an entry that is none."""
+    try:
+        i, j = pair
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValidationError(f"{what} {_shown(pair)} is not a pair of {of}") from None
+    if type(i) is not int or type(j) is not int:  # plain ints, the common case, skip the calls
+        i, j = _checked_integer(i, endpoint), _checked_integer(j, endpoint)
+    return i, j
+
+
+def _checked_edges(edges, endpoint: str) -> list[tuple[int, int]]:
+    """``edges``, a collection read once (so an iterator too), as a list of :func:`_checked_pair` pairs."""
+    try:
+        edges = list(edges)
+    except TypeError:  # 5, None
+        raise ValidationError(f"edges {_shown(edges)} is not a collection of vertex pairs") from None
+    return [_checked_pair(edge, "edge", "vertices", endpoint) for edge in edges]
 
 
 def _is_real(v) -> bool:
@@ -93,7 +141,7 @@ def _is_real(v) -> bool:
 def _checked_real(value, what: str):
     """``value`` unchanged, if it is one real number (:func:`_is_real`): the real-number kind."""
     if type(value) is not float and not _is_real(value):  # floats, the common case, skip the call
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
+        raise ValidationError(f"{what} must be a real number, got {_shown(value)}")
     return value
 
 
@@ -115,14 +163,14 @@ def _finite_angle(angle) -> float:
 def _checked_choice(value, choices: tuple[str, ...], what: str) -> None:
     """Raise ValidationError unless ``value`` is a string (``numpy.str_`` included) among ``choices``: the name kind."""
     if not (isinstance(value, str) and value in choices):
-        raise ValidationError(f"unknown {what} {value!r}; expected one of {choices}")
+        raise ValidationError(f"unknown {what} {_shown(value)}; expected one of {choices}")
 
 
 def _checked_shots(shots: int) -> int:
     """``shots`` as an int, if it is a positive count that numpy's int64 draws can hold; a float would be truncated."""
     shots = _checked_count(shots, "shot count", 1)
     if shots >= 1 << 63:
-        raise ValidationError(f"shot count must be below 2**63, got {shots}")
+        raise ValidationError(f"shot count must be below 2**63, got {_shown(shots)}")
     return shots
 
 

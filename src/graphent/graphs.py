@@ -32,7 +32,7 @@ import re
 from itertools import chain
 from operator import getitem
 
-from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_integer, _load_json, _Value
+from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_edges, _checked_index, _checked_integer, _load_json, _shown, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -46,22 +46,12 @@ class Graph(_Value):
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...] = ()):
         n = _checked_count(n_vertices, "vertex count", 1)
-        try:
-            edge_iter = iter(edges)
-        except TypeError:  # Graph(3, 5), Graph(3, None)
-            raise ValidationError(f"edges {edges!r} is not a collection of vertex pairs") from None
         seen = set()
-        for edge in edge_iter:
-            try:
-                i, j = edge
-            except (TypeError, ValueError):  # not iterable, or not two entries
-                raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
-            if type(i) is not int or type(j) is not int:  # plain ints, the common case, skip the calls
-                i, j = _checked_integer(i, "edge endpoint"), _checked_integer(j, "edge endpoint")
+        for i, j in _checked_edges(edges, "edge endpoint"):
             if i == j:
-                raise ValidationError(f"self-loop at vertex {i}")
+                raise ValidationError(f"self-loop at vertex {_shown(i)}")
             if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"edge ({i}, {j}) out of range for {n} vertices")
+                raise ValidationError(f"edge ({_shown(i)}, {_shown(j)}) out of range for {n} vertices")
             pair = (i, j) if i < j else (j, i)
             if pair in seen:
                 raise ValidationError(f"duplicate edge {pair}")
@@ -77,11 +67,7 @@ class Graph(_Value):
 
     def neighbours(self, l: int) -> tuple[int, ...]:
         """Vertices adjacent to ``l`` in ascending order; the integer and range check every route relies on."""
-        if type(l) is not int:  # plain ints, the common case, skip the call
-            l = _checked_integer(l, "spin")
-        if not 0 <= l < self.n_vertices:
-            raise ValidationError(f"spin {l} out of range for {self.n_vertices} vertices")
-        return self._neighbours.get(l, ())
+        return self._neighbours.get(_checked_index(l, self.n_vertices, "spin"), ())
 
     def degree(self, l: int) -> int:
         """Number of edges incident to vertex ``l``."""
@@ -239,11 +225,6 @@ def valencia() -> Graph:
 # than being OOM-killed while it builds and prints the graph: ring(100000), the
 # largest in use, peaks at about 70 MB in an analytic entangle
 MAX_PRESET_EDGES = 100_000
-
-
-def _shown(n: int) -> str:
-    """``str(n)``, or ``n``'s bit length where ``str()`` could refuse its digits."""
-    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"
 
 
 def _size(kind: str, n, minimum: int, edge_count) -> int:

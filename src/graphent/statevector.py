@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_count, _checked_integer, _finite_angle
+from .errors import DEFAULT_MAX_QUBITS, ConsistencyError, ResourceCapError, ValidationError, _checked_count, _checked_edges, _checked_index, _checked_integer, _finite_angle, _shown
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -114,21 +114,12 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
     if type(max_qubits) is not int:  # plain ints, the common case, skip the call
         max_qubits = _checked_integer(max_qubits, "qubit cap")
     if n > max_qubits:
-        raise ResourceCapError(f"{n} qubits exceeds the cap of {max_qubits}")
+        raise ResourceCapError(f"{_shown(n)} qubits exceeds the cap of {_shown(max_qubits)}")
     if rows is not None and (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits
-        raise ResourceCapError(
-            f"{rows} rows of {n} qubits exceed the cap of 2**{max_qubits} amplitudes"
-        )
+        raise ResourceCapError(f"{_shown(rows)} rows of {n} qubits exceed the cap of 2**{max_qubits} amplitudes")
     amps = np.zeros(1 << n if rows is None else (rows, 1 << n), dtype=np.complex128)
     amps[..., 0] = 1.0
     return StateVector(n, amps)
-
-
-def _check_qubit(state: StateVector, q: int):
-    if type(q) is not int:  # plain ints, the common case, skip the call
-        q = _checked_integer(q, "qubit index")
-    if not 0 <= q < state.n_qubits:
-        raise ValidationError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
 def _check_norm(norm_sq):
@@ -245,9 +236,9 @@ def _apply_row_phases(state: StateVector, q: int, angles: tuple[float, ...]):
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one IR gate in place; returns the same state."""
-    _check_qubit(state, gate.target)
+    _checked_index(gate.target, state.n_qubits, "qubit index")
     if gate.kind == "cx":
-        _check_qubit(state, gate.control)
+        _checked_index(gate.control, state.n_qubits, "qubit index")
         _apply_cx(state.amps, gate.control, gate.target)
     elif type(gate.angle) is tuple:
         _apply_row_phases(state, gate.target, gate.angle)
@@ -279,17 +270,10 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
     row (one in all for a single state) and each entry computed as for one angle,
     so a row has its single state's bits; the norm is checked after every edge.
     """
-    try:
-        edges = list(edges)
-    except TypeError:  # 5, None
-        raise ValidationError(f"edges {edges!r} is not a collection of vertex pairs") from None
-    for edge in edges:
-        try:
-            i, j = edge
-        except (TypeError, ValueError):  # not iterable, or not two entries
-            raise ValidationError(f"edge {edge!r} is not a pair of vertices") from None
-        _check_qubit(state, i)
-        _check_qubit(state, j)
+    edges = _checked_edges(edges, "qubit index")
+    for i, j in edges:
+        _checked_index(i, state.n_qubits, "qubit index")
+        _checked_index(j, state.n_qubits, "qubit index")
         if i == j:
             raise ValidationError(f"edge endpoints coincide at {i}")
     rows = state.rows
@@ -299,7 +283,7 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
         try:
             wrong_shape = np.shape(phi) != (rows,)
         except ValueError:  # a ragged nesting of sequences, which has no shape
-            raise ValidationError(f"angles for a batch of {rows} rows are not one number per row: {phi!r}") from None
+            raise ValidationError(f"angles for a batch of {rows} rows are not one number per row: {_shown(phi)}") from None
         if wrong_shape:
             raise ValidationError(f"{np.size(phi)} angles for a batch of {rows} rows")
         angles = [_finite_angle(p) for p in phi]
@@ -319,7 +303,7 @@ def pauli_means(state: StateVector, l: int):
     s = <a0|a1>, p0 = <a0|a0>, p1 = <a1|a1>; p0 + p1 is the norm, checked as after a gate.
     Three floats for a single state, three arrays of one mean per row for a batch.
     """
-    _check_qubit(state, l)
+    _checked_index(l, state.n_qubits, "qubit index")
     rows = state.rows
     a0, a1 = _paired_views(state.amps, l)
     p0, p1 = _inner(a0, a0, rows).real, _inner(a1, a1, rows).real

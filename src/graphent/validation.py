@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuits import apply_circuit, measurement_prelude, synthesize_graph_circuit
 from .entanglement import _check_components, _entanglement_of_means, analytic_entanglement
-from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, _checked_count, _checked_integer, _Value
+from .errors import DEFAULT_MAX_QUBITS, ResourceCapError, _checked_count, _checked_integer, _shown, _Value
 from .graphs import Graph
 from .statevector import (
     StateVector,
@@ -110,7 +110,7 @@ def run_validation(
     trials, max_n = _checked_count(trials, "trials", 1), _checked_count(max_n, "max_n", 2)
     max_qubits = _checked_integer(max_qubits, "max_qubits")
     if max_n > max_qubits:
-        raise ResourceCapError(f"max_n {max_n} exceeds the qubit cap {max_qubits}")
+        raise ResourceCapError(f"max_n {_shown(max_n)} exceeds the qubit cap {_shown(max_qubits)}")
     rng = np.random.default_rng(_checked_count(seed, "seed"))
     graphs = [random_graph(rng, 2, max_n) for _ in range(trials)]
     phis_per_graph = [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 25) for _ in graphs]

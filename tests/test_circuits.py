@@ -51,6 +51,14 @@ class TestCircuitType:
         with pytest.raises(ValidationError, match=rf"^{message}$"):
             Gate(kind, 0, control=control)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: Gate.h(-1), lambda: Gate.p(-1, 0.3), lambda: Gate.cx(-1, 0), lambda: Gate.cx(0, -1)]
+    )
+    def test_negative_qubit_index_message(self, build):
+        # the count kind's message, which measurement_prelude gives too
+        with pytest.raises(ValidationError, match="^qubit index must be non-negative, got -1$"):
+            build()
+
     @pytest.mark.parametrize("q", [np.array(1), np.int64(1), np.int8(1)], ids=["0d-array", "int64", "int8"])
     def test_numpy_qubit_is_stored_as_its_int(self, q):
         # a 0-d array was stored as given, so the gate did not hash

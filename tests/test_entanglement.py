@@ -70,6 +70,14 @@ class TestAnalytic:
         assert _folded_cos(at) == fmod_route(at)
         assert _folded_cos(past) == abs(math.cos(past))
 
+    @pytest.mark.parametrize("k", [2**1023, 2**1024, 10**400], ids=["2**1023", "2**1024", "10**400"])
+    def test_degree_beyond_float_range_is_the_limit(self, k):
+        # float ** int converts the int, which raised OverflowError past float range
+        assert analytic_entanglement(k, 1.0) == 0.5
+        assert analytic_entanglement(k, math.pi) == analytic_entanglement(k, 0.0) == 0.0
+        assert _folded_cos(2.0**-26) == 1.0 - 2.0**-53  # the largest |cos| below 1
+        assert analytic_entanglement(k, 2.0**-26) == 0.5
+
     def test_numpy_integer_degree_accepted(self):
         assert analytic_entanglement(np.int64(3), 0.3) == analytic_entanglement(3, 0.3)
 

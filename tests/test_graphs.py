@@ -299,6 +299,12 @@ class TestNeighbours:
             with pytest.raises(ValidationError):
                 valencia().neighbours(l)
 
+    @pytest.mark.parametrize("l", [-1, 5, np.int64(7)])
+    def test_out_of_range_message(self, l):
+        # the index kind's one range message
+        with pytest.raises(ValidationError, match=rf"^spin {l} out of range \[0, 5\)$"):
+            valencia().neighbours(l)
+
 
 class TestLightCone:
     """Spin l's light cone is the star on l and its degree(l) neighbours.

@@ -308,14 +308,16 @@ def test_cx_error_lookup_of_a_non_integer_index_finds_no_entry(pair):
     assert valencia_calibration().cx_error_for(np.int64(0), np.int32(1)) == valencia_calibration().cx_error_for(0, 1)
 
 
-# The kind property: every public parameter that takes a number or a name,
-# with the kind of input it takes. Each drawn value either gives the answer
-# that its plain Python counterpart gives, or raises a GraphentError; a value
-# with no plain counterpart (a list given as a count, a string given as an
-# angle) must raise. Out of scope: parameters that take an object (graphs,
-# edges, states, gates, Bloch vectors, calibration data), the gate_noise flag,
-# text to parse, random_graph's bounds and entanglement_from_bloch's norm_tol.
+# The kind property: every public parameter that takes a number, a name or a
+# vertex pair, with the kind of input it takes. Each drawn value either gives
+# the answer that its plain Python counterpart gives, or raises a
+# GraphentError; a value with no plain counterpart (a list given as a count, a
+# string given as an angle) must raise. Out of scope: parameters that take any
+# other object (graphs, states, gates, Bloch vectors, calibration data), the
+# gate_noise flag, text to parse, random_graph's bounds and
+# entanglement_from_bloch's norm_tol.
 _BLOCH = BlochVector(0.0, 0.0, 0.8)
+_RATES = (0.01, 0.02, 0.03)
 KIND_TABLE = [
     ("analytic_entanglement", "k", "count", lambda v: analytic_entanglement(v, 1.0)),
     ("analytic_entanglement", "phi", "angle", lambda v: analytic_entanglement(2, v)),
@@ -369,6 +371,10 @@ KIND_TABLE = [
     ("run_validation", "trials", "count", lambda v: run_validation(max_n=2, trials=v)),
     ("run_validation", "seed", "count", lambda v: run_validation(max_n=2, trials=1, seed=v)),
     ("run_validation", "max_qubits", "count", lambda v: run_validation(max_n=2, trials=1, max_qubits=v)),
+    ("Graph", "edges", "pair", lambda v: Graph(3, (v,))),
+    ("evolve_edges", "edges", "pair", lambda v: evolve_edges(init_zero(3), [v], 0.7)),
+    ("choose_orientation", "edge", "pair", lambda v: choose_orientation(v, _calibration(3))),
+    ("CalibrationData", "cx_error", "pair", lambda v: CalibrationData(_RATES, _RATES, {v: 0.05})),
 ]
 
 INVALID = object()  # the plain counterpart of a value that stands for no number or name of the kind
@@ -404,6 +410,29 @@ def _formed(values, forms):
     return st.tuples(values, st.sampled_from(forms)).map(lambda pair: pair[1](pair[0]))
 
 
+class _OneShot:
+    """A pair that can be read once, as an iterator can; ``pair`` keeps its entries for the plain answer."""
+
+    def __init__(self, pair):
+        self.pair, self._entries = pair, iter(pair)
+
+    def __iter__(self):
+        return self._entries
+
+    def __repr__(self):
+        return f"_OneShot({self.pair!r})"
+
+
+ENDPOINTS = st.integers(-1, 3)
+_ODD_ENDPOINTS = st.one_of(
+    ENDPOINTS,
+    ENDPOINTS.map(np.int64),
+    ENDPOINTS.map(float),
+    st.booleans(),
+    st.sampled_from([10**5000, -(10**5000)]),  # past str()'s digit limit
+)
+
+
 _ODD_REALS = _formed(REALS, _REAL_FORMS)
 KIND_VALUES = {
     "count": _formed(COUNTS, _COUNT_FORMS),
@@ -418,6 +447,14 @@ KIND_VALUES = {
         st.lists(REALS, max_size=3).map(lambda xs: [xs]),
     ),
     "name": _formed(st.sampled_from(NAMES), _NAME_FORMS),
+    "pair": st.one_of(
+        st.tuples(ENDPOINTS, ENDPOINTS),
+        st.tuples(_ODD_ENDPOINTS, _ODD_ENDPOINTS),
+        st.tuples(_ODD_ENDPOINTS),
+        st.tuples(_ODD_ENDPOINTS, _ODD_ENDPOINTS, _ODD_ENDPOINTS),
+        st.sampled_from([0, None, "01"]),
+        st.tuples(ENDPOINTS, ENDPOINTS).map(_OneShot),
+    ),
 }
 
 
@@ -450,7 +487,22 @@ def _plain_name(v):
     return str(v) if isinstance(v, str) else INVALID
 
 
-PLAIN = {"count": _plain_count, "real": _plain_real, "angle": _plain_real, "rows": _plain_rows, "name": _plain_name}
+def _plain_pair(v):
+    pair = v.pair if isinstance(v, _OneShot) else v
+    if type(pair) is not tuple or len(pair) != 2 or any(type(x) is bool for x in pair):
+        return INVALID
+    plains = tuple(_plain_count(x) for x in pair)
+    return INVALID if INVALID in plains else plains
+
+
+PLAIN = {
+    "count": _plain_count,
+    "real": _plain_real,
+    "angle": _plain_real,
+    "rows": _plain_rows,
+    "name": _plain_name,
+    "pair": _plain_pair,
+}
 
 
 def _answer(result):
@@ -476,3 +528,54 @@ def test_odd_input_gives_the_plain_answer_or_a_graphent_error(kind, call, data):
         return
     assert plain is not INVALID, f"{value!r} was answered, with {got!r}"
     assert _answer(got) == _answer(call(plain))
+
+
+COUNT_ENTRIES = {f"{e}-{p}": call for e, p, kind, call in KIND_TABLE if kind == "count"}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_past_the_digit_limit_is_classified(entry):
+    # str() refuses ints of more than 4300 digits, so a message that echoed
+    # one raised a bare ValueError; past 64 bits an int is shown by its length
+    call = COUNT_ENTRIES[entry]
+    with pytest.raises(GraphentError, match=" 16610-bit integer"):
+        call(-(10**5000))
+    if entry != "run_validation-trials":  # a valid count, but 10**5000 trials would run that many
+        try:
+            call(10**5000)
+        except GraphentError as exc:
+            assert "16610-bit integer" in str(exc)
+
+
+def test_huge_seeds_keep_answering():
+    assert derive_seed(10**5000, 0) == derive_seed(10**5000, 0)
+    est = estimate_entanglement_shots(valencia(), 1.0, 1, 64, seed=10**5000)
+    assert est == estimate_entanglement_shots(valencia(), 1.0, 1, 64, seed=10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(3, ((10**5000, 10**5000),)), "self-loop at vertex a 16610-bit integer"),
+        (lambda: Graph(3, ((0, 1, 10**5000),)), "edge a tuple too long to show is not a pair of vertices"),
+        (lambda: Graph(3, 10**5000), "edges a 16610-bit integer is not a collection of vertex pairs"),
+        (lambda: choose_orientation((0, -(10**5000))), "negative vertex in edge (0, a 16610-bit integer)"),
+        (
+            lambda: CalibrationData(_RATES, _RATES, {(0, 10**5000): 0.1}),
+            "cx_error pair (0, a 16610-bit integer) invalid for 3 qubits",
+        ),
+        (lambda: valencia_calibration().cx_error_for(0, 10**5000), "no cx error entry for directed pair 0-a 16610-bit integer"),
+        (lambda: init_zero(10**5000), "a 16610-bit integer qubits exceeds the cap of 24"),
+        (lambda: init_zero(2, -(10**5000)), "2 qubits exceeds the cap of a 16610-bit integer"),
+        (lambda: init_zero(2, rows=10**5000), "a 16610-bit integer rows of 2 qubits exceed the cap of 2**24 amplitudes"),
+        (lambda: run_validation(max_n=10**5000), "max_n a 16610-bit integer exceeds the qubit cap 24"),
+        (lambda: Gate.cx(10**5000, 10**5000), "cx control and target coincide at a 16610-bit integer"),
+        (lambda: estimate_entanglement_shots(valencia(), 0.1, 1, 10**5000), "shot count must be below 2**63, got a 16610-bit integer"),
+        (lambda: BlochVector([10**5000], 0.0, 0.0), "Bloch component mx must be a real number, got a list too long to show"),
+        (lambda: measurement_prelude(10**5000, 0), "unknown measurement axis a 16610-bit integer; expected one of ('x', 'y', 'z')"),
+        (lambda: init_zero(2, [10**5000]), "qubit cap must be an integer, got a list too long to show"),
+    ],
+)
+def test_a_message_shows_an_int_past_the_digit_limit_by_its_bit_length(call, message):
+    with pytest.raises(GraphentError, match=f"^{re.escape(message)}$"):
+        call()

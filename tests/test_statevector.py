@@ -253,6 +253,11 @@ class TestApplyGate:
         with pytest.raises(ValidationError):
             apply_gate(init_zero(2), Gate.cx(2, 0))
 
+    @pytest.mark.parametrize("gate", [Gate.h(2), Gate.cx(2, 0), Gate.cx(0, 2)], ids=["target", "control", "cx-target"])
+    def test_index_out_of_range_message(self, gate):
+        with pytest.raises(ValidationError, match=r"^qubit index 2 out of range \[0, 2\)$"):
+            apply_gate(init_zero(2), gate)
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
     def test_norm_preserved_by_random_sequences(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -384,6 +389,16 @@ class TestEvolveEdge:
     def test_non_integer_qubit_rejected(self):
         with pytest.raises(ValidationError, match="qubit index must be an integer, got 0.5"):
             evolve_edges(init_zero(2), [(0.5, 1)], 0.1)
+
+    @pytest.mark.parametrize("edge, q", [((0, 2), 2), ((-1, 1), -1)])
+    def test_qubit_out_of_range_message(self, edge, q):
+        with pytest.raises(ValidationError, match=rf"^qubit index {q} out of range \[0, 2\)$"):
+            evolve_edges(init_zero(2), [edge], 0.1)
+
+    def test_edge_given_as_a_one_shot_iterator(self):
+        # each edge was unpacked twice, and the second read of an iterator found it empty
+        from_iterator = evolve_edges(init_zero(2), [iter((0, 1))], 1.0)
+        assert from_iterator.amps.tobytes() == evolve_edges(init_zero(2), [(0, 1)], 1.0).amps.tobytes()
 
     def test_non_number_angle_on_a_single_state_rejected(self):
         with pytest.raises(ValidationError, match=r"angle must be a real number, got \[0.1\]"):
@@ -522,6 +537,10 @@ class TestExpectations:
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
+            pauli_means(init_zero(2), 2)
+
+    def test_qubit_out_of_range_message(self):
+        with pytest.raises(ValidationError, match=r"^qubit index 2 out of range \[0, 2\)$"):
             pauli_means(init_zero(2), 2)
 
     def test_non_integer_qubit_rejected(self):
