@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ValidationError, _checked_pair, _load_json, _shown, _Value
+from .errors import ValidationError, _checked_pair, _checked_text, _load_json, _read_text, _shown, _Value
 
 _PAIR_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -96,7 +96,8 @@ def _check_calibration(cal) -> None:
 
 
 def parse_calibration(text: str) -> CalibrationData:
-    obj = _load_json(text, "calibration", "invalid calibration JSON")
+    """The calibration in JSON ``text``, a ``str`` (``numpy.str_`` included); bytes or any other object raises ValidationError."""
+    obj = _load_json(_checked_text(text, "calibration text"), "calibration", "invalid calibration JSON")
     if not isinstance(obj, dict):
         raise ValidationError("calibration must be a JSON object")
     for key in ("readout_error", "gate_error", "cx_error"):
@@ -122,8 +123,13 @@ def parse_calibration(text: str) -> CalibrationData:
 
 
 def load_calibration(path) -> CalibrationData:
-    with open(path, encoding="utf-8") as fh:
-        return parse_calibration(fh.read())
+    """The calibration in the UTF-8 JSON file at ``path``: a ``str``, ``bytes`` or ``os.PathLike`` path.
+
+    Any other object (an int file descriptor, a bool, None) raises
+    ValidationError before a file is opened; ``"\\r\\n"`` and ``"\\r"`` line
+    ends read as ``"\\n"``.
+    """
+    return parse_calibration(_read_text(path))
 
 
 def valencia_calibration() -> CalibrationData:

@@ -20,7 +20,7 @@ from .calibration import CalibrationData, load_calibration
 from .circuits import circuit_text, synthesize_graph_circuit
 from .entanglement import METHODS, EntanglementEstimate, analytic_estimate, exact_entanglement
 from .errors import DEFAULT_MAX_QUBITS, DEFAULT_SHOTS, ConsistencyError, GraphentError, ResourceCapError
-from .errors import ValidationError, _checked_shots, _numpy_module
+from .errors import ValidationError, _checked_shots, _numpy_module, _read_text
 from .graphs import FORMATS, Graph, parse_graph, preset
 
 # sampling and validation import numpy, so they load on a command's first
@@ -118,9 +118,7 @@ def _load_graph(args) -> Graph:
             return preset(args.preset)
         except ValidationError as exc:
             raise UsageError(str(exc)) from None
-    with open(args.graph, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_graph(text, args.format)
+    return parse_graph(_read_text(args.graph), args.format)
 
 
 def _load_calibration(args) -> CalibrationData | None:
@@ -150,6 +148,11 @@ def _estimate(mode, g, phi, spin, shots, cal, seed, cap) -> EntanglementEstimate
     return _numpy_module("sampling").estimate_entanglement_shots(g, phi, spin, shots, cal, seed=seed)
 
 
+# json.dumps's own encoder, less its cycle check: a record is built fresh from
+# tuples and numbers, and the encoder writes a tuple as an array
+_encode_record = json.JSONEncoder(check_circular=False).encode
+
+
 def cmd_entangle(args) -> int:
     g = _load_graph(args)
     cal = _load_calibration(args)
@@ -158,14 +161,14 @@ def cmd_entangle(args) -> int:
         "phi": args.phi,
         "spin": args.spin,
         "mode": args.mode,
-        "bloch": list(est.bloch.as_tuple()),
+        "bloch": est.bloch.as_tuple(),
         "entanglement": est.value,
         "std_error": est.std_error,
         "shots": est.shots,
         "seed": args.seed,
-        "graph": {"n": g.n_vertices, "edges": [list(e) for e in g.edges]},
+        "graph": {"n": g.n_vertices, "edges": g.edges},
     }
-    print(json.dumps(record))
+    print(_encode_record(record))
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Exception types, the numpy-free input checks and defaults shared across the package, the JSON reader, and the immutable value base.
+"""Exception types, the numpy-free input checks and defaults shared across the package, the file and JSON readers, and the immutable value base.
 
-Every public input of a number, a name or a pair of vertices is one of five
-kinds, and each kind has one checker, which raises :class:`ValidationError`
-with one message form:
+Every public input of a number, a name, a pair of vertices or a text to parse
+is one of six kinds, and each kind has one checker, which raises
+:class:`ValidationError` with one message form:
 
 * a count, :func:`_checked_count`: an integer by ``operator.index`` (a bool or
   a float is none), else ``"<what> must be an integer, got <v!r>"``; below its
@@ -19,10 +19,14 @@ with one message form:
   got <v!r>"``; an angle, :func:`_finite_angle`, must also be finite as a float;
 * a name from a fixed set, :func:`_checked_choice`: a ``str`` in the set, else
   ``"unknown <what> <v!r>; expected one of <choices>"``.
+* a text to parse, :func:`_checked_text`: a ``str``, else ``"<what> must be a
+  str, got <v!r>"``.
 
 Every message shows a caller's value with :func:`_shown`: an int past 64 bits
 by its bit length (``str()`` refuses more than 4300 digits), anything else by
 its repr. Messages that name a gate and a preset's size keep their own checks.
+Input files are read by :func:`_read_text` alone, and JSON text is parsed by
+:func:`_load_json` alone.
 The checkers import nothing beyond the standard modules above, so ``import
 graphent.cli`` stays numpy-free.
 
@@ -48,6 +52,7 @@ import importlib
 import json
 import math
 import operator
+import os
 import sys
 
 DEFAULT_MAX_QUBITS = 24
@@ -160,6 +165,13 @@ def _finite_angle(angle) -> float:
     raise ValidationError("non-finite angle: NaN, infinite or beyond float range")
 
 
+def _checked_text(text, what: str) -> str:
+    """``text`` unchanged, if it is a ``str`` (``numpy.str_`` included): the text a parser reads."""
+    if not isinstance(text, str):  # bytes too: a parser reads decoded text
+        raise ValidationError(f"{what} must be a str, got {_shown(text)}")
+    return text
+
+
 def _checked_choice(value, choices: tuple[str, ...], what: str) -> None:
     """Raise ValidationError unless ``value`` is a string (``numpy.str_`` included) among ``choices``: the name kind."""
     if not (isinstance(value, str) and value in choices):
@@ -182,6 +194,29 @@ def _numpy_module(name: str):
     wrapper later set on the module's attribute is the one called.
     """
     return importlib.import_module(f"graphent.{name}")
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``, with the newlines text mode would give.
+
+    ``path`` is anything ``os.fspath`` takes (a ``str``, ``bytes`` or path-like
+    object); anything else, an int file descriptor or a bool included, raises
+    ValidationError before any file is opened. The file is read in one
+    unbuffered call and decoded as UTF-8, so a file that is not UTF-8 raises
+    ``UnicodeDecodeError`` as text mode's ``read()`` does. ``"\\r\\n"`` and then
+    ``"\\r"`` become ``"\\n"``, as under text mode's universal newlines, so every
+    parse, and every offset a message names, is that of the text-mode read.
+    This is the package's one reader of input files.
+    """
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise ValidationError(f"input path must be a str, bytes or os.PathLike, got {_shown(path)}") from None
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_json(text: str, what: str, invalid: str):

@@ -32,7 +32,7 @@ import re
 from itertools import chain
 from operator import getitem
 
-from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_edges, _checked_index, _checked_integer, _load_json, _shown, _Value
+from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_edges, _checked_index, _checked_integer, _checked_text, _load_json, _shown, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -206,8 +206,13 @@ def _looks_like_adjacency(rows: list[list[str]]) -> bool:
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
-    """Parse ``text`` in one of the formats listed in :data:`FORMATS`, or ``"auto"`` to detect it."""
+    """Parse ``text`` in one of the formats listed in :data:`FORMATS`, or ``"auto"`` to detect it.
+
+    ``text`` is a ``str`` (``numpy.str_`` included); bytes or any other object
+    raises ValidationError, as does a format not in the list.
+    """
     _checked_choice(fmt, FORMATS + ("auto",), "graph format")
+    _checked_text(text, "graph text")
     if fmt == "json" or (fmt == "auto" and text.lstrip().startswith("{")):
         return _parse_json(text)
     rows = _data_rows(text)  # split once, shared by the detector and the parser

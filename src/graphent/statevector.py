@@ -67,6 +67,8 @@ if TYPE_CHECKING:
     from .circuits import Gate
 
 NORM_DRIFT_LIMIT = 1e-9
+# numpy refuses an array of 2**63 bytes or more, 2**59 complex128 amplitudes
+_MAX_ARRAY_QUBITS = 58
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -80,9 +82,10 @@ class StateVector:
             got = f"{amps.dtype} array" if isinstance(amps, np.ndarray) else type(amps).__name__
             raise ValidationError(f"amplitudes must be a complex128 numpy array, got {got}")
         n_qubits = _checked_count(n_qubits, "qubit count")
-        if amps.shape == (1 << n_qubits,):
+        width = 1 << min(n_qubits, 63)  # no array axis reaches 2**63, and a huge shift would overflow
+        if amps.shape == (width,):
             self.rows = None
-        elif amps.ndim == 2 and amps.shape[1] == 1 << n_qubits and len(amps):
+        elif amps.ndim == 2 and amps.shape[1] == width and len(amps):
             if not amps.flags.c_contiguous:
                 # the kernels write through reshape views, and merging a strided
                 # batch's row axis into its amplitudes would copy
@@ -90,7 +93,7 @@ class StateVector:
             self.rows = len(amps)
         else:
             raise ValidationError(
-                f"amplitude array of shape {amps.shape} does not match {n_qubits} qubits"
+                f"amplitude array of shape {amps.shape} does not match {_shown(n_qubits)} qubits"
             )
         self.n_qubits = n_qubits
         self.amps = amps
@@ -106,7 +109,9 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
     """All-spins-up initial state |00...0> on ``n`` qubits, or ``rows`` copies of it as one batch.
 
     A batch may hold at most ``2**max_qubits`` amplitudes, the size of the
-    largest single state the cap allows.
+    largest single state the cap allows. Under a cap raised past numpy's
+    largest array, ``2**58`` amplitudes, a larger state or batch raises
+    ResourceCapError before anything is allocated.
     """
     n = _checked_count(n, "qubit count", 1)
     if rows is not None:
@@ -115,8 +120,12 @@ def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = N
         max_qubits = _checked_integer(max_qubits, "qubit cap")
     if n > max_qubits:
         raise ResourceCapError(f"{_shown(n)} qubits exceeds the cap of {_shown(max_qubits)}")
-    if rows is not None and (rows - 1).bit_length() > max_qubits - n:  # rows << n > 2**max_qubits
-        raise ResourceCapError(f"{_shown(rows)} rows of {n} qubits exceed the cap of 2**{max_qubits} amplitudes")
+    bits = n if rows is None else n + (rows - 1).bit_length()  # log2 of the amplitude count, rounded up
+    if bits > max_qubits:  # rows << n > 2**max_qubits
+        raise ResourceCapError(f"{_shown(rows)} rows of {_shown(n)} qubits exceed the cap of 2**{_shown(max_qubits)} amplitudes")
+    if bits > _MAX_ARRAY_QUBITS:  # a cap raised past what numpy can allocate
+        shape = f"{_shown(n)} qubits" if rows is None else f"{_shown(rows)} rows of {_shown(n)} qubits"
+        raise ResourceCapError(f"{shape} exceed the 2**{_MAX_ARRAY_QUBITS} amplitudes of the largest numpy array")
     amps = np.zeros(1 << n if rows is None else (rows, 1 << n), dtype=np.complex128)
     amps[..., 0] = 1.0
     return StateVector(n, amps)

@@ -705,6 +705,41 @@ class TestGraphInput:
         assert err.startswith("error: input file is not UTF-8 text: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "option,text",
+        [
+            ("--graph", "# valencia\n5\n0 1\n1 2\n\n1 3\n3 4\n"),
+            ("--graph", '{"n": 5,\n "edges": [[0, 1], [1, 2],\n  [1, 3], [3, 4]]}\n'),
+            ("--graph", "5\n0 1 0 0 0\n1 0 1 1 0\n0 1 0 0 0\n0 1 0 0 1\n0 0 0 1 0\n"),
+            ("--calibration", (ROOT / "src/graphent/data/valencia_calibration.json").read_text(encoding="utf-8")),
+        ],
+        ids=["edge-list", "json", "adjacency", "calibration"],
+    )
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_read_as_their_lf_copies(self, capsys, tmp_path, option, text, newline):
+        # text mode's universal newlines read "\r\n" and "\r" as "\n", and so does the raw reader
+        outputs = []
+        for name, ending in (("lf", "\n"), ("other", newline)):
+            p = tmp_path / name
+            p.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            source = ["--graph", str(p)] if option == "--graph" else ["--preset", "valencia", "--calibration", str(p)]
+            for argv in (
+                ["entangle", *source, "--phi", "pi/3", "--spin", "1", "--mode", "shots", "--seed", "5"],
+                ["synthesize", *source, "--phi", "pi/3"],
+            ):
+                outputs.append(run(capsys, *argv))
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[:2] == outputs[2:]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_malformed_json_graph_names_its_text_mode_offset(self, capsys, tmp_path, newline):
+        # a raw read of the CRLF file would put the fault at char 34
+        p = tmp_path / "g.json"
+        p.write_bytes('{"n": 5,\n "edges": [[0, 1],\n [1 2]]}\n'.replace("\n", newline).encode("utf-8"))
+        code, out, err = run(capsys, "entangle", "--graph", str(p), "--phi", "1", "--spin", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid JSON graph: Expecting ',' delimiter: line 3 column 5 (char 32)\n"
+
 
 class TestResourceCap:
     def test_flag(self, capsys):

@@ -5,6 +5,7 @@ subclass; a valid input must return, and an invalid one must raise.
 """
 
 import math
+import os
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -33,7 +34,9 @@ from graphent import (
     evolve_edges,
     exact_entanglement,
     init_zero,
+    load_calibration,
     measurement_prelude,
+    parse_calibration,
     parse_graph,
     path,
     preset,
@@ -579,3 +582,49 @@ def test_huge_seeds_keep_answering():
 def test_a_message_shows_an_int_past_the_digit_limit_by_its_bit_length(call, message):
     with pytest.raises(GraphentError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_graph(5, "auto"), "graph text must be a str, got 5"),
+        (lambda: parse_graph(b"2\n0 1", "auto"), "graph text must be a str, got b'2\\n0 1'"),
+        (lambda: parse_graph(None, "edge-list"), "graph text must be a str, got None"),
+        (lambda: parse_calibration(5), "calibration text must be a str, got 5"),
+        # json.loads reads bytes, so this parsed before
+        (lambda: parse_calibration(b'{"readout_error": [0.1], "gate_error": [0.1], "cx_error": {}}'),
+         """calibration text must be a str, got b'{"readout_error": [0.1], "gate_error": [0.1], "cx_error": {}}'"""),
+    ],
+    ids=["graph-int", "graph-bytes", "graph-none", "calibration-int", "calibration-bytes"],
+)
+def test_a_parser_reads_str_text_only(call, message):
+    # an int raised AttributeError or TypeError, and bytes TypeError in parse_graph
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_strings_are_text():
+    assert parse_graph(np.str_("2\n0 1"), "auto") == Graph(2, ((0, 1),))
+    text = '{"readout_error": [0.1], "gate_error": [0.2], "cx_error": {}}'
+    assert parse_calibration(np.str_(text)) == parse_calibration(text)
+
+
+@pytest.mark.parametrize("path", [None, 3.5, ["cal.json"]], ids=["none", "float", "list"])
+def test_calibration_path_must_be_a_path(path):
+    with pytest.raises(ValidationError, match=f"^input path must be a str, bytes or os.PathLike, got {re.escape(repr(path))}$"):
+        load_calibration(path)
+
+
+def test_calibration_path_is_no_file_descriptor():
+    # open() takes an int as a descriptor, reads it and closes it: a pipe's
+    # read end, or stdout for True, was closed under the caller
+    read_end, write_end = os.pipe()
+    os.write(write_end, b'{"readout_error": [0.1], "gate_error": [0.1], "cx_error": {}}')
+    os.close(write_end)  # so a read of the pipe ends
+    try:
+        with pytest.raises(ValidationError, match=f"^input path must be a str, bytes or os.PathLike, got {read_end}$"):
+            load_calibration(read_end)
+        os.fstat(read_end)  # still open
+        assert os.read(read_end, 1) == b"{"  # and unread
+    finally:
+        os.close(read_end)

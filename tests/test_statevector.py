@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,29 @@ class TestInitZero:
     def test_cap_check_needs_no_power_of_the_cap(self):
         # a cap far above any allocation is compared by bit length, not by 2**cap
         assert init_zero(2, 10**12, rows=3).amps.shape == (3, 4)
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: init_zero(2, 10**30, rows=10**20), ResourceCapError,
+             "a 67-bit integer rows of 2 qubits exceed the 2**58 amplitudes of the largest numpy array"),
+            (lambda: init_zero(2, 10**5000, rows=10**5000), ResourceCapError,
+             "a 16610-bit integer rows of 2 qubits exceed the 2**58 amplitudes of the largest numpy array"),
+            (lambda: init_zero(59, 100), ResourceCapError, "59 qubits exceed the 2**58 amplitudes of the largest numpy array"),
+            (lambda: StateVector(10**5000, np.ones(4, dtype=complex)), ValidationError,
+             "amplitude array of shape (4,) does not match a 16610-bit integer qubits"),
+        ],
+        ids=["rows-past-int64", "rows-past-digit-limit", "qubits-past-numpy", "state-past-digit-limit"],
+    )
+    def test_size_past_a_raised_cap_is_refused_before_allocating(self, monkeypatch, call, error, message):
+        # once the cap is raised, np.zeros refused these with a bare ValueError,
+        # and 1 << n with an OverflowError
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(statevector.np, "zeros", no_allocation)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     @pytest.mark.parametrize("rows", [0, -2])
     def test_non_positive_rows_rejected(self, rows):
