@@ -26,9 +26,9 @@ def _rate(p, name: str, index) -> float:
     Compared before converting, so an integer beyond float range cannot overflow.
     """
     if type(p) is bool or not isinstance(p, (int, float)):
-        raise ValidationError(f"{name}[{index}] must be a number, got {p!r}")
+        raise ValidationError(f"{name}[{index}] must be a number, got {_shown(p)}")
     if not 0.0 <= p <= 1.0:  # NaN compares False, so it fails too
-        raise ValidationError(f"{name}[{index}]={p!r} outside [0, 1]")
+        raise ValidationError(f"{name}[{index}]={_shown(p)} outside [0, 1]")
     return float(p)
 
 
@@ -37,7 +37,7 @@ def _rates(name: str, probs) -> tuple[float, ...]:
     try:
         return tuple([_rate(p, name, q) for q, p in enumerate(probs)])
     except TypeError:  # not iterable
-        raise ValidationError(f"{name} must be a sequence of rates, got {probs!r}") from None
+        raise ValidationError(f"{name} must be a sequence of rates, got {_shown(probs)}") from None
 
 
 class CalibrationData(_Value):
@@ -65,7 +65,7 @@ class CalibrationData(_Value):
         try:
             items = cx_error.items()
         except AttributeError:
-            raise ValidationError(f"cx_error must be a mapping of qubit pairs to rates, got {cx_error!r}") from None
+            raise ValidationError(f"cx_error must be a mapping of qubit pairs to rates, got {_shown(cx_error)}") from None
         cx = {}
         for key, p in items:
             c, t = _checked_pair(key, "cx_error key", "qubits", "cx_error qubit")
@@ -92,7 +92,7 @@ class CalibrationData(_Value):
 def _check_calibration(cal) -> None:
     """Raise ValidationError unless ``cal`` is CalibrationData or None, before a route reads a rate from it."""
     if cal is not None and not isinstance(cal, CalibrationData):
-        raise ValidationError(f"calibration must be CalibrationData or None, got {cal!r}")
+        raise ValidationError(f"calibration must be CalibrationData or None, got {_shown(cal)}")
 
 
 def parse_calibration(text: str) -> CalibrationData:

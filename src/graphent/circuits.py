@@ -27,10 +27,10 @@ import math
 
 from .calibration import CalibrationData, _check_calibration
 from .errors import ValidationError, _checked_choice, _checked_count, _checked_pair, _finite_angle, _numpy_module, _shown, _Value
+from .graphs import Graph, _check_graph
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
-    from .graphs import Graph
     from .statevector import StateVector
 
 GATE_KINDS = ("h", "p", "rx", "ry", "cx")
@@ -138,9 +138,10 @@ def synthesize_edge(r: int, p: int, phi) -> tuple[Gate, ...]:
 
 
 def synthesize_graph_circuit(
-    g: "Graph", phi, cal: CalibrationData | None = None
+    g: Graph, phi, cal: CalibrationData | None = None
 ) -> tuple[Gate, ...]:
     """Concatenate one edge block per graph edge, edges in canonical sorted order; ``phi`` as in :func:`synthesize_edge`."""
+    _check_graph(g)
     return tuple(gate for edge in g.edges for gate in synthesize_edge(*choose_orientation(edge, cal), phi))
 
 

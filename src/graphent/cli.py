@@ -323,7 +323,9 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run the command line ``argv`` (``sys.argv[1:]`` when None) and return its exit code.
 
-    A named command is parsed by its own parser in one pass.
+    A named command is parsed by its own parser in one pass. A command that
+    writes to stdout exits 2 when stdout is missing (``print`` would drop its
+    output silently) or a write or the final flush fails.
     """
     try:
         args = _parse_args(argv)
@@ -331,7 +333,12 @@ def main(argv=None) -> int:
             raise UsageError(f"seed must be non-negative, got {args.seed}")
         if hasattr(args, "shots"):  # entangle and sweep, whatever the mode
             _checked_shots(args.shots)
-        return args.func(args)
+        if sys.stdout is None and getattr(args, "out", None) is None:
+            raise OSError("standard output is closed")
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # inside the try, so a late EPIPE, EBADF or ENOSPC exits 2
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

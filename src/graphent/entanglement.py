@@ -24,8 +24,10 @@ from .errors import (
     _checked_shots,
     _finite_angle,
     _numpy_module,
+    _shown,
     _Value,
 )
+from .graphs import Graph, _check_graph
 
 TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
@@ -43,7 +45,7 @@ _AXES = ("mx", "my", "mz")
 
 
 def _component_error(name: str, v: float) -> ValidationError:
-    return ValidationError(f"Bloch component {name}={v!r} outside [-1, 1]")
+    return ValidationError(f"Bloch component {name}={_shown(v)} outside [-1, 1]")
 
 
 def _norm(mx: float, my: float, mz: float) -> float:
@@ -94,9 +96,9 @@ class EntanglementEstimate(_Value):
     ):
         _checked_choice(method, METHODS, "method")
         if not -1e-12 <= _checked_real(value, "entanglement value") <= 0.5 + 1e-12:
-            raise ValidationError(f"entanglement value {value!r} outside [0, 1/2]")
+            raise ValidationError(f"entanglement value {_shown(value)} outside [0, 1/2]")
         if not isinstance(bloch, BlochVector):
-            raise ValidationError(f"bloch must be a BlochVector, got {bloch!r}")
+            raise ValidationError(f"bloch must be a BlochVector, got {_shown(bloch)}")
         spin = _checked_count(spin, "spin")
         if (shots is not None) != (method == "shots"):
             raise ValidationError("shot count is present exactly for method='shots'")
@@ -106,7 +108,7 @@ class EntanglementEstimate(_Value):
             raise ValidationError("standard error is present exactly for method='shots'")
         if std_error is not None and not 0.0 <= _checked_real(std_error, "standard error") < math.inf:
             # NaN compares False, so it fails too
-            raise ValidationError(f"standard error {std_error!r} is not finite and non-negative")
+            raise ValidationError(f"standard error {_shown(std_error)} is not finite and non-negative")
         object.__setattr__(self, "spin", spin)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "bloch", bloch)
@@ -168,7 +170,7 @@ def bloch_vector(state: StateVector, l: int) -> BlochVector:
 
 
 def exact_entanglement(
-    g, phi: float, l: int, max_qubits: int = DEFAULT_MAX_QUBITS
+    g: Graph, phi: float, l: int, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> EntanglementEstimate:
     """Measure spin ``l`` exactly by simulating its light cone.
 
@@ -180,6 +182,7 @@ def exact_entanglement(
     simulated, so ``max_qubits`` caps ``k + 1``, not the graph's size, and
     its k edges are applied by one call, which builds their unitary once.
     """
+    _check_graph(g)
     phi = _finite_angle(phi)
     k = g.degree(l)
     sv = _numpy_module("statevector")
@@ -190,8 +193,9 @@ def exact_entanglement(
     )
 
 
-def analytic_estimate(g, phi: float, l: int) -> EntanglementEstimate:
+def analytic_estimate(g: Graph, phi: float, l: int) -> EntanglementEstimate:
     """Closed-form estimate for spin ``l``; Bloch vector is (0, 0, cos(phi)**k)."""
+    _check_graph(g)
     k = g.degree(l)
     value = analytic_entanglement(k, phi)  # checks phi before math.cos can raise on inf
     return EntanglementEstimate(

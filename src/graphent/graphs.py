@@ -54,7 +54,7 @@ class Graph(_Value):
                 raise ValidationError(f"edge ({_shown(i)}, {_shown(j)}) out of range for {n} vertices")
             pair = (i, j) if i < j else (j, i)
             if pair in seen:
-                raise ValidationError(f"duplicate edge {pair}")
+                raise ValidationError(f"duplicate edge ({_shown(pair[0])}, {_shown(pair[1])})")
             seen.add(pair)
         edges = tuple(sorted(seen))
         neighbours: dict[int, list[int]] = {}
@@ -72,6 +72,12 @@ class Graph(_Value):
     def degree(self, l: int) -> int:
         """Number of edges incident to vertex ``l``."""
         return len(self.neighbours(l))
+
+
+def _check_graph(g) -> None:
+    """Raise ValidationError unless ``g`` is a Graph, before a route reads a degree or an edge of it."""
+    if not isinstance(g, Graph):
+        raise ValidationError(f"graph must be a Graph, got {_shown(g)}")
 
 
 def _as_int(token: str, what: str) -> int:
@@ -266,7 +272,7 @@ def preset(name: str) -> Graph:
     Sized presets accept ``name(n)`` or the shell-friendly ``name:n``.
     """
     if not isinstance(name, str):
-        raise ValidationError(f"preset name must be a string, got {name!r}")
+        raise ValidationError(f"preset name must be a string, got {_shown(name)}")
     spec = name.strip().lower()
     if spec == "valencia":
         return valencia()
@@ -278,5 +284,5 @@ def preset(name: str) -> Graph:
             raise ValidationError(f"{m.group(1)} graph size has {len(m.group(2))} digits, more than int() converts") from None
         return _SIZED_PRESETS[m.group(1)](n)
     raise ValidationError(
-        f"unknown preset {name!r}; expected valencia, complete(n), path(n), or ring(n)"
+        f"unknown preset {_shown(name)}; expected valencia, complete(n), path(n), or ring(n)"
     )

@@ -75,7 +75,7 @@ from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
 from .errors import ConsistencyError, ValidationError, _checked_count, _checked_shots, _finite_angle
-from .graphs import Graph
+from .graphs import Graph, _check_graph
 from .statevector import NORM_DRIFT_LIMIT, Matrix2, StateVector
 
 
@@ -284,6 +284,7 @@ def estimate_entanglement_shots(
     that the gate/CX errors of ``l``'s blocks cause, from the calibration
     (required then).
     """
+    _check_graph(g)
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
     shots = _checked_shots(shots)

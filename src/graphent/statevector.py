@@ -101,9 +101,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
 
-    def __repr__(self) -> str:
-        return f"StateVector(n_qubits={self.n_qubits})"
-
 
 def init_zero(n: int, max_qubits: int = DEFAULT_MAX_QUBITS, rows: int | None = None) -> StateVector:
     """All-spins-up initial state |00...0> on ``n`` qubits, or ``rows`` copies of it as one batch.

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from graphent import StateVector, measurement_prelude, synthesize_graph_circuit
+from graphent import synthesize_graph_circuit
+from graphent.circuits import measurement_prelude
+from graphent.statevector import StateVector
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

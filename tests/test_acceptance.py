@@ -13,22 +13,16 @@ import numpy as np
 
 from graphent import (
     analytic_entanglement,
-    apply_circuit,
-    apply_gate,
-    bloch_vector,
     complete,
-    entanglement_from_bloch,
     estimate_entanglement_shots,
-    evolve_edges,
     exact_entanglement,
-    init_zero,
-    measurement_prelude,
-    overlap_magnitude,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
-from graphent.statevector import pauli_means
+from graphent.circuits import apply_circuit, measurement_prelude
+from graphent.entanglement import bloch_vector, entanglement_from_bloch
+from graphent.statevector import apply_gate, evolve_edges, init_zero, overlap_magnitude, pauli_means
 from graphent.validation import random_graph
 
 from conftest import random_state

@@ -8,21 +8,14 @@ from numpy.testing import assert_allclose
 from graphent import (
     Gate,
     ValidationError,
-    apply_circuit,
-    choose_orientation,
     circuit_text,
     complete,
-    evolve_edges,
-    gate_text,
-    init_zero,
-    measurement_prelude,
-    overlap_magnitude,
-    synthesize_edge,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
-from graphent.statevector import apply_gate, pauli_means
+from graphent.circuits import apply_circuit, choose_orientation, gate_text, measurement_prelude, synthesize_edge
+from graphent.statevector import apply_gate, evolve_edges, init_zero, overlap_magnitude, pauli_means
 from graphent.validation import random_graph
 
 from conftest import NON_FINITE_ANGLES, random_state

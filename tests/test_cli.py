@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import errno
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -880,6 +882,59 @@ class TestInternalError:
         assert out.endswith("\nvalidation FAILED\n")
 
 
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes fail as on a closed descriptor (EBADF), or whose flush fails as on a closed pipe (EPIPE)."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.EBADF, "Bad file descriptor")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+OUTPUT_COMMANDS = [
+    ["entangle", "--preset", "valencia", "--phi", "1", "--spin", "1", "--mode", "analytic"],
+    ["sweep", "--preset", "valencia", "--sweep", "0:1:3"],
+    ["synthesize", "--preset", "valencia", "--phi", "1"],
+    ["validate", "--trials", "1", "--max-n", "2"],
+]
+
+
+class TestUnwritableStdout:
+    """A command whose output cannot be written exits 2, never 0 and never with a traceback.
+
+    ``sys.stdout`` is replaced, never the test process's real descriptors.
+    """
+
+    @pytest.mark.parametrize("args", OUTPUT_COMMANDS, ids=[args[0] for args in OUTPUT_COMMANDS])
+    def test_missing_stdout_exits_2(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(sys, "stdout", None)  # as in a process started with stdout closed
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: standard output is closed\n"
+
+    @pytest.mark.parametrize("failing, message", [("write", "[Errno 9] Bad file descriptor"), ("flush", "[Errno 32] Broken pipe")])
+    @pytest.mark.parametrize("args", OUTPUT_COMMANDS, ids=[args[0] for args in OUTPUT_COMMANDS])
+    def test_failing_write_or_flush_exits_2(self, capsys, monkeypatch, args, failing, message):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", OUTPUT_COMMANDS[1:3], ids=["sweep", "synthesize"])
+    def test_an_out_file_needs_no_stdout(self, capsys, monkeypatch, tmp_path, args):
+        out = tmp_path / "out.txt"
+        expected = run(capsys, *args)[1]
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+
+
 class TestShotCount:
     @pytest.mark.parametrize("shots", ["0", "-5"])
     @pytest.mark.parametrize("mode", METHODS)
@@ -1162,6 +1217,17 @@ class TestNumpyFree:
         assert blocked[0] == code
         assert blocked[1 if code == 0 else 2]  # the result, or the error, was written
 
+    def test_quickstart_numpy_free_calls_without_numpy(self):
+        quickstart = (
+            "import math, graphent; g = graphent.valencia(); "
+            "print(graphent.analytic_entanglement(g.degree(1), math.pi / 4)); "
+            "print(graphent.circuit_text(graphent.synthesize_graph_circuit(g, math.pi / 4, graphent.valencia_calibration())), end='')"
+        )
+        g = graphent.valencia()
+        circuit = graphent.synthesize_graph_circuit(g, math.pi / 4, graphent.valencia_calibration())
+        expected = f"{graphent.analytic_entanglement(3, math.pi / 4)}\n{graphent.circuit_text(circuit)}"
+        assert _python(_NO_NUMPY + quickstart) == (0, expected.encode(), b"")
+
     def test_importing_the_package_and_cli_leaves_numpy_unloaded(self):
         loaded = "import sys, graphent, graphent.cli; print(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
         assert _python(loaded) == (0, b"\n", b"")
@@ -1176,12 +1242,54 @@ class TestNumpyFree:
         expected = f"graphent.statevector graphent.sampling graphent.validation {sampling.derive_seed(7, 0)}\n"
         assert _python(code) == (0, expected.encode(), b"")
 
+    def test_importing_the_package_loads_no_submodule(self):
+        loaded = "import sys, graphent; print(*sorted(m for m in sys.modules if m.startswith('graphent.')))"
+        assert _python(loaded) == (0, b"\n", b"")
+
     def test_every_exported_name_resolves_and_is_listed(self):
         listing = dir(graphent)
         for name in graphent.__all__:
             assert getattr(graphent, name) is not None
             assert name in listing
-        assert graphent.init_zero is statevector.init_zero
+        assert graphent.estimate_entanglement_shots is sampling.estimate_entanglement_shots
         assert graphent.run_validation is validation.run_validation
         with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
             graphent.nosuch
+
+
+def readme_surface():
+    """(name, module, exported) of each row of the README's "Library surface" table, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Library surface\n", 1)[1].split("\n#", 1)[0]
+    rows = [ln.split("|")[1:4] for ln in section.splitlines() if ln.startswith("| `")]
+    return [(name.strip(" `"), module.strip(" `"), exported.strip() == "yes") for name, module, exported in rows]
+
+
+class TestPackageSurface:
+    """``graphent`` exports the README table's names, each resolved from its module on first access."""
+
+    def test_all_is_the_readme_table(self):
+        assert graphent.__all__ == [name for name, _, exported in readme_surface() if exported]
+        assert len(graphent.__all__) == 29
+
+    @pytest.mark.parametrize("name, module, exported", readme_surface(), ids=[row[0] for row in readme_surface()])
+    def test_each_name_is_an_attribute_of_its_module(self, name, module, exported):
+        defined = getattr(importlib.import_module(f"graphent.{module}"), name)
+        if exported:
+            assert getattr(graphent, name) is defined
+            assert name in dir(graphent)
+        else:
+            assert name not in dir(graphent)
+            with pytest.raises(AttributeError, match=f"^module 'graphent' has no attribute '{name}'$"):
+                getattr(graphent, name)
+
+    def test_an_export_is_resolved_once_and_kept(self, monkeypatch):
+        monkeypatch.delitem(vars(graphent), "run_validation", raising=False)
+        assert graphent.__getattr__("run_validation") is validation.run_validation
+        assert vars(graphent)["run_validation"] is validation.run_validation
+
+    @pytest.mark.parametrize("name", ["cli", "statevector", "sampling", "validation"])
+    def test_a_submodule_is_resolved_by_name(self, name):
+        # the package's own __getattr__, called directly: an imported submodule is already an attribute
+        assert graphent.__getattr__(name) is sys.modules[f"graphent.{name}"]
+        assert name in dir(graphent)

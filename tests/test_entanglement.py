@@ -16,18 +16,16 @@ from graphent import (
     ValidationError,
     analytic_entanglement,
     analytic_estimate,
-    bloch_vector,
     complete,
-    entanglement_from_bloch,
-    evolve_edges,
     estimate_entanglement_shots,
     exact_entanglement,
-    init_zero,
     ring,
     statevector,
     valencia,
 )
 from graphent.entanglement import _COMPONENT_LIMIT, _FOLD_LIMIT, NORM_OVERSHOOT_LIMIT, _check_components, _folded_cos, _norm
+from graphent.entanglement import bloch_vector, entanglement_from_bloch
+from graphent.statevector import evolve_edges, init_zero
 from graphent.validation import random_graph
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi, 25)

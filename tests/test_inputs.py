@@ -22,32 +22,28 @@ from graphent import (
     Gate,
     GraphentError,
     Graph,
-    StateVector,
     ValidationError,
     analytic_entanglement,
     analytic_estimate,
-    bloch_vector,
-    choose_orientation,
     complete,
     derive_seed,
     estimate_entanglement_shots,
-    evolve_edges,
     exact_entanglement,
-    init_zero,
     load_calibration,
-    measurement_prelude,
     parse_calibration,
     parse_graph,
     path,
     preset,
     ring,
     run_validation,
-    synthesize_edge,
     synthesize_graph_circuit,
     valencia,
     valencia_calibration,
 )
+from graphent.circuits import choose_orientation, measurement_prelude, synthesize_edge
+from graphent.entanglement import bloch_vector
 from graphent.cli import parse_phi
+from graphent.statevector import StateVector, evolve_edges, init_zero
 
 # Each input mixes ordinary values with extreme ones, so that valid calls,
 # which must return the right answer, are drawn as well as invalid ones.
@@ -311,12 +307,13 @@ def test_cx_error_lookup_of_a_non_integer_index_finds_no_entry(pair):
     assert valencia_calibration().cx_error_for(np.int64(0), np.int32(1)) == valencia_calibration().cx_error_for(0, 1)
 
 
-# The kind property: every public parameter that takes a number, a name or a
-# vertex pair, with the kind of input it takes. Each drawn value either gives
-# the answer that its plain Python counterpart gives, or raises a
+# The kind property: every public parameter that takes a number, a name, a
+# vertex pair or a graph, with the kind of input it takes. Each drawn value
+# either gives the answer that its plain Python counterpart gives, or raises a
 # GraphentError; a value with no plain counterpart (a list given as a count, a
-# string given as an angle) must raise. Out of scope: parameters that take any
-# other object (graphs, states, gates, Bloch vectors, calibration data), the
+# string given as an angle, a number given as a graph) must raise. Out of
+# scope: parameters that take any other object (states, gates, Bloch vectors,
+# calibration data), the
 # gate_noise flag, text to parse, random_graph's bounds and
 # entanglement_from_bloch's norm_tol.
 _BLOCH = BlochVector(0.0, 0.0, 0.8)
@@ -378,6 +375,10 @@ KIND_TABLE = [
     ("evolve_edges", "edges", "pair", lambda v: evolve_edges(init_zero(3), [v], 0.7)),
     ("choose_orientation", "edge", "pair", lambda v: choose_orientation(v, _calibration(3))),
     ("CalibrationData", "cx_error", "pair", lambda v: CalibrationData(_RATES, _RATES, {v: 0.05})),
+    ("exact_entanglement", "g", "graph", lambda v: exact_entanglement(v, 1.0, 0)),
+    ("analytic_estimate", "g", "graph", lambda v: analytic_estimate(v, 1.0, 0)),
+    ("estimate_entanglement_shots", "g", "graph", lambda v: estimate_entanglement_shots(v, 1.0, 0, 64)),
+    ("synthesize_graph_circuit", "g", "graph", lambda v: synthesize_graph_circuit(v, 1.0)),
 ]
 
 INVALID = object()  # the plain counterpart of a value that stands for no number or name of the kind
@@ -458,6 +459,11 @@ KIND_VALUES = {
         st.sampled_from([0, None, "01"]),
         st.tuples(ENDPOINTS, ENDPOINTS).map(_OneShot),
     ),
+    "graph": st.one_of(
+        small_graphs(4),
+        st.sampled_from([None, 0, 5, 1.0, "valencia", (5, ((0, 1),)), ((0, 1),), np.array([[0, 1]])]),
+        st.sampled_from([_BLOCH, EntanglementEstimate(0, 0.1, _BLOCH, "exact"), Gate.h(0), _calibration(3)]),
+    ),
 }
 
 
@@ -498,6 +504,10 @@ def _plain_pair(v):
     return INVALID if INVALID in plains else plains
 
 
+def _plain_graph(v):
+    return v if isinstance(v, Graph) else INVALID
+
+
 PLAIN = {
     "count": _plain_count,
     "real": _plain_real,
@@ -505,6 +515,7 @@ PLAIN = {
     "rows": _plain_rows,
     "name": _plain_name,
     "pair": _plain_pair,
+    "graph": _plain_graph,
 }
 
 
@@ -577,6 +588,22 @@ def test_huge_seeds_keep_answering():
         (lambda: BlochVector([10**5000], 0.0, 0.0), "Bloch component mx must be a real number, got a list too long to show"),
         (lambda: measurement_prelude(10**5000, 0), "unknown measurement axis a 16610-bit integer; expected one of ('x', 'y', 'z')"),
         (lambda: init_zero(2, [10**5000]), "qubit cap must be an integer, got a list too long to show"),
+        (lambda: preset(10**5000), "preset name must be a string, got a 16610-bit integer"),
+        (lambda: BlochVector(0.0, 10**5000, 0.0), "Bloch component my=a 16610-bit integer outside [-1, 1]"),
+        (lambda: EntanglementEstimate(0, 10**5000, _BLOCH, "exact"), "entanglement value a 16610-bit integer outside [0, 1/2]"),
+        (lambda: EntanglementEstimate(0, 0.1, 10**5000, "exact"), "bloch must be a BlochVector, got a 16610-bit integer"),
+        (
+            lambda: EntanglementEstimate(0, 0.1, _BLOCH, "shots", -(10**5000), 64),
+            "standard error a 16610-bit integer is not finite and non-negative",
+        ),
+        (lambda: CalibrationData((10**5000,), (0.1,), {}), "readout_error[0]=a 16610-bit integer outside [0, 1]"),
+        (lambda: CalibrationData((0.1,), ([10**5000],), {}), "gate_error[0] must be a number, got a list too long to show"),
+        (lambda: CalibrationData(10**5000, (0.1,), {}), "readout_error must be a sequence of rates, got a 16610-bit integer"),
+        (lambda: CalibrationData(_RATES, _RATES, 10**5000), "cx_error must be a mapping of qubit pairs to rates, got a 16610-bit integer"),
+        (lambda: CalibrationData(_RATES, _RATES, {(0, 1): 10**5000}), "cx_error[(0, 1)]=a 16610-bit integer outside [0, 1]"),
+        (lambda: choose_orientation((0, 1), 10**5000), "calibration must be CalibrationData or None, got a 16610-bit integer"),
+        (lambda: Graph(10**5000 + 1, ((10**5000, 1), (1, 10**5000))), "duplicate edge (1, a 16610-bit integer)"),
+        (lambda: exact_entanglement(10**5000, 1.0, 0), "graph must be a Graph, got a 16610-bit integer"),
     ],
 )
 def test_a_message_shows_an_int_past_the_digit_limit_by_its_bit_length(call, message):

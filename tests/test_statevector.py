@@ -6,22 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from graphent import (
-    ConsistencyError,
-    Gate,
-    ResourceCapError,
-    StateVector,
-    ValidationError,
-    apply_gate,
-    evolve_edges,
-    init_zero,
-    overlap_magnitude,
-    statevector,
-    valencia,
-)
+from graphent import ConsistencyError, Gate, ResourceCapError, ValidationError, statevector, valencia
 from graphent.circuits import GATE_KINDS
 from graphent.entanglement import bloch_vector
-from graphent.statevector import _apply_two_qubit_dense, pauli_means
+from graphent.statevector import StateVector, _apply_two_qubit_dense, apply_gate, evolve_edges, init_zero, overlap_magnitude, pauli_means
 from graphent.validation import random_graph
 
 from conftest import (

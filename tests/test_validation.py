@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from graphent import (
-    ResourceCapError,
-    ValidationError,
-    bloch_vector,
-    entanglement_from_bloch,
-    evolve_edges,
-    init_zero,
-    statevector,
-    validation,
-)
+from graphent import ResourceCapError, ValidationError, statevector, validation
+from graphent.entanglement import bloch_vector, entanglement_from_bloch
+from graphent.statevector import evolve_edges, init_zero
 from graphent.validation import random_graph, run_validation
 
 
