@@ -68,9 +68,7 @@ class CalibrationData(_Value):
             raise ValidationError(f"cx_error must be a mapping of qubit pairs to rates, got {_shown(cx_error)}") from None
         cx = {}
         for key, p in items:
-            c, t = _checked_pair(key, "cx_error key", "qubits", "cx_error qubit")
-            if c == t or not (0 <= c < n and 0 <= t < n):
-                raise ValidationError(f"cx_error pair ({_shown(c)}, {_shown(t)}) invalid for {n} qubits")
+            c, t = _checked_pair(key, "cx_error key", "qubits", "cx_error qubit", n)
             cx[(c, t)] = _rate(p, "cx_error", (c, t))
         object.__setattr__(self, "readout_error", readout)
         object.__setattr__(self, "gate_error", gate)
@@ -89,10 +87,16 @@ class CalibrationData(_Value):
             raise ValidationError(f"no cx error entry for directed pair {shown[0]}-{shown[1]}") from None
 
 
-def _check_calibration(cal) -> None:
-    """Raise ValidationError unless ``cal`` is CalibrationData or None, before a route reads a rate from it."""
+def _check_calibration(cal, n_vertices: int) -> None:
+    """Raise ValidationError unless ``cal`` is None, or CalibrationData with a qubit for each of ``n_vertices`` vertices.
+
+    A route that takes a calibration calls this once, at its entry, before it
+    reads a rate.
+    """
     if cal is not None and not isinstance(cal, CalibrationData):
         raise ValidationError(f"calibration must be CalibrationData or None, got {_shown(cal)}")
+    if cal is not None and cal.n_qubits < n_vertices:
+        raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {n_vertices}")
 
 
 def parse_calibration(text: str) -> CalibrationData:

@@ -105,20 +105,14 @@ class Gate(_Value):
 
 
 def choose_orientation(edge: tuple[int, int], cal: CalibrationData | None = None) -> tuple[int, int]:
-    """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index."""
-    _check_calibration(cal)
-    i, j = _checked_pair(edge, "edge", "vertices", "edge endpoint")
-    if i == j:
-        raise ValidationError(f"edge endpoints coincide at {_shown(i)}")
-    if i < 0 or j < 0:
-        raise ValidationError(f"negative vertex in edge ({_shown(i)}, {_shown(j)})")
-    if cal is None:
-        rotation = min(i, j)
-    else:
-        if max(i, j) >= cal.n_qubits:
-            raise ValidationError(f"calibration covers {cal.n_qubits} qubits, edge ({_shown(i)}, {_shown(j)}) is outside")
-        ei, ej = cal.gate_error[i], cal.gate_error[j]
-        rotation = i if ei < ej else j if ej < ei else min(i, j)
+    """(rotation, partner): lower gate error rotates, ties and no calibration go to the smaller index.
+
+    ``cal`` is CalibrationData or None, as the routes that call this check, and
+    its qubits bound the edge's vertices.
+    """
+    i, j = _checked_pair(edge, "edge", "vertices", "vertex", None if cal is None else cal.n_qubits)
+    ei, ej = (0.0, 0.0) if cal is None else (cal.gate_error[i], cal.gate_error[j])
+    rotation = i if ei < ej else j if ej < ei else min(i, j)
     partner = j if rotation == i else i
     return rotation, partner
 
@@ -142,6 +136,7 @@ def synthesize_graph_circuit(
 ) -> tuple[Gate, ...]:
     """Concatenate one edge block per graph edge, edges in canonical sorted order; ``phi`` as in :func:`synthesize_edge`."""
     _check_graph(g)
+    _check_calibration(cal, g.n_vertices)
     return tuple(gate for edge in g.edges for gate in synthesize_edge(*choose_orientation(edge, cal), phi))
 
 
@@ -181,5 +176,15 @@ def gate_text(gate: Gate) -> str:
 
 
 def circuit_text(gates: tuple[Gate, ...]) -> str:
-    """One gate per line; empty circuits give an empty listing."""
-    return "".join(gate_text(g) + "\n" for g in gates)
+    """One gate per line; empty circuits give an empty listing.
+
+    ``gates`` is a collection of :class:`Gate` values, read once (so an iterator
+    too); anything else raises ValidationError.
+    """
+    try:
+        listed = list(gates)
+    except TypeError:  # 5, None, a lone Gate: no collection, so the check below fails
+        listed = [None]
+    if not all(isinstance(g, Gate) for g in listed):
+        raise ValidationError(f"circuit must be a collection of Gates, got {_shown(gates)}")
+    return "".join(gate_text(g) + "\n" for g in listed)

@@ -320,12 +320,28 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _report(message: str, code: int) -> int:
+    """Write ``message`` and a newline to stderr, and return the exit ``code``; a missing or failing stderr drops the message.
+
+    ``print`` would write to stdout when ``sys.stderr`` is None, and a write
+    that raises would escape ``main`` in place of ``code``.
+    """
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(message + "\n")
+            sys.stderr.flush()
+        except (OSError, ValueError):  # ValueError: a closed file
+            pass
+    return code
+
+
 def main(argv=None) -> int:
     """Run the command line ``argv`` (``sys.argv[1:]`` when None) and return its exit code.
 
     A named command is parsed by its own parser in one pass. A command that
     writes to stdout exits 2 when stdout is missing (``print`` would drop its
-    output silently) or a write or the final flush fails.
+    output silently) or a write or the final flush fails. Every error goes to
+    stderr through :func:`_report`, never to stdout.
     """
     try:
         args = _parse_args(argv)
@@ -340,24 +356,18 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # inside the try, so a late EPIPE, EBADF or ENOSPC exits 2
         return code
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _report(f"usage error: {exc}", 1)
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(f"error: {exc}", 2)
     except UnicodeDecodeError as exc:
-        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
+        return _report(f"error: input file is not UTF-8 text: {exc}", 2)
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _report(f"error: {exc}", 3)
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
-        return 3
+        return _report(f"error: out of memory{detail}", 3)
     except ConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        return _report(f"internal error: {exc}", 4)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,15 @@ is one of six kinds, and each kind has one checker, which raises
 * an index into ``n`` spins or qubits, :func:`_checked_index`: an integer as a
   count is, in ``[0, n)``, else ``"<what> <v> out of range [0, <n>)"``;
 * a pair, :func:`_checked_pair`: two entries, each an integer as a count is,
-  else ``"<what> <pair!r> is not a pair of <of>"``; :func:`_checked_edges`
-  reads a collection of them, else ``"edges <v!r> is not a collection of
-  vertex pairs"``;
+  else ``"<what> <pair!r> is not a pair of <of>"`` or ``"<endpoint> must be an
+  integer, got <v!r>"``; two distinct ones, else ``"self-loop at <endpoint>
+  <i>"``; each in ``[0, n)``, else ``"<what> (<i>, <j>) out of range for <n>
+  <of>"``, or with no ``n`` non-negative, else ``"negative <endpoint> in
+  <what> (<i>, <j>)"``. :func:`_checked_edges` reads a collection of vertex
+  pairs, else ``"edges <v!r> is not a collection of vertex pairs"``. A graph's
+  edges, ``evolve_edges``' edges, ``choose_orientation``'s edge and a
+  calibration's ``cx_error`` keys are all checked here; a cx ``Gate`` keeps its
+  own ``"cx control and target coincide at <q>"``, since its qubits are counts;
 * a real number, :func:`_checked_real`: one real number (no complex, string,
   sequence, array or NaN ``Decimal``), else ``"<what> must be a real number,
   got <v!r>"``; an angle, :func:`_finite_angle`, must also be finite as a float;
@@ -114,24 +120,35 @@ def _checked_index(index, n: int, what: str) -> int:
     return index
 
 
-def _checked_pair(pair, what: str, of: str, endpoint: str) -> tuple[int, int]:
-    """``pair`` as two ints, if it unpacks to two integers: the pair kind; ``endpoint`` names an entry that is none."""
+def _checked_pair(pair, what: str, of: str, endpoint: str, n: int | None = None) -> tuple[int, int]:
+    """``pair`` as two ints, if it unpacks to two distinct integers in ``[0, n)`` (non-negative when ``n`` is None): the pair kind.
+
+    ``endpoint`` names one entry, ``of`` the entries; this is the package's one
+    check of coincident and out-of-range endpoints.
+    """
     try:
         i, j = pair
     except (TypeError, ValueError):  # not iterable, or not two entries
         raise ValidationError(f"{what} {_shown(pair)} is not a pair of {of}") from None
     if type(i) is not int or type(j) is not int:  # plain ints, the common case, skip the calls
         i, j = _checked_integer(i, endpoint), _checked_integer(j, endpoint)
+    if i == j:
+        raise ValidationError(f"self-loop at {endpoint} {_shown(i)}")
+    if n is None:
+        if i < 0 or j < 0:
+            raise ValidationError(f"negative {endpoint} in {what} ({_shown(i)}, {_shown(j)})")
+    elif not (0 <= i < n and 0 <= j < n):
+        raise ValidationError(f"{what} ({_shown(i)}, {_shown(j)}) out of range for {n} {of}")
     return i, j
 
 
-def _checked_edges(edges, endpoint: str) -> list[tuple[int, int]]:
-    """``edges``, a collection read once (so an iterator too), as a list of :func:`_checked_pair` pairs."""
+def _checked_edges(edges, n: int) -> list[tuple[int, int]]:
+    """``edges``, a collection read once (so an iterator too), as a list of :func:`_checked_pair` vertex pairs in ``[0, n)``."""
     try:
         edges = list(edges)
     except TypeError:  # 5, None
         raise ValidationError(f"edges {_shown(edges)} is not a collection of vertex pairs") from None
-    return [_checked_pair(edge, "edge", "vertices", endpoint) for edge in edges]
+    return [_checked_pair(edge, "edge", "vertices", "vertex", n) for edge in edges]
 
 
 def _is_real(v) -> bool:

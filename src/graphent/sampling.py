@@ -288,11 +288,9 @@ def estimate_entanglement_shots(
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
     shots = _checked_shots(shots)
-    _check_calibration(cal)
+    _check_calibration(cal, g.n_vertices)
     if gate_noise and cal is None:
         raise ValidationError("gate_noise requires calibration data")
-    if cal is not None and cal.n_qubits < g.n_vertices:
-        raise ValidationError(f"calibration covers {cal.n_qubits} qubits, graph has {g.n_vertices}")
     probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
     rng = np.random.default_rng(_checked_count(seed, "seed"))
     (mz, ez), (mx, ex), (my, ey) = (_z_mean(int(rng.binomial(shots, p)), shots) for p in probabilities)

@@ -276,12 +276,7 @@ def evolve_edges(state: StateVector, edges, phi) -> StateVector:
     row (one in all for a single state) and each entry computed as for one angle,
     so a row has its single state's bits; the norm is checked after every edge.
     """
-    edges = _checked_edges(edges, "qubit index")
-    for i, j in edges:
-        _checked_index(i, state.n_qubits, "qubit index")
-        _checked_index(j, state.n_qubits, "qubit index")
-        if i == j:
-            raise ValidationError(f"edge endpoints coincide at {i}")
+    edges = _checked_edges(edges, state.n_qubits)
     rows = state.rows
     if rows is None:
         angles = [_finite_angle(phi)]

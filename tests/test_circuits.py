@@ -71,7 +71,7 @@ class TestOrientation:
         assert choose_orientation((2, 4)) == (2, 4)
 
     def test_non_integer_endpoint_rejected(self):
-        with pytest.raises(ValidationError, match="edge endpoint must be an integer, got 1.5"):
+        with pytest.raises(ValidationError, match="^vertex must be an integer, got 1.5$"):
             choose_orientation((0, 1.5))
 
     @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None])
@@ -88,11 +88,11 @@ class TestOrientation:
 
     def test_missing_calibration_endpoint(self):
         cal = valencia_calibration()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^edge \(0, 7\) out of range for 5 vertices$"):
             choose_orientation((0, 7), cal)
 
     @pytest.mark.parametrize(
-        "edge,message", [((1, 1), "edge endpoints coincide at 1"), ((-1, 2), r"negative vertex in edge \(-1, 2\)")]
+        "edge,message", [((1, 1), "self-loop at vertex 1"), ((-1, 2), r"negative vertex in edge \(-1, 2\)")]
     )
     def test_edge_that_is_no_coupling_rejected(self, edge, message):
         with pytest.raises(ValidationError, match=rf"^{message}$"):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import graphent
 from graphent import cli, sampling, statevector, valencia, validation
@@ -417,6 +417,20 @@ class TestSynthesize:
         assert code == 0
         assert out == ""
         assert len(target.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        "argv", [["synthesize"], ["entangle", "--spin", "1", "--mode", "shots"]], ids=["synthesize", "shots"]
+    )
+    def test_calibration_must_cover_an_isolated_vertex(self, capsys, tmp_path, argv):
+        # no edge touches vertex 5, so no block reads its rates; synthesize used
+        # to list the circuit, where the shots route exits 2
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 6, "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]}')
+        code, out, err = run(
+            capsys, *argv, "--graph", str(graph), "--phi", "1",
+            "--calibration", str(ROOT / "src/graphent/data/valencia_calibration.json"),
+        )
+        assert (code, out, err) == (2, "", "error: calibration covers 5 qubits, graph has 6\n")
 
     @pytest.mark.parametrize("option", [["--seed", "1"], ["--max-qubits", "3"]])
     def test_takes_no_seed_or_cap(self, capsys, option):
@@ -882,8 +896,8 @@ class TestInternalError:
         assert out.endswith("\nvalidation FAILED\n")
 
 
-class _FailingStdout(io.StringIO):
-    """A stdout whose writes fail as on a closed descriptor (EBADF), or whose flush fails as on a closed pipe (EPIPE)."""
+class _FailingStream(io.StringIO):
+    """A stream whose writes fail as on a closed descriptor (EBADF), or whose flush fails as on a closed pipe (EPIPE)."""
 
     def __init__(self, failing):
         super().__init__()
@@ -922,7 +936,7 @@ class TestUnwritableStdout:
     @pytest.mark.parametrize("failing, message", [("write", "[Errno 9] Bad file descriptor"), ("flush", "[Errno 32] Broken pipe")])
     @pytest.mark.parametrize("args", OUTPUT_COMMANDS, ids=[args[0] for args in OUTPUT_COMMANDS])
     def test_failing_write_or_flush_exits_2(self, capsys, monkeypatch, args, failing, message):
-        monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+        monkeypatch.setattr(sys, "stdout", _FailingStream(failing))
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -933,6 +947,37 @@ class TestUnwritableStdout:
         monkeypatch.setattr(sys, "stdout", None)
         assert main([*args, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == expected
+
+
+class TestUnwritableStderr:
+    """An error report that cannot be written is dropped: the exit code still comes back, and stdout stays empty.
+
+    ``print`` wrote the report to stdout when ``sys.stderr`` was None, and a
+    failing write escaped ``main``. ``sys.stderr`` is replaced, never the test
+    process's real descriptors.
+    """
+
+    @pytest.mark.parametrize("failing", [None, "write", "flush"], ids=["missing", "failing-write", "failing-flush"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bogus"], 1),
+            (["entangle", "--preset", "valencia", "--phi", "1", "--spin", "9"], 2),
+            (["entangle", "--preset", "complete(30)", "--phi", "1", "--spin", "0", "--mode", "exact"], 3),
+        ],
+        ids=["usage", "input", "cap"],
+    )
+    def test_report_is_dropped(self, capsys, monkeypatch, argv, code, failing):
+        monkeypatch.setattr(sys, "stderr", None if failing is None else _FailingStream(failing))
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
+
+    def test_a_run_that_succeeds_needs_no_stderr(self, capsys, monkeypatch):
+        args = OUTPUT_COMMANDS[0]
+        expected = run(capsys, *args)[1]
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestShotCount:
@@ -1013,6 +1058,107 @@ def test_main_returns_a_classified_exit_code(entry, seed, shots, cap, trials, ma
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in {0, 1, 2, 3, 4}
+
+
+# Valid inputs of each file kind; the fuzz below writes byte-level mutations of them.
+_VALID_FILES = {
+    "edge-list": b"5\n0 1\n1 2\n1 3\n3 4\n",
+    "json": b'{"n": 5, "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]}\n',
+    "adjacency": b"5\n0 1 0 0 0\n1 0 1 1 0\n0 1 0 0 0\n0 1 0 0 1\n0 0 0 1 0\n",
+    "calibration": (ROOT / "src/graphent/data/valencia_calibration.json").read_bytes(),
+}
+# bytes that keep a mutation near the formats' grammar, and any byte at all
+_BYTES = st.one_of(st.sampled_from(b"0123456789 -,.:#[]{}\"\n\r\t"), st.integers(0, 255))
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data``, its line ends maybe made CRLF, with up to three bytes inserted, replaced or deleted."""
+    data = bytearray(data.replace(b"\n", b"\r\n") if draw(st.booleans()) else data)
+    for _ in range(draw(st.integers(0, 3))):
+        at, op, byte = draw(st.integers(0, len(data))), draw(st.sampled_from("ird")), draw(_BYTES)
+        if op == "i":
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == "r":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+# tokens that no option's value can turn into a large draw; no help option
+# (argparse exits through SystemExit by design) and no --out (which would
+# write outside the test's directory)
+_JUNK = [
+    "--bogus", "--", "-", "x", "", "nan", "-1", "0", "1.5", "pi/0", "1:0:3", "0:1:1",
+    "--spin", "--phi", "--mode", "--shots", "--seed", "--format", "--graph", "--preset", "--sp", "--ma",
+]
+_NOW_AND_THEN = st.sampled_from([False] * 9 + [True])
+
+
+def _value(draw, valid, invalid=()):
+    """One of ``valid``, or now and then one of ``invalid``."""
+    return draw(st.sampled_from(invalid if invalid and draw(_NOW_AND_THEN) else valid))
+
+
+def _option(draw, name, valid, invalid=()):
+    """``[name, value]`` with a drawn value, or nothing."""
+    return [name, _value(draw, valid, invalid)] if draw(st.booleans()) else []
+
+
+_SPINS = [str(v) for v in range(5)], ["-1", "6", "x", "1.5"]
+
+
+@st.composite
+def _cli_argv(draw, graph, calibration, out_dir):
+    """A command line of real options with small values; some values are invalid, and some lines get junk tokens."""
+    command = draw(st.sampled_from(["entangle", "sweep", "synthesize", "validate"]))
+    argv = [command]
+    if command != "validate":
+        if draw(st.booleans()):
+            argv += ["--graph", str(graph), *_option(draw, "--format", ["auto", *graphent.FORMATS], ["csv"])]
+        else:
+            size = draw(st.integers(0, 50))
+            argv += ["--preset", _value(draw, ["valencia", f"complete({size})", f"path:{size}", f"ring({size})"], ["star(3)"])]
+        argv += _option(draw, "--calibration", [str(calibration)], [str(out_dir / "missing.json")])
+    if command in ("entangle", "synthesize"):
+        argv += ["--phi", _value(draw, ["0", "1", "pi/4", "-0.5pi", "2pi", "1e308"], ["nan", "x"])]
+    if command in ("sweep", "synthesize"):
+        argv += _option(draw, "--out", [str(out_dir / "out.txt")], [str(out_dir)])
+    if command in ("entangle", "sweep"):
+        argv += ["--spin", _value(draw, *_SPINS)]  # a sweep over every spin of a mutated vertex count could be huge
+        argv += _option(draw, "--mode", METHODS, ["magic"]) + _option(draw, "--shots", ["1", "64"], ["0", "x"])
+    if command == "sweep":
+        ends = _value(draw, ["0:1", "-pi:pi", "0:2pi"], ["1:0", "0:nan"])
+        argv += ["--sweep", f"{ends}:{_value(draw, ['2', '3', '64'], ['1', 'x'])}"]
+        argv += _option(draw, "--spin", *_SPINS) + _option(draw, "--mode", METHODS)
+    if command == "validate":
+        argv += ["--trials", _value(draw, ["1", "3"], ["0"])] + _option(draw, "--max-n", ["2", "4", "6"], ["1", "x"])
+    if command != "synthesize":
+        argv += ["--max-qubits", _value(draw, ["1", "4", "12"], ["0", "-1"])] + _option(draw, "--seed", ["0", "5"], ["-1"])
+    for _ in range(draw(st.integers(1, 2)) if draw(_NOW_AND_THEN) else 0):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_command_lines_and_files_give_a_classified_exit(tmp_path, monkeypatch, data):
+    """Mutated input files and command lines: every run returns 0-4 without raising, and prints nothing on failure.
+
+    ``validate``'s FAILED report is the one output a non-zero exit may print.
+    """
+    monkeypatch.chdir(tmp_path)  # a stray relative path stays in the test's directory
+    graph, calibration = tmp_path / "graph.txt", tmp_path / "cal.json"
+    graph.write_bytes(data.draw(_mutated(_VALID_FILES[data.draw(st.sampled_from(["edge-list", "json", "adjacency"]))])))
+    calibration.write_bytes(data.draw(_mutated(_VALID_FILES["calibration"])))
+    argv = data.draw(_cli_argv(graph, calibration, tmp_path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert code == 0 or out.getvalue() == "" or out.getvalue().endswith("\nvalidation FAILED\n")
 
 
 class TestUsageErrors:

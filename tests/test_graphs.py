@@ -204,7 +204,7 @@ class TestGraphType:
 
     @pytest.mark.parametrize(
         "n, edges, what",
-        [(3.7, ((0, 1),), "vertex count"), (3, ((0, 1.9),), "edge endpoint"), (3.0, (), "vertex count")],
+        [(3.7, ((0, 1),), "vertex count"), (3, ((0, 1.9),), "vertex"), (3.0, (), "vertex count")],
     )
     def test_non_integer_vertex_rejected(self, n, edges, what):
         # int() would truncate Graph(3.7, ((0, 1.9),)) to another graph

@@ -25,6 +25,7 @@ from graphent import (
     ValidationError,
     analytic_entanglement,
     analytic_estimate,
+    circuit_text,
     complete,
     derive_seed,
     estimate_entanglement_shots,
@@ -206,8 +207,36 @@ def test_bools_are_not_integers(call):
 
 @pytest.mark.parametrize("cal", ["x", 0, {"gate_error": [0.1, 0.2]}])
 def test_orientation_takes_calibration_data_or_none(cal):
+    # synthesize_graph_circuit checks the calibration once, before it orients any edge
     with pytest.raises(ValidationError, match="calibration must be CalibrationData or None"):
-        choose_orientation((0, 1), cal)
+        synthesize_graph_circuit(valencia(), 1.0, cal)
+
+
+def test_synthesis_checks_a_calibration_on_a_graph_with_no_edges():
+    # with no edge to orient, no check ran and the empty circuit came back
+    with pytest.raises(ValidationError, match="^calibration must be CalibrationData or None, got 5$"):
+        synthesize_graph_circuit(Graph(3), 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g, cal: synthesize_graph_circuit(g, 1.0, cal),
+        lambda g, cal: estimate_entanglement_shots(g, 1.0, 1, 64, cal),
+    ],
+    ids=["synthesis", "shots"],
+)
+def test_a_calibration_covers_every_vertex_an_isolated_one_too(route):
+    # vertex 5 has no edge, so no block reads its rates
+    with pytest.raises(ValidationError, match="^calibration covers 5 qubits, graph has 6$"):
+        route(Graph(6, valencia().edges), valencia_calibration())
+
+
+@pytest.mark.parametrize("gates", [5, None, [5], "h", Gate.h(0), [Gate.h(0), None]], ids=["int", "none", "list-of-int", "str", "gate", "list-with-none"])
+def test_circuit_text_takes_a_collection_of_gates(gates):
+    # an int or None raised TypeError, and a list of non-gates AttributeError
+    with pytest.raises(ValidationError, match=rf"^circuit must be a collection of Gates, got {re.escape(repr(gates))}$"):
+        circuit_text(gates)
 
 
 @pytest.mark.parametrize("cal", ["x", 0, {"gate_error": [0.1, 0.2]}])
@@ -311,9 +340,9 @@ def test_cx_error_lookup_of_a_non_integer_index_finds_no_entry(pair):
 # vertex pair or a graph, with the kind of input it takes. Each drawn value
 # either gives the answer that its plain Python counterpart gives, or raises a
 # GraphentError; a value with no plain counterpart (a list given as a count, a
-# string given as an angle, a number given as a graph) must raise. Out of
-# scope: parameters that take any other object (states, gates, Bloch vectors,
-# calibration data), the
+# string given as an angle, a number given as a graph or a circuit) must raise.
+# Out of scope: parameters that take any other object (states, single gates,
+# Bloch vectors, calibration data), the
 # gate_noise flag, text to parse, random_graph's bounds and
 # entanglement_from_bloch's norm_tol.
 _BLOCH = BlochVector(0.0, 0.0, 0.8)
@@ -379,6 +408,7 @@ KIND_TABLE = [
     ("analytic_estimate", "g", "graph", lambda v: analytic_estimate(v, 1.0, 0)),
     ("estimate_entanglement_shots", "g", "graph", lambda v: estimate_entanglement_shots(v, 1.0, 0, 64)),
     ("synthesize_graph_circuit", "g", "graph", lambda v: synthesize_graph_circuit(v, 1.0)),
+    ("circuit_text", "gates", "gates", circuit_text),
 ]
 
 INVALID = object()  # the plain counterpart of a value that stands for no number or name of the kind
@@ -415,16 +445,16 @@ def _formed(values, forms):
 
 
 class _OneShot:
-    """A pair that can be read once, as an iterator can; ``pair`` keeps its entries for the plain answer."""
+    """A collection that can be read once, as an iterator can; ``entries`` keeps them for the plain answer."""
 
-    def __init__(self, pair):
-        self.pair, self._entries = pair, iter(pair)
+    def __init__(self, entries):
+        self.entries, self._iter = entries, iter(entries)
 
     def __iter__(self):
-        return self._entries
+        return self._iter
 
     def __repr__(self):
-        return f"_OneShot({self.pair!r})"
+        return f"_OneShot({self.entries!r})"
 
 
 ENDPOINTS = st.integers(-1, 3)
@@ -464,6 +494,14 @@ KIND_VALUES = {
         st.sampled_from([None, 0, 5, 1.0, "valencia", (5, ((0, 1),)), ((0, 1),), np.array([[0, 1]])]),
         st.sampled_from([_BLOCH, EntanglementEstimate(0, 0.1, _BLOCH, "exact"), Gate.h(0), _calibration(3)]),
     ),
+    # a circuit: a tuple, list or one-shot iterator of gates, or anything else
+    "gates": st.one_of(
+        st.lists(st.sampled_from([Gate.h(1), Gate.cx(0, 2), Gate.p(0, 0.25), Gate.ry(2, -1.5)]), max_size=4).flatmap(
+            lambda gates: st.sampled_from([tuple(gates), gates, _OneShot(tuple(gates))])
+        ),
+        st.lists(st.sampled_from([Gate.h(0), None, 5, "h", (0, 1), _BLOCH]), min_size=1, max_size=3),
+        st.sampled_from([None, 0, 5, 1.0, "h q[0]", b"h", Gate.h(0), _BLOCH, _calibration(3), valencia()]),
+    ),
 }
 
 
@@ -497,7 +535,7 @@ def _plain_name(v):
 
 
 def _plain_pair(v):
-    pair = v.pair if isinstance(v, _OneShot) else v
+    pair = v.entries if isinstance(v, _OneShot) else v
     if type(pair) is not tuple or len(pair) != 2 or any(type(x) is bool for x in pair):
         return INVALID
     plains = tuple(_plain_count(x) for x in pair)
@@ -508,6 +546,13 @@ def _plain_graph(v):
     return v if isinstance(v, Graph) else INVALID
 
 
+def _plain_gates(v):
+    v = v.entries if isinstance(v, _OneShot) else v
+    if isinstance(v, (tuple, list)) and all(isinstance(g, Gate) for g in v):
+        return tuple(v)
+    return INVALID
+
+
 PLAIN = {
     "count": _plain_count,
     "real": _plain_real,
@@ -516,6 +561,7 @@ PLAIN = {
     "name": _plain_name,
     "pair": _plain_pair,
     "graph": _plain_graph,
+    "gates": _plain_gates,
 }
 
 
@@ -576,7 +622,7 @@ def test_huge_seeds_keep_answering():
         (lambda: choose_orientation((0, -(10**5000))), "negative vertex in edge (0, a 16610-bit integer)"),
         (
             lambda: CalibrationData(_RATES, _RATES, {(0, 10**5000): 0.1}),
-            "cx_error pair (0, a 16610-bit integer) invalid for 3 qubits",
+            "cx_error key (0, a 16610-bit integer) out of range for 3 qubits",
         ),
         (lambda: valencia_calibration().cx_error_for(0, 10**5000), "no cx error entry for directed pair 0-a 16610-bit integer"),
         (lambda: init_zero(10**5000), "a 16610-bit integer qubits exceeds the cap of 24"),
@@ -601,7 +647,7 @@ def test_huge_seeds_keep_answering():
         (lambda: CalibrationData(10**5000, (0.1,), {}), "readout_error must be a sequence of rates, got a 16610-bit integer"),
         (lambda: CalibrationData(_RATES, _RATES, 10**5000), "cx_error must be a mapping of qubit pairs to rates, got a 16610-bit integer"),
         (lambda: CalibrationData(_RATES, _RATES, {(0, 1): 10**5000}), "cx_error[(0, 1)]=a 16610-bit integer outside [0, 1]"),
-        (lambda: choose_orientation((0, 1), 10**5000), "calibration must be CalibrationData or None, got a 16610-bit integer"),
+        (lambda: synthesize_graph_circuit(valencia(), 1.0, 10**5000), "calibration must be CalibrationData or None, got a 16610-bit integer"),
         (lambda: Graph(10**5000 + 1, ((10**5000, 1), (1, 10**5000))), "duplicate edge (1, a 16610-bit integer)"),
         (lambda: exact_entanglement(10**5000, 1.0, 0), "graph must be a Graph, got a 16610-bit integer"),
     ],

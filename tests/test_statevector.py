@@ -399,12 +399,14 @@ class TestEvolveEdge:
             evolve_edges(init_zero(2), [(0, 1)], phi)
 
     def test_non_integer_qubit_rejected(self):
-        with pytest.raises(ValidationError, match="qubit index must be an integer, got 0.5"):
+        with pytest.raises(ValidationError, match="^vertex must be an integer, got 0.5$"):
             evolve_edges(init_zero(2), [(0.5, 1)], 0.1)
 
     @pytest.mark.parametrize("edge, q", [((0, 2), 2), ((-1, 1), -1)])
     def test_qubit_out_of_range_message(self, edge, q):
-        with pytest.raises(ValidationError, match=rf"^qubit index {q} out of range \[0, 2\)$"):
+        # the message names the pair that holds q, the qubit outside [0, 2)
+        assert q in edge
+        with pytest.raises(ValidationError, match=rf"^edge \({edge[0]}, {edge[1]}\) out of range for 2 vertices$"):
             evolve_edges(init_zero(2), [edge], 0.1)
 
     def test_edge_given_as_a_one_shot_iterator(self):
