@@ -324,7 +324,10 @@ def _report(message: str, code: int) -> int:
     """Write ``message`` and a newline to stderr, and return the exit ``code``; a missing or failing stderr drops the message.
 
     ``print`` would write to stdout when ``sys.stderr`` is None, and a write
-    that raises would escape ``main`` in place of ``code``.
+    that raises would escape ``main`` in place of ``code``. Python's stderr
+    writes through to its unbuffered descriptor, so a failed report leaves no
+    bytes behind for the interpreter's exit flush, whose failure would turn
+    the code into 120.
     """
     if sys.stderr is not None:
         try:

@@ -19,7 +19,9 @@ is one of six kinds, and each kind has one checker, which raises
   pairs, else ``"edges <v!r> is not a collection of vertex pairs"``. A graph's
   edges, ``evolve_edges``' edges, ``choose_orientation``'s edge and a
   calibration's ``cx_error`` keys are all checked here; a cx ``Gate`` keeps its
-  own ``"cx control and target coincide at <q>"``, since its qubits are counts;
+  own ``"cx control and target coincide at <q>"``, since its qubits are counts,
+  and an adjacency file's nonzero diagonal entry its own ``"self-loop at vertex
+  <i>"``, named in file order among the matrix's entry faults;
 * a real number, :func:`_checked_real`: one real number (no complex, string,
   sequence, array or NaN ``Decimal``), else ``"<what> must be a real number,
   got <v!r>"``; an angle, :func:`_finite_angle`, must also be finite as a float;

@@ -32,7 +32,7 @@ import re
 from itertools import chain
 from operator import getitem
 
-from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_edges, _checked_index, _checked_integer, _checked_pair, _checked_text, _load_json, _shown, _Value
+from .errors import ResourceCapError, ValidationError, _checked_choice, _checked_count, _checked_edges, _checked_index, _checked_integer, _checked_text, _load_json, _shown, _Value
 
 FORMATS = ("edge-list", "json", "adjacency")
 
@@ -46,13 +46,13 @@ class Graph(_Value):
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...] = ()):
         n = _checked_count(n_vertices, "vertex count", 1)
-        pairs = [(i, j) if i < j else (j, i) for i, j in _checked_edges(edges, n)]
-        edges = set(pairs)
-        if len(edges) < len(pairs):  # name the first repeat, in the given order
-            seen = set()
-            i, j = next(pair for pair in pairs if pair in seen or seen.add(pair))
-            raise ValidationError(f"duplicate edge ({_shown(i)}, {_shown(j)})")
-        edges = tuple(sorted(edges))
+        seen = set()
+        for i, j in _checked_edges(edges, n):
+            pair = (i, j) if i < j else (j, i)
+            if pair in seen:
+                raise ValidationError(f"duplicate edge ({_shown(pair[0])}, {_shown(pair[1])})")
+            seen.add(pair)
+        edges = tuple(sorted(seen))
         neighbours: dict[int, list[int]] = {}
         for i, j in edges:
             neighbours.setdefault(i, []).append(j)
@@ -183,8 +183,8 @@ def _parse_adjacency(text: str, rows: list[list[str]]) -> Graph:
         matrix.append(entries)
     edges = []
     for i in range(n):
-        if matrix[i][i] != 0:  # a loop, named by the one pair check
-            _checked_pair((i, i), "edge", "vertices", "vertex", n)
+        if matrix[i][i] != 0:
+            raise ValidationError(f"self-loop at vertex {i}")
         for j in range(n):
             if matrix[i][j] not in (0, 1):
                 raise ValidationError(f"adjacency entry {matrix[i][j]} outside {{0, 1}}")

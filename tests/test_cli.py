@@ -972,6 +972,19 @@ class TestUnwritableStderr:
         assert main(argv) == code
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("closed", [False, True], ids=["dev-full", "closed"])
+    def test_a_process_keeps_its_code_through_exit(self, closed):
+        """A fresh interpreter exits 2, not 1 and not 120: the exit flush of stderr finds nothing left to fail on.
+
+        The child's stderr is ``/dev/full`` (every write fails with ENOSPC), or
+        the child closes its own descriptor 2 before it starts.
+        """
+        argv = ["entangle", "--preset", "valencia", "--phi", "1", "--spin", "9"]
+        with open("/dev/full", "wb") as full:
+            code, out, _ = _python(_MAIN, *argv, stderr=full, preexec_fn=(lambda: os.close(2)) if closed else None)
+        assert (code, out) == (2, b"")
+
     def test_a_run_that_succeeds_needs_no_stderr(self, capsys, monkeypatch):
         args = OUTPUT_COMMANDS[0]
         expected = run(capsys, *args)[1]
@@ -1321,11 +1334,13 @@ class TestReadmeRecipes:
             assert worst <= 1e-10
 
 
-def _python(code, *argv):
+def _python(code, *argv, stderr=subprocess.PIPE, preexec_fn=None):
     """(exit code, stdout, stderr) of a fresh interpreter running ``code`` with ``argv``, importing graphent from this checkout."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, stdout=subprocess.PIPE, stderr=stderr, preexec_fn=preexec_fn, timeout=120
+    )
     return done.returncode, done.stdout, done.stderr
 
 
