@@ -6,9 +6,11 @@ JSON shape:
 
 ``readout_error`` and ``gate_error`` are indexed by qubit; ``cx_error`` keys
 are directed pairs written ``"control-target"``. No key and no pair may be
-given twice, and no integer may have more digits than ``int()`` converts. A
-fixture reproducing the IBM Q Valencia table (19 Jan 2021) ships with the
-package.
+given twice, and no integer may have more digits than ``int()`` converts.
+``gate_error`` orients each edge block and ``readout_error`` is the shots
+route's noise; ``cx_error`` is checked as part of the format but read by no
+route. A fixture reproducing the IBM Q Valencia table (19 Jan 2021) ships
+with the package.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class CalibrationData(_Value):
     @property
     def n_qubits(self) -> int:
         return len(self.readout_error)
-
-    def cx_error_for(self, control: int, target: int) -> float:
-        """The rate of the directed pair; an index that is no integer (a float, a bool, a list) has no entry."""
-        try:
-            return self.cx_error[_checked_pair((control, target), "cx_error key", "qubits", "cx_error qubit")]
-        except (KeyError, ValidationError):
-            shown = [_shown(q) if type(q) is int else q for q in (control, target)]  # str() of a float, as given
-            raise ValidationError(f"no cx error entry for directed pair {shown[0]}-{shown[1]}") from None
 
 
 def _check_calibration(cal, n_vertices: int) -> None:

@@ -29,6 +29,11 @@ from .graphs import FORMATS, Graph, parse_graph, preset
 
 ENV_MAX_QUBITS = "GRAPHENT_MAX_QUBITS"
 
+# the most rows one sweep may compute: a sweep holds every row, then the whole
+# CSV text, before it writes, at about 1 KB a row, so a grid or graph past
+# this exits 3 before a row is built instead of being OOM-killed
+MAX_SWEEP_ROWS = 2**18
+
 CSV_COLUMNS = (
     "phi",
     "spin",
@@ -107,7 +112,11 @@ def _sweep_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"sweep needs at least 2 points, got {count}")
     if not start < stop:
         raise argparse.ArgumentTypeError(f"sweep start must be below stop, got {text!r}")
-    if not math.isfinite((stop - start) * (count - 1)):
+    try:
+        span = (stop - start) * (count - 1)
+    except OverflowError:  # a count past float range
+        span = math.inf
+    if not math.isfinite(span):
         raise argparse.ArgumentTypeError(f"sweep span overflows, got {text!r}")
     return start, stop, count
 
@@ -188,13 +197,18 @@ def cmd_sweep(args) -> int:
     its estimate cells are computed and formatted once per such key and
     shared by every spin of that degree. Shots rows are never shared: their
     rates differ by calibration, and each data row draws its own substream.
+    A sweep of more than ``MAX_SWEEP_ROWS`` rows raises ResourceCapError
+    before any is built.
     """
     g = _load_graph(args)
-    spins = list(dict.fromkeys(args.spin)) if args.spin else list(range(g.n_vertices))
+    spins = list(dict.fromkeys(args.spin)) if args.spin else range(g.n_vertices)
     modes = list(dict.fromkeys(args.mode)) if args.mode else ["analytic"]
     cap = _max_qubits(args)
     cal = _load_calibration(args)
     start, stop, count = args.sweep
+    n_rows = count * len(spins) * len(modes)
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ResourceCapError(f"sweep of {n_rows} rows (angles x spins x modes) exceeds the cap of {MAX_SWEEP_ROWS} rows")
     phis = [start + (stop - start) * i / (count - 1) for i in range(count)]
     cells: dict[tuple[str, int, float], list] = {}
     rows = []

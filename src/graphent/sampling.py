@@ -40,28 +40,12 @@ trace of the ``rho`` it reads instead: one more than ``NORM_DRIFT_LIMIT`` from
 1, or NaN, raises :class:`ConsistencyError`, as does a read-1 probability
 outside [0, 1], before numpy's binomial draw would reject it unclassified.
 
-Gate/CX noise, when enabled (``estimate_entanglement_shots(..., gate_noise=True)``),
-puts after each gate, with the calibrated probability, a uniformly random
-non-identity Pauli on the gate's qubit(s): one of 3, or of 15 after a cx.
-Pushed to the end of the circuit, an error Pauli stays a Pauli through the
-Clifford gates (cx, h and the preludes' ry(-pi/2) and rx(pi/2)); past a
-p(phi) it keeps its form and flips the sign of its block's XX rotation.
-Spin ``l``'s marginal of commuting XX rotations does not depend on their
-signs, so an error flips ``l``'s measured bit exactly when its image has an
-x bit on ``l``, whatever phi is: a Pauli frame (Knill, Nature 434, 39
-(2005); Gidney, Quantum 5, 497 (2021)). Errors outside ``l``'s blocks end
-as Paulis on their own edge and never flip it, so the pass walks only
-``l``'s blocks and prelude. Site ``s`` with error ``p_s`` flips the bit with
-probability ``p_s a_s / N_s``, where ``a_s`` of its ``N_s`` Paulis do, and
-independent flips add mod 2: gate noise flips the bit with probability
-``q = (1 - prod_s (1 - 2 p_s a_s / N_s)) / 2``. The model makes no claim to
-reproduce hardware data quantitatively.
-
-Readout error is one more symmetric flip, with probability ``r``, so
-``f = r + q - 2rq`` and every shot reads 1 with probability
-``f + (1 - 2f) p1``, independently: the axis count is one binomial draw,
-whose cost does not depend on the shot count. Without gate noise, or with
-every gate and CX rate zero, ``q`` is 0 and ``f`` is ``r`` exactly.
+Readout error is a symmetric flip of ``l``'s measured bit with probability
+``r``, so every shot reads 1 with probability ``r + (1 - 2r) p1``,
+independently: the axis count is one binomial draw, whose cost does not
+depend on the shot count. Readout is the one noise model: a calibration's
+gate rates only orient the blocks, its CX rates are read by no route, and the
+model makes no claim to reproduce hardware data quantitatively.
 """
 
 from __future__ import annotations
@@ -74,7 +58,7 @@ import numpy as np
 from .calibration import CalibrationData, _check_calibration
 from .circuits import Gate, apply_circuit, choose_orientation, measurement_prelude, synthesize_edge
 from .entanglement import BlochVector, EntanglementEstimate, entanglement_from_bloch
-from .errors import ConsistencyError, ValidationError, _checked_count, _checked_shots, _finite_angle
+from .errors import ConsistencyError, _checked_count, _checked_shots, _finite_angle
 from .graphs import Graph, _check_graph
 from .statevector import NORM_DRIFT_LIMIT, Matrix2, StateVector
 
@@ -102,41 +86,6 @@ def _propagated_std_error(b: BlochVector, errors: tuple[float, float, float]) ->
     if norm == 0.0:
         return max(errors) / 2.0
     return 0.5 * math.sqrt(sum((m * s) ** 2 for m, s in zip(b.as_tuple(), errors))) / norm
-
-
-def _gate_flip_probability(gates: tuple[Gate, ...], l: int, cal: CalibrationData) -> float:
-    """``q``, the chance that gate/CX errors flip spin ``l``'s measured bit.
-
-    An error's image has an x bit on ``l`` exactly when the error
-    anticommutes with Z_l pulled back to it, since conjugation keeps
-    commutation. One backward pass holds that pullback as x/z bitmasks over
-    physical qubits, signs dropped; the maps of cx, h and the preludes'
-    quarter-turn rx and ry are their own inverses, and p keeps the frame.
-    Where the pullback acts on a site, 2 of its 3 (or 8 of its 15) Paulis
-    anticommute with it. Rates are looked up in circuit order first, so the
-    first missing cx entry is the one that raises.
-    """
-    rates = [
-        cal.cx_error_for(g.control, g.target) if g.kind == "cx" else cal.gate_error[g.target]
-        for g in gates
-    ]
-    x, z = 0, 1 << l
-    keep = 1.0
-    for gate, p in zip(reversed(gates), reversed(rates)):
-        t = 1 << gate.target
-        c = 1 << gate.control if gate.kind == "cx" else 0
-        if (x | z) & (c | t):
-            keep *= 1.0 - 2.0 * p * (8 / 15 if c else 2 / 3)
-        if gate.kind == "cx":
-            if x & c:
-                x ^= t
-            if z & t:
-                z ^= c
-        elif gate.kind in ("h", "ry") and bool(x & t) != bool(z & t):
-            x, z = x ^ t, z ^ t
-        elif gate.kind == "rx" and z & t:
-            x ^= t
-    return (1.0 - keep) / 2.0
 
 
 def _reference_state() -> StateVector:
@@ -238,27 +187,21 @@ def _read_one(rho: Matrix2) -> float:
     return rho[1][1].real / trace
 
 
-def _read_one_probabilities(
-    g: Graph, phi: float, l: int, cal: CalibrationData | None, gate_noise: bool
-) -> list[float]:
+def _read_one_probabilities(g: Graph, phi: float, l: int, cal: CalibrationData | None) -> list[float]:
     """Chances that one shot of the z, x and y experiments reads spin ``l`` as 1.
 
-    Each is ``f + (1 - 2f) p1`` of the module docstring, and one outside
+    Each is ``r + (1 - 2r) p1`` of the module docstring, and one outside
     [0, 1] raises :class:`ConsistencyError` rather than reach a binomial draw.
     The blocks are oriented on the physical pairs with the physical
-    calibration, so ties break on physical indices, and gate noise walks them
-    on physical qubits.
+    calibration, so ties break on physical indices.
     """
     blocks = [choose_orientation((l, m), cal) for m in g.neighbours(l)]
     rho = _spin_state(blocks, l, phi)
-    gates = tuple(gate for r, p in blocks for gate in synthesize_edge(r, p, phi)) if gate_noise else ()
     r = 0.0 if cal is None else cal.readout_error[l]
     probabilities = []
     for axis in ("z", "x", "y"):
         p1 = _read_one(rho if axis == "z" else _trace_out(rho, _PRELUDE_ISOMETRIES[axis]))
-        q = _gate_flip_probability(gates + measurement_prelude(axis, l), l, cal) if gate_noise else 0.0
-        f = r + q - 2 * r * q
-        p = f + (1 - 2 * f) * p1
+        p = r + (1 - 2 * r) * p1
         if not 0.0 <= p <= 1.0:
             raise ConsistencyError(f"{axis} read-1 probability {p!r} outside [0, 1]")
         probabilities.append(p)
@@ -272,26 +215,20 @@ def estimate_entanglement_shots(
     shots: int,
     cal: CalibrationData | None = None,
     seed: int = 0,
-    *,
-    gate_noise: bool = False,
 ) -> EntanglementEstimate:
     """Three-experiment shot estimate of spin ``l``'s entanglement.
 
     Spin ``l``'s density matrix after its edge blocks, then per axis (z, x,
     y) the measurement prelude on it and one binomial count of the shots that
     read ``l`` as 1, with ``l``'s readout error composed into its probability
-    when calibration is given. ``gate_noise=True`` also composes the flip
-    that the gate/CX errors of ``l``'s blocks cause, from the calibration
-    (required then).
+    when calibration is given.
     """
     _check_graph(g)
     g.degree(l)  # spin-range check
     phi = _finite_angle(phi)
     shots = _checked_shots(shots)
     _check_calibration(cal, g.n_vertices)
-    if gate_noise and cal is None:
-        raise ValidationError("gate_noise requires calibration data")
-    probabilities = _read_one_probabilities(g, phi, l, cal, gate_noise)
+    probabilities = _read_one_probabilities(g, phi, l, cal)
     rng = np.random.default_rng(_checked_count(seed, "seed"))
     (mz, ez), (mx, ex), (my, ey) = (_z_mean(int(rng.binomial(shots, p)), shots) for p in probabilities)
     bloch = BlochVector(mx, my, mz)

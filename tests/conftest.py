@@ -108,25 +108,10 @@ def gate_unitary_oracle(n, gate):
     return kron_chain(ops0) + kron_chain(ops1)
 
 
-def _depolarize(rho, n, qubits, p):
-    """rho -> (1 - p) rho + p / (4**k - 1) * sum over non-identity Paulis P on ``qubits`` of P rho P."""
-    paulis = []
-    for names in np.ndindex(*(4,) * len(qubits)):
-        if any(names):
-            ops = [PAULI["i"]] * n
-            for q, name in zip(qubits, names):
-                ops[q] = PAULI["ixyz"[name]]
-            paulis.append(kron_chain(ops))
-    return (1.0 - p) * rho + p / len(paulis) * sum(m @ rho @ m.conj().T for m in paulis)
+def density_matrix_oracle(n, gates):
+    """``gates`` run on ``n`` qubits from rho = |0><0|, as a density matrix.
 
-
-def density_matrix_oracle(n, gates, cal=None):
-    """``gates`` run on ``n`` qubits under the gate noise model of ``graphent.sampling``, as a density matrix.
-
-    Starts from rho = |0><0|. With calibration, after each gate with error p
-    it applies rho -> (1 - p) rho + p/3 sum P rho P over the three Paulis on
-    the gate's qubit, or p/15 over the 15 non-identity two-qubit Paulis after
-    a cx. Kept to n <= 6, where rho has 4**6 entries.
+    Kept to n <= 6, where rho has 4**6 entries.
     """
     assert n <= 6, "density matrix oracle is kept to n <= 6"
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
@@ -134,28 +119,22 @@ def density_matrix_oracle(n, gates, cal=None):
     for gate in gates:
         u = gate_unitary_oracle(n, gate)
         rho = u @ rho @ u.conj().T
-        if cal is not None:
-            if gate.kind == "cx":
-                p, qubits = cal.cx_error[(gate.control, gate.target)], (gate.control, gate.target)
-            else:
-                p, qubits = cal.gate_error[gate.target], (gate.target,)
-            rho = _depolarize(rho, n, qubits, p)
     return rho
 
 
-def noisy_bloch_oracle(g, phi, l, cal=None, gate_noise=False):
+def noisy_bloch_oracle(g, phi, l, cal=None):
     """Exact (<X_l>, <Y_l>, <Z_l>) as the shots route measures them.
 
     Runs the whole graph circuit plus each axis's measurement prelude through
-    :func:`density_matrix_oracle`, with the gate channel when ``gate_noise``.
-    Readout error r_l scales each mean by 1 - 2 r_l.
+    :func:`density_matrix_oracle`. Readout error r_l scales each mean by
+    1 - 2 r_l.
     """
     n = g.n_vertices
     base = synthesize_graph_circuit(g, phi, cal)
     z_l = pauli_on(n, l, "z")
     means = []
     for axis in "xyz":
-        rho = density_matrix_oracle(n, base + measurement_prelude(axis, l), cal if gate_noise else None)
+        rho = density_matrix_oracle(n, base + measurement_prelude(axis, l))
         mean = float(np.trace(rho @ z_l).real)
         means.append(mean if cal is None else mean * (1.0 - 2.0 * cal.readout_error[l]))
     return tuple(means)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -365,14 +366,59 @@ class TestSweep:
         assert out == ""
         assert not target.exists()
 
-    # 0:1.7e308:10 has a finite span, but the last grid point's (stop - start) * 9 overflows
-    @pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3", "0:1.7e308:10"])
+    # 0:1.7e308:10 has a finite span, but the last grid point's (stop - start) * 9 overflows;
+    # a count past float range cannot space a grid at all
+    @pytest.mark.parametrize(
+        "spec", ["0:inf:3", "nan:1:3", "-1e308:1e308:3", "0:1.7e308:10", pytest.param(f"0:1:{10**400}", id="count-1e400")]
+    )
     def test_non_finite_sweep_fails_before_output(self, capsys, spec):
         code, out, _ = run(
             capsys, "sweep", "--preset", "valencia", f"--sweep={spec}", "--mode", "exact",
         )
         assert code == 1
         assert out == ""
+
+    # valencia swept over a billion angles, and a 12-byte edge list that asks
+    # for a row per spin at each angle
+    @pytest.mark.parametrize(
+        "graph, spec, rows",
+        [("5\n0 1\n1 2\n1 3\n3 4\n", "0:1:1000000000", 5_000_000_000), ("2000000\n0 1\n", "0:1:2", 4_000_000)],
+        ids=["billion-angles", "two-million-spins"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_sweep_past_the_row_cap_exits_3_before_building_a_row(self, tmp_path, graph, spec, rows, to_file):
+        # in a child held to 256 MB of address space: a sweep that built its
+        # rows would run out of memory there, an exit 3 with another message
+        path = tmp_path / "g.edges"
+        path.write_text(graph)
+        target = tmp_path / "out.csv"
+        argv = ["sweep", "--graph", str(path), "--sweep", spec, *(["--out", str(target)] if to_file else [])]
+        limit = (lambda: resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)))
+        message = f"error: sweep of {rows} rows (angles x spins x modes) exceeds the cap of {cli.MAX_SWEEP_ROWS} rows\n"
+        assert _python(_MAIN, *argv, preexec_fn=limit) == (3, b"", message.encode())
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (["--sweep", "0:1:2"], 10),
+            (["--sweep", "0:1:3"], 15),
+            (["--sweep", "0:1:5", "--spin", "1", "--mode", "exact", "--mode", "shots"], 10),
+            (["--sweep", "0:1:4", "--spin", "1", "--spin", "2", "--spin", "1", "--mode", "exact", "--mode", "analytic"], 16),
+        ],
+    )
+    def test_row_cap_counts_angles_spins_and_modes(self, capsys, monkeypatch, tmp_path, args, rows):
+        # repeated spins and modes count once, as they give one row each
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 10)
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, "sweep", *VALENCIA, *args, "--out", str(target))
+        if rows <= 10:
+            assert (code, out, err) == (0, "", "")
+            assert len(rows_of(target.read_text())) == rows
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"error: sweep of {rows} rows (angles x spins x modes) exceeds the cap of 10 rows\n"
+            assert not target.exists()
 
 
 class TestSynthesize:

@@ -147,12 +147,11 @@ def _calibration(n):
     l=SPINS,
     shots=SHOTS,
     seed=SEEDS,
-    noise=st.sampled_from(["none", "readout", "gate", "short-table"]),
+    noise=st.sampled_from(["none", "readout", "short-table"]),
 )
 def test_shots_route(g, phi, l, shots, seed, noise):
     n = g.n_vertices
     cal = {"none": None, "short-table": _calibration(max(1, n - 1))}.get(noise, _calibration(n))
-    gate_noise = noise == "gate"
     in_range = 0 <= l < n
     valid = (
         _finite(phi)
@@ -162,13 +161,13 @@ def test_shots_route(g, phi, l, shots, seed, noise):
         and (cal is None or cal.n_qubits >= n)
     )
     try:
-        est = estimate_entanglement_shots(g, phi, l, shots, cal, seed, gate_noise=gate_noise)
+        est = estimate_entanglement_shots(g, phi, l, shots, cal, seed)
     except GraphentError:
         assert not valid
         return
     assert valid
     assert (est.spin, est.shots) == (l, shots)
-    expected = noisy_bloch_oracle(g, phi, l, cal, gate_noise)
+    expected = noisy_bloch_oracle(g, phi, l, cal)
     assert all(_within(got, mean, shots) for got, mean in zip(est.bloch.as_tuple(), expected))
 
 
@@ -322,29 +321,14 @@ def test_numpy_string_names_are_names():
     assert Gate(np.str_("h"), 0) == Gate("h", 0)
 
 
-@pytest.mark.parametrize("control", [[0], {0: 1}])
-def test_cx_error_lookup_of_an_unhashable_index_finds_no_entry(control):
-    with pytest.raises(ValidationError, match=rf"^no cx error entry for directed pair {re.escape(str(control))}-1$"):
-        valencia_calibration().cx_error_for(control, 1)
-
-
-@pytest.mark.parametrize("pair", [(0.0, 1), (True, 0), (0, 1.0), (1, False), (np.float64(0.0), 1)])
-def test_cx_error_lookup_of_a_non_integer_index_finds_no_entry(pair):
-    # the dict lookup found 0.0 and True as 0 and 1
-    with pytest.raises(ValidationError, match=rf"^no cx error entry for directed pair {re.escape(str(pair[0]))}-{pair[1]}$"):
-        valencia_calibration().cx_error_for(*pair)
-    assert valencia_calibration().cx_error_for(np.int64(0), np.int32(1)) == valencia_calibration().cx_error_for(0, 1)
-
-
 # The kind property: every public parameter that takes a number, a name, a
 # vertex pair or a graph, with the kind of input it takes. Each drawn value
 # either gives the answer that its plain Python counterpart gives, or raises a
 # GraphentError; a value with no plain counterpart (a list given as a count, a
 # string given as an angle, a number given as a graph or a circuit) must raise.
 # Out of scope: parameters that take any other object (states, single gates,
-# Bloch vectors, calibration data), the
-# gate_noise flag, text to parse, random_graph's bounds and
-# entanglement_from_bloch's norm_tol.
+# Bloch vectors, calibration data), text to parse, random_graph's bounds
+# and entanglement_from_bloch's norm_tol.
 _BLOCH = BlochVector(0.0, 0.0, 0.8)
 _RATES = (0.01, 0.02, 0.03)
 KIND_TABLE = [
@@ -386,8 +370,6 @@ KIND_TABLE = [
     ("EntanglementEstimate", "method", "name", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, v)),
     ("EntanglementEstimate", "std_error", "real", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", v, 64)),
     ("EntanglementEstimate", "shots", "count", lambda v: EntanglementEstimate(0, 0.1, _BLOCH, "shots", 0.01, v)),
-    ("CalibrationData.cx_error_for", "control", "count", lambda v: valencia_calibration().cx_error_for(v, 1)),
-    ("CalibrationData.cx_error_for", "target", "count", lambda v: valencia_calibration().cx_error_for(1, v)),
     ("Graph", "n_vertices", "count", lambda v: Graph(v, ((0, 1),))),
     ("Graph.neighbours", "l", "count", lambda v: valencia().neighbours(v)),
     ("Graph.degree", "l", "count", lambda v: valencia().degree(v)),
@@ -624,7 +606,6 @@ def test_huge_seeds_keep_answering():
             lambda: CalibrationData(_RATES, _RATES, {(0, 10**5000): 0.1}),
             "cx_error key (0, a 16610-bit integer) out of range for 3 qubits",
         ),
-        (lambda: valencia_calibration().cx_error_for(0, 10**5000), "no cx error entry for directed pair 0-a 16610-bit integer"),
         (lambda: init_zero(10**5000), "a 16610-bit integer qubits exceeds the cap of 24"),
         (lambda: init_zero(2, -(10**5000)), "2 qubits exceeds the cap of a 16610-bit integer"),
         (lambda: init_zero(2, rows=10**5000), "a 16610-bit integer rows of 2 qubits exceed the cap of 2**24 amplitudes"),
